@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation failure on the inputs,
 3 internal invariant violation.  Symbols travel as JSON objects with keys
-"vertices", "pairing", "ell" and optional "level"; setting the environment
-variable FAREY_DEBUG_VALIDATE=1 revalidates every intermediate symbol.
+"vertices", "pairing", "ell" and optional "level".  To revalidate every
+intermediate symbol of a normalization, call
+normalize(sym, on_op=lambda s: s.validate()).
 """
 
 import argparse

@@ -81,6 +81,19 @@ INFINITY = Cusp(1, 0)
 ZERO = Cusp(0, 1)
 
 
+def gcdex(a, b):
+    """(x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return x0, y0, a
+
+
 def cross(r, s):
     """D(r, s) = r.num*s.den - s.num*r.den; zero iff r == s."""
     return r.num * s.den - s.num * r.den
@@ -98,11 +111,6 @@ def circular_order(r, s, t):
         raise FareyError("circular_order requires pairwise distinct points")
     p = d1 * d2 * d3
     return 1 if p > 0 else -1
-
-
-def between(r, x, t):
-    """True iff x lies strictly inside the positive circular arc from r to t."""
-    return cross(r, x) * cross(x, t) * cross(t, r) > 0
 
 
 class IMat:

@@ -3,7 +3,7 @@
 the word problem in the gluing generators.
 """
 
-from .exact import Cusp, IMat, IDENTITY, INFINITY, FareyError
+from .exact import Cusp, IMat, IDENTITY, INFINITY, FareyError, gcdex
 from .symbol import (ARC_ELLIPTIC2, ARC_ELLIPTIC3, ARC_HYPERBOLIC,
                      ARC_PARABOLIC)
 
@@ -49,17 +49,8 @@ def successor_permutation(sym):
 def _width_at(delta, cusp):
     """w > 0 with delta conjugate to [[1, w], [0, 1]] fixing the cusp."""
     p, q = cusp.num, cusp.den
-    # find alpha, beta with alpha*p + beta*q = 1
-    a, b = p, q
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        qq, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - qq * x1
-        y0, y1 = y1, y0 - qq * y1
-    if a < 0:
-        x0, y0 = -x0, -y0
-    conj = IMat(p, -y0, q, x0)
+    x, y, _ = gcdex(p, q)  # x*p + y*q = 1
+    conj = IMat(p, -y, q, x)
     t = conj.inverse() * delta * conj
     if t.c != 0 or abs(t.a) != 1 or t.a != t.d:
         raise FareyError("stabilizer product is not parabolic at its cusp")

@@ -20,24 +20,11 @@ from math import gcd
 
 from . import classical
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, ORDER2, ORDER3,
-                    REVERSE, arc_matrix)
+                    REVERSE, arc_matrix, gcdex)
 from .symbol import FareySymbol
 
 # order-3 rotation attached to the arc (infinity, 0)
 _ODD_AT_INF = IMat(-1, -1, 1, 0)
-
-
-def gcdex(a, b):
-    """(x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return x0, y0, a
 
 
 def _lift_unit(n, d, a):

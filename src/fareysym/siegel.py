@@ -10,12 +10,11 @@ dissection of a compact Riemann surface.  The driver loops Siegel steps
 until the whole word is a sequence of quad/pair/fixed blocks.
 
 Throughout, the working symbol is kept rotated so that W occupies arc
-positions [0, w).  The arc (infinity, 0) is placed inside W at the start
-and the cut choices never apply a Moebius transform to W, which is what
-keeps coefficient growth in check.
+positions [0, w): each cut is told which of its arcs must land at position
+w and builds its output already rotated.  The arc (infinity, 0) is placed
+inside W at the start and the cut choices never apply a Moebius transform
+to W, which is what keeps coefficient growth in check.
 """
-
-import os
 
 from .exact import FareyError, InvalidSymbolError, INFINITY, ZERO
 from .symbol import FareySymbol
@@ -32,11 +31,26 @@ def _crange(a, b, n):
     return out
 
 
-def _debug_validate():
-    return os.environ.get("FAREY_DEBUG_VALIDATE") == "1"
+def _assemble(sym, items, place):
+    """The symbol whose arcs are items, a list of (old arc, start vertex).
+
+    Each chord is labelled with the old arc it replaces, so one lookup
+    relabels the pairing and the elliptic orders.  place = (old, position)
+    rotates the list so the arc labelled old lands at position.
+    """
+    n = sym.n
+    if len(items) != n:
+        raise FareyError("cut produced %d arcs, expected %d" % (len(items), n))
+    if place is not None:
+        k = ([old for old, _ in items].index(place[0]) - place[1]) % n
+        items = items[k:] + items[:k]
+    mapping = {old: pos for pos, (old, _) in enumerate(items)}
+    pairing = [mapping[sym.pairing[old]] for old, _ in items]
+    ell = {mapping[t]: mu for t, mu in sym.ell.items()}
+    return FareySymbol([v for _, v in items], pairing, ell, sym.level), mapping
 
 
-def base_cut(sym, pivot, c1, c2, side):
+def base_cut(sym, pivot, c1, c2, side, place=None):
     """Non-elliptic cut-and-glue along the chord (vertex c1, vertex c2).
 
     Writing the cyclic word as X1 a X2 X3 a* X4 with a the pivot arc, c2 the
@@ -45,6 +59,8 @@ def base_cut(sym, pivot, c1, c2, side):
     piece is moved by gluing(a) (side="other"); the chord becomes the new
     paired arcs a', a'*.  Returns (symbol, mapping) where mapping sends old
     arc positions to new ones (the pivot pair maps to the chord pair).
+    place = (old arc, position) rotates the output so that the image of the
+    old arc sits at position; by default the chord a' is arc 0.
     """
     n = sym.n
     i = pivot
@@ -62,51 +78,34 @@ def base_cut(sym, pivot, c1, c2, side):
     v = sym.vertices
     move = g.inverse().apply if side == "pivot" else g.apply
 
-    # Each entry is (old_index_or_None, start_vertex); None marks the chord.
+    # Each entry is (old arc, start vertex); the chord a' (a'*) replaces i (j).
     items = []
     if side == "pivot":
-        items.append((None, v[c1]))
+        items.append((i, v[c1]))
         items.extend((t, v[t]) for t in _crange(c2, j, n))
         items.extend((t, move(v[t])) for t in _crange(i + 1, c2, n))
-        items.append((None, move(v[c2])))
+        items.append((j, move(v[c2])))
         items.extend((t, move(v[t])) for t in _crange(c1, i, n))
         items.extend((t, v[t]) for t in _crange(j + 1, c1, n))
     else:
-        items.append((None, move(v[c1])))
+        items.append((i, move(v[c1])))
         items.extend((t, move(v[t])) for t in _crange(c2, j, n))
         items.extend((t, v[t]) for t in _crange(i + 1, c2, n))
-        items.append((None, v[c2]))
+        items.append((j, v[c2]))
         items.extend((t, v[t]) for t in _crange(c1, i, n))
         items.extend((t, move(v[t])) for t in _crange(j + 1, c1, n))
-    assert len(items) == n
-
-    mapping = {}
-    chord = []
-    for pos, (old, _) in enumerate(items):
-        if old is None:
-            chord.append(pos)
-        else:
-            mapping[old] = pos
-    mapping[i], mapping[j] = chord
-    pairing = [0] * n
-    for old, pos in mapping.items():
-        pairing[pos] = mapping[sym.pairing[old]]
-    pairing[chord[0]], pairing[chord[1]] = chord[1], chord[0]
-    ell = {mapping[k]: mu for k, mu in sym.ell.items()}
-    out = FareySymbol([start for _, start in items], pairing, ell, sym.level)
-    if _debug_validate():
-        out.validate()
-    return out, mapping
+    return _assemble(sym, items, place)
 
 
-def base_cut_elliptic(sym, pivot, cut, side):
+def base_cut_elliptic(sym, pivot, cut, side, place=None):
     """Cut from the elliptic point of a fixed arc to the vertex `cut`.
 
     The piece between the cut and the pivot arc is moved: side="before"
     moves the factor X1 (from the cut vertex up to the pivot) by the
     gluing's inverse, side="after" moves the factor X2 (from past the pivot
     back to the cut vertex) by the gluing.  The elliptic arc reappears with
-    the cut vertex as an endpoint; its order is unchanged.
+    the cut vertex as an endpoint; its order is unchanged.  place is as
+    for base_cut; by default the new elliptic arc is arc 0.
     """
     n = sym.n
     i = pivot
@@ -122,29 +121,15 @@ def base_cut_elliptic(sym, pivot, cut, side):
     items = []
     if side == "before":
         move = g.inverse().apply
-        items.append((None, v[cut]))
+        items.append((i, v[cut]))
         items.extend((t, move(v[t])) for t in _crange(cut, i, n))
         items.extend((t, v[t]) for t in _crange(i + 1, cut, n))
     else:
         move = g.apply
-        items.append((None, move(v[cut])))
+        items.append((i, move(v[cut])))
         items.extend((t, v[t]) for t in _crange(cut, i, n))
         items.extend((t, move(v[t])) for t in _crange(i + 1, cut, n))
-    assert len(items) == n
-
-    mapping = {}
-    for pos, (old, _) in enumerate(items):
-        if old is not None:
-            mapping[old] = pos
-    mapping[i] = 0
-    pairing = [0] * n
-    for old, pos in mapping.items():
-        pairing[pos] = mapping[sym.pairing[old]]
-    ell = {mapping[k]: mu for k, mu in sym.ell.items()}
-    out = FareySymbol([start for _, start in items], pairing, ell, sym.level)
-    if _debug_validate():
-        out.validate()
-    return out, mapping
+    return _assemble(sym, items, place)
 
 
 class NormalizationState:
@@ -186,17 +171,6 @@ def _start_state(sym, collect_log=False):
     return NormalizationState(sym.rotated(rot), 0, [] if collect_log else None)
 
 
-def _rotate_to(sym, mapping, anchor_pos, target):
-    """Rotate so the arc at anchor_pos lands at position target."""
-    k = (anchor_pos - target) % sym.n
-    if k == 0:
-        return sym, mapping
-    out = sym.rotated(k)
-    if _debug_validate():
-        out.validate()
-    return out, {old: (pos - k) % sym.n for old, pos in mapping.items()}
-
-
 def _guard(sym, positions, w):
     """Refuse to Moebius-transform the (infinity, 0) arc.
 
@@ -234,11 +208,11 @@ def _step_elliptic(state, pivot, on_op=None):
     sym, w = state.symbol, state.w_len
     gap = _crange(w, pivot, sym.n)
     _guard(sym, gap, w)
-    out, mapping = base_cut_elliptic(sym, pivot, w, "before")
+    out, _ = base_cut_elliptic(sym, pivot, w, "before", (pivot, w))
     if on_op:
         on_op(out)
-    out, mapping = _rotate_to(out, mapping, 0, w)
-    assert out.pairing[w] == w
+    if out.pairing[w] != w:
+        raise FareyError("elliptic step did not fix arc %d" % w)
     return NormalizationState(out, w + 1, state.log)
 
 
@@ -258,17 +232,18 @@ def _step_parabolic(state, pivot, on_op=None):
         raise InvalidSymbolError(
             "normalization would replace the arc (infinity, 0)")
     if inf0 not in x_range:
-        out, mapping = base_cut(sym, pivot, w, pivot + 1, "pivot")
+        out, _ = base_cut(sym, pivot, w, pivot + 1, "pivot", (pivot, w))
         if on_op:
             on_op(out)
-        out, mapping = _rotate_to(out, mapping, 0, w)
-        assert out.pairing[w] == w + 1
+        if out.pairing[w] != w + 1:
+            raise FareyError("parabolic step did not pair arcs %d, %d" % (w, w + 1))
     else:
-        out, mapping = base_cut(sym, pivot, 0, pivot + 1, "other")
+        out, _ = base_cut(sym, pivot, 0, pivot + 1, "other")
         if on_op:
             on_op(out)
         # word is already (a' a'* W X gY); the prefix simply starts at a'.
-        assert out.pairing[0] == 1
+        if out.pairing[0] != 1:
+            raise FareyError("parabolic step did not pair arcs 0, 1")
     return NormalizationState(out, w + 2, state.log)
 
 
@@ -283,41 +258,57 @@ def _step_hyperbolic(state, a_pos, on_op=None):
     b_pos = a_pos + 1
     as_pos = sym.pairing[a_pos]
     bs_pos = sym.pairing[b_pos]
-    assert w <= a_pos < b_pos < as_pos < bs_pos < n, "pivots out of pattern"
+    if not w <= a_pos < b_pos < as_pos < bs_pos < n:
+        raise FareyError("pivots out of pattern")
     _guard(sym, _crange(w, as_pos, n) + _crange(as_pos, bs_pos + 1, n), w)
 
     # 1: cut (w, a*); move the piece X a b Y by gluing(b)^-1.
-    out, m = base_cut(sym, b_pos, w, as_pos, "pivot")
+    out, m = base_cut(sym, b_pos, w, as_pos, "pivot", (b_pos, w))
     if on_op:
         on_op(out)
-    out, m = _rotate_to(out, m, m[b_pos], w)
     a1, as1, b1, bs1 = m[a_pos], m[as_pos], m[b_pos], m[bs_pos]
-    assert b1 == w and as1 == w + 1
+    if not (b1 == w and as1 == w + 1):
+        raise FareyError("hyperbolic cut 1 out of pattern")
 
     # 2: cut (b'*, b'-start); move the piece b' a* Z Y by gluing(a).
-    out2, m2 = base_cut(out, a1, bs1, w, "other")
+    out2, m2 = base_cut(out, a1, bs1, w, "other", (as1, w))
     if on_op:
         on_op(out2)
-    out2, m2 = _rotate_to(out2, m2, m2[as1], w)
     a2, as2, b2, bs2 = m2[a1], m2[as1], m2[b1], m2[bs1]
-    assert as2 == w and bs2 == w + 1
+    if not (as2 == w and bs2 == w + 1):
+        raise FareyError("hyperbolic cut 2 out of pattern")
 
     # 3: cut (a'*-start, past b'*); move the piece a'* b'* by gluing(b'*)^-1.
-    out3, m3 = base_cut(out2, bs2, w, w + 2, "pivot")
+    out3, m3 = base_cut(out2, bs2, w, w + 2, "pivot", (bs2, w))
     if on_op:
         on_op(out3)
-    out3, m3 = _rotate_to(out3, m3, m3[bs2], w)
     a3, as3, b3, bs3 = m3[a2], m3[as2], m3[b2], m3[bs2]
-    assert bs3 == w and b3 == a3 + 1 and as3 == a3 + 2
+    if not (bs3 == w and b3 == a3 + 1 and as3 == a3 + 2):
+        raise FareyError("hyperbolic cut 3 out of pattern")
 
     # 4: cut (past b'', a'*-start); move the piece X Z Y a' b''* by gluing(a')^-1.
-    out4, m4 = base_cut(out3, a3, w + 1, as3, "pivot")
+    out4, _ = base_cut(out3, a3, w + 1, as3, "pivot", (bs3, w))
     if on_op:
         on_op(out4)
-    out4, m4 = _rotate_to(out4, m4, m4[bs3], w)
-    assert out4.pairing[w] == w + 2 and out4.pairing[w + 1] == w + 3, \
-        "hyperbolic step did not leave a quad"
+    if not (out4.pairing[w] == w + 2 and out4.pairing[w + 1] == w + 3):
+        raise FareyError("hyperbolic step did not leave a quad")
     return NormalizationState(out4, w + 4, state.log)
+
+
+def _choose_step(sym, w):
+    """(kind, pivots, handler) of the first non-extend step that applies."""
+    n = sym.n
+    for e in range(w, n):
+        if sym.pairing[e] == e:
+            return "elliptic", [e], _step_elliptic
+    for k in range(w, n - 1):
+        if sym.pairing[k] == k + 1:
+            return "parabolic", [k], _step_parabolic
+    for f in range(w, n):
+        if w <= sym.pairing[f] < f:
+            a_pos = sym.pairing[f]
+            return "hyperbolic", [a_pos, a_pos + 1], _step_hyperbolic
+    raise FareyError("no Siegel step applies; symbol state is inconsistent")
 
 
 def siegel_step(state, on_op=None):
@@ -329,43 +320,19 @@ def siegel_step(state, on_op=None):
     (+4).  One of the four cases always applies while w_len < n.
     """
     sym, w = state.symbol, state.w_len
-    n = sym.n
-    if w >= n:
+    if w >= sym.n:
         raise FareyError("symbol is already fully normalized")
 
     k = _extend_blocks(state)
     if k > w:
-        if state.log is not None:
-            state.log.append({"kind": "extend", "pivots": [], "w_len": k})
-        return NormalizationState(state.symbol, k, state.log)
-
-    for e in range(w, n):
-        if sym.pairing[e] == e:
-            new = _step_elliptic(state, e, on_op)
-            if state.log is not None:
-                state.log.append({"kind": "elliptic", "pivots": [e],
-                                  "w_len": new.w_len})
-            return new
-
-    for k in range(w, n - 1):
-        if sym.pairing[k] == k + 1:
-            new = _step_parabolic(state, k, on_op)
-            if state.log is not None:
-                state.log.append({"kind": "parabolic", "pivots": [k],
-                                  "w_len": new.w_len})
-            return new
-
-    for f in range(w, n):
-        if w <= sym.pairing[f] < f:
-            a_pos = sym.pairing[f]
-            new = _step_hyperbolic(state, a_pos, on_op)
-            if state.log is not None:
-                state.log.append({"kind": "hyperbolic",
-                                  "pivots": [a_pos, a_pos + 1],
-                                  "w_len": new.w_len})
-            return new
-
-    raise FareyError("no Siegel step applies; symbol state is inconsistent")
+        kind, pivots = "extend", []
+        new = NormalizationState(sym, k, state.log)
+    else:
+        kind, pivots, handler = _choose_step(sym, w)
+        new = handler(state, pivots[0], on_op)
+    if state.log is not None:
+        state.log.append({"kind": kind, "pivots": pivots, "w_len": new.w_len})
+    return new
 
 
 def normalize(sym, on_op=None, collect_log=False, validate=True):

@@ -176,30 +176,25 @@ class FareySymbol:
         inside = lambda k: 0 < (k - lo) % n < (hi - lo) % n
         return inside(j) != inside(sj)
 
-    def linked_to_any(self, i):
-        if self.pairing[i] == i:
-            return False
-        for j in range(self.n):
-            if j in (i, self.pairing[i]) or self.pairing[j] == j:
-                continue
-            if self.is_linked(i, j):
-                return True
-        return False
-
     def normalization_defect(self):
         """Index of an arc violating normalization, or None if normalized.
 
         Normalized means every arc is at distance <= 2 from its partner,
-        with distance exactly 2 iff the arc is linked to another one.
+        with distance exactly 2 iff the arc is linked to another one.  At
+        distance 2 the chord has exactly one arc strictly inside, and the
+        arc is linked iff that one is not fixed; a chord at distance 1 has
+        nothing inside, so it is never linked.
         """
-        for i in range(self.n):
-            d = self.distance(i, self.pairing[i])
+        n = self.n
+        for i in range(n):
+            j = self.pairing[i]
+            d = self.distance(i, j)
             if d > 2:
                 return i
-            if d == 2 and not self.linked_to_any(i):
-                return i
-            if d < 2 and self.pairing[i] != i and self.linked_to_any(i):
-                return i
+            if d == 2:
+                mid = (i + 1) % n if j == (i + 2) % n else (i - 1) % n
+                if self.pairing[mid] == mid:
+                    return i
         return None
 
     def is_normalized(self):
@@ -326,10 +321,16 @@ class FareySymbol:
         try:
             verts = [Cusp.parse(v) for v in d["vertices"]]
             pairing = [int(x) for x in d["pairing"]]
-            ell = {int(i): int(mu) for i, mu in d.get("ell", {}).items()}
-        except (KeyError, ValueError, TypeError) as e:
+            ell = d.get("ell", {})
+            if not isinstance(ell, dict):
+                raise TypeError('"ell" must be an object')
+            ell = {int(i): int(mu) for i, mu in ell.items()}
+            level = d.get("level")
+            if level is not None and type(level) is not int:
+                raise TypeError('"level" must be an integer')
+        except (KeyError, ValueError, TypeError, FareyError) as e:
             raise InvalidSymbolError("malformed symbol data: %s" % e)
-        return FareySymbol(verts, pairing, ell, d.get("level"))
+        return FareySymbol(verts, pairing, ell, level)
 
     @staticmethod
     def from_json(text):

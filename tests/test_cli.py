@@ -1,6 +1,8 @@
 import json
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from fareysym.cli import check_level, cli_dispatch
 from fareysym.symbol import FareySymbol
 
@@ -99,6 +101,22 @@ class TestExitCodes:
         assert run(capsys, "member", "--level", "5",
                    "--matrix", "nope")[0] == 2
         assert run(capsys, "info", "--in", str(tmp_path / "missing.json"))[0] == 2
+
+    @pytest.mark.parametrize("command", ["info", "normalize"])
+    @pytest.mark.parametrize("change", [
+        {"vertices": ["1/0", "0/1", "0/0"]},
+        {"ell": [2]},
+        {"level": "two"},
+        {"level": 2.5},
+        {"level": True},
+    ])
+    def test_malformed_input_is_2(self, tmp_path, capsys, command, change):
+        doc = {"vertices": ["1/0", "0/1", "1/1"], "pairing": [2, 1, 0],
+               "ell": {"1": 2}, "level": 2}
+        doc.update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, command, "--in", str(bad))[0] == 2
 
 
 class TestCheckLevel:

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from fareysym import classical
 from fareysym.exact import FareyError, INFINITY, ZERO
-from fareysym.kulkarni import gamma0_oracle
+from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
 from fareysym.invariants import counts, express_word, generators
 from fareysym.siegel import (NormalizationState, base_cut, base_cut_elliptic,
                              normalize, siegel_step, _start_state)
@@ -101,6 +103,29 @@ class TestBaseCut:
         out, mapping = base_cut_elliptic(s, 1, 2, "after")
         assert out == s.rotated((2 - mapping[2]) % s.n)
 
+    @staticmethod
+    def check_place(s, cut, *args):
+        out, mapping = cut(s, *args)
+        for old in range(s.n):
+            for t in range(s.n):
+                k = (mapping[old] - t) % s.n
+                placed, placed_map = cut(s, *args, place=(old, t))
+                assert placed == out.rotated(k), (args, old, t)
+                assert placed_map == {a: (p - k) % s.n
+                                      for a, p in mapping.items()}
+
+    def test_place_is_rotation(self, symbol_for):
+        s = symbol_for(22)
+        for args in ((2, 8, 4, "pivot"), (2, 8, 4, "other"),
+                     (3, 1, 5, "pivot")):
+            self.check_place(s, base_cut, *args)
+
+    def test_elliptic_place_is_rotation(self, symbol_for):
+        s = symbol_for(13)
+        pivot = next(i for i, mu in s.ell.items() if mu == 3)
+        for cut, side in ((0, "after"), (0, "before"), (3, "after")):
+            self.check_place(s, base_cut_elliptic, pivot, cut, side)
+
 
 class TestSiegelStep:
     def test_first_step_extends_infinity_pair(self, symbol_for):
@@ -192,6 +217,12 @@ class TestNormalize:
         again = normalize(ns)
         assert again.is_normalized()
         assert counts(again) == counts(ns)
+
+    def test_output_digest_is_pinned(self):
+        text = "".join(normalize(gamma0_symbol(N)).to_json() + "\n"
+                       for N in range(1, 151))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e94179506169477177b4a3b6720de6b7375c734f5f7492f54ba075f21521c93a")
 
     def test_heights_stay_modest(self, normalized_for):
         for N in (100, 250):

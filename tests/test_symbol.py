@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fareysym.exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
@@ -10,6 +12,41 @@ from fareysym.kulkarni import gamma0_oracle
 def pattern_symbol(pairing, ell=None):
     """Symbol with placeholder vertices for purely combinatorial tests."""
     return FareySymbol([Cusp(i, 1) for i in range(len(pairing))], pairing, ell)
+
+
+def reference_defect(s):
+    """normalization_defect by its definition: O(n^2) linkedness scans."""
+    def linked_to_any(i):
+        return s.pairing[i] != i and any(
+            s.is_linked(i, j) for j in range(s.n)
+            if j not in (i, s.pairing[i]) and s.pairing[j] != j)
+
+    for i in range(s.n):
+        d = s.distance(i, s.pairing[i])
+        if (d > 2 or (d == 2 and not linked_to_any(i))
+                or (d < 2 and linked_to_any(i))):
+            return i
+    return None
+
+
+def random_pairing(rng, n):
+    """A uniform involution with a random number of fixed arcs, or one built
+    from fixed/pair/quad blocks and (a, fixed, a*) triples, rotated."""
+    if rng.random() < 0.5:
+        arcs = rng.sample(range(n), n)
+        pairing = list(range(n))
+        rest = arcs[rng.choice(range(n % 2, n + 1, 2)):]
+        for a, b in zip(rest[::2], rest[1::2]):
+            pairing[a], pairing[b] = b, a
+        return pairing
+    blocks = []
+    while len(blocks) < n:
+        p = len(blocks)
+        kind = rng.randint(1, min(4, n - p))
+        blocks += {1: [p], 2: [p + 1, p], 3: [p + 2, p + 1, p],
+                   4: [p + 2, p + 3, p, p + 1]}[kind]
+    k = rng.randrange(n)
+    return [(blocks[(i + k) % n] - k) % n for i in range(n)]
 
 
 class TestConstruction:
@@ -123,9 +160,25 @@ class TestLinkedAndNormalized:
         for kind, idx in s.factorize():
             if kind == "quad":
                 assert s.is_linked(idx[0], idx[1])
-                assert s.linked_to_any(idx[0])
             elif kind == "pair":
-                assert not s.linked_to_any(idx[0])
+                assert not any(s.is_linked(idx[0], j) for j in range(s.n)
+                               if j not in idx and s.pairing[j] != j)
+
+    def test_defect_matches_reference_on_random_involutions(self):
+        rng = random.Random(2018)
+        for n in range(2, 41):
+            for _ in range(60):
+                pairing = random_pairing(rng, n)
+                ell = {i: rng.choice((2, 3))
+                       for i in range(n) if pairing[i] == i}
+                s = pattern_symbol(pairing, ell)
+                assert s.normalization_defect() == reference_defect(s), pairing
+
+    def test_defect_matches_reference_on_fixtures(self, symbol_for,
+                                                   normalized_for):
+        for N in range(1, 61):
+            for s in (symbol_for(N), normalized_for(N)):
+                assert s.normalization_defect() == reference_defect(s), N
 
 
 class TestGroupCheck:
