@@ -8,10 +8,13 @@ so they can serve as reference oracles for everything computed from symbols.
 from fractions import Fraction
 from math import gcd
 
+from .exact import FareyError
+
 
 def factorize(n):
     """Prime factorization of n >= 1 as a list of (p, e) pairs."""
-    assert n >= 1
+    if n < 1:
+        raise FareyError("factorize needs n >= 1, got %r" % n)
     out = []
     d = 2
     while d * d <= n:
@@ -88,7 +91,8 @@ def genus_gamma0(N):
     """Genus of X0(N) via the Riemann-Hurwitz count."""
     g = (Fraction(index_gamma0(N), 12) + 1 - Fraction(nu2_gamma0(N), 4)
          - Fraction(nu3_gamma0(N), 3) - Fraction(nu_inf_gamma0(N), 2))
-    assert g.denominator == 1 and g >= 0
+    if g.denominator != 1 or g < 0:
+        raise FareyError("genus formula gave %s" % g)
     return int(g)
 
 
@@ -102,7 +106,8 @@ def cusp_widths_gamma0(N):
     for d in divisors(N):
         widths.extend([N // gcd(d * d, N)] * euler_phi(gcd(d, N // d)))
     widths.sort()
-    assert sum(widths) == index_gamma0(N)
+    if sum(widths) != index_gamma0(N):
+        raise FareyError("cusp widths do not sum to the index")
     return widths
 
 

@@ -204,10 +204,14 @@ class IMat:
 
     def apply(self, x):
         """Moebius action on a cusp: (p:q) -> (a p + b q : c p + d q)."""
+        return self.apply_all((x,))[0]
+
+    def apply_all(self, cusps):
+        """The images of cusps, as a list; the matrix is checked once."""
         if self.det() == 0:
             raise FareyError("moebius action needs det != 0")
-        return Cusp(self.a * x.num + self.b * x.den,
-                    self.c * x.num + self.d * x.den)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return [Cusp(a * x.num + b * x.den, c * x.num + d * x.den) for x in cusps]
 
     def size(self):
         """Sum of absolute values of the entries (word-problem measure)."""

@@ -80,7 +80,8 @@ def cusp_orbits(sym):
             seen[i] = True
             cycle.append(i)
             i = succ[i]
-        assert i == start, "successor map is not a permutation"
+        if i != start:
+            raise FareyError("successor map is not a permutation")
         word = [(j, -1) for j in reversed(cycle)]
         delta = IDENTITY
         for j in cycle:
@@ -105,9 +106,11 @@ def counts(sym):
     nu_inf = len(orbits)
     index = sum(o.width for o in orbits)
     if sym.is_unimodular():
-        assert index == 3 * (sym.n - 2) + nu3, "width sum disagrees with arc count"
+        if index != 3 * (sym.n - 2) + nu3:
+            raise FareyError("width sum disagrees with arc count")
     twice_genus = 1 - nu_inf + (sym.n - nu2 - nu3) // 2
-    assert (sym.n - nu2 - nu3) % 2 == 0 and twice_genus % 2 == 0 and twice_genus >= 0
+    if (sym.n - nu2 - nu3) % 2 or twice_genus % 2 or twice_genus < 0:
+        raise FareyError("arc count and orbits give no genus")
     return (twice_genus // 2, nu_inf, nu2, nu3, index)
 
 

@@ -112,7 +112,8 @@ class _Arc:
         self.r = r
         self.s = s
         self.mat = arc_matrix(r, s)
-        assert self.mat.det() == 1, "builder arcs must be unimodular"
+        if self.mat.det() != 1:
+            raise FareyError("builder arcs must be unimodular")
         self.neg = self.mat * REVERSE
         self.in_key = key(self.mat) if keyed else None
         self.out_key = key(self.neg) if keyed else None
@@ -144,7 +145,8 @@ def _cycle(first, count):
     for _ in range(count):
         out.append(arc)
         arc = arc.nxt
-    assert arc is first, "boundary walk is not closed"
+    if arc is not first:
+        raise FareyError("boundary walk is not closed")
     return out
 
 

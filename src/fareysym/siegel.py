@@ -9,45 +9,127 @@ interleaved quadruple (+4), following Siegel's construction of a canonical
 dissection of a compact Riemann surface.  The driver loops Siegel steps
 until the whole word is a sequence of quad/pair/fixed blocks.
 
-Throughout, the working symbol is kept rotated so that W occupies arc
-positions [0, w): each cut is told which of its arcs must land at position
-w and builds its output already rotated.  The arc (infinity, 0) is placed
-inside W at the start and the cut choices never apply a Moebius transform
-to W, which is what keeps coefficient growth in check.
+A run works on one private polygon rather than on a chain of symbols.  The
+polygon holds the start vertex of the arc at each position, the id of the
+arc at each position, and, by arc id, the partner and the elliptic order.
+A cut gives its chord pair the ids of the pivot pair it replaces, so the
+partner and order tables never change during a run; a cut only splices
+the two id/vertex lists, moving one piece's vertices by the pivot gluing.
+A FareySymbol is built from the polygon only at the end, or when a caller
+asks for one (on_op, NormalizationState.symbol).
+
+Throughout, the polygon is kept rotated so that W occupies positions
+[0, w): each cut is told which of its arcs must land at position w and
+splices its lists already rotated.  W is never transformed: the arc
+(infinity, 0) is placed inside W at the start, and the polygon refuses any
+cut that would move or replace that arc, which is what keeps coefficient
+growth in check.
 """
 
-from .exact import FareyError, InvalidSymbolError, INFINITY, ZERO
-from .symbol import FareySymbol
+from .exact import FareyError, InvalidSymbolError, arc_matrix
+from .symbol import FareySymbol, gluing_matrix
 
 
-def _crange(a, b, n):
-    """Arc indices a, a+1, ..., b-1 cyclically; empty when a == b (mod n)."""
-    out = []
-    i = a % n
+def _cyc(seq, a, b):
+    """seq[a:b] read cyclically; empty when a == b (mod len(seq))."""
+    n = len(seq)
+    a %= n
     b %= n
-    while i != b:
-        out.append(i)
-        i = (i + 1) % n
-    return out
+    return seq[a:b] if a <= b else seq[a:] + seq[:b]
 
 
-def _assemble(sym, items, place):
-    """The symbol whose arcs are items, a list of (old arc, start vertex).
+class _Polygon:
+    """The working polygon of a normalization run, cut in place.
 
-    Each chord is labelled with the old arc it replaces, so one lookup
-    relabels the pairing and the elliptic orders.  place = (old, position)
-    rotates the list so the arc labelled old lands at position.
+    verts[p] and ids[p] are the start vertex and the id of the arc at
+    position p; partner and ell are indexed by id.  keep is the id of an
+    arc that no cut may move or replace, or None.
     """
-    n = sym.n
-    if len(items) != n:
-        raise FareyError("cut produced %d arcs, expected %d" % (len(items), n))
-    if place is not None:
-        k = ([old for old, _ in items].index(place[0]) - place[1]) % n
-        items = items[k:] + items[:k]
-    mapping = {old: pos for pos, (old, _) in enumerate(items)}
-    pairing = [mapping[sym.pairing[old]] for old, _ in items]
-    ell = {mapping[t]: mu for t, mu in sym.ell.items()}
-    return FareySymbol([v for _, v in items], pairing, ell, sym.level), mapping
+
+    __slots__ = ("verts", "ids", "partner", "ell", "level", "keep", "_frozen")
+
+    def __init__(self, sym, keep=None):
+        self.verts = list(sym.vertices)
+        self.ids = list(range(sym.n))
+        self.partner = sym.pairing
+        self.ell = sym.ell
+        self.level = sym.level
+        self.keep = keep
+        self._frozen = sym
+
+    @property
+    def n(self):
+        return len(self.ids)
+
+    def pos(self, arc_id):
+        return self.ids.index(arc_id)
+
+    def paired(self, p, q):
+        """True iff the arc at position q is the partner of the one at p."""
+        return self.partner[self.ids[p]] == self.ids[q]
+
+    def gluing(self, i, j):
+        """Gluing matrix of the arc at position i, whose partner is at j."""
+        n, v = self.n, self.verts
+        return gluing_matrix(arc_matrix(v[i], v[(i + 1) % n]),
+                             arc_matrix(v[j], v[(j + 1) % n]),
+                             self.ell.get(self.ids[i]))
+
+    def freeze(self):
+        """The polygon as a FareySymbol, cached until the next cut."""
+        if self._frozen is None:
+            pos = [0] * self.n
+            for p, arc_id in enumerate(self.ids):
+                pos[arc_id] = p
+            pairing = [pos[self.partner[a]] for a in self.ids]
+            ell = {pos[a]: mu for a, mu in self.ell.items()}
+            self._frozen = FareySymbol(self.verts, pairing, ell, self.level)
+        return self._frozen
+
+    def glue(self, head_ids, head, tail_ids, tail, g, move_tail, chord, place):
+        """Make head + tail the polygon's cyclic word of arcs.
+
+        The tail's vertices are moved by g^-1 (move_tail) or the head's by
+        g.  chord holds the ids of the pivot arcs the cut replaces; place =
+        (old position, position) rotates the result so the arc that sat at
+        the old position lands at position, and by default chord[0] is
+        arc 0.
+        """
+        if self.keep is not None and (
+                self.keep in chord
+                or self.keep in (tail_ids if move_tail else head_ids)):
+            raise InvalidSymbolError(
+                "normalization would move or replace the arc (infinity, 0); "
+                "rotate the symbol so it can start the normalized prefix")
+        if g.det() != 1:
+            raise InvalidSymbolError(
+                "pivot gluing has det %d (paired widths differ?)" % g.det())
+        if move_tail:
+            tail = g.inverse().apply_all(tail)
+        else:
+            head = g.apply_all(head)
+        ids = head_ids + tail_ids
+        verts = head + tail
+        n = self.n
+        if len(ids) != n or len(verts) != n:
+            raise FareyError("cut produced %d arcs, expected %d" % (len(verts), n))
+        if len(set(ids)) != n:
+            raise FareyError("cut produced repeated arc ids")
+        if place is None:
+            k = ids.index(chord[0])
+        else:
+            k = (ids.index(self.ids[place[0]]) - place[1]) % n
+        self.ids = ids[k:] + ids[:k]
+        self.verts = verts[k:] + verts[:k]
+        self._frozen = None
+
+
+def _cut_result(sym, poly):
+    """What a base operation returns: nothing for the working polygon of a
+    run, else (symbol, mapping) with mapping old position -> new one."""
+    if poly is sym:
+        return None
+    return poly.freeze(), {arc_id: p for p, arc_id in enumerate(poly.ids)}
 
 
 def base_cut(sym, pivot, c1, c2, side, place=None):
@@ -60,11 +142,14 @@ def base_cut(sym, pivot, c1, c2, side, place=None):
     paired arcs a', a'*.  Returns (symbol, mapping) where mapping sends old
     arc positions to new ones (the pivot pair maps to the chord pair).
     place = (old arc, position) rotates the output so that the image of the
-    old arc sits at position; by default the chord a' is arc 0.
+    old arc sits at position; by default the chord a' is arc 0.  sym may
+    also be the working polygon of a normalization run, which is then cut
+    in place and nothing is returned.
     """
-    n = sym.n
+    poly = sym if isinstance(sym, _Polygon) else _Polygon(sym)
+    n = poly.n
     i = pivot
-    j = sym.pairing[i]
+    j = poly.pos(poly.partner[poly.ids[i]])
     if i == j:
         raise FareyError("base_cut needs a non-fixed pivot")
     if not (0 <= c1 < n and 0 <= c2 < n):
@@ -74,27 +159,15 @@ def base_cut(sym, pivot, c1, c2, side, place=None):
     if side not in ("pivot", "other"):
         raise FareyError("side must be 'pivot' or 'other'")
 
-    g = sym.gluing(i)
-    v = sym.vertices
-    move = g.inverse().apply if side == "pivot" else g.apply
-
-    # Each entry is (old arc, start vertex); the chord a' (a'*) replaces i (j).
-    items = []
-    if side == "pivot":
-        items.append((i, v[c1]))
-        items.extend((t, v[t]) for t in _crange(c2, j, n))
-        items.extend((t, move(v[t])) for t in _crange(i + 1, c2, n))
-        items.append((j, move(v[c2])))
-        items.extend((t, move(v[t])) for t in _crange(c1, i, n))
-        items.extend((t, v[t]) for t in _crange(j + 1, c1, n))
-    else:
-        items.append((i, move(v[c1])))
-        items.extend((t, move(v[t])) for t in _crange(c2, j, n))
-        items.extend((t, v[t]) for t in _crange(i + 1, c2, n))
-        items.append((j, v[c2]))
-        items.extend((t, v[t]) for t in _crange(c1, i, n))
-        items.extend((t, move(v[t])) for t in _crange(j + 1, c1, n))
-    return _assemble(sym, items, place)
+    # Head X4 a' X3 (a' starts at c1), tail X2 a'* X1 (a'* starts at c2); the
+    # pivot piece is the tail.  The chord a' (a'*) keeps the id of a (a*).
+    ids, v = poly.ids, poly.verts
+    poly.glue(_cyc(ids, j + 1, c1) + [ids[i]] + _cyc(ids, c2, j),
+              _cyc(v, j + 1, c1 + 1) + _cyc(v, c2, j),
+              _cyc(ids, i + 1, c2) + [ids[j]] + _cyc(ids, c1, i),
+              _cyc(v, i + 1, c2 + 1) + _cyc(v, c1, i),
+              poly.gluing(i, j), side == "pivot", (ids[i], ids[j]), place)
+    return _cut_result(sym, poly)
 
 
 def base_cut_elliptic(sym, pivot, cut, side, place=None):
@@ -104,50 +177,52 @@ def base_cut_elliptic(sym, pivot, cut, side, place=None):
     moves the factor X1 (from the cut vertex up to the pivot) by the
     gluing's inverse, side="after" moves the factor X2 (from past the pivot
     back to the cut vertex) by the gluing.  The elliptic arc reappears with
-    the cut vertex as an endpoint; its order is unchanged.  place is as
-    for base_cut; by default the new elliptic arc is arc 0.
+    the cut vertex as an endpoint; its order is unchanged.  place and the
+    working polygon are as for base_cut; by default the new elliptic arc
+    is arc 0.
     """
-    n = sym.n
+    poly = sym if isinstance(sym, _Polygon) else _Polygon(sym)
+    n = poly.n
     i = pivot
-    if sym.pairing[i] != i:
+    if not poly.paired(i, i):
         raise FareyError("base_cut_elliptic needs a fixed pivot")
     if not 0 <= cut < n:
         raise FareyError("cut vertex out of range")
     if side not in ("before", "after"):
         raise FareyError("side must be 'before' or 'after'")
 
-    g = sym.gluing(i)
-    v = sym.vertices
-    items = []
-    if side == "before":
-        move = g.inverse().apply
-        items.append((i, v[cut]))
-        items.extend((t, move(v[t])) for t in _crange(cut, i, n))
-        items.extend((t, v[t]) for t in _crange(i + 1, cut, n))
-    else:
-        move = g.apply
-        items.append((i, move(v[cut])))
-        items.extend((t, v[t]) for t in _crange(cut, i, n))
-        items.extend((t, move(v[t])) for t in _crange(i + 1, cut, n))
-    return _assemble(sym, items, place)
+    # Head X2 a' (a' starts at the cut vertex), tail X1.
+    ids, v = poly.ids, poly.verts
+    poly.glue(_cyc(ids, i + 1, cut) + [ids[i]],
+              _cyc(v, i + 1, cut) + [v[cut]],
+              _cyc(ids, cut, i),
+              _cyc(v, cut, i),
+              poly.gluing(i, i), side == "before", (ids[i],), place)
+    return _cut_result(sym, poly)
 
 
 class NormalizationState:
-    """A symbol together with the length of its normalized prefix W.
+    """A working polygon together with the length of its normalized prefix W.
 
-    The symbol is kept rotated so the prefix occupies arc positions
+    The polygon is kept rotated so the prefix occupies arc positions
     [0, w_len); the prefix always decomposes into quad/pair/fixed blocks.
+    siegel_step advances the state in place.  .symbol is the polygon as a
+    FareySymbol, built on demand and cached until the next cut.
     """
 
-    __slots__ = ("symbol", "w_len", "log")
+    __slots__ = ("w_len", "log", "_poly")
 
     def __init__(self, symbol, w_len=0, log=None):
-        self.symbol = symbol
+        self._poly = _Polygon(symbol, symbol.infinity_zero_arc())
         self.w_len = w_len
         self.log = log
 
+    @property
+    def symbol(self):
+        return self._poly.freeze()
+
     def done(self):
-        return self.w_len >= self.symbol.n
+        return self.w_len >= self._poly.n
 
 
 def _start_state(sym, collect_log=False):
@@ -171,52 +246,32 @@ def _start_state(sym, collect_log=False):
     return NormalizationState(sym.rotated(rot), 0, [] if collect_log else None)
 
 
-def _guard(sym, positions, w):
-    """Refuse to Moebius-transform the (infinity, 0) arc.
-
-    positions are the arc indices about to be moved (or replaced, for the
-    pivots).  Inputs coming from the Kulkarni builder always place
-    (infinity, 0) inside W, where it is never touched.
-    """
-    for t in positions:
-        r, s = sym.arc(t)
-        if r == INFINITY and s == ZERO:
-            raise InvalidSymbolError(
-                "normalization would transform the arc (infinity, 0); "
-                "rotate the symbol so it can start the normalized prefix")
-
-
-def _extend_blocks(state):
+def _extend_blocks(poly, w):
     """Grow the prefix over ready-made blocks sitting right after it."""
-    sym, w = state.symbol, state.w_len
-    n = sym.n
+    n = poly.n
     k = w
     while k < n:
-        if sym.pairing[k] == k:
+        if poly.paired(k, k):
             k += 1
-        elif k + 1 < n and sym.pairing[k] == k + 1:
+        elif k + 1 < n and poly.paired(k, k + 1):
             k += 2
-        elif (k + 3 < n and sym.pairing[k] == k + 2
-              and sym.pairing[k + 1] == k + 3):
+        elif k + 3 < n and poly.paired(k, k + 2) and poly.paired(k + 1, k + 3):
             k += 4
         else:
             break
     return k
 
 
-def _step_elliptic(state, pivot, on_op=None):
-    sym, w = state.symbol, state.w_len
-    gap = _crange(w, pivot, sym.n)
-    _guard(sym, gap, w)
-    out, _ = base_cut_elliptic(sym, pivot, w, "before", (pivot, w))
+def _step_elliptic(poly, w, pivot, on_op):
+    base_cut_elliptic(poly, pivot, w, "before", (pivot, w))
     if on_op:
-        on_op(out)
-    if out.pairing[w] != w:
+        on_op(poly.freeze())
+    if not poly.paired(w, w):
         raise FareyError("elliptic step did not fix arc %d" % w)
-    return NormalizationState(out, w + 1, state.log)
+    return w + 1
 
 
-def _step_parabolic(state, pivot, on_op=None):
+def _step_parabolic(poly, w, pivot, on_op):
     """Move the adjacent pair at (pivot, pivot+1) next to the prefix.
 
     Of the two pair operations, the one cutting at the prefix boundary and
@@ -224,115 +279,111 @@ def _step_parabolic(state, pivot, on_op=None):
     than moving the tail block (variant B), so A is used whenever it leaves
     (infinity, 0) alone.
     """
-    sym, w = state.symbol, state.w_len
-    n = sym.n
-    x_range = _crange(w, pivot, n)          # moved by variant A
-    inf0 = sym.infinity_zero_arc()
-    if inf0 in (pivot, pivot + 1):
-        raise InvalidSymbolError(
-            "normalization would replace the arc (infinity, 0)")
-    if inf0 not in x_range:
-        out, _ = base_cut(sym, pivot, w, pivot + 1, "pivot", (pivot, w))
+    if poly.keep not in poly.ids[w:pivot]:      # the gap variant A moves
+        base_cut(poly, pivot, w, pivot + 1, "pivot", (pivot, w))
         if on_op:
-            on_op(out)
-        if out.pairing[w] != w + 1:
+            on_op(poly.freeze())
+        if not poly.paired(w, w + 1):
             raise FareyError("parabolic step did not pair arcs %d, %d" % (w, w + 1))
     else:
-        out, _ = base_cut(sym, pivot, 0, pivot + 1, "other")
+        base_cut(poly, pivot, 0, pivot + 1, "other")
         if on_op:
-            on_op(out)
+            on_op(poly.freeze())
         # word is already (a' a'* W X gY); the prefix simply starts at a'.
-        if out.pairing[0] != 1:
+        if not poly.paired(0, 1):
             raise FareyError("parabolic step did not pair arcs 0, 1")
-    return NormalizationState(out, w + 2, state.log)
+    return w + 2
 
 
-def _step_hyperbolic(state, a_pos, on_op=None):
+def _step_hyperbolic(poly, w, a_pos, on_op):
     """Case where two interleaved pivot pairs become a quad after W.
 
     Four base operations; the pieces containing W (and the trailing block T)
-    are never transformed.
+    are never transformed.  Each chord keeps the id of the pivot it
+    replaces, so a, b, a*, b* below name the current arcs of those ids.
     """
-    sym, w = state.symbol, state.w_len
-    n = sym.n
-    b_pos = a_pos + 1
-    as_pos = sym.pairing[a_pos]
-    bs_pos = sym.pairing[b_pos]
+    n = poly.n
+    a, b = poly.ids[a_pos], poly.ids[a_pos + 1]
+    a_s, b_s = poly.partner[a], poly.partner[b]
+    b_pos, as_pos, bs_pos = a_pos + 1, poly.pos(a_s), poly.pos(b_s)
     if not w <= a_pos < b_pos < as_pos < bs_pos < n:
         raise FareyError("pivots out of pattern")
-    _guard(sym, _crange(w, as_pos, n) + _crange(as_pos, bs_pos + 1, n), w)
 
     # 1: cut (w, a*); move the piece X a b Y by gluing(b)^-1.
-    out, m = base_cut(sym, b_pos, w, as_pos, "pivot", (b_pos, w))
+    base_cut(poly, b_pos, w, as_pos, "pivot", (b_pos, w))
     if on_op:
-        on_op(out)
-    a1, as1, b1, bs1 = m[a_pos], m[as_pos], m[b_pos], m[bs_pos]
-    if not (b1 == w and as1 == w + 1):
+        on_op(poly.freeze())
+    if poly.ids[w:w + 2] != [b, a_s]:
         raise FareyError("hyperbolic cut 1 out of pattern")
 
     # 2: cut (b'*, b'-start); move the piece b' a* Z Y by gluing(a).
-    out2, m2 = base_cut(out, a1, bs1, w, "other", (as1, w))
+    base_cut(poly, poly.pos(a), poly.pos(b_s), w, "other", (w + 1, w))
     if on_op:
-        on_op(out2)
-    a2, as2, b2, bs2 = m2[a1], m2[as1], m2[b1], m2[bs1]
-    if not (as2 == w and bs2 == w + 1):
+        on_op(poly.freeze())
+    if poly.ids[w:w + 2] != [a_s, b_s]:
         raise FareyError("hyperbolic cut 2 out of pattern")
 
     # 3: cut (a'*-start, past b'*); move the piece a'* b'* by gluing(b'*)^-1.
-    out3, m3 = base_cut(out2, bs2, w, w + 2, "pivot", (bs2, w))
+    base_cut(poly, w + 1, w, w + 2, "pivot", (w + 1, w))
     if on_op:
-        on_op(out3)
-    a3, as3, b3, bs3 = m3[a2], m3[as2], m3[b2], m3[bs2]
-    if not (bs3 == w and b3 == a3 + 1 and as3 == a3 + 2):
+        on_op(poly.freeze())
+    a3 = poly.pos(a)
+    if not (poly.ids[w] == b_s and poly.ids[a3 + 1:a3 + 3] == [b, a_s]):
         raise FareyError("hyperbolic cut 3 out of pattern")
 
     # 4: cut (past b'', a'*-start); move the piece X Z Y a' b''* by gluing(a')^-1.
-    out4, _ = base_cut(out3, a3, w + 1, as3, "pivot", (bs3, w))
+    base_cut(poly, a3, w + 1, a3 + 2, "pivot", (w, w))
     if on_op:
-        on_op(out4)
-    if not (out4.pairing[w] == w + 2 and out4.pairing[w + 1] == w + 3):
+        on_op(poly.freeze())
+    if not (poly.paired(w, w + 2) and poly.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
-    return NormalizationState(out4, w + 4, state.log)
+    return w + 4
 
 
-def _choose_step(sym, w):
+def _choose_step(poly, w):
     """(kind, pivots, handler) of the first non-extend step that applies."""
-    n = sym.n
+    ids, partner = poly.ids, poly.partner
+    n = len(ids)
     for e in range(w, n):
-        if sym.pairing[e] == e:
+        if partner[ids[e]] == ids[e]:
             return "elliptic", [e], _step_elliptic
     for k in range(w, n - 1):
-        if sym.pairing[k] == k + 1:
+        if partner[ids[k]] == ids[k + 1]:
             return "parabolic", [k], _step_parabolic
+    # the first arc whose partner precedes it within [w, n)
+    seen = {}
     for f in range(w, n):
-        if w <= sym.pairing[f] < f:
-            a_pos = sym.pairing[f]
+        a_pos = seen.get(partner[ids[f]])
+        if a_pos is not None:
             return "hyperbolic", [a_pos, a_pos + 1], _step_hyperbolic
+        seen[ids[f]] = f
     raise FareyError("no Siegel step applies; symbol state is inconsistent")
 
 
 def siegel_step(state, on_op=None):
-    """Extend the normalized prefix; w_len strictly increases.
+    """Extend the normalized prefix of state in place and return state.
 
-    Dispatch: grow over ready-made blocks when possible, otherwise handle
-    the first fixed arc (+1), the first adjacent pair (+2), or pick the
-    interleaved pivots given by the first arc whose partner precedes it
-    (+4).  One of the four cases always applies while w_len < n.
+    w_len strictly increases.  Dispatch: grow over ready-made blocks when
+    possible, otherwise handle the first fixed arc (+1), the first adjacent
+    pair (+2), or pick the interleaved pivots given by the first arc whose
+    partner precedes it (+4).  One of the four cases always applies while
+    w_len < n.  on_op, when given, is called with the symbol after every
+    base operation.
     """
-    sym, w = state.symbol, state.w_len
-    if w >= sym.n:
+    poly, w = state._poly, state.w_len
+    if w >= poly.n:
         raise FareyError("symbol is already fully normalized")
 
-    k = _extend_blocks(state)
+    k = _extend_blocks(poly, w)
     if k > w:
         kind, pivots = "extend", []
-        new = NormalizationState(sym, k, state.log)
+        state.w_len = k
     else:
-        kind, pivots, handler = _choose_step(sym, w)
-        new = handler(state, pivots[0], on_op)
+        kind, pivots, handler = _choose_step(poly, w)
+        state.w_len = handler(poly, w, pivots[0], on_op)
     if state.log is not None:
-        state.log.append({"kind": kind, "pivots": pivots, "w_len": new.w_len})
-    return new
+        state.log.append({"kind": kind, "pivots": pivots, "w_len": state.w_len})
+    return state
 
 
 def normalize(sym, on_op=None, collect_log=False, validate=True):
@@ -341,7 +392,8 @@ def normalize(sym, on_op=None, collect_log=False, validate=True):
     Every arc of the output is at distance <= 2 from its partner and the
     word factors into quad (handle), pair (cusp) and fixed (elliptic)
     blocks.  The arc (infinity, 0) is preserved.  on_op, when given, is
-    called with every intermediate symbol produced by a base operation.
+    called with every intermediate symbol produced by a base operation,
+    which costs one symbol construction per base operation.
     """
     if validate:
         sym.validate()

@@ -20,6 +20,20 @@ ARC_ELLIPTIC2 = CLS_ELLIPTIC2
 ARC_ELLIPTIC3 = CLS_ELLIPTIC3
 
 
+def gluing_matrix(a, a_star, order=None):
+    """The gluing matrix of an arc, from its arc matrix a and its partner's
+    arc matrix a_star (a itself for a fixed arc of the given order).
+
+    For a paired arc this is A_a (A_{a*}^-)^{-1}, carrying the reversed
+    partner onto the arc; a fixed arc yields the order-2 rotation about
+    its midpoint, or the order-3 rotation fixing the triangle hanging off
+    the arc.  Raises InvalidSymbolError if the result is not integral.
+    """
+    am = arc_matrix_minus(a_star)
+    num = am * ORDER3 * am.adjugate() if order == 3 else a * am.adjugate()
+    return exact_div(num, am.det())
+
+
 class FareySymbol:
     """An extended Farey symbol (vertices, pairing involution, elliptic map)."""
 
@@ -103,27 +117,13 @@ class FareySymbol:
     # -- gluing data -----------------------------------------------------
 
     def gluing(self, i):
-        """The gluing matrix of arc i (integral, det 1, unique up to sign).
-
-        For a paired arc a with partner a*, this is A_a (A_{a*}^-)^{-1} and
-        carries the reversed partner onto a.  A fixed arc yields the order-2
-        rotation about its midpoint, or the order-3 rotation fixing the
-        triangle hanging off the arc.
-        """
+        """The gluing matrix of arc i (integral, det 1, unique up to sign);
+        see gluing_matrix."""
         g = self._glue[i]
         if g is not None:
             return g
-        j = self.pairing[i]
-        if j == i:
-            am = arc_matrix_minus(self.arc_mat(i))
-            if self.ell[i] == 2:
-                num = self.arc_mat(i) * am.adjugate()
-            else:
-                num = am * ORDER3 * am.adjugate()
-            g = exact_div(num, am.det())
-        else:
-            am = arc_matrix_minus(self.arc_mat(j))
-            g = exact_div(self.arc_mat(i) * am.adjugate(), am.det())
+        g = gluing_matrix(self.arc_mat(i), self.arc_mat(self.pairing[i]),
+                          self.ell.get(i))
         if g.det() != 1:
             raise InvalidSymbolError(
                 "gluing of arc %d has det %d (paired widths differ?)" % (i, g.det()))

@@ -3,11 +3,12 @@ import hashlib
 import pytest
 
 from fareysym import classical
-from fareysym.exact import FareyError, INFINITY, ZERO
+from fareysym.exact import FareyError, INFINITY, InvalidSymbolError, ZERO
 from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
 from fareysym.invariants import counts, express_word, generators
 from fareysym.siegel import (NormalizationState, base_cut, base_cut_elliptic,
                              normalize, siegel_step, _start_state)
+from fareysym.symbol import FareySymbol
 
 
 class TestBaseCut:
@@ -162,6 +163,13 @@ class TestSiegelStep:
             state = siegel_step(state, on_op=lambda s: s.validate(oracle))
             assert state.w_len > w0
 
+    def test_step_refuses_to_move_infinity_zero(self, symbol_for):
+        # unrotated, the (infinity, 0) arc of level 2 starts no ready block,
+        # so the first step would have to move it
+        state = NormalizationState(symbol_for(2))
+        with pytest.raises(InvalidSymbolError, match=r"arc \(infinity, 0\)"):
+            siegel_step(state)
+
     def test_done_state_rejects_further_steps(self, normalized_for):
         state = NormalizationState(normalized_for(11), normalized_for(11).n)
         with pytest.raises(FareyError):
@@ -228,3 +236,39 @@ class TestNormalize:
         for N in (100, 250):
             h = max(v.height_bits() for v in normalized_for(N).vertices)
             assert h <= N + 10
+
+    @pytest.mark.parametrize("N,digest", [
+        (420, "c0f78472b2e92a5dc8b4443285b2124810fbcb79439f801f0cd9289dac75d290"),
+        (1000, "81683eed6c092951d361584b6f3fb002f83ac0e49825484ab658a6abd000686b"),
+        (2000, "4505535d325ef2dd73b897508d286ad9b6352f49a9ddc85243f36c71a164842a"),
+    ])
+    def test_large_output_digest_is_pinned(self, N, digest):
+        text = normalize(gamma0_symbol(N)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_intermediate_symbols_are_pinned(self):
+        h = hashlib.sha256()
+        count = 0
+        for N in range(1, 61):
+            ops = []
+            normalize(gamma0_symbol(N), on_op=ops.append)
+            for s in ops:
+                h.update((s.to_json() + "\n").encode())
+            count += len(ops)
+        assert (count, h.hexdigest()) == (
+            584, "7343de62996aec59385315811410a59b70de7c01c9eba18c0fe5b2b7638c1b91")
+
+    def test_at_most_two_symbols_per_normalize(self, monkeypatch):
+        symbols = {N: gamma0_symbol(N) for N in (15, 37, 60, 210)}
+        built = []
+        init = FareySymbol.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FareySymbol, "__init__", counting_init)
+        for N, sym in symbols.items():
+            del built[:]
+            normalize(sym)
+            assert len(built) <= 2, (N, len(built))
