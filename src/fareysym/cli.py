@@ -8,6 +8,7 @@ normalize(sym, on_op=lambda s: s.validate()).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -174,7 +175,10 @@ def _cmd_scan(args):
         raise InvalidSymbolError("%d level(s) failed the invariant suite" % len(bad))
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every cli_dispatch call can share it."""
     p = _Parser(prog="fareysym",
                 description="Farey symbols for Gamma0(N): build, normalize, "
                             "inspect, render.")

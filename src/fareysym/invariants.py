@@ -205,6 +205,7 @@ def express_word(sym, g, max_steps=None):
     stab = [(i, -1) for i in reversed(cycle)]
     vertex_set = set(sym.vertices)
     verts = sym.vertices
+    vert_height = max(max(abs(v.num), v.den) for v in verts)
     n = sym.n
 
     word = []
@@ -233,8 +234,7 @@ def express_word(sym, g, max_steps=None):
                 for _ in range(-e):
                     word.extend(inv)
             return word
-        m = 1 + max(max(abs(x) for x in g.entries()),
-                    max(max(abs(v.num), v.den) for v in verts))
+        m = 1 + max(max(abs(x) for x in g.entries()), vert_height)
         while True:
             x = Cusp(g.a * m + g.b, g.c * m + g.d)
             if x not in vertex_set:

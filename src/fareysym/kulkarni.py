@@ -20,30 +20,23 @@ from math import gcd
 
 from . import classical
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, ORDER2, ORDER3,
-                    REVERSE, arc_matrix, gcdex)
+                    REVERSE, arc_matrix)
 from .symbol import FareySymbol
 
 # order-3 rotation attached to the arc (infinity, 0)
 _ODD_AT_INF = IMat(-1, -1, 1, 0)
 
 
-def _lift_unit(n, d, a):
-    """Lift a unit a modulo d (d | n) to a unit modulo n."""
-    u, v = 1, n
-    g = gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = gcd(v, g)
-    x, y, _ = gcdex(u, v)
-    return (u * x + a * y * v) % n
-
-
 def p1_normalize(N, u, v):
     """Canonical representative of (u : v) in P^1(Z/NZ).
 
     Stein, Algorithm 8.29.  Two pairs get the same canonical form iff they
-    differ by a unit of Z/NZ; (u, v) must be coprime to N as a pair.
+    differ by a unit of Z/NZ; (u, v) must be coprime to N as a pair.  The
+    form is (0, 1) when N divides u, else (g, v') with g = gcd(u, N) and v'
+    the least v*s mod N over the units s with s*u = g mod N.  Those s are
+    the unit lifts of s0 = (u/g)^-1 mod N/g, and v*s runs over
+    w + (N/g)*j (j mod g), so the least j whose lift is a unit gives v' in
+    a few steps.
     """
     if N == 1:
         return (0, 0)
@@ -53,16 +46,21 @@ def p1_normalize(N, u, v):
         if gcd(v, N) != 1:
             raise FareyError("(%d : %d) is not a point of P^1(Z/%d)" % (u, v, N))
         return (0, 1)
-    _, s, g = gcdex(N, u)
+    g = gcd(u, N)
+    if g == 1:
+        return (1, v * pow(u, -1, N) % N)
     if gcd(g, v) > 1:
         raise FareyError("(%d : %d) is not a point of P^1(Z/%d)" % (u, v, N))
-    s = _lift_unit(N, N // g, s % N)
-    v = (s * v) % N
-    if g == 1:
-        return (1, v)
     step = N // g
-    v = min((v * t) % N for t in range(1, N, step) if gcd(N, t) == 1)
-    return (g, v)
+    s0 = pow(u // g, -1, step)
+    q, w = divmod(v * s0, step)
+    v_inv = pow(v, -1, g)
+    # v*(s0 + step*k) = w + step*(q + v*k), so candidate j has k = (j-q)/v
+    # mod g; some lift of the unit s0 is a unit mod N, so the scan ends
+    j = 0
+    while gcd(s0 + step * ((j - q) * v_inv % g), N) != 1:
+        j += 1
+    return (g, w + step * j)
 
 
 class MembershipOracle:
@@ -214,13 +212,15 @@ def build_unimodular(oracle, with_trace=False):
         if is_even(arc):
             arc.partner = arc
             arc.ell = 2
-            trace.append(("even",) + arc.ends())
+            if with_trace:
+                trace.append(("even",) + arc.ends())
             return
         if is_odd(arc):
             arc.partner = arc
             arc.ell = 3
             claim(arc.out_key)
-            trace.append(("odd",) + arc.ends())
+            if with_trace:
+                trace.append(("odd",) + arc.ends())
             return
         other = find_partner(arc)
         if other is not None:
@@ -228,7 +228,8 @@ def build_unimodular(oracle, with_trace=False):
             other.partner = arc
             if keyed:
                 del pool[other.out_key]
-            trace.append(("pair",) + arc.ends() + other.ends())
+            if with_trace:
+                trace.append(("pair",) + arc.ends() + other.ends())
         elif keyed:
             pool[arc.out_key] = arc
 
@@ -255,7 +256,8 @@ def build_unimodular(oracle, with_trace=False):
         if keyed:
             del pool[victim.out_key]
             claim(victim.out_key)
-        trace.append(("mediant",) + victim.ends())
+        if with_trace:
+            trace.append(("mediant",) + victim.ends())
         m = victim.mediant()
         left = make_arc(victim.r, m)
         right = make_arc(m, victim.s)

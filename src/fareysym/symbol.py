@@ -259,7 +259,8 @@ class FareySymbol:
 
         Checks distinct vertices in circular order, presence of the arc
         (infinity, 0), involution consistency (done at construction), equal
-        widths on paired arcs and integrality/det of every gluing matrix.
+        widths on paired arcs, integrality/det of every gluing matrix and a
+        nontrivial gluing on every pair of distinct arcs.
         With an oracle, additionally checks membership of every gluing.
         """
         n = self.n
@@ -282,6 +283,9 @@ class FareySymbol:
                     "paired arcs %d, %d have widths %d != %d"
                     % (i, j, self.width(i), self.width(j)))
             g = self.gluing(i)  # raises if non-integral or det != 1
+            if j != i and g.is_identity_psl():
+                raise InvalidSymbolError(
+                    "paired arcs %d, %d have the identity as gluing" % (i, j))
             if j == i:
                 tag = classify(g)
                 want = ARC_ELLIPTIC2 if self.ell[i] == 2 else ARC_ELLIPTIC3
@@ -328,7 +332,7 @@ class FareySymbol:
             level = d.get("level")
             if level is not None and type(level) is not int:
                 raise TypeError('"level" must be an integer')
-        except (KeyError, ValueError, TypeError, FareyError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError, FareyError) as e:
             raise InvalidSymbolError("malformed symbol data: %s" % e)
         return FareySymbol(verts, pairing, ell, level)
 

@@ -2,8 +2,9 @@ import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fareysym.cli import check_level, cli_dispatch
+from fareysym.cli import check_level, cli_dispatch, make_parser
 from fareysym.symbol import FareySymbol
 
 
@@ -109,6 +110,7 @@ class TestExitCodes:
         {"level": "two"},
         {"level": 2.5},
         {"level": True},
+        {"vertices": ["1/0", "0/1"], "pairing": [1, 0], "ell": {}},
     ])
     def test_malformed_input_is_2(self, tmp_path, capsys, command, change):
         doc = {"vertices": ["1/0", "0/1", "1/1"], "pairing": [2, 1, 0],
@@ -117,6 +119,92 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run(capsys, command, "--in", str(bad))[0] == 2
+
+
+class TestParserReuse:
+    CALLS = [
+        ["build"],
+        ["info", "--level", "13"],
+        ["build", "--level", "15"],
+        ["render", "--level", "7", "--style", "disk"],
+        ["info", "--level", "6"],
+    ]
+
+    def test_cached_parser_matches_fresh_parser(self, capsys):
+        assert make_parser() is make_parser()
+        cached = [run(capsys, *argv) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            make_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [c[0] for c in cached] == [1, 0, 0, 0, 0]
+        assert cached == fresh
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+# values that int() refuses or reads loosely
+odd_numbers = st.sampled_from([float("inf"), float("-inf"), float("nan"),
+                               2.5, 1e300, True, "1", None])
+cusp_texts = st.builds("%d/%d".__mod__,
+                       st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+
+
+@st.composite
+def near_valid_symbols(draw, symbols):
+    """The JSON of a symbol from symbols (a list of fixture getters, N ->
+    FareySymbol) at a level up to 30, after up to three small edits."""
+    doc = draw(st.sampled_from(symbols))(draw(st.integers(1, 30))).to_dict()
+    verts, pairing = list(doc["vertices"]), list(doc["pairing"])
+    ell = dict(doc["ell"])
+    replaced = {}
+    for _ in range(draw(st.integers(0, 3))):
+        n = len(verts)
+        edit = draw(st.sampled_from(["vertex", "pair", "swap", "drop",
+                                     "rotate", "ell", "level", "key"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if edit == "vertex":
+            verts[i] = draw(cusp_texts)
+        elif edit == "pair":
+            pairing[i] = draw(st.integers(-1, n) | odd_numbers | json_values)
+        elif edit == "swap":
+            pairing[i], pairing[j] = pairing[j], pairing[i]
+        elif edit == "drop" and n > 2:
+            del verts[i]
+            del pairing[i]
+        elif edit == "rotate":
+            verts = verts[i:] + verts[:i]
+        elif edit == "ell":
+            ell[str(i)] = draw(st.integers(-1, 4) | odd_numbers | json_values)
+        elif edit == "level":
+            doc["level"] = draw(json_values)
+        elif edit == "key":
+            key = draw(st.sampled_from(["vertices", "pairing", "ell"]))
+            replaced[key] = draw(json_values)
+    doc.update(vertices=verts, pairing=pairing, ell=ell)
+    doc.update(replaced)
+    return doc
+
+
+def test_fuzzed_input_exits_0_1_or_2(tmp_path, capsys, symbol_for,
+                                    normalized_for):
+    path = tmp_path / "in.json"
+    documents = (
+        json_values
+        | st.fixed_dictionaries({}, optional={
+            key: json_values for key in ("vertices", "pairing", "ell", "level")})
+        | near_valid_symbols([symbol_for, normalized_for]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents,
+           st.sampled_from(["info", "normalize", "presentation", "render"]))
+    def prop(doc, command):
+        path.write_text(json.dumps(doc))
+        assert run(capsys, command, "--in", str(path))[0] in (0, 1, 2)
+    prop()
 
 
 class TestCheckLevel:

@@ -1,3 +1,7 @@
+import hashlib
+import random
+from math import gcd
+
 import pytest
 
 from fareysym import classical
@@ -5,6 +9,7 @@ from fareysym.exact import Cusp, IMat, INFINITY, FareyError
 from fareysym.kulkarni import (MembershipOracle, build_unimodular,
                                gamma0_oracle, gamma0_symbol, p1_normalize,
                                replay_trace)
+from fareysym.symbol import FareySymbol
 
 # appendix polygons: the unimodular vertex lists for small levels
 KNOWN_VERTICES = {
@@ -23,6 +28,24 @@ KNOWN_VERTICES = {
     23: "1/0 0/1 1/4 1/3 2/5 1/2 3/5 2/3 3/4 1/1",
     37: "1/0 0/1 1/5 1/4 1/3 3/8 2/5 3/7 1/2 4/7 3/5 2/3 3/4 1/1",
 }
+
+# sha256 of gamma0_symbol(N).to_json() for levels of the build benchmark,
+# computed with the gcdex-based p1_normalize that preceded the current one
+BUILD_DIGESTS = {
+    2310: "924d8f7d726a87652c7d172de8cebba824c489286d16a9396ace0236be035422",
+    3060: "07f6c0316261a079bf87995d9374fd768f740f951463930fa1ab497fb9e47da4",
+    9409: "7d9490312a925cb02b9251bf13b15715967cf5841dc9c1c5036f65a2a770d404",
+    10007: "46b674750e3911834b6a17cc9c1fae327e5744b2b14810803fcff904ddbba78b",
+}
+
+
+def units(N):
+    return [t for t in range(1, N + 1) if gcd(t, N) == 1]
+
+
+def reference_p1(N, u, v, unit_list):
+    """The least (t*u mod N, t*v mod N) over the units t of Z/NZ."""
+    return min((t * u % N, t * v % N) for t in unit_list)
 
 
 class TestP1Normalize:
@@ -68,6 +91,33 @@ class TestP1Normalize:
     def test_invalid_point(self):
         with pytest.raises(FareyError):
             p1_normalize(4, 2, 2)
+
+    def test_least_unit_multiple_small_levels(self):
+        for N in range(1, 61):
+            unit_list = units(N)
+            for u in range(N):
+                for v in range(N):
+                    if gcd(gcd(u, v), N) != 1:
+                        with pytest.raises(FareyError):
+                            p1_normalize(N, u, v)
+                        continue
+                    assert p1_normalize(N, u, v) == reference_p1(N, u, v, unit_list)
+
+    @pytest.mark.parametrize("N", [2310, 3060, 9409, 10007])
+    def test_least_unit_multiple_large_levels(self, N):
+        rng = random.Random(N)
+        unit_list = units(N)
+        divisors = [g for g in range(1, N) if N % g == 0]
+        checked = 0
+        while checked < 40:
+            # half the rows share a factor with N: the non-unit branch
+            g = rng.choice(divisors) if checked % 2 else 1
+            u = g * rng.randrange(1, N)
+            v = rng.randrange(N)
+            if gcd(gcd(u, v), N) != 1:
+                continue
+            assert p1_normalize(N, u, v) == reference_p1(N, u, v, unit_list)
+            checked += 1
 
 
 class TestGamma0Oracle:
@@ -136,9 +186,20 @@ class TestBuild:
             assert build_unimodular(slow) == build_unimodular(fast)
 
     def test_trace_replays(self):
-        for N in (1, 2, 13, 22, 37):
+        for N in (1, 2, 13, 22, 37, 2310):
             sym, trace = gamma0_symbol(N, with_trace=True)
             assert replay_trace(trace, level=N) == sym
+
+    def test_without_trace_returns_bare_symbol(self):
+        for N in (1, 2, 37):
+            sym = gamma0_symbol(N)
+            assert isinstance(sym, FareySymbol)
+            assert sym == gamma0_symbol(N, with_trace=True)[0]
+
+    @pytest.mark.parametrize("N", sorted(BUILD_DIGESTS))
+    def test_build_level_digests(self, N):
+        text = gamma0_symbol(N).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == BUILD_DIGESTS[N]
 
     def test_infinite_index_capped(self):
         # the group generated by the identity alone has infinite index
