@@ -81,19 +81,6 @@ INFINITY = Cusp(1, 0)
 ZERO = Cusp(0, 1)
 
 
-def gcdex(a, b):
-    """(x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return x0, y0, a
-
-
 def cross(r, s):
     """D(r, s) = r.num*s.den - s.num*r.den; zero iff r == s."""
     return r.num * s.den - s.num * r.den
@@ -266,11 +253,6 @@ def arc_matrix(r, s):
     if d > 0:
         return IMat(r.num, s.num, r.den, s.den)
     return IMat(r.num, -s.num, r.den, -s.den)
-
-
-def arc_matrix_minus(m):
-    """Matrix of the reversed arc: A * [[0, -1], [1, 0]]."""
-    return m * REVERSE
 
 
 def exact_div(m, k):

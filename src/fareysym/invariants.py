@@ -3,9 +3,8 @@
 the word problem in the gluing generators.
 """
 
-from .exact import Cusp, IMat, IDENTITY, INFINITY, FareyError, gcdex
-from .symbol import (ARC_ELLIPTIC2, ARC_ELLIPTIC3, ARC_HYPERBOLIC,
-                     ARC_PARABOLIC)
+from .exact import (Cusp, IMat, IDENTITY, INFINITY, FareyError,
+                    CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_HYPERBOLIC, CLS_PARABOLIC)
 
 
 class CuspClass:
@@ -49,7 +48,9 @@ def successor_permutation(sym):
 def _width_at(delta, cusp):
     """w > 0 with delta conjugate to [[1, w], [0, 1]] fixing the cusp."""
     p, q = cusp.num, cusp.den
-    x, y, _ = gcdex(p, q)  # x*p + y*q = 1
+    # x*p + y*q = 1; any solution does, as it only changes conj by a power of T
+    x = pow(p, -1, q) if q else p
+    y = (1 - x * p) // q if q else 0
     conj = IMat(p, -y, q, x)
     t = conj.inverse() * delta * conj
     if t.c != 0 or abs(t.a) != 1 or t.a != t.d:
@@ -129,8 +130,8 @@ class GeneratorSystem:
         self.symplectic_pairs = symplectic_pairs
 
     def count_by_class(self):
-        out = {ARC_HYPERBOLIC: 0, ARC_PARABOLIC: 0,
-               ARC_ELLIPTIC2: 0, ARC_ELLIPTIC3: 0}
+        out = {CLS_HYPERBOLIC: 0, CLS_PARABOLIC: 0,
+               CLS_ELLIPTIC2: 0, CLS_ELLIPTIC3: 0}
         for _, tag, _ in self.entries:
             out[tag] += 1
         return out
@@ -173,7 +174,7 @@ def _infinity_orbit(sym):
     raise FareyError("infinity is not a vertex of the symbol")
 
 
-def express_word(sym, g, max_steps=None):
+def express_word(sym, g):
     """Express g as a word in the gluing generators, or None if g is not in
     the group.
 
@@ -211,7 +212,7 @@ def express_word(sym, g, max_steps=None):
     word = []
     g = g.psl_normalize()
     steps = 0
-    cap = max_steps or (g.size().bit_length() + 8) * (n + 8) * 4
+    cap = (g.size().bit_length() + 8) * (n + 8) * 4
     window = n + 8
     best = g.size()
     since_best = 0

@@ -106,7 +106,7 @@ class _Arc:
     __slots__ = ("r", "s", "mat", "neg", "in_key", "out_key", "partner",
                  "ell", "prv", "nxt")
 
-    def __init__(self, r, s, keyed, key):
+    def __init__(self, r, s, keyed=False, key=None):
         self.r = r
         self.s = s
         self.mat = arc_matrix(r, s)
@@ -120,20 +120,30 @@ class _Arc:
         self.prv = None  # neighbors in the cyclic boundary walk
         self.nxt = None
 
-    def mediant(self):
-        """Third vertex of the Farey triangle on the outside of this arc."""
-        m = self.mat
-        return Cusp(m.a - m.b, m.c - m.d)
-
     def ends(self):
         return (str(self.r), str(self.s))
 
 
-def _link(arcs):
+def _seed(make):
+    """The triangle (infinity, 0, 1) as a closed walk of make(r, s) arcs."""
+    arcs = [make(INFINITY, ZERO), make(ZERO, Cusp(1)), make(Cusp(1), INFINITY)]
     for arc, succ in zip(arcs, arcs[1:] + arcs[:1]):
         arc.nxt = succ
         succ.prv = arc
     return arcs
+
+
+def _split(victim, make):
+    """Replace victim in the walk by (left, right), split at its mediant."""
+    m = victim.mat
+    mid = Cusp(m.a - m.b, m.c - m.d)
+    left = make(victim.r, mid)
+    right = make(mid, victim.s)
+    left.prv, left.nxt = victim.prv, right
+    right.prv, right.nxt = left, victim.nxt
+    victim.prv.nxt = left
+    victim.nxt.prv = right
+    return left, right
 
 
 def _cycle(first, count):
@@ -233,9 +243,7 @@ def build_unimodular(oracle, with_trace=False):
         elif keyed:
             pool[arc.out_key] = arc
 
-    seed = _link([make_arc(INFINITY, ZERO),
-                  make_arc(ZERO, Cusp(1)),
-                  make_arc(Cusp(1), INFINITY)])
+    seed = _seed(make_arc)
     first = seed[0]
     count = 3
     waiting = deque()
@@ -258,13 +266,7 @@ def build_unimodular(oracle, with_trace=False):
             claim(victim.out_key)
         if with_trace:
             trace.append(("mediant",) + victim.ends())
-        m = victim.mediant()
-        left = make_arc(victim.r, m)
-        right = make_arc(m, victim.s)
-        left.prv, left.nxt = victim.prv, right
-        right.prv, right.nxt = left, victim.nxt
-        victim.prv.nxt = left
-        victim.nxt.prv = right
+        left, right = _split(victim, make_arc)
         if first is victim:
             first = left
         count += 1
@@ -287,30 +289,29 @@ def replay_trace(trace, level=None):
     """Rebuild the symbol a trace came from, without consulting any oracle."""
     if trace and trace[0] == ("full-group",):
         return _full_group_symbol(level)
-    seed = _link([_Arc(INFINITY, ZERO, False, None),
-                  _Arc(ZERO, Cusp(1), False, None),
-                  _Arc(Cusp(1), INFINITY, False, None)])
+    seed = _seed(_Arc)
     first = seed[0]
     count = 3
     by_ends = {arc.ends(): arc for arc in seed}
+
+    def boundary(ends):
+        arc = by_ends.get(tuple(ends))
+        if arc is None:
+            raise FareyError("trace event names no boundary arc %r" % (ends,))
+        return arc
+
     for event in trace:
         kind = event[0]
-        arc = by_ends[(event[1], event[2])]
+        arc = boundary(event[1:3])
         if kind in ("even", "odd"):
             arc.partner = arc
             arc.ell = 2 if kind == "even" else 3
         elif kind == "pair":
-            other = by_ends[(event[3], event[4])]
+            other = boundary(event[3:5])
             arc.partner = other
             other.partner = arc
         elif kind == "mediant":
-            m = arc.mediant()
-            left = _Arc(arc.r, m, False, None)
-            right = _Arc(m, arc.s, False, None)
-            left.prv, left.nxt = arc.prv, right
-            right.prv, right.nxt = left, arc.nxt
-            arc.prv.nxt = left
-            arc.nxt.prv = right
+            left, right = _split(arc, _Arc)
             if first is arc:
                 first = left
             count += 1

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import FareyError, arc_matrix_minus
+from .exact import REVERSE, FareyError
 
 
 @dataclass
@@ -95,7 +95,7 @@ def order3_center(sym, i):
     """Interior point of an order-3 arc as (x, y_coeff) with y = y_coeff *
     sqrt(3): the image of rho = (1 + i sqrt 3)/2 under the reversed arc
     matrix."""
-    m = arc_matrix_minus(sym.arc_mat(i))
+    m = sym.arc_mat(i) * REVERSE
     a, b, c, d = m.entries()
     den = c * c + c * d + d * d
     x = Fraction(2 * a * c + a * d + b * c + 2 * b * d, 2 * den)

@@ -4,30 +4,31 @@ The two base operations cut the fundamental polygon along a chord between
 two vertices and reglue one of the pieces after moving it by the pivot's
 gluing matrix; they preserve the group and the symbol axioms.  A Siegel
 step chains at most four base operations to extend the normalized prefix W
-of the cyclic arc word by a fixed arc (+1), an adjacent pair (+2) or an
-interleaved quadruple (+4), following Siegel's construction of a canonical
-dissection of a compact Riemann surface.  The driver loops Siegel steps
-until the whole word is a sequence of quad/pair/fixed blocks.
+of the cyclic arc word by one block (symbol.block_at): a fixed arc (+1),
+an adjacent pair (+2) or an interleaved quadruple (+4), following Siegel's
+construction of a canonical dissection of a compact Riemann surface.  The
+driver loops Siegel steps until the whole word is a sequence of blocks.
 
-A run works on one private polygon rather than on a chain of symbols.  The
-polygon holds the start vertex of the arc at each position, the id of the
-arc at each position, and, by arc id, the partner and the elliptic order.
-A cut gives its chord pair the ids of the pivot pair it replaces, so the
-partner and order tables never change during a run; a cut only splices
-the two id/vertex lists, moving one piece's vertices by the pivot gluing.
-A FareySymbol is built from the polygon only at the end, or when a caller
+A run is one NormalizationState: a private polygon, cut in place, and the
+length of W.  The polygon holds the start vertex and the id of the arc at
+each position, and, by arc id, the partner and the elliptic order.  A cut
+gives its chord pair the ids of the pivot pair it replaces, so the partner
+and order tables never change during a run; a cut only splices the two
+id/vertex lists, moving one piece's vertices by the pivot gluing, and ends
+in NormalizationState.glue, the one place that reports it to on_op.  A
+FareySymbol is built from the polygon only at the end, or when a caller
 asks for one (on_op, NormalizationState.symbol).
 
 Throughout, the polygon is kept rotated so that W occupies positions
 [0, w): each cut is told which of its arcs must land at position w and
 splices its lists already rotated.  W is never transformed: the arc
-(infinity, 0) is placed inside W at the start, and the polygon refuses any
+(infinity, 0) is placed inside W at the start, and the state refuses any
 cut that would move or replace that arc, which is what keeps coefficient
 growth in check.
 """
 
 from .exact import FareyError, InvalidSymbolError, arc_matrix
-from .symbol import FareySymbol, gluing_matrix
+from .symbol import FareySymbol, block_at, gluing_matrix
 
 
 def _cyc(seq, a, b):
@@ -38,28 +39,38 @@ def _cyc(seq, a, b):
     return seq[a:b] if a <= b else seq[a:] + seq[:b]
 
 
-class _Polygon:
-    """The working polygon of a normalization run, cut in place.
+class NormalizationState:
+    """The working polygon of a normalization run, cut in place, and the
+    length w_len of its normalized prefix W, at positions [0, w_len).
 
     verts[p] and ids[p] are the start vertex and the id of the arc at
-    position p; partner and ell are indexed by id.  keep is the id of an
-    arc that no cut may move or replace, or None.
+    position p; partner and ell are indexed by id.  keep is the id of the
+    arc (infinity, 0), which no cut may move or replace, or None.  log, if
+    a list, gets one record per step; on_op is the current step's hook.
+    .symbol is the polygon as a FareySymbol, cached until the next cut.
     """
 
-    __slots__ = ("verts", "ids", "partner", "ell", "level", "keep", "_frozen")
+    __slots__ = ("verts", "ids", "partner", "ell", "level", "keep",
+                 "w_len", "log", "on_op", "_symbol")
 
-    def __init__(self, sym, keep=None):
-        self.verts = list(sym.vertices)
-        self.ids = list(range(sym.n))
-        self.partner = sym.pairing
-        self.ell = sym.ell
-        self.level = sym.level
-        self.keep = keep
-        self._frozen = sym
+    def __init__(self, symbol, w_len=0, log=None):
+        self.verts = list(symbol.vertices)
+        self.ids = list(range(symbol.n))
+        self.partner = symbol.pairing
+        self.ell = symbol.ell
+        self.level = symbol.level
+        self.keep = symbol.infinity_zero_arc()
+        self.w_len = w_len
+        self.log = log
+        self.on_op = None
+        self._symbol = symbol
 
     @property
     def n(self):
         return len(self.ids)
+
+    def done(self):
+        return self.w_len >= self.n
 
     def pos(self, arc_id):
         return self.ids.index(arc_id)
@@ -75,25 +86,25 @@ class _Polygon:
                              arc_matrix(v[j], v[(j + 1) % n]),
                              self.ell.get(self.ids[i]))
 
-    def freeze(self):
-        """The polygon as a FareySymbol, cached until the next cut."""
-        if self._frozen is None:
+    @property
+    def symbol(self):
+        if self._symbol is None:
             pos = [0] * self.n
             for p, arc_id in enumerate(self.ids):
                 pos[arc_id] = p
             pairing = [pos[self.partner[a]] for a in self.ids]
             ell = {pos[a]: mu for a, mu in self.ell.items()}
-            self._frozen = FareySymbol(self.verts, pairing, ell, self.level)
-        return self._frozen
+            self._symbol = FareySymbol(self.verts, pairing, ell, self.level)
+        return self._symbol
 
     def glue(self, head_ids, head, tail_ids, tail, g, move_tail, chord, place):
-        """Make head + tail the polygon's cyclic word of arcs.
+        """Finish a cut: make head + tail the polygon's cyclic word of arcs.
 
         The tail's vertices are moved by g^-1 (move_tail) or the head's by
         g.  chord holds the ids of the pivot arcs the cut replaces; place =
         (old position, position) rotates the result so the arc that sat at
         the old position lands at position, and by default chord[0] is
-        arc 0.
+        arc 0.  The cut is then reported to on_op.
         """
         if self.keep is not None and (
                 self.keep in chord
@@ -121,15 +132,26 @@ class _Polygon:
             k = (ids.index(self.ids[place[0]]) - place[1]) % n
         self.ids = ids[k:] + ids[:k]
         self.verts = verts[k:] + verts[:k]
-        self._frozen = None
+        self._symbol = None
+        if self.on_op is not None:
+            self.on_op(self.symbol)
 
 
-def _cut_result(sym, poly):
-    """What a base operation returns: nothing for the working polygon of a
-    run, else (symbol, mapping) with mapping old position -> new one."""
-    if poly is sym:
+def _working(sym):
+    """A run's own state, or a one-off state that may move every arc."""
+    if isinstance(sym, NormalizationState):
+        return sym
+    state = NormalizationState(sym)
+    state.keep = None
+    return state
+
+
+def _cut_result(sym, state):
+    """What a base operation returns: nothing for the state of a run, else
+    (symbol, mapping) with mapping old position -> new one."""
+    if state is sym:
         return None
-    return poly.freeze(), {arc_id: p for p, arc_id in enumerate(poly.ids)}
+    return state.symbol, {arc_id: p for p, arc_id in enumerate(state.ids)}
 
 
 def base_cut(sym, pivot, c1, c2, side, place=None):
@@ -143,13 +165,13 @@ def base_cut(sym, pivot, c1, c2, side, place=None):
     arc positions to new ones (the pivot pair maps to the chord pair).
     place = (old arc, position) rotates the output so that the image of the
     old arc sits at position; by default the chord a' is arc 0.  sym may
-    also be the working polygon of a normalization run, which is then cut
-    in place and nothing is returned.
+    also be the NormalizationState of a run, which is then cut in place and
+    nothing is returned.
     """
-    poly = sym if isinstance(sym, _Polygon) else _Polygon(sym)
-    n = poly.n
+    state = _working(sym)
+    n = state.n
     i = pivot
-    j = poly.pos(poly.partner[poly.ids[i]])
+    j = state.pos(state.partner[state.ids[i]])
     if i == j:
         raise FareyError("base_cut needs a non-fixed pivot")
     if not (0 <= c1 < n and 0 <= c2 < n):
@@ -161,13 +183,13 @@ def base_cut(sym, pivot, c1, c2, side, place=None):
 
     # Head X4 a' X3 (a' starts at c1), tail X2 a'* X1 (a'* starts at c2); the
     # pivot piece is the tail.  The chord a' (a'*) keeps the id of a (a*).
-    ids, v = poly.ids, poly.verts
-    poly.glue(_cyc(ids, j + 1, c1) + [ids[i]] + _cyc(ids, c2, j),
-              _cyc(v, j + 1, c1 + 1) + _cyc(v, c2, j),
-              _cyc(ids, i + 1, c2) + [ids[j]] + _cyc(ids, c1, i),
-              _cyc(v, i + 1, c2 + 1) + _cyc(v, c1, i),
-              poly.gluing(i, j), side == "pivot", (ids[i], ids[j]), place)
-    return _cut_result(sym, poly)
+    ids, v = state.ids, state.verts
+    state.glue(_cyc(ids, j + 1, c1) + [ids[i]] + _cyc(ids, c2, j),
+               _cyc(v, j + 1, c1 + 1) + _cyc(v, c2, j),
+               _cyc(ids, i + 1, c2) + [ids[j]] + _cyc(ids, c1, i),
+               _cyc(v, i + 1, c2 + 1) + _cyc(v, c1, i),
+               state.gluing(i, j), side == "pivot", (ids[i], ids[j]), place)
+    return _cut_result(sym, state)
 
 
 def base_cut_elliptic(sym, pivot, cut, side, place=None):
@@ -178,13 +200,13 @@ def base_cut_elliptic(sym, pivot, cut, side, place=None):
     gluing's inverse, side="after" moves the factor X2 (from past the pivot
     back to the cut vertex) by the gluing.  The elliptic arc reappears with
     the cut vertex as an endpoint; its order is unchanged.  place and the
-    working polygon are as for base_cut; by default the new elliptic arc
-    is arc 0.
+    run's state are as for base_cut; by default the new elliptic arc is
+    arc 0.
     """
-    poly = sym if isinstance(sym, _Polygon) else _Polygon(sym)
-    n = poly.n
+    state = _working(sym)
+    n = state.n
     i = pivot
-    if not poly.paired(i, i):
+    if not state.paired(i, i):
         raise FareyError("base_cut_elliptic needs a fixed pivot")
     if not 0 <= cut < n:
         raise FareyError("cut vertex out of range")
@@ -192,86 +214,54 @@ def base_cut_elliptic(sym, pivot, cut, side, place=None):
         raise FareyError("side must be 'before' or 'after'")
 
     # Head X2 a' (a' starts at the cut vertex), tail X1.
-    ids, v = poly.ids, poly.verts
-    poly.glue(_cyc(ids, i + 1, cut) + [ids[i]],
-              _cyc(v, i + 1, cut) + [v[cut]],
-              _cyc(ids, cut, i),
-              _cyc(v, cut, i),
-              poly.gluing(i, i), side == "before", (ids[i],), place)
-    return _cut_result(sym, poly)
-
-
-class NormalizationState:
-    """A working polygon together with the length of its normalized prefix W.
-
-    The polygon is kept rotated so the prefix occupies arc positions
-    [0, w_len); the prefix always decomposes into quad/pair/fixed blocks.
-    siegel_step advances the state in place.  .symbol is the polygon as a
-    FareySymbol, built on demand and cached until the next cut.
-    """
-
-    __slots__ = ("w_len", "log", "_poly")
-
-    def __init__(self, symbol, w_len=0, log=None):
-        self._poly = _Polygon(symbol, symbol.infinity_zero_arc())
-        self.w_len = w_len
-        self.log = log
-
-    @property
-    def symbol(self):
-        return self._poly.freeze()
-
-    def done(self):
-        return self.w_len >= self._poly.n
+    ids, v = state.ids, state.verts
+    state.glue(_cyc(ids, i + 1, cut) + [ids[i]],
+               _cyc(v, i + 1, cut) + [v[cut]],
+               _cyc(ids, cut, i),
+               _cyc(v, cut, i),
+               state.gluing(i, i), side == "before", (ids[i],), place)
+    return _cut_result(sym, state)
 
 
 def _start_state(sym, collect_log=False):
-    """Rotate so the block containing (infinity, 0) can start the prefix."""
+    """Rotate so the block covering (infinity, 0) can start the prefix."""
     i0 = sym.infinity_zero_arc()
     if i0 is None:
         raise InvalidSymbolError("symbol has no arc (infinity, 0)")
-    n = sym.n
-    j0 = sym.pairing[i0]
-    if j0 == i0 or j0 == (i0 + 1) % n:
-        rot = i0
-    elif j0 == (i0 - 1) % n:
-        rot = j0
-    else:
-        rot = i0
-        for p in (i0, i0 - 1, i0 - 2, i0 - 3):
-            if (sym.pairing[p % n] == (p + 2) % n
-                    and sym.pairing[(p + 1) % n] == (p + 3) % n):
-                rot = p % n
-                break
+    n, pairing = sym.n, sym.pairing
+
+    def paired(p, q):
+        return pairing[p % n] == q % n
+
+    rot = i0
+    for back in range(4):
+        block = block_at(paired, i0 - back, n)
+        if block is not None and back < block[1]:
+            rot = (i0 - back) % n
+            break
     return NormalizationState(sym.rotated(rot), 0, [] if collect_log else None)
 
 
-def _extend_blocks(poly, w):
+def _extend_blocks(state, w):
     """Grow the prefix over ready-made blocks sitting right after it."""
-    n = poly.n
+    n = state.n
     k = w
     while k < n:
-        if poly.paired(k, k):
-            k += 1
-        elif k + 1 < n and poly.paired(k, k + 1):
-            k += 2
-        elif k + 3 < n and poly.paired(k, k + 2) and poly.paired(k + 1, k + 3):
-            k += 4
-        else:
+        block = block_at(state.paired, k, n - k)
+        if block is None:
             break
+        k += block[1]
     return k
 
 
-def _step_elliptic(poly, w, pivot, on_op):
-    base_cut_elliptic(poly, pivot, w, "before", (pivot, w))
-    if on_op:
-        on_op(poly.freeze())
-    if not poly.paired(w, w):
+def _step_elliptic(state, w, pivot):
+    base_cut_elliptic(state, pivot, w, "before", (pivot, w))
+    if not state.paired(w, w):
         raise FareyError("elliptic step did not fix arc %d" % w)
     return w + 1
 
 
-def _step_parabolic(poly, w, pivot, on_op):
+def _step_parabolic(state, w, pivot):
     """Move the adjacent pair at (pivot, pivot+1) next to the prefix.
 
     Of the two pair operations, the one cutting at the prefix boundary and
@@ -279,70 +269,58 @@ def _step_parabolic(poly, w, pivot, on_op):
     than moving the tail block (variant B), so A is used whenever it leaves
     (infinity, 0) alone.
     """
-    if poly.keep not in poly.ids[w:pivot]:      # the gap variant A moves
-        base_cut(poly, pivot, w, pivot + 1, "pivot", (pivot, w))
-        if on_op:
-            on_op(poly.freeze())
-        if not poly.paired(w, w + 1):
+    if state.keep not in state.ids[w:pivot]:      # the gap variant A moves
+        base_cut(state, pivot, w, pivot + 1, "pivot", (pivot, w))
+        if not state.paired(w, w + 1):
             raise FareyError("parabolic step did not pair arcs %d, %d" % (w, w + 1))
     else:
-        base_cut(poly, pivot, 0, pivot + 1, "other")
-        if on_op:
-            on_op(poly.freeze())
+        base_cut(state, pivot, 0, pivot + 1, "other")
         # word is already (a' a'* W X gY); the prefix simply starts at a'.
-        if not poly.paired(0, 1):
+        if not state.paired(0, 1):
             raise FareyError("parabolic step did not pair arcs 0, 1")
     return w + 2
 
 
-def _step_hyperbolic(poly, w, a_pos, on_op):
+def _step_hyperbolic(state, w, a_pos):
     """Case where two interleaved pivot pairs become a quad after W.
 
     Four base operations; the pieces containing W (and the trailing block T)
     are never transformed.  Each chord keeps the id of the pivot it
     replaces, so a, b, a*, b* below name the current arcs of those ids.
     """
-    n = poly.n
-    a, b = poly.ids[a_pos], poly.ids[a_pos + 1]
-    a_s, b_s = poly.partner[a], poly.partner[b]
-    b_pos, as_pos, bs_pos = a_pos + 1, poly.pos(a_s), poly.pos(b_s)
+    n = state.n
+    a, b = state.ids[a_pos], state.ids[a_pos + 1]
+    a_s, b_s = state.partner[a], state.partner[b]
+    b_pos, as_pos, bs_pos = a_pos + 1, state.pos(a_s), state.pos(b_s)
     if not w <= a_pos < b_pos < as_pos < bs_pos < n:
         raise FareyError("pivots out of pattern")
 
     # 1: cut (w, a*); move the piece X a b Y by gluing(b)^-1.
-    base_cut(poly, b_pos, w, as_pos, "pivot", (b_pos, w))
-    if on_op:
-        on_op(poly.freeze())
-    if poly.ids[w:w + 2] != [b, a_s]:
+    base_cut(state, b_pos, w, as_pos, "pivot", (b_pos, w))
+    if state.ids[w:w + 2] != [b, a_s]:
         raise FareyError("hyperbolic cut 1 out of pattern")
 
     # 2: cut (b'*, b'-start); move the piece b' a* Z Y by gluing(a).
-    base_cut(poly, poly.pos(a), poly.pos(b_s), w, "other", (w + 1, w))
-    if on_op:
-        on_op(poly.freeze())
-    if poly.ids[w:w + 2] != [a_s, b_s]:
+    base_cut(state, state.pos(a), state.pos(b_s), w, "other", (w + 1, w))
+    if state.ids[w:w + 2] != [a_s, b_s]:
         raise FareyError("hyperbolic cut 2 out of pattern")
 
     # 3: cut (a'*-start, past b'*); move the piece a'* b'* by gluing(b'*)^-1.
-    base_cut(poly, w + 1, w, w + 2, "pivot", (w + 1, w))
-    if on_op:
-        on_op(poly.freeze())
-    a3 = poly.pos(a)
-    if not (poly.ids[w] == b_s and poly.ids[a3 + 1:a3 + 3] == [b, a_s]):
+    base_cut(state, w + 1, w, w + 2, "pivot", (w + 1, w))
+    a3 = state.pos(a)
+    if not (state.ids[w] == b_s and state.ids[a3 + 1:a3 + 3] == [b, a_s]):
         raise FareyError("hyperbolic cut 3 out of pattern")
 
     # 4: cut (past b'', a'*-start); move the piece X Z Y a' b''* by gluing(a')^-1.
-    base_cut(poly, a3, w + 1, a3 + 2, "pivot", (w, w))
-    if on_op:
-        on_op(poly.freeze())
-    if not (poly.paired(w, w + 2) and poly.paired(w + 1, w + 3)):
+    base_cut(state, a3, w + 1, a3 + 2, "pivot", (w, w))
+    if not (state.paired(w, w + 2) and state.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
     return w + 4
 
 
-def _choose_step(poly, w):
+def _choose_step(state, w):
     """(kind, pivots, handler) of the first non-extend step that applies."""
-    ids, partner = poly.ids, poly.partner
+    ids, partner = state.ids, state.partner
     n = len(ids)
     for e in range(w, n):
         if partner[ids[e]] == ids[e]:
@@ -370,23 +348,24 @@ def siegel_step(state, on_op=None):
     w_len < n.  on_op, when given, is called with the symbol after every
     base operation.
     """
-    poly, w = state._poly, state.w_len
-    if w >= poly.n:
+    w = state.w_len
+    if w >= state.n:
         raise FareyError("symbol is already fully normalized")
+    state.on_op = on_op
 
-    k = _extend_blocks(poly, w)
+    k = _extend_blocks(state, w)
     if k > w:
         kind, pivots = "extend", []
         state.w_len = k
     else:
-        kind, pivots, handler = _choose_step(poly, w)
-        state.w_len = handler(poly, w, pivots[0], on_op)
+        kind, pivots, handler = _choose_step(state, w)
+        state.w_len = handler(state, w, pivots[0])
     if state.log is not None:
         state.log.append({"kind": kind, "pivots": pivots, "w_len": state.w_len})
     return state
 
 
-def normalize(sym, on_op=None, collect_log=False, validate=True):
+def normalize(sym, on_op=None, collect_log=False):
     """Normalized Farey symbol with the same group as the input.
 
     Every arc of the output is at distance <= 2 from its partner and the
@@ -395,8 +374,7 @@ def normalize(sym, on_op=None, collect_log=False, validate=True):
     called with every intermediate symbol produced by a base operation,
     which costs one symbol construction per base operation.
     """
-    if validate:
-        sym.validate()
+    sym.validate()
     state = _start_state(sym, collect_log)
     while not state.done():
         w_before = state.w_len
@@ -404,8 +382,7 @@ def normalize(sym, on_op=None, collect_log=False, validate=True):
         if state.w_len <= w_before:
             raise FareyError("Siegel step failed to make progress")
     out = state.symbol
-    if validate:
-        out.validate()
-        if not out.is_normalized():
-            raise FareyError("normalization finished on a non-normalized symbol")
+    out.validate()
+    if not out.is_normalized():
+        raise FareyError("normalization finished on a non-normalized symbol")
     return (out, state.log) if collect_log else out

@@ -10,14 +10,23 @@ stored, so any transformation only has to produce vertices and a pairing.
 import json
 
 from .exact import (Cusp, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    NotNormalizedError, ORDER3, arc_matrix,
-                    arc_matrix_minus, circular_order, classify, exact_div,
+                    NotNormalizedError, ORDER3, REVERSE, arc_matrix,
+                    circular_order, classify, exact_div,
                     CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
 
-ARC_HYPERBOLIC = CLS_HYPERBOLIC
-ARC_PARABOLIC = CLS_PARABOLIC
-ARC_ELLIPTIC2 = CLS_ELLIPTIC2
-ARC_ELLIPTIC3 = CLS_ELLIPTIC3
+
+def block_at(paired, k, room):
+    """The block of Siegel's normal form starting at position k: ("fixed", 1)
+    for an elliptic arc, ("pair", 2) for a cusp block c c*, ("quad", 4) for
+    a handle a b a* b*, or None.  paired(p, q) says whether the arcs at
+    positions p and q are partners; room is the number of positions left."""
+    if paired(k, k):
+        return ("fixed", 1)
+    if room > 1 and paired(k, k + 1):
+        return ("pair", 2)
+    if room > 3 and paired(k, k + 2) and paired(k + 1, k + 3):
+        return ("quad", 4)
+    return None
 
 
 def gluing_matrix(a, a_star, order=None):
@@ -29,7 +38,7 @@ def gluing_matrix(a, a_star, order=None):
     its midpoint, or the order-3 rotation fixing the triangle hanging off
     the arc.  Raises InvalidSymbolError if the result is not integral.
     """
-    am = arc_matrix_minus(a_star)
+    am = a_star * REVERSE
     num = am * ORDER3 * am.adjugate() if order == 3 else a * am.adjugate()
     return exact_div(num, am.det())
 
@@ -147,15 +156,15 @@ class FareySymbol:
         """Hyperbolic / parabolic / elliptic2 / elliptic3, read off distances."""
         d = self.distance(i, self.pairing[i])
         if d == 0:
-            return ARC_ELLIPTIC2 if self.ell[i] == 2 else ARC_ELLIPTIC3
+            return CLS_ELLIPTIC2 if self.ell[i] == 2 else CLS_ELLIPTIC3
         if d == 1:
-            return ARC_PARABOLIC
-        return ARC_HYPERBOLIC
+            return CLS_PARABOLIC
+        return CLS_HYPERBOLIC
 
     def class_counts(self):
         """Arc classes counted modulo the involution: dict tag -> count."""
         seen = set()
-        out = {ARC_HYPERBOLIC: 0, ARC_PARABOLIC: 0, ARC_ELLIPTIC2: 0, ARC_ELLIPTIC3: 0}
+        out = {CLS_HYPERBOLIC: 0, CLS_PARABOLIC: 0, CLS_ELLIPTIC2: 0, CLS_ELLIPTIC3: 0}
         for i in range(self.n):
             if i in seen:
                 continue
@@ -210,26 +219,21 @@ class FareySymbol:
         bad = self.normalization_defect()
         if bad is not None:
             raise NotNormalizedError(bad)
-        n = self.n
+        n, pairing = self.n, self.pairing
         for offset in range(n):
+            def paired(p, q):
+                return pairing[(offset + p) % n] == (offset + q) % n
+
             blocks = []
             p = 0
             while p < n:
-                k = (offset + p) % n
-                if self.pairing[k] == k:
-                    blocks.append(("fixed", (k,)))
-                    p += 1
-                elif p + 1 < n and self.pairing[k] == (k + 1) % n:
-                    blocks.append(("pair", (k, (k + 1) % n)))
-                    p += 2
-                elif (p + 3 < n and self.pairing[k] == (k + 2) % n
-                      and self.pairing[(k + 1) % n] == (k + 3) % n):
-                    blocks.append(("quad", (k, (k + 1) % n, (k + 2) % n, (k + 3) % n)))
-                    p += 4
-                else:
-                    blocks = None
+                block = block_at(paired, p, n - p)
+                if block is None:
                     break
-            if blocks is not None:
+                kind, size = block
+                blocks.append((kind, tuple((offset + p + t) % n for t in range(size))))
+                p += size
+            else:
                 return blocks
         raise InvalidSymbolError("normalized symbol admits no block decomposition")
 
@@ -288,7 +292,7 @@ class FareySymbol:
                     "paired arcs %d, %d have the identity as gluing" % (i, j))
             if j == i:
                 tag = classify(g)
-                want = ARC_ELLIPTIC2 if self.ell[i] == 2 else ARC_ELLIPTIC3
+                want = CLS_ELLIPTIC2 if self.ell[i] == 2 else CLS_ELLIPTIC3
                 if tag != want:
                     raise InvalidSymbolError(
                         "fixed arc %d has gluing of class %s, expected %s" % (i, tag, want))
@@ -324,11 +328,13 @@ class FareySymbol:
     def from_dict(d):
         try:
             verts = [Cusp.parse(v) for v in d["vertices"]]
-            pairing = [int(x) for x in d["pairing"]]
+            pairing = list(d["pairing"])
             ell = d.get("ell", {})
             if not isinstance(ell, dict):
                 raise TypeError('"ell" must be an object')
-            ell = {int(i): int(mu) for i, mu in ell.items()}
+            ell = {int(i): mu for i, mu in ell.items()}
+            if any(type(x) is not int for x in pairing + list(ell.values())):
+                raise TypeError('"pairing" entries and "ell" values must be integers')
             level = d.get("level")
             if level is not None and type(level) is not int:
                 raise TypeError('"level" must be an integer')

@@ -71,7 +71,7 @@ def test_criterion_3_intermediate_validity():
         N += 1
         oracle = gamma0_oracle(N)
         pending = []
-        normalize(gamma0_symbol(N), on_op=pending.append, validate=False)
+        normalize(gamma0_symbol(N), on_op=pending.append)
         for sym in pending:
             sym.validate(oracle)
         seen += len(pending)
@@ -146,7 +146,7 @@ def test_criterion_6_cross_representation(symbol_for, normalized_for):
 def test_criterion_7_height_growth():
     report = []
     for N in (100, 500, 1000):
-        norm = normalize(gamma0_symbol(N), validate=False)
+        norm = normalize(gamma0_symbol(N))
         h = max(v.height_bits() for v in norm.vertices)
         assert h <= N, "height %d bits exceeds %d" % (h, N)
         report.append("N=%d: %d bits (~%.2f N)" % (N, h, h / N))
@@ -162,7 +162,7 @@ def test_criterion_8_performance():
     if build_time > 60.0:
         warnings.warn("soft target missed: build 40000 took %.1f s" % build_time)
     t0 = time.time()
-    norm = normalize(gamma0_symbol(2000), validate=False)
+    norm = normalize(gamma0_symbol(2000))
     norm_time = time.time() - t0
     assert norm.is_normalized()
     if norm_time > 300.0:

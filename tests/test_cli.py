@@ -111,6 +111,10 @@ class TestExitCodes:
         {"level": 2.5},
         {"level": True},
         {"vertices": ["1/0", "0/1"], "pairing": [1, 0], "ell": {}},
+        {"pairing": [2.9, 1, 0]},
+        {"pairing": ["2", 1, 0]},
+        {"pairing": [2, True, 0]},
+        {"ell": {"1": 2.2}},
     ])
     def test_malformed_input_is_2(self, tmp_path, capsys, command, change):
         doc = {"vertices": ["1/0", "0/1", "1/1"], "pairing": [2, 1, 0],
@@ -210,6 +214,3 @@ def test_fuzzed_input_exits_0_1_or_2(tmp_path, capsys, symbol_for,
 class TestCheckLevel:
     def test_clean_level(self):
         assert check_level(30) == []
-
-    def test_samples_are_validated(self):
-        assert check_level(15, samples=5) == []

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
-                            ORDER3, arc_matrix, arc_matrix_minus,
-                            circular_order, classify, CLS_ELLIPTIC2,
-                            CLS_ELLIPTIC3, CLS_HYPERBOLIC, CLS_IDENTITY,
-                            CLS_PARABOLIC)
+                            ORDER3, REVERSE, arc_matrix, circular_order,
+                            classify, CLS_ELLIPTIC2, CLS_ELLIPTIC3,
+                            CLS_HYPERBOLIC, CLS_IDENTITY, CLS_PARABOLIC)
 
 
 def rand_sl2(rng, length=20):
@@ -82,9 +81,8 @@ class TestArcMatrix:
             arc_matrix(Cusp(1, 2), Cusp(2, 4))
 
     def test_reverse_matrix(self):
-        assert arc_matrix_minus(IDENTITY) == IMat(0, -1, 1, 0)
-        assert arc_matrix_minus(arc_matrix(ZERO, Cusp(1, 5))) == \
-            IMat(-1, 0, -5, -1)
+        assert IDENTITY * REVERSE == IMat(0, -1, 1, 0)
+        assert arc_matrix(ZERO, Cusp(1, 5)) * REVERSE == IMat(-1, 0, -5, -1)
 
     def test_width_symmetry_and_reverse_det(self):
         rng = random.Random(1)
@@ -94,7 +92,7 @@ class TestArcMatrix:
                 continue
             a = arc_matrix(r, s)
             assert a.det() == arc_matrix(s, r).det()
-            assert arc_matrix_minus(a).det() == a.det()
+            assert (a * REVERSE).det() == a.det()
 
 
 class TestMoebius:
@@ -158,7 +156,7 @@ class TestClassify:
             if a.det() != 1:
                 continue
             found += 1
-            am = arc_matrix_minus(a)
+            am = a * REVERSE
             g2 = a * am.adjugate()
             assert (g2 * g2).psl_normalize().is_identity_psl()
             g3 = am * ORDER3 * am.adjugate()

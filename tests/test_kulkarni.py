@@ -190,6 +190,22 @@ class TestBuild:
             sym, trace = gamma0_symbol(N, with_trace=True)
             assert replay_trace(trace, level=N) == sym
 
+    def test_keyless_trace_replays(self):
+        for N in (2, 13, 24):
+            fast = gamma0_oracle(N)
+            slow = MembershipOracle(fast.predicate, index_bound=fast.index_bound)
+            sym, trace = build_unimodular(slow, with_trace=True)
+            assert replay_trace(trace) == sym
+
+    def test_corrupted_trace_raises(self):
+        _, trace = gamma0_symbol(13, with_trace=True)
+        split = trace.index(("mediant", "0/1", "1/1"))
+        for bad in (trace[:split + 1] + [trace[split]],  # arc already split
+                    [("pair", "1/0", "0/1", "5/7", "1/1")],
+                    [("even", "2/3", "1/1")]):
+            with pytest.raises(FareyError, match="no boundary arc"):
+                replay_trace(bad)
+
     def test_without_trace_returns_bare_symbol(self):
         for N in (1, 2, 37):
             sym = gamma0_symbol(N)

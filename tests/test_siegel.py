@@ -1,9 +1,10 @@
 import hashlib
+import json
 
 import pytest
 
 from fareysym import classical
-from fareysym.exact import FareyError, INFINITY, InvalidSymbolError, ZERO
+from fareysym.exact import Cusp, FareyError, INFINITY, InvalidSymbolError, ZERO
 from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
 from fareysym.invariants import counts, express_word, generators
 from fareysym.siegel import (NormalizationState, base_cut, base_cut_elliptic,
@@ -155,6 +156,25 @@ class TestSiegelStep:
         p = state.symbol.pairing
         assert p[w] == w + 2 and p[w + 1] == w + 3
 
+    @pytest.mark.parametrize("pairing,ell,starts", [
+        # a b a* b* c c* e: each arc's run starts at its block
+        ([2, 3, 0, 1, 5, 4, 6], {6: 2}, [0, 0, 0, 0, 4, 4, 6]),
+        # e x y y* x*: x starts no block, so the run starts at x itself
+        ([0, 4, 3, 2, 1], {0: 2}, [None, 1, None, None, None]),
+    ])
+    def test_start_rotation(self, pairing, ell, starts):
+        # _start_state only reads the combinatorics and (infinity, 0), so
+        # the other vertices are placeholders
+        n = len(pairing)
+        for i0, start in enumerate(starts):
+            if start is None:
+                continue
+            verts = [Cusp(k + 1) for k in range(n)]
+            verts[i0], verts[(i0 + 1) % n] = INFINITY, ZERO
+            sym = FareySymbol(verts, pairing, ell)
+            for k in range(n):
+                assert _start_state(sym.rotated(k)).symbol == sym.rotated(start)
+
     def test_progress_and_validity_each_step(self, symbol_for):
         oracle = gamma0_oracle(22)
         state = _start_state(symbol_for(22))
@@ -257,6 +277,25 @@ class TestNormalize:
             count += len(ops)
         assert (count, h.hexdigest()) == (
             584, "7343de62996aec59385315811410a59b70de7c01c9eba18c0fe5b2b7638c1b91")
+
+    def test_every_rotation_is_pinned(self):
+        # every rotation of the unimodular and the normalized symbol: the
+        # start rotation, the steps taken, the output and its blocks
+        h = hashlib.sha256()
+        count = 0
+        for N in range(1, 41):
+            uni = gamma0_symbol(N)
+            for sym in (uni, normalize(uni)):
+                for k in range(sym.n):
+                    s = sym.rotated(k)
+                    if s.is_normalized():
+                        h.update(repr(s.factorize()).encode())
+                    out, log = normalize(s, collect_log=True)
+                    h.update((out.to_json() + json.dumps(log)
+                              + repr(out.factorize()) + "\n").encode())
+                    count += 1
+        assert (count, h.hexdigest()) == (
+            976, "e53c2a25ef3c08753edff4013297f56be11a9ddf783452b4ab31902185d5b5d5")
 
     def test_at_most_two_symbols_per_normalize(self, monkeypatch):
         symbols = {N: gamma0_symbol(N) for N in (15, 37, 60, 210)}

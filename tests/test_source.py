@@ -1,6 +1,8 @@
 import ast
 import pathlib
 
+import fareysym
+
 SRC = pathlib.Path(__file__).parent.parent / "src" / "fareysym"
 
 
@@ -12,3 +14,8 @@ def test_no_bare_assert_in_src():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, found
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in fareysym.__all__ if not hasattr(fareysym, name)]
+    assert not missing, missing

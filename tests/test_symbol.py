@@ -3,9 +3,9 @@ import random
 import pytest
 
 from fareysym.exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
-                            InvalidSymbolError, NotNormalizedError, classify)
-from fareysym.symbol import (ARC_ELLIPTIC3, ARC_HYPERBOLIC, ARC_PARABOLIC,
-                             FareySymbol)
+                            InvalidSymbolError, NotNormalizedError, classify,
+                            CLS_ELLIPTIC3, CLS_HYPERBOLIC, CLS_PARABOLIC)
+from fareysym.symbol import FareySymbol
 from fareysym.kulkarni import gamma0_oracle
 
 
@@ -76,11 +76,11 @@ class TestDistanceAndClasses:
         i = arcs[(Cusp(1, 1), INFINITY)]
         assert s.pairing[i] == arcs[(INFINITY, ZERO)]
         assert s.gluing(i).psl_eq(IMat(1, 1, 0, 1))
-        assert s.arc_class(i) == ARC_PARABOLIC
+        assert s.arc_class(i) == CLS_PARABOLIC
         j = arcs[(ZERO, Cusp(1, 5))]
         assert s.arc(s.pairing[j]) == (Cusp(2, 5), Cusp(1, 2))
         assert s.gluing(j).psl_eq(IMat(2, -1, 15, -7))
-        assert s.arc_class(j) == ARC_HYPERBOLIC
+        assert s.arc_class(j) == CLS_HYPERBOLIC
 
     def test_gluing_fixture_gamma0_13(self, symbol_for):
         s = symbol_for(13)
@@ -88,8 +88,8 @@ class TestDistanceAndClasses:
         i = arcs[(ZERO, Cusp(1, 3))]
         assert s.pairing[i] == i and s.ell[i] == 3
         assert s.gluing(i).psl_eq(IMat(3, -1, 13, -4))
-        assert s.arc_class(i) == ARC_ELLIPTIC3
-        assert classify(s.gluing(i)) == ARC_ELLIPTIC3
+        assert s.arc_class(i) == CLS_ELLIPTIC3
+        assert classify(s.gluing(i)) == CLS_ELLIPTIC3
 
     def test_classes_match_trace_classification(self, symbol_for):
         for N in (2, 11, 13, 15, 37):
