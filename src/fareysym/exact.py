@@ -77,6 +77,19 @@ class Cusp:
         return Cusp(int(text), 1)
 
 
+_SET_NUM, _SET_DEN = Cusp.num.__set__, Cusp.den.__set__
+
+
+def _coprime_cusp(num, den):
+    """The Cusp of a pair known to be coprime: only the sign is fixed."""
+    if den < 0 or (den == 0 and num < 0):
+        num, den = -num, -den
+    x = object.__new__(Cusp)
+    _SET_NUM(x, num)
+    _SET_DEN(x, den)
+    return x
+
+
 INFINITY = Cusp(1, 0)
 ZERO = Cusp(0, 1)
 
@@ -194,11 +207,18 @@ class IMat:
         return self.apply_all((x,))[0]
 
     def apply_all(self, cusps):
-        """The images of cusps, as a list; the matrix is checked once."""
-        if self.det() == 0:
-            raise FareyError("moebius action needs det != 0")
+        """The images of cusps, as a list; the det is computed once.
+
+        A det +-1 matrix has an integral inverse, so it maps coprime pairs
+        to coprime pairs: its images only need the sign fixed, not Cusp's
+        gcd.  Any other nonzero det goes through the canonical Cusp(...).
+        """
         a, b, c, d = self.a, self.b, self.c, self.d
-        return [Cusp(a * x.num + b * x.den, c * x.num + d * x.den) for x in cusps]
+        det = a * d - b * c
+        if det == 0:
+            raise FareyError("moebius action needs det != 0")
+        make = _coprime_cusp if det == 1 or det == -1 else Cusp
+        return [make(a * x.num + b * x.den, c * x.num + d * x.den) for x in cusps]
 
     def size(self):
         """Sum of absolute values of the entries (word-problem measure)."""

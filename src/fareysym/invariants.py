@@ -3,8 +3,7 @@
 the word problem in the gluing generators.
 """
 
-from .exact import (Cusp, IMat, IDENTITY, INFINITY, FareyError,
-                    CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_HYPERBOLIC, CLS_PARABOLIC)
+from .exact import Cusp, IMat, IDENTITY, INFINITY, FareyError
 
 
 class CuspClass:
@@ -128,13 +127,6 @@ class GeneratorSystem:
     def __init__(self, entries, symplectic_pairs):
         self.entries = entries
         self.symplectic_pairs = symplectic_pairs
-
-    def count_by_class(self):
-        out = {CLS_HYPERBOLIC: 0, CLS_PARABOLIC: 0,
-               CLS_ELLIPTIC2: 0, CLS_ELLIPTIC3: 0}
-        for _, tag, _ in self.entries:
-            out[tag] += 1
-        return out
 
     def matrices(self):
         return [m for m, _, _ in self.entries]

@@ -279,7 +279,10 @@ def build_unimodular(oracle, with_trace=False):
 
 def _assemble(arcs, level, trace, with_trace):
     index = {id(arc): i for i, arc in enumerate(arcs)}
-    pairing = [index[id(arc.partner)] for arc in arcs]
+    pairing = [index.get(id(arc.partner)) for arc in arcs]
+    if None in pairing:
+        raise FareyError("boundary arc %r has no partner on the boundary"
+                         % (arcs[pairing.index(None)].ends(),))
     ell = {i: arc.ell for i, arc in enumerate(arcs) if arc.partner is arc}
     sym = FareySymbol([arc.r for arc in arcs], pairing, ell, level=level)
     return (sym, trace) if with_trace else sym
@@ -301,7 +304,7 @@ def replay_trace(trace, level=None):
         return arc
 
     for event in trace:
-        kind = event[0]
+        kind = event[0] if event else None
         arc = boundary(event[1:3])
         if kind in ("even", "odd"):
             arc.partner = arc

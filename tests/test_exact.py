@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
                             ORDER3, REVERSE, arc_matrix, circular_order,
@@ -17,6 +17,23 @@ def rand_sl2(rng, length=20):
     for _ in range(rng.randrange(length)):
         g = g * rng.choice((T, T.inverse(), S))
     return g
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of T^k S with k up to 120 bits (entries up to about 2000
+    bits), times diag(1, -1) for det -1 and by -1 for either sign."""
+    g = IDENTITY
+    for k in draw(st.lists(st.integers(-2**120, 2**120), max_size=16)):
+        g = g * IMat(k, -1, 1, 0)
+    if draw(st.booleans()):
+        g = g * IMat(1, 0, 0, -1)
+    return -g if draw(st.booleans()) else g
+
+
+cusps = st.one_of(
+    st.sampled_from([INFINITY, ZERO, Cusp(-1, 1)]),
+    st.builds(Cusp, st.integers(-2**200, 2**200), st.integers(1, 2**200)))
 
 
 def rand_cusp(rng):
@@ -107,6 +124,43 @@ class TestMoebius:
             g, h = rand_sl2(rng), rand_sl2(rng)
             x = rand_cusp(rng)
             assert (g * h).apply(x) == g.apply(h.apply(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(unimodular_matrices(), st.lists(cusps, max_size=8))
+    def test_det_pm1_images_equal_canonical_cusps(self, g, xs):
+        assert g.det() in (1, -1)
+        a, b, c, d = g.entries()
+        want = [Cusp(a * x.num + b * x.den, c * x.num + d * x.den) for x in xs]
+        got = g.apply_all(xs)
+        assert [(y.num, y.den, hash(y)) for y in got] == [
+            (y.num, y.den, hash(y)) for y in want]
+        assert got == [g.apply(x) for x in xs]
+        for y in got:
+            assert type(y) is Cusp
+            with pytest.raises(AttributeError):
+                y.num = 0
+
+    def test_other_dets_divide_out_the_gcd(self):
+        y = IMat(2, 0, 0, 1).apply_all([Cusp(1, 2)])[0]
+        assert (y.num, y.den) == (1, 1)
+        assert IMat(3, 0, 0, -1).apply_all([Cusp(1, 3), Cusp(-2, 1), INFINITY]) == [
+            Cusp(-1, 1), Cusp(6, 1), INFINITY]
+
+    def test_det_zero_rejected(self):
+        for m in (IMat(1, 2, 2, 4), IMat(0, 0, 0, 0)):
+            with pytest.raises(FareyError):
+                m.apply_all([ZERO, INFINITY])
+            with pytest.raises(FareyError):
+                m.apply(ZERO)
+
+    def test_apply_agrees_with_apply_all(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            m = IMat(*(rng.randrange(-9, 10) for _ in range(4)))
+            if m.det() == 0:
+                continue
+            xs = [rand_cusp(rng) for _ in range(4)]
+            assert m.apply_all(xs) == [m.apply(x) for x in xs]
 
 
 class TestCircularOrder:

@@ -85,17 +85,17 @@ class TestCounts:
 
 class TestGenerators:
     def test_gamma0_14_symplectic_pair(self, normalized_for):
-        gs = generators(normalized_for(14))
-        assert gs.count_by_class()["hyperbolic"] == 2
-        assert len(gs.symplectic_pairs) == 1
+        ns = normalized_for(14)
+        assert ns.class_counts()["hyperbolic"] == 2
+        assert len(generators(ns).symplectic_pairs) == 1
 
     def test_gamma0_15_classes(self, normalized_for):
-        cc = generators(normalized_for(15)).count_by_class()
+        cc = normalized_for(15).class_counts()
         assert cc["hyperbolic"] == 2 and cc["parabolic"] == 3
         assert cc["elliptic2"] == cc["elliptic3"] == 0
 
     def test_gamma0_1(self, symbol_for):
-        cc = generators(symbol_for(1)).count_by_class()
+        cc = symbol_for(1).class_counts()
         assert cc == {"hyperbolic": 0, "parabolic": 0,
                       "elliptic2": 1, "elliptic3": 1}
 

@@ -206,6 +206,44 @@ class TestBuild:
             with pytest.raises(FareyError, match="no boundary arc"):
                 replay_trace(bad)
 
+    def test_incomplete_trace_raises(self):
+        _, trace = gamma0_symbol(13, with_trace=True)
+        for bad, match in ((trace[:-1], "no partner"), ([], "no partner"),
+                           ([()], "no boundary arc")):
+            with pytest.raises(FareyError, match=match):
+                replay_trace(bad)
+
+    def test_mutated_traces_replay_or_raise(self):
+        # dropping or emptying an event leaves an arc unpaired or names a
+        # missing arc; duplicating one either splits a gone arc or repeats
+        # a pairing, so a replay that succeeds gives the original symbol
+        from hypothesis import given, settings, strategies as st
+        built = {N: gamma0_symbol(N, with_trace=True) for N in (1, 2, 13, 37)}
+        edits = st.tuples(st.sampled_from(["drop", "duplicate", "empty"]),
+                          st.integers(0, 10**6))
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.sampled_from(sorted(built)), st.lists(edits, min_size=1, max_size=3))
+        def prop(N, edit_list):
+            sym, trace = built[N]
+            trace = list(trace)
+            for edit, i in edit_list:
+                if not trace:
+                    break
+                i %= len(trace)
+                if edit == "drop":
+                    del trace[i]
+                elif edit == "duplicate":
+                    trace.insert(i, trace[i])
+                else:
+                    trace[i] = ()
+            try:
+                out = replay_trace(trace, level=N)
+            except FareyError:
+                return
+            assert out == sym
+        prop()
+
     def test_without_trace_returns_bare_symbol(self):
         for N in (1, 2, 37):
             sym = gamma0_symbol(N)

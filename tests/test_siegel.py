@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fareysym
 from fareysym import classical
 from fareysym.exact import Cusp, FareyError, INFINITY, InvalidSymbolError, ZERO
 from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
@@ -10,6 +14,8 @@ from fareysym.invariants import counts, express_word, generators
 from fareysym.siegel import (NormalizationState, base_cut, base_cut_elliptic,
                              normalize, siegel_step, _start_state)
 from fareysym.symbol import FareySymbol
+
+DIGEST_420 = "c0f78472b2e92a5dc8b4443285b2124810fbcb79439f801f0cd9289dac75d290"
 
 
 class TestBaseCut:
@@ -258,13 +264,27 @@ class TestNormalize:
             assert h <= N + 10
 
     @pytest.mark.parametrize("N,digest", [
-        (420, "c0f78472b2e92a5dc8b4443285b2124810fbcb79439f801f0cd9289dac75d290"),
+        (420, DIGEST_420),
         (1000, "81683eed6c092951d361584b6f3fb002f83ac0e49825484ab658a6abd000686b"),
         (2000, "4505535d325ef2dd73b897508d286ad9b6352f49a9ddc85243f36c71a164842a"),
     ])
     def test_large_output_digest_is_pinned(self, N, digest):
         text = normalize(gamma0_symbol(N)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_optimized_mode_output_is_pinned(self):
+        # python -O strips assert statements, so no check may rest on one
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fareysym.__file__)))
+        code = ("import hashlib, sys\n"
+                "from fareysym.kulkarni import gamma0_symbol\n"
+                "from fareysym.siegel import normalize\n"
+                "text = normalize(gamma0_symbol(420)).to_json()\n"
+                "print(sys.flags.optimize, hashlib.sha256(text.encode()).hexdigest())\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", DIGEST_420]
 
     def test_intermediate_symbols_are_pinned(self):
         h = hashlib.sha256()
