@@ -15,7 +15,8 @@ sym = gamma0_symbol(22)
 print("unimodular word for Gamma0(22):")
 print("   ", " ".join(str(v) for v in sym.vertices))
 
-norm, log = normalize(sym, collect_log=True)
+log = []
+norm = normalize(sym, on_step=log.append)
 print("\nSiegel steps (kind, pivots, prefix length afterwards):")
 for entry in log:
     print("   %-11s pivots=%-8s w=%d" % (entry["kind"], entry["pivots"],

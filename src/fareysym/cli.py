@@ -55,13 +55,11 @@ def _cmd_build(args):
 
 def _cmd_normalize(args):
     sym = _load_symbol(args)
+    on_step = None
     if args.trace:
-        out, log = normalize(sym, collect_log=True)
-        for entry in log:
+        def on_step(entry):
             sys.stderr.write(json.dumps(entry) + "\n")
-    else:
-        out = normalize(sym)
-    _emit(out.to_json(), args.out)
+    _emit(normalize(sym, on_step=on_step).to_json(), args.out)
 
 
 def _cmd_info(args):

@@ -219,14 +219,13 @@ def express_word(sym, g):
             if k % width:
                 return None
             e = k // width
-            if e > 0:
-                for _ in range(e):
-                    word.extend(stab)
-            else:
-                inv = [(i, -x) for i, x in reversed(stab)]
-                for _ in range(-e):
-                    word.extend(inv)
-            return word
+            if len(stab) == 1:
+                return word + [(stab[0][0], -e)]
+            if abs(e) * len(stab) > cap:
+                raise FareyError("word reduction exceeded its step cap")
+            if e < 0:
+                stab = [(i, -x) for i, x in reversed(stab)]
+            return word + stab * abs(e)
         m = 1 + max(max(abs(x) for x in g.entries()), vert_height)
         while True:
             x = Cusp(g.a * m + g.b, g.c * m + g.d)

@@ -162,23 +162,22 @@ def _full_group_symbol(level):
     return FareySymbol([INFINITY, ZERO], [0, 1], {0: 2, 1: 3}, level=level)
 
 
-def build_unimodular(oracle, with_trace=False):
+def build_unimodular(oracle, on_event=None):
     """Unimodular Farey symbol whose gluing group is the oracle's group.
 
     Deterministic for a fixed oracle.  Raises FareyError when the insertion
     cap is hit, which indicates an infinite-index (or dishonest) oracle.
-    With with_trace=True, returns (symbol, trace) where the trace is a list
-    of replayable events (see replay_trace).
+    on_event, when given, is called with each replayable event in turn;
+    their list is the trace that replay_trace rebuilds the symbol from.
     """
     pred = oracle.predicate
-    trace = []
     if pred(ORDER2) and pred(_ODD_AT_INF):
         # Both rotation classes at (infinity, 0) lie in the group, so the
         # group is all of PSL2(Z); the two-arc symbol is the only one that
         # does not overcount.
-        trace.append(("full-group",))
-        sym = _full_group_symbol(oracle.level)
-        return (sym, trace) if with_trace else sym
+        if on_event is not None:
+            on_event(("full-group",))
+        return _full_group_symbol(oracle.level)
 
     keyed = oracle.coset_key is not None
     key = oracle.coset_key
@@ -222,15 +221,15 @@ def build_unimodular(oracle, with_trace=False):
         if is_even(arc):
             arc.partner = arc
             arc.ell = 2
-            if with_trace:
-                trace.append(("even",) + arc.ends())
+            if on_event is not None:
+                on_event(("even",) + arc.ends())
             return
         if is_odd(arc):
             arc.partner = arc
             arc.ell = 3
             claim(arc.out_key)
-            if with_trace:
-                trace.append(("odd",) + arc.ends())
+            if on_event is not None:
+                on_event(("odd",) + arc.ends())
             return
         other = find_partner(arc)
         if other is not None:
@@ -238,8 +237,8 @@ def build_unimodular(oracle, with_trace=False):
             other.partner = arc
             if keyed:
                 del pool[other.out_key]
-            if with_trace:
-                trace.append(("pair",) + arc.ends() + other.ends())
+            if on_event is not None:
+                on_event(("pair",) + arc.ends() + other.ends())
         elif keyed:
             pool[arc.out_key] = arc
 
@@ -264,8 +263,8 @@ def build_unimodular(oracle, with_trace=False):
         if keyed:
             del pool[victim.out_key]
             claim(victim.out_key)
-        if with_trace:
-            trace.append(("mediant",) + victim.ends())
+        if on_event is not None:
+            on_event(("mediant",) + victim.ends())
         left, right = _split(victim, make_arc)
         if first is victim:
             first = left
@@ -274,18 +273,17 @@ def build_unimodular(oracle, with_trace=False):
             resolve(child)
             waiting.append(child)
 
-    return _assemble(_cycle(first, count), oracle.level, trace, with_trace)
+    return _assemble(_cycle(first, count), oracle.level)
 
 
-def _assemble(arcs, level, trace, with_trace):
+def _assemble(arcs, level):
     index = {id(arc): i for i, arc in enumerate(arcs)}
     pairing = [index.get(id(arc.partner)) for arc in arcs]
     if None in pairing:
         raise FareyError("boundary arc %r has no partner on the boundary"
                          % (arcs[pairing.index(None)].ends(),))
     ell = {i: arc.ell for i, arc in enumerate(arcs) if arc.partner is arc}
-    sym = FareySymbol([arc.r for arc in arcs], pairing, ell, level=level)
-    return (sym, trace) if with_trace else sym
+    return FareySymbol([arc.r for arc in arcs], pairing, ell, level=level)
 
 
 def replay_trace(trace, level=None):
@@ -323,9 +321,9 @@ def replay_trace(trace, level=None):
             by_ends[right.ends()] = right
         else:
             raise FareyError("unknown trace event %r" % (event,))
-    return _assemble(_cycle(first, count), level, None, False)
+    return _assemble(_cycle(first, count), level)
 
 
-def gamma0_symbol(N, with_trace=False):
+def gamma0_symbol(N, on_event=None):
     """Convenience wrapper: unimodular symbol for Gamma0(N)."""
-    return build_unimodular(gamma0_oracle(N), with_trace=with_trace)
+    return build_unimodular(gamma0_oracle(N), on_event)

@@ -45,15 +45,15 @@ class NormalizationState:
 
     verts[p] and ids[p] are the start vertex and the id of the arc at
     position p; partner and ell are indexed by id.  keep is the id of the
-    arc (infinity, 0), which no cut may move or replace, or None.  log, if
-    a list, gets one record per step; on_op is the current step's hook.
-    .symbol is the polygon as a FareySymbol, cached until the next cut.
+    arc (infinity, 0), which no cut may move or replace, or None.  on_op
+    and on_step, when set, observe every cut and every step.  .symbol
+    builds the polygon as a FareySymbol on each access.
     """
 
     __slots__ = ("verts", "ids", "partner", "ell", "level", "keep",
-                 "w_len", "log", "on_op", "_symbol")
+                 "w_len", "on_op", "on_step")
 
-    def __init__(self, symbol, w_len=0, log=None):
+    def __init__(self, symbol, w_len=0):
         self.verts = list(symbol.vertices)
         self.ids = list(range(symbol.n))
         self.partner = symbol.pairing
@@ -61,9 +61,8 @@ class NormalizationState:
         self.level = symbol.level
         self.keep = symbol.infinity_zero_arc()
         self.w_len = w_len
-        self.log = log
         self.on_op = None
-        self._symbol = symbol
+        self.on_step = None
 
     @property
     def n(self):
@@ -88,14 +87,12 @@ class NormalizationState:
 
     @property
     def symbol(self):
-        if self._symbol is None:
-            pos = [0] * self.n
-            for p, arc_id in enumerate(self.ids):
-                pos[arc_id] = p
-            pairing = [pos[self.partner[a]] for a in self.ids]
-            ell = {pos[a]: mu for a, mu in self.ell.items()}
-            self._symbol = FareySymbol(self.verts, pairing, ell, self.level)
-        return self._symbol
+        pos = [0] * self.n
+        for p, arc_id in enumerate(self.ids):
+            pos[arc_id] = p
+        pairing = [pos[self.partner[a]] for a in self.ids]
+        ell = {pos[a]: mu for a, mu in self.ell.items()}
+        return FareySymbol(self.verts, pairing, ell, self.level)
 
     def glue(self, head_ids, head, tail_ids, tail, g, move_tail, chord, place):
         """Finish a cut: make head + tail the polygon's cyclic word of arcs.
@@ -110,8 +107,9 @@ class NormalizationState:
                 self.keep in chord
                 or self.keep in (tail_ids if move_tail else head_ids)):
             raise InvalidSymbolError(
-                "normalization would move or replace the arc (infinity, 0); "
-                "rotate the symbol so it can start the normalized prefix")
+                "normalization would move or replace the arc (infinity, 0), "
+                "which it keeps fixed; it cannot yet do so when that arc lies "
+                "in no block (fixed arc, pair or quad) of the input word")
         if g.det() != 1:
             raise InvalidSymbolError(
                 "pivot gluing has det %d (paired widths differ?)" % g.det())
@@ -132,7 +130,6 @@ class NormalizationState:
             k = (ids.index(self.ids[place[0]]) - place[1]) % n
         self.ids = ids[k:] + ids[:k]
         self.verts = verts[k:] + verts[:k]
-        self._symbol = None
         if self.on_op is not None:
             self.on_op(self.symbol)
 
@@ -223,8 +220,9 @@ def base_cut_elliptic(sym, pivot, cut, side, place=None):
     return _cut_result(sym, state)
 
 
-def _start_state(sym, collect_log=False):
-    """Rotate so the block covering (infinity, 0) can start the prefix."""
+def _start_state(sym, on_op=None, on_step=None):
+    """The run's state, rotated so the block covering (infinity, 0) can
+    start the prefix, with its observers attached."""
     i0 = sym.infinity_zero_arc()
     if i0 is None:
         raise InvalidSymbolError("symbol has no arc (infinity, 0)")
@@ -239,7 +237,11 @@ def _start_state(sym, collect_log=False):
         if block is not None and back < block[1]:
             rot = (i0 - back) % n
             break
-    return NormalizationState(sym.rotated(rot), 0, [] if collect_log else None)
+    state = NormalizationState(sym)
+    state.ids = state.ids[rot:] + state.ids[:rot]
+    state.verts = state.verts[rot:] + state.verts[:rot]
+    state.on_op, state.on_step = on_op, on_step
+    return state
 
 
 def _extend_blocks(state, w):
@@ -338,20 +340,19 @@ def _choose_step(state, w):
     raise FareyError("no Siegel step applies; symbol state is inconsistent")
 
 
-def siegel_step(state, on_op=None):
+def siegel_step(state):
     """Extend the normalized prefix of state in place and return state.
 
     w_len strictly increases.  Dispatch: grow over ready-made blocks when
     possible, otherwise handle the first fixed arc (+1), the first adjacent
     pair (+2), or pick the interleaved pivots given by the first arc whose
     partner precedes it (+4).  One of the four cases always applies while
-    w_len < n.  on_op, when given, is called with the symbol after every
-    base operation.
+    w_len < n.  The state's on_op sees every base operation and its
+    on_step this step's record.
     """
     w = state.w_len
     if w >= state.n:
         raise FareyError("symbol is already fully normalized")
-    state.on_op = on_op
 
     k = _extend_blocks(state, w)
     if k > w:
@@ -360,29 +361,30 @@ def siegel_step(state, on_op=None):
     else:
         kind, pivots, handler = _choose_step(state, w)
         state.w_len = handler(state, w, pivots[0])
-    if state.log is not None:
-        state.log.append({"kind": kind, "pivots": pivots, "w_len": state.w_len})
+    if state.on_step is not None:
+        state.on_step({"kind": kind, "pivots": pivots, "w_len": state.w_len})
     return state
 
 
-def normalize(sym, on_op=None, collect_log=False):
+def normalize(sym, on_op=None, on_step=None):
     """Normalized Farey symbol with the same group as the input.
 
     Every arc of the output is at distance <= 2 from its partner and the
     word factors into quad (handle), pair (cusp) and fixed (elliptic)
     blocks.  The arc (infinity, 0) is preserved.  on_op, when given, is
     called with every intermediate symbol produced by a base operation,
-    which costs one symbol construction per base operation.
+    which costs one symbol construction per base operation; on_step, when
+    given, with each step's {"kind", "pivots", "w_len"} record.
     """
     sym.validate()
-    state = _start_state(sym, collect_log)
+    state = _start_state(sym, on_op, on_step)
     while not state.done():
         w_before = state.w_len
-        state = siegel_step(state, on_op)
+        state = siegel_step(state)
         if state.w_len <= w_before:
             raise FareyError("Siegel step failed to make progress")
     out = state.symbol
     out.validate()
     if not out.is_normalized():
         raise FareyError("normalization finished on a non-normalized symbol")
-    return (out, state.log) if collect_log else out
+    return out

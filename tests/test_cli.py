@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym.cli import check_level, cli_dispatch, make_parser
+from fareysym.kulkarni import gamma0_symbol
+from fareysym.siegel import base_cut
 from fareysym.symbol import FareySymbol
 
 
@@ -102,6 +104,15 @@ class TestExitCodes:
         assert run(capsys, "member", "--level", "5",
                    "--matrix", "nope")[0] == 2
         assert run(capsys, "info", "--in", str(tmp_path / "missing.json"))[0] == 2
+
+    def test_normalize_names_its_start_limitation(self, tmp_path, capsys):
+        # a valid symbol whose arc (infinity, 0) lies in no block at the
+        # start; normalize picks the rotation itself, so rotating is no cure
+        path = tmp_path / "cut.json"
+        path.write_text(base_cut(gamma0_symbol(10), 2, 0, 3, "other")[0].to_json())
+        code, _, err = run(capsys, "normalize", "--in", str(path))
+        assert code == 2
+        assert "lies in no block" in err and "rotate" not in err
 
     @pytest.mark.parametrize("command", ["info", "normalize"])
     @pytest.mark.parametrize("change", [

@@ -161,6 +161,17 @@ class TestExpressWord:
                 w = express_word(s, g)
                 assert w is not None and word_product(s, w).psl_eq(g)
 
+    def test_huge_translation_is_one_letter(self, symbol_for, normalized_for):
+        # for N > 1 the stabilizer of infinity is one gluing, so T^e is one
+        # letter whatever e; at N = 1 it is two, and |e| copies hit the cap
+        g = IMat(1, 10**12, 0, 1)
+        for s in (symbol_for(6), normalized_for(6)):
+            for h in (g, g.inverse()):
+                w = express_word(s, h)
+                assert len(w) == 1 and word_product(s, w).psl_eq(h)
+        with pytest.raises(FareyError, match="step cap"):
+            express_word(symbol_for(1), g)
+
 
 class TestCuspEquivalence:
     """Endpoint equivalence structure of normalized symbols."""

@@ -187,18 +187,21 @@ class TestBuild:
 
     def test_trace_replays(self):
         for N in (1, 2, 13, 22, 37, 2310):
-            sym, trace = gamma0_symbol(N, with_trace=True)
+            trace = []
+            sym = gamma0_symbol(N, on_event=trace.append)
             assert replay_trace(trace, level=N) == sym
 
     def test_keyless_trace_replays(self):
         for N in (2, 13, 24):
             fast = gamma0_oracle(N)
             slow = MembershipOracle(fast.predicate, index_bound=fast.index_bound)
-            sym, trace = build_unimodular(slow, with_trace=True)
+            trace = []
+            sym = build_unimodular(slow, on_event=trace.append)
             assert replay_trace(trace) == sym
 
     def test_corrupted_trace_raises(self):
-        _, trace = gamma0_symbol(13, with_trace=True)
+        trace = []
+        gamma0_symbol(13, on_event=trace.append)
         split = trace.index(("mediant", "0/1", "1/1"))
         for bad in (trace[:split + 1] + [trace[split]],  # arc already split
                     [("pair", "1/0", "0/1", "5/7", "1/1")],
@@ -207,7 +210,8 @@ class TestBuild:
                 replay_trace(bad)
 
     def test_incomplete_trace_raises(self):
-        _, trace = gamma0_symbol(13, with_trace=True)
+        trace = []
+        gamma0_symbol(13, on_event=trace.append)
         for bad, match in ((trace[:-1], "no partner"), ([], "no partner"),
                            ([()], "no boundary arc")):
             with pytest.raises(FareyError, match=match):
@@ -218,7 +222,10 @@ class TestBuild:
         # missing arc; duplicating one either splits a gone arc or repeats
         # a pairing, so a replay that succeeds gives the original symbol
         from hypothesis import given, settings, strategies as st
-        built = {N: gamma0_symbol(N, with_trace=True) for N in (1, 2, 13, 37)}
+        built = {}
+        for N in (1, 2, 13, 37):
+            trace = []
+            built[N] = (gamma0_symbol(N, on_event=trace.append), trace)
         edits = st.tuples(st.sampled_from(["drop", "duplicate", "empty"]),
                           st.integers(0, 10**6))
 
@@ -244,11 +251,12 @@ class TestBuild:
             assert out == sym
         prop()
 
-    def test_without_trace_returns_bare_symbol(self):
+    def test_always_returns_a_symbol(self):
         for N in (1, 2, 37):
             sym = gamma0_symbol(N)
             assert isinstance(sym, FareySymbol)
-            assert sym == gamma0_symbol(N, with_trace=True)[0]
+            traced = gamma0_symbol(N, on_event=[].append)
+            assert isinstance(traced, FareySymbol) and traced == sym
 
     @pytest.mark.parametrize("N", sorted(BUILD_DIGESTS))
     def test_build_level_digests(self, N):

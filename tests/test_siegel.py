@@ -144,13 +144,13 @@ class TestSiegelStep:
 
     def test_elliptic_step_adds_one(self, symbol_for):
         # level 10 has an elliptic arc separated from the prefix by a gap
-        state = _start_state(symbol_for(10))
+        log = []
+        state = _start_state(symbol_for(10), on_step=log.append)
         kinds = []
-        state = NormalizationState(state.symbol, state.w_len, [])
         while not state.done():
             w0 = state.w_len
             state = siegel_step(state)
-            kinds.append((state.log[-1]["kind"], state.w_len - w0))
+            kinds.append((log[-1]["kind"], state.w_len - w0))
         assert ("elliptic", 1) in kinds
 
     def test_hyperbolic_step_adds_quad(self, symbol_for):
@@ -183,10 +183,10 @@ class TestSiegelStep:
 
     def test_progress_and_validity_each_step(self, symbol_for):
         oracle = gamma0_oracle(22)
-        state = _start_state(symbol_for(22))
+        state = _start_state(symbol_for(22), on_op=lambda s: s.validate(oracle))
         while not state.done():
             w0 = state.w_len
-            state = siegel_step(state, on_op=lambda s: s.validate(oracle))
+            state = siegel_step(state)
             assert state.w_len > w0
 
     def test_step_refuses_to_move_infinity_zero(self, symbol_for):
@@ -237,8 +237,27 @@ class TestNormalize:
             for m in generators(ns).matrices():
                 assert express_word(s, m) is not None
 
+    def test_parabolic_step_moving_the_tail(self):
+        # (infinity, 0) sits in the gap before the first pair, so the
+        # parabolic step must move the tail block instead (variant B)
+        sym = base_cut(gamma0_symbol(6), 2, 0, 3, "other")[0]
+        out = normalize(sym)
+        out.validate(gamma0_oracle(6))
+        assert out.is_normalized() and out.infinity_zero_arc() is not None
+        assert counts(out) == (0, 4, 0, 0, 12)
+        assert out.block_counts() == (0, 3, 0)
+
+    def test_every_hook_combination_returns_the_symbol(self, symbol_for):
+        sym = symbol_for(15)
+        plain = normalize(sym)
+        for on_op in (None, [].append):
+            for on_step in (None, [].append):
+                out = normalize(sym, on_op=on_op, on_step=on_step)
+                assert isinstance(out, FareySymbol) and out == plain
+
     def test_trace_log(self, symbol_for):
-        out, log = normalize(symbol_for(15), collect_log=True)
+        log = []
+        out = normalize(symbol_for(15), on_step=log.append)
         kinds = [e["kind"] for e in log]
         assert kinds[0] == "extend"
         assert "hyperbolic" in kinds
@@ -310,14 +329,15 @@ class TestNormalize:
                     s = sym.rotated(k)
                     if s.is_normalized():
                         h.update(repr(s.factorize()).encode())
-                    out, log = normalize(s, collect_log=True)
+                    log = []
+                    out = normalize(s, on_step=log.append)
                     h.update((out.to_json() + json.dumps(log)
                               + repr(out.factorize()) + "\n").encode())
                     count += 1
         assert (count, h.hexdigest()) == (
             976, "e53c2a25ef3c08753edff4013297f56be11a9ddf783452b4ab31902185d5b5d5")
 
-    def test_at_most_two_symbols_per_normalize(self, monkeypatch):
+    def test_one_symbol_per_normalize(self, monkeypatch):
         symbols = {N: gamma0_symbol(N) for N in (15, 37, 60, 210)}
         built = []
         init = FareySymbol.__init__
@@ -330,4 +350,4 @@ class TestNormalize:
         for N, sym in symbols.items():
             del built[:]
             normalize(sym)
-            assert len(built) <= 2, (N, len(built))
+            assert len(built) == 1, (N, len(built))
