@@ -35,7 +35,7 @@ def _load_symbol(args):
             sym = FareySymbol.from_json(fh.read())
         sym.validate()
         return sym
-    if getattr(args, "level", None):
+    if getattr(args, "level", None) is not None:
         return gamma0_symbol(args.level)
     raise InvalidSymbolError("either --level or --in is required")
 

@@ -3,7 +3,7 @@
 the word problem in the gluing generators.
 """
 
-from .exact import Cusp, IMat, IDENTITY, INFINITY, FareyError
+from .exact import IMat, IDENTITY, FareyError
 
 
 class CuspClass:
@@ -159,22 +159,38 @@ def word_product(sym, word):
     return out
 
 
-def _infinity_orbit(sym):
-    for orbit in cusp_orbits(sym):
-        if INFINITY in (sym.vertices[i] for i in orbit.vertex_indices):
-            return orbit
-    raise FareyError("infinity is not a vertex of the symbol")
+def _word_data(sym):
+    """The word problem's per-symbol data, built once: the index k of the
+    arc (infinity, 0), the numerators and denominators of the vertices
+    after infinity (increasing, see FareySymbol.vertex_order), the inverse
+    gluings, the largest vertex entry, and the width and stabilizer word
+    of the cusp at infinity, rotated to start at infinity itself."""
+    memo = sym._memo
+    if "word" in memo:
+        return memo["word"]
+    k, finite = sym.vertex_order()
+    orbit = next(o for o in cusp_orbits(sym) if k in o.vertex_indices)
+    cycle = orbit.vertex_indices
+    pos = cycle.index(k)
+    cycle = cycle[pos:] + cycle[:pos]
+    memo["word"] = (k, [v.num for v in finite], [v.den for v in finite],
+                    [g.inverse() for g in sym.gluings()],
+                    max(max(abs(v.num), v.den) for v in sym.vertices),
+                    orbit.width, [(i, -1) for i in reversed(cycle)])
+    return memo["word"]
 
 
 def express_word(sym, g):
-    """Express g as a word in the gluing generators, or None if g is not in
-    the group.
+    """Express g as a word in the gluing generators of a valid symbol, or
+    None if g is not in the group.
 
     Returns a list of (arc index, exponent) whose product equals g up to
     sign.  The reduction repeatedly locates the image of infinity (nudged
     off the vertices by evaluating at a large rational) among the boundary
     intervals and strips the corresponding generator; a matrix fixing
     infinity is then compared against powers of the stabilizer of infinity.
+    Read from infinity, the vertices of a valid symbol increase, so each
+    step finds its interval by bisection, in O(log n) cross products.
 
     The entry-size of the working matrix can grow transiently (a parabolic
     shift may enlarge the top row before the next step flips it down), so
@@ -187,18 +203,7 @@ def express_word(sym, g):
     """
     if g.det() != 1:
         raise FareyError("express_word needs an integral det-1 matrix")
-    orbit = _infinity_orbit(sym)
-    width = orbit.width
-    stab = orbit.stabilizer_word
-    # rotate the stabilizer word so it starts at infinity itself
-    pos = next(k for k, (i, _) in enumerate(reversed(stab))
-               if sym.vertices[i] == INFINITY)
-    cycle = [i for i, _ in reversed(stab)]
-    cycle = cycle[pos:] + cycle[:pos]
-    stab = [(i, -1) for i in reversed(cycle)]
-    vertex_set = set(sym.vertices)
-    verts = sym.vertices
-    vert_height = max(max(abs(v.num), v.den) for v in verts)
+    k, nums, dens, inverses, vert_height, width, stab = _word_data(sym)
     n = sym.n
 
     word = []
@@ -215,10 +220,10 @@ def express_word(sym, g):
         if g.is_identity_psl():
             return word
         if g.c == 0:
-            k = g.b * g.a  # psl-normalization makes the diagonal +-1
-            if k % width:
+            shift = g.b * g.a  # psl-normalization makes the diagonal +-1
+            if shift % width:
                 return None
-            e = k // width
+            e = shift // width
             if len(stab) == 1:
                 return word + [(stab[0][0], -e)]
             if abs(e) * len(stab) > cap:
@@ -226,22 +231,28 @@ def express_word(sym, g):
             if e < 0:
                 stab = [(i, -x) for i, x in reversed(stab)]
             return word + stab * abs(e)
+        # x = (p : q) = g(m), q > 0; c != 0 and m > |d| make q nonzero
         m = 1 + max(max(abs(x) for x in g.entries()), vert_height)
-        while True:
-            x = Cusp(g.a * m + g.b, g.c * m + g.d)
-            if x not in vertex_set:
-                break
-            m *= 2
         side = None
-        for i in range(n):
-            r, s = verts[i], verts[(i + 1) % n]
-            if (r.num * x.den - x.num * r.den) * (x.num * s.den - s.num * x.den) \
-                    * (s.num * r.den - r.num * s.den) > 0:
-                side = i
-                break
-        if side is None:
-            raise FareyError("image of infinity escaped all boundary intervals")
-        g2 = (sym.gluing(side).inverse() * g).psl_normalize()
+        while side is None:
+            p, q = g.a * m + g.b, g.c * m + g.d
+            if q < 0:
+                p, q = -p, -q
+            # the finite vertices before lo lie below x, those from hi on above
+            lo, hi = 0, n - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                d = p * dens[mid] - nums[mid] * q
+                if d == 0:  # x is a vertex: move it off
+                    m *= 2
+                    break
+                if d < 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            else:
+                side = (k + lo) % n
+        g2 = (inverses[side] * g).psl_normalize()
         if g2.size() < best:
             best = g2.size()
             since_best = 0

@@ -19,8 +19,8 @@ from collections import deque
 from math import gcd
 
 from . import classical
-from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, ORDER2, ORDER3,
-                    REVERSE, arc_matrix)
+from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
+                    ORDER2, ORDER3, REVERSE, arc_matrix)
 from .symbol import FareySymbol
 
 # order-3 rotation attached to the arc (infinity, 0)
@@ -93,7 +93,7 @@ class MembershipOracle:
 def gamma0_oracle(N):
     """Oracle for the Hecke congruence subgroup Gamma0(N): c = 0 mod N."""
     if N < 1:
-        raise FareyError("level must be a positive integer, got %r" % N)
+        raise InvalidSymbolError("level must be a positive integer, got %r" % N)
     return MembershipOracle(
         lambda m: m.c % N == 0,
         index_bound=classical.index_gamma0(N),

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import REVERSE, FareyError
+from .exact import REVERSE, FareyError, InvalidSymbolError
 
 
 @dataclass
@@ -28,9 +28,9 @@ class RenderSpec:
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
-            raise FareyError("render dimensions must be positive")
+            raise InvalidSymbolError("render dimensions must be positive")
         if not self.xmax > self.xmin:
-            raise FareyError("empty x-range")
+            raise InvalidSymbolError("empty x-range")
 
 
 def _fmt(x):

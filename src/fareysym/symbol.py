@@ -10,8 +10,8 @@ stored, so any transformation only has to produce vertices and a pairing.
 import json
 
 from .exact import (Cusp, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    NotNormalizedError, ORDER3, REVERSE, arc_matrix,
-                    circular_order, classify, exact_div,
+                    NotNormalizedError, ORDER3, REVERSE, arc_matrix, classify,
+                    cross, exact_div,
                     CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
 
 
@@ -122,6 +122,27 @@ class FareySymbol:
             if r == INFINITY and s == ZERO:
                 return i
         return None
+
+    def vertex_order(self):
+        """(k, finite): the index k of the arc (infinity, 0) and the
+        vertices after infinity, read from that arc on.
+
+        The vertices go once around P^1(R) in circular order exactly when
+        finite is 0 and then strictly increasing rationals; raises
+        InvalidSymbolError otherwise.  This costs one cross product per
+        vertex, and it is what lets the word problem locate a point among
+        the boundary intervals by bisection.
+        """
+        k = self.infinity_zero_arc()
+        if k is None:
+            raise InvalidSymbolError("no arc (infinity, 0)")
+        finite = self.vertices[k + 1:] + self.vertices[:k]
+        for r, s in zip(finite, finite[1:]):
+            if not s.den or cross(r, s) >= 0:
+                raise InvalidSymbolError(
+                    "vertices read from (infinity, 0) are not increasing at %s, %s"
+                    % (r, s))
+        return k, finite
 
     # -- gluing data -----------------------------------------------------
 
@@ -261,26 +282,15 @@ class FareySymbol:
     def validate(self, oracle=None):
         """Full structural validation; raises InvalidSymbolError on failure.
 
-        Checks distinct vertices in circular order, presence of the arc
-        (infinity, 0), involution consistency (done at construction), equal
-        widths on paired arcs, integrality/det of every gluing matrix and a
-        nontrivial gluing on every pair of distinct arcs.
+        Checks the arc (infinity, 0) and that the vertices go once around
+        in circular order (see vertex_order), involution consistency (done
+        at construction), equal widths on paired arcs, integrality/det of
+        every gluing matrix and a nontrivial gluing on every pair of
+        distinct arcs.
         With an oracle, additionally checks membership of every gluing.
         """
-        n = self.n
-        if len(set(self.vertices)) != n:
-            raise InvalidSymbolError("vertices are not pairwise distinct")
-        if n >= 3:
-            for i in range(n):
-                r = self.vertices[i]
-                s = self.vertices[(i + 1) % n]
-                t = self.vertices[(i + 2) % n]
-                if circular_order(r, s, t) != 1:
-                    raise InvalidSymbolError(
-                        "vertices out of circular order at %s, %s, %s" % (r, s, t))
-        if self.infinity_zero_arc() is None:
-            raise InvalidSymbolError("no arc (infinity, 0)")
-        for i in range(n):
+        self.vertex_order()
+        for i in range(self.n):
             j = self.pairing[i]
             if self.width(i) != self.width(j):
                 raise InvalidSymbolError(

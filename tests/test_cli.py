@@ -136,6 +136,36 @@ class TestExitCodes:
         assert run(capsys, command, "--in", str(bad))[0] == 2
 
 
+    @pytest.mark.parametrize("command", ["info", "normalize", "presentation"])
+    def test_vertices_winding_twice_are_2(self, tmp_path, capsys, command):
+        # every consecutive triple is in circular order, but the list goes
+        # twice around P^1(R), so it bounds no polygon
+        doc = {"vertices": ["1/0", "0/1", "1/2", "-1/1", "-1/2", "3/1"],
+               "pairing": [0, 1, 2, 3, 4, 5],
+               "ell": {"0": 2, "1": 2, "2": 3, "3": 2, "4": 3, "5": 2}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--in", str(bad))
+        assert (code, out) == (2, "")
+        assert "increasing" in err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["build", "--level"],
+        ["info", "--level"],
+        ["normalize", "--level"],
+        ["presentation", "--level"],
+        ["render", "--level"],
+        ["member", "--matrix", "1,0,0,1", "--level"],
+        ["render", "--level", "6", "--width"],
+        ["render", "--level", "6", "--height"],
+    ])
+    def test_nonpositive_size_is_2(self, capsys, argv, size):
+        code, out, err = run(capsys, *argv, size)
+        assert (code, out) == (2, "")
+        assert "positive" in err
+
+
 class TestParserReuse:
     CALLS = [
         ["build"],

@@ -1,12 +1,21 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
 from fareysym.exact import (IMat, IDENTITY, FareyError,
                             classify, CLS_PARABOLIC)
 from fareysym.invariants import (contains, counts, cusp_orbits, express_word,
                                  generators, word_product)
+from fareysym.kulkarni import gamma0_symbol
+from fareysym.siegel import normalize
+
+S, T = IMat(0, 1, -1, 0), IMat(1, 1, 0, 1)
+# a member of Gamma0(6) that the stall window rejects on the normalized symbol
+WITNESS_6 = IMat(775716883104425, 33344582147310051, 24629656566474,
+                 1058718231520391)
 
 
 def transporter_candidates(c1, c2, k_range=12):
@@ -171,6 +180,89 @@ class TestExpressWord:
                 assert len(w) == 1 and word_product(s, w).psl_eq(h)
         with pytest.raises(FareyError, match="step cap"):
             express_word(symbol_for(1), g)
+
+
+def member_matrix(rng, sym, bits):
+    """Random word in the gluings of sym until an entry reaches `bits`."""
+    gens = sym.gluings()
+    g = IDENTITY
+    while max(abs(x) for x in g.entries()).bit_length() < bits:
+        h = rng.choice(gens)
+        g = g * (h if rng.random() < 0.5 else h.inverse())
+    return g
+
+
+def st_matrix(rng, bits):
+    """Random S/T word, T exponents in +-1..3, until an entry reaches `bits`."""
+    g = IDENTITY
+    while max(abs(x) for x in g.entries()).bit_length() < bits:
+        g = g * (S if rng.random() < 0.5 else T ** rng.choice((-3, -2, -1, 1, 2, 3)))
+    return g
+
+
+def word_record(sym, g):
+    """express_word's answer as text: the word, None, or the error message."""
+    try:
+        return repr(express_word(sym, g))
+    except FareyError as e:
+        return "FareyError: %s" % e
+
+
+class TestWordProblemIsPinned:
+    """Every answer of express_word, None and errors included, on fixed
+    seeded inputs: a change to how the reduction finds its steps must leave
+    each word unchanged."""
+
+    @staticmethod
+    def digest(levels, bits, count, rotate):
+        h = hashlib.sha256()
+        records = 0
+        for N in levels:
+            uni = gamma0_symbol(N)
+            rng = random.Random(N)
+            mats = [member_matrix(rng, uni, bits) for _ in range(count)]
+            mats += [st_matrix(rng, bits) for _ in range(count)]
+            if N <= 40 and not rotate:
+                # the ROADMAP witness, and a member with a partial quotient
+                # near 2^40, which runs into the step cap
+                mats.append(WITNESS_6)
+                u = member_matrix(rng, uni, 8)
+                mats.append(u * IMat(1, 0, N, 1) ** (2 ** 40 + 3) * u.inverse())
+            for sym in (uni, normalize(uni)):
+                # rotations put infinity at every offset of the vertex list
+                for k in (range(sym.n) if rotate else (0,)):
+                    s = sym.rotated(k)
+                    for g in mats:
+                        h.update((word_record(s, g) + "\n").encode())
+                        records += 1
+        return records, h.hexdigest()
+
+    def test_every_rotation(self):
+        assert self.digest(range(1, 41), 24, 2, True) == (
+            3904, "5806620daed64103e4fbaa814ad0c0aaa0b52b339f02a7fb1d564fcd1d5f8a01")
+
+    def test_large_levels_and_known_defects(self):
+        assert self.digest((6, 36, 180, 210), 64, 4, False) == (
+            72, "c1bfda9089d79d8b40e6543f4be1891e22c019a533230b1d19c811f455528d08")
+
+
+def test_words_on_rotated_symbols(symbol_for, normalized_for):
+    """A returned word multiplies back to +-g on every rotation; on a
+    unimodular symbol None comes only for c != 0 mod N."""
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((1, 2, 6, 13, 15, 36, 37)), st.booleans(),
+           st.integers(0, 10 ** 6), st.booleans(), st.integers(0, 2 ** 32))
+    def prop(N, normalized, k, member, seed):
+        uni = symbol_for(N)
+        sym = (normalized_for(N) if normalized else uni).rotated(k)
+        rng = random.Random(seed)
+        g = member_matrix(rng, uni, 40) if member else st_matrix(rng, 40)
+        word = express_word(sym, g)
+        if word is not None:
+            assert word_product(sym, word).psl_eq(g)
+        elif not normalized:
+            assert g.c % N != 0
+    prop()
 
 
 class TestCuspEquivalence:

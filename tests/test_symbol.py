@@ -207,10 +207,14 @@ class TestValidation:
             s.validate()
 
     def test_out_of_order_vertices(self):
-        s = FareySymbol([INFINITY, ZERO, Cusp(1, 1), Cusp(1, 2)],
-                        [1, 0, 3, 2], {})
-        with pytest.raises(InvalidSymbolError):
-            s.validate()
+        for s in (
+                FareySymbol([INFINITY, ZERO, Cusp(1, 1), Cusp(1, 2)], [1, 0, 3, 2], {}),
+                # every consecutive triple in circular order, yet two turns around
+                FareySymbol([INFINITY, ZERO, Cusp(1, 2), Cusp(-1, 1), Cusp(-1, 2),
+                             Cusp(3, 1)], range(6),
+                            {0: 2, 1: 2, 2: 3, 3: 2, 4: 3, 5: 2})):
+            with pytest.raises(InvalidSymbolError, match="increasing"):
+                s.validate()
 
 
 class TestRotationAndJson:
