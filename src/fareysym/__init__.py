@@ -8,7 +8,7 @@ degree-zero divisors on P^1(Q), and a solution of the word problem.
 
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
                     InvalidSymbolError, NotNormalizedError,
-                    arc_matrix, circular_order, classify)
+                    arc_matrix, classify)
 from .symbol import FareySymbol
 from .kulkarni import (MembershipOracle, build_unimodular, gamma0_oracle,
                        gamma0_symbol, p1_normalize, replay_trace)
@@ -22,7 +22,7 @@ from .render import RenderSpec, render_chords, render_polygon
 
 __all__ = [
     "Cusp", "IMat", "INFINITY", "ZERO", "FareyError", "InvalidSymbolError",
-    "NotNormalizedError", "arc_matrix", "circular_order", "classify",
+    "NotNormalizedError", "arc_matrix", "classify",
     "FareySymbol", "MembershipOracle", "build_unimodular",
     "gamma0_oracle", "gamma0_symbol", "p1_normalize", "replay_trace",
     "NormalizationState", "base_cut", "base_cut_elliptic", "normalize",

@@ -16,7 +16,7 @@ from . import classical
 from .exact import FareyError, IMat, InvalidSymbolError, NotNormalizedError
 from .invariants import counts, cusp_orbits, express_word, generators
 from .kulkarni import gamma0_oracle, gamma0_symbol
-from .render import RenderSpec, render_chords, render_polygon
+from .render import STYLES, RenderSpec, render_chords, render_polygon
 from .siegel import normalize
 from .symbol import FareySymbol
 from .delta0 import delta0_presentation
@@ -114,13 +114,8 @@ def _cmd_member(args):
 def _cmd_render(args):
     sym = _load_symbol(args)
     spec = RenderSpec(style=args.style, width=args.width, height=args.height)
-    if args.style == "chords":
-        doc = render_chords(sym, spec)
-    elif args.style in ("halfplane", "disk"):
-        doc = render_polygon(sym, spec)
-    else:
-        raise InvalidSymbolError("unknown style %r" % args.style)
-    _emit(doc, args.out)
+    render = render_chords if args.style == "chords" else render_polygon
+    _emit(render(sym, spec), args.out)
 
 
 def check_level(N):
@@ -208,8 +203,7 @@ def make_parser():
     rd = sub.add_parser("render", help="SVG drawing of a symbol")
     rd.add_argument("--level", type=int)
     rd.add_argument("--in", dest="infile")
-    rd.add_argument("--style", default="chords",
-                    choices=("chords", "halfplane", "disk"))
+    rd.add_argument("--style", default="chords", choices=STYLES)
     rd.add_argument("--width", type=int, default=600)
     rd.add_argument("--height", type=int, default=400)
     rd.add_argument("--out")

@@ -99,20 +99,6 @@ def cross(r, s):
     return r.num * s.den - s.num * r.den
 
 
-def circular_order(r, s, t):
-    """+1 if (r, s, t) is positively oriented on the circle P^1(R), else -1.
-
-    Positive orientation is the counterclockwise order of the images under
-    the Cayley transform z -> (i-z)/(i+z); computed exactly as the sign of
-    D(r,s)*D(s,t)*D(t,r).
-    """
-    d1, d2, d3 = cross(r, s), cross(s, t), cross(t, r)
-    if d1 == 0 or d2 == 0 or d3 == 0:
-        raise FareyError("circular_order requires pairwise distinct points")
-    p = d1 * d2 * d3
-    return 1 if p > 0 else -1
-
-
 class IMat:
     """A 2x2 integer matrix [[a, b], [c, d]].
 

@@ -27,23 +27,6 @@ class CuspClass:
             self.representative, self.width, len(self.vertex_indices))
 
 
-def successor_permutation(sym):
-    """The successor map on vertex indices: v -> gluing(arc at v)^-1 (v).
-
-    Vertex i is the origin of arc i, and the image is again a vertex; the
-    cycles of this permutation are the Gamma-orbits of the vertices.
-    """
-    where = {v: i for i, v in enumerate(sym.vertices)}
-    succ = []
-    for i in range(sym.n):
-        img = sym.gluing(i).inverse().apply(sym.vertices[i])
-        j = where.get(img)
-        if j is None:
-            raise FareyError("successor of vertex %s is not a vertex" % sym.vertices[i])
-        succ.append(j)
-    return succ
-
-
 def _width_at(delta, cusp):
     """w > 0 with delta conjugate to [[1, w], [0, 1]] fixing the cusp."""
     p, q = cusp.num, cusp.den
@@ -63,15 +46,19 @@ def _width_at(delta, cusp):
 def cusp_orbits(sym):
     """Gamma-orbits of the polygon vertices, as CuspClass records.
 
-    The sum of the widths over all orbits equals the index of the group.
+    Vertex i is the origin of arc i, and its successor gluing(i)^-1(v_i) is
+    the end of the partner arc, vertex pairing[i] + 1: gluing(i) carries the
+    reversed partner onto arc i, and an order-3 gluing sends v_{i+1} to v_i.
+    The cycles of the successor map are the orbits.  The sum of the widths
+    over all orbits equals the index of the group.
     """
     memo = sym._memo
     if "orbits" in memo:
         return memo["orbits"]
-    succ = successor_permutation(sym)
-    seen = [False] * sym.n
+    n = sym.n
+    seen = [False] * n
     orbits = []
-    for start in range(sym.n):
+    for start in range(n):
         if seen[start]:
             continue
         cycle = []
@@ -79,9 +66,7 @@ def cusp_orbits(sym):
         while not seen[i]:
             seen[i] = True
             cycle.append(i)
-            i = succ[i]
-        if i != start:
-            raise FareyError("successor map is not a permutation")
+            i = (sym.pairing[i] + 1) % n
         word = [(j, -1) for j in reversed(cycle)]
         delta = IDENTITY
         for j in cycle:

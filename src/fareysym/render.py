@@ -1,11 +1,15 @@
 """SVG rendering: chord diagrams of the pairing involution and fundamental
 polygons in the upper half-plane or the unit disk.
 
-All geometry is exact until the final coordinate formatting; elliptic
-interior points are computed as exact rational pairs (for the order-2
-midpoint) or rational multiples of sqrt(3) (for the order-3 center) and
-only converted to floats when written out.  Output bytes are deterministic
-for a fixed symbol and spec.
+Nothing is sampled: each geodesic is drawn as the curve it is in its
+model, from its two ends alone.  In the half-plane that is a vertical
+segment or a circle arc centred on the real axis; in the disk it is an arc
+of the circle orthogonal to the boundary circle, or a diameter.  The ends
+are exact until the final coordinate formatting: cusps are rationals, and
+elliptic interior points are exact rational pairs (for the order-2
+midpoint) or rational multiples of sqrt(3) (for the order-3 center), only
+converted to floats when a path is written out.  Output bytes are
+deterministic for a fixed symbol and spec.
 """
 
 import math
@@ -14,19 +18,24 @@ from fractions import Fraction
 
 from .exact import REVERSE, FareyError, InvalidSymbolError
 
+STYLES = ("chords", "halfplane", "disk")
+STROKE = "#1f4e79"
+ACCENT = "#c0392b"
+BACKGROUND = "#ffffff"
+
 
 @dataclass
 class RenderSpec:
-    style: str = "chords"          # chords | halfplane | disk
+    style: str = "chords"          # one of STYLES
     width: int = 600
     height: int = 400
     xmin: float = -0.25
     xmax: float = 1.25
-    stroke: str = "#1f4e79"
-    accent: str = "#c0392b"
-    background: str = "#ffffff"
 
     def __post_init__(self):
+        if self.style not in STYLES:
+            raise InvalidSymbolError("unknown render style %r (expected one of %s)"
+                                     % (self.style, ", ".join(STYLES)))
         if self.width <= 0 or self.height <= 0:
             raise InvalidSymbolError("render dimensions must be positive")
         if not self.xmax > self.xmin:
@@ -42,7 +51,7 @@ def _svg(spec, body):
             'viewBox="0 0 %d %d">' % (spec.width, spec.height,
                                       spec.width, spec.height))
     bg = '<rect width="%d" height="%d" fill="%s"/>' % (
-        spec.width, spec.height, spec.background)
+        spec.width, spec.height, BACKGROUND)
     return head + bg + "".join(body) + "</svg>"
 
 
@@ -66,20 +75,20 @@ def render_chords(sym, spec=None):
             body.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" '
                         'class="chord"/>' % (_fmt(pts[i][0]), _fmt(pts[i][1]),
                                              _fmt(pts[j][0]), _fmt(pts[j][1]),
-                                             spec.stroke))
+                                             STROKE))
     for k in range(n):
         x, y = pts[k]
         if sym.pairing[k] == k:
             if sym.ell[k] == 3:
                 body.append('<circle cx="%s" cy="%s" r="5.00" fill="%s" '
-                            'class="dot3"/>' % (_fmt(x), _fmt(y), spec.accent))
+                            'class="dot3"/>' % (_fmt(x), _fmt(y), ACCENT))
             else:
                 body.append('<circle cx="%s" cy="%s" r="5.00" fill="%s" '
                             'stroke="%s" class="dot2"/>'
-                            % (_fmt(x), _fmt(y), spec.background, spec.accent))
+                            % (_fmt(x), _fmt(y), BACKGROUND, ACCENT))
         else:
             body.append('<circle cx="%s" cy="%s" r="2.50" fill="%s"/>'
-                        % (_fmt(x), _fmt(y), spec.stroke))
+                        % (_fmt(x), _fmt(y), STROKE))
     return _svg(spec, body)
 
 
@@ -184,6 +193,9 @@ def _halfplane_segments(sym):
 def render_polygon(sym, spec=None):
     """Fundamental polygon drawing, half-plane or disk style."""
     spec = spec or RenderSpec(style="halfplane")
+    if spec.style == "chords":
+        raise InvalidSymbolError("render_polygon draws the halfplane or disk "
+                                 "style; chords come from render_chords")
     if spec.style == "disk":
         return _render_disk(sym, spec)
     plane = _Plane(spec)
@@ -194,59 +206,49 @@ def render_polygon(sym, spec=None):
     for seg in _halfplane_segments(sym):
         if seg[0] == "full":
             path = _geodesic_path(plane, seg[1], seg[2])
-            body.append('<path d="%s" fill="none" stroke="%s"/>' % (path, spec.stroke))
+            body.append('<path d="%s" fill="none" stroke="%s"/>' % (path, STROKE))
         else:
             path = _geodesic_to_interior(plane, seg[1], seg[2])
-            body.append('<path d="%s" fill="none" stroke="%s"/>' % (path, spec.accent))
+            body.append('<path d="%s" fill="none" stroke="%s"/>' % (path, ACCENT))
     return _svg(spec, body)
 
 
-def _cayley(x, y):
-    # (i - z)/(i + z) for z = x + iy
-    den = x * x + (1.0 + y) ** 2
+def _disk_path(b, w, cx, cy, rad):
+    """SVG path of the disk geodesic from the boundary point b to the point
+    w (on the boundary or inside), both complex, in a picture of the unit
+    disk centred at (cx, cy) with radius rad.
+
+    The geodesic lies on the circle through b and w orthogonal to the unit
+    circle.  Its centre is c = b + t*i*b on the tangent at b, with
+    |c - b| = |c - w| = |t|, which gives
+    t = |w - b|^2 / (2 Re((w - b) conj(i b))).  The arc inside the disk is
+    less than a half circle (large-arc 0); the sign of
+    Im(conj(b - c)(w - c)) tells whether it turns clockwise from b to w.
+    When w lies on the diameter through b the denominator vanishes, the
+    circle degenerates to that diameter and the path is a straight segment.
+    """
+    start = "M %s %s" % (_fmt(cx + rad * b.real), _fmt(cy - rad * b.imag))
+    end = "%s %s" % (_fmt(cx + rad * w.real), _fmt(cy - rad * w.imag))
+    den = 2 * ((w - b) * (1j * b).conjugate()).real
     if den == 0:
-        return (-1.0, 0.0)
-    re = (1.0 - x * x - y * y) / den
-    im = (-2.0 * x) / den
-    return (re, im)
+        return "%s L %s" % (start, end)
+    t = abs(w - b) ** 2 / den
+    c = b + t * 1j * b
+    # screen y points down, so a clockwise turn in the disk is SVG's positive sweep
+    sweep = 1 if ((b - c).conjugate() * (w - c)).imag < 0 else 0
+    r = _fmt(abs(t) * rad)
+    return "%s A %s %s 0 0 %d %s" % (start, r, r, sweep, end)
 
 
-def _sample_geodesic(x1, x2, k=48):
-    """Sample points of the half-plane geodesic between boundary points."""
-    pts = []
-    big = 10.0 ** 6
-    if x1 is None or x2 is None:
-        x = x2 if x1 is None else x1
-        for j in range(k + 1):
-            y = big ** (1.0 - j / k) - (1.0 if j == k else 0.0)
-            pts.append((x, max(y, 0.0)))
-        if x1 is None:
-            return pts
-        return pts[::-1]
-    c = (x1 + x2) / 2.0
-    r = abs(x2 - x1) / 2.0
-    a1 = math.pi if x1 < x2 else 0.0
-    a2 = 0.0 if x1 < x2 else math.pi
-    for j in range(k + 1):
-        t = a1 + (a2 - a1) * j / k
-        pts.append((c + r * math.cos(t), r * math.sin(t)))
-    return pts
-
-
-def _sample_to_interior(x, pt, k=48):
-    px, py = pt
+def _to_disk(x, y=0.0):
+    """The point x + iy of the closed upper half-plane (x None for infinity)
+    as a complex number in the unit disk, under z -> (i + conj z)/(i - conj z),
+    the complex conjugate of the Cayley map (i - z)/(i + z).  It sends
+    infinity to -1 and 0 to 1, and maps geodesics onto geodesics."""
     if x is None:
-        out = [(px, py * ((10.0 ** 4) ** (1.0 - j / k))) for j in range(k + 1)]
-        out[-1] = (px, py)
-        return out
-    if px == x:
-        return [(x, py * j / k) for j in range(k + 1)]
-    c = (px * px + py * py - x * x) / (2.0 * (px - x))
-    r = abs(c - x)
-    a1 = math.atan2(0.0, x - c)
-    a2 = math.atan2(py, px - c)
-    return [(c + r * math.cos(a1 + (a2 - a1) * j / k),
-             r * math.sin(a1 + (a2 - a1) * j / k)) for j in range(k + 1)]
+        return complex(-1.0, 0.0)
+    z = complex(x, -y)
+    return (1j + z) / (1j - z)
 
 
 def _render_disk(sym, spec):
@@ -254,20 +256,11 @@ def _render_disk(sym, spec):
     rad = 0.45 * min(spec.width, spec.height)
     body = ['<circle cx="%s" cy="%s" r="%s" fill="none" stroke="#bbbbbb"/>'
             % (_fmt(cx), _fmt(cy), _fmt(rad))]
-
-    def screen(p):
-        re, im = _cayley(*p)
-        return (cx + rad * re, cy - rad * im)
-
     for seg in _halfplane_segments(sym):
         if seg[0] == "full":
-            pts = _sample_geodesic(seg[1], seg[2])
-            color = spec.stroke
+            w, color = _to_disk(seg[2]), STROKE
         else:
-            pts = _sample_to_interior(seg[1], seg[2])
-            color = spec.accent
-        coords = " ".join("%s,%s" % (_fmt(px), _fmt(py))
-                          for px, py in (screen(p) for p in pts))
-        body.append('<polyline points="%s" fill="none" stroke="%s"/>'
-                    % (coords, color))
+            w, color = _to_disk(*seg[2]), ACCENT
+        body.append('<path d="%s" fill="none" stroke="%s"/>'
+                    % (_disk_path(_to_disk(seg[1]), w, cx, cy, rad), color))
     return _svg(spec, body)

@@ -342,12 +342,16 @@ class FareySymbol:
             ell = d.get("ell", {})
             if not isinstance(ell, dict):
                 raise TypeError('"ell" must be an object')
+            for i in ell:
+                # one spelling per arc, so no two keys can name the same arc
+                if type(i) is not str or i != str(int(i)):
+                    raise ValueError('"ell" key %r is not an arc index in decimal' % (i,))
             ell = {int(i): mu for i, mu in ell.items()}
             if any(type(x) is not int for x in pairing + list(ell.values())):
                 raise TypeError('"pairing" entries and "ell" values must be integers')
             level = d.get("level")
-            if level is not None and type(level) is not int:
-                raise TypeError('"level" must be an integer')
+            if level is not None and (type(level) is not int or level <= 0):
+                raise TypeError('"level" must be a positive integer')
         except (KeyError, ValueError, TypeError, OverflowError, FareyError) as e:
             raise InvalidSymbolError("malformed symbol data: %s" % e)
         return FareySymbol(verts, pairing, ell, level)

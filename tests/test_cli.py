@@ -126,6 +126,14 @@ class TestExitCodes:
         {"pairing": ["2", 1, 0]},
         {"pairing": [2, True, 0]},
         {"ell": {"1": 2.2}},
+        # keys that int() reads as arc 1 but that are not its decimal name;
+        # the first pair would otherwise give arc 1 both orders
+        {"ell": {"1": 2, "01": 3}},
+        {"ell": {"01": 2}},
+        {"ell": {" 1": 2}},
+        {"ell": {"+1": 2}},
+        {"level": 0},
+        {"level": -3},
     ])
     def test_malformed_input_is_2(self, tmp_path, capsys, command, change):
         doc = {"vertices": ["1/0", "0/1", "1/1"], "pairing": [2, 1, 0],

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
-                            ORDER3, REVERSE, arc_matrix, circular_order,
+                            ORDER3, REVERSE, arc_matrix,
                             classify, CLS_ELLIPTIC2, CLS_ELLIPTIC3,
                             CLS_HYPERBOLIC, CLS_IDENTITY, CLS_PARABOLIC)
 
@@ -161,28 +161,6 @@ class TestMoebius:
                 continue
             xs = [rand_cusp(rng) for _ in range(4)]
             assert m.apply_all(xs) == [m.apply(x) for x in xs]
-
-
-class TestCircularOrder:
-    def test_fixtures(self):
-        assert circular_order(ZERO, Cusp(1, 1), INFINITY) == 1
-        assert circular_order(INFINITY, ZERO, Cusp(1, 5)) == 1
-        assert circular_order(Cusp(1, 1), ZERO, INFINITY) == -1
-
-    def test_repeated_point_rejected(self):
-        with pytest.raises(FareyError):
-            circular_order(ZERO, ZERO, INFINITY)
-
-    def test_rotation_and_transposition(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            r, s, t = rand_cusp(rng), rand_cusp(rng), rand_cusp(rng)
-            if r == s or s == t or r == t:
-                continue
-            o = circular_order(r, s, t)
-            assert circular_order(s, t, r) == o
-            assert circular_order(t, r, s) == o
-            assert circular_order(s, r, t) == -o
 
 
 class TestClassify:

@@ -67,6 +67,22 @@ class TestCuspOrbits:
             assert sum(o.width for o in cusp_orbits(normalized_for(N))) \
                 == classical.index_gamma0(N)
 
+    def test_successor_is_partner_arc_end(self, symbol_for, normalized_for):
+        """The reference successor of vertex i is the Moebius image
+        gluing(i)^-1(v_i), looked up among the vertices; cusp_orbits walks
+        (pairing[i] + 1) mod n instead, so each orbit is a cycle of it."""
+        for N in range(1, 41):
+            for base in (symbol_for(N), normalized_for(N)):
+                for k in range(base.n):
+                    s = base.rotated(k)
+                    where = {v: i for i, v in enumerate(s.vertices)}
+                    succ = [where[s.gluing(i).inverse().apply(v)]
+                            for i, v in enumerate(s.vertices)]
+                    assert succ == [(j + 1) % s.n for j in s.pairing], (N, k)
+                    for o in cusp_orbits(s):
+                        cyc = o.vertex_indices
+                        assert [succ[i] for i in cyc] == list(cyc[1:] + cyc[:1])
+
 
 class TestCounts:
     @pytest.mark.parametrize("N,expected", [

@@ -1,11 +1,25 @@
+import cmath
+import hashlib
+import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
-from fareysym.exact import FareyError
-from fareysym.render import (RenderSpec, order2_center, order3_center,
-                             render_chords, render_polygon)
+from fareysym.exact import FareyError, InvalidSymbolError
+from fareysym.render import (RenderSpec, _disk_path, _to_disk, order2_center,
+                             order3_center, render_chords, render_polygon)
+
+# sha256 over the chord and half-plane SVGs (default specs) of the unimodular
+# and then the normalized symbol of Gamma0(N)
+SVG_DIGESTS = {
+    1: "f841609f7a3eb61c4237716fbec24637550252c1a32cd68f3974bd6227351fdb",
+    2: "f230e4990a7a526cbbf6fcbceb291e66be02f1ef0830cdb11e28689c6dd0592a",
+    13: "51dd3d5139bed4a44b2a931f5e08285f47047f542b434f3825e1213d4e424b3d",
+    15: "29f33cd84edf2709a5d01dff2510906a2eb7c8a2cf19d9807678c6e965979347",
+    37: "425fd9b9b79a598e0426e1a9589a3200dff9cab107f51bda39f56a6a4a0ef49d",
+    180: "19ab9aa99cda9dbd755016aff82dd369bf5452f2ec2e07264d173fd78360f953",
+}
 
 
 def counts_in(svg):
@@ -75,7 +89,8 @@ class TestPolygon:
 
     def test_disk_style(self, symbol_for):
         svg = render_polygon(symbol_for(13), RenderSpec(style="disk"))
-        assert "polyline" in svg
+        # circle arcs, not sampled polylines; TestDiskIsExact checks them
+        assert " A " in svg and "polyline" not in svg
         ET.fromstring(svg)
 
     def test_deterministic(self, symbol_for):
@@ -84,9 +99,154 @@ class TestPolygon:
             render_polygon(symbol_for(37), spec)
 
 
+@pytest.mark.parametrize("N", sorted(SVG_DIGESTS))
+def test_chord_and_halfplane_bytes_are_pinned(symbol_for, normalized_for, N):
+    h = hashlib.sha256()
+    for sym in (symbol_for(N), normalized_for(N)):
+        h.update(render_chords(sym, RenderSpec(style="chords")).encode())
+        h.update(render_polygon(sym, RenderSpec(style="halfplane")).encode())
+    assert h.hexdigest() == SVG_DIGESTS[N]
+
+
+def halfplane_geodesic(e1, e2, k=16):
+    """Points strictly between the ends of the half-plane geodesic from e1
+    to e2, each a complex number or None for infinity; e1 is on the
+    boundary."""
+    if e1 is None or e2 is None or e1.real == e2.real:
+        x = (e2 if e1 is None else e1).real
+        ys = sorted(e.imag for e in (e1, e2) if e is not None)
+        if len(ys) == 2:
+            return [complex(x, ys[0] + (ys[1] - ys[0]) * j / k) for j in range(1, k)]
+        # a ray up to infinity, from the real axis or from an interior point
+        base, js = (1.0, range(-20, 21)) if ys[0] == 0 else (ys[0], range(1, 21))
+        return [complex(x, base * 2.0 ** j) for j in js]
+    m = (abs(e2) ** 2 - e1.real ** 2) / (2 * (e2.real - e1.real))
+    a1, a2 = cmath.phase(e1 - m), cmath.phase(e2 - m)
+    r = abs(e1 - m)
+    return [m + cmath.rect(r, a1 + (a2 - a1) * j / k) for j in range(1, k)]
+
+
+def segment_distance(q, a, b):
+    if a == b:
+        return abs(q - a)
+    t = min(max(((q - a) / (b - a)).real, 0.0), 1.0)
+    return abs(q - a - t * (b - a))
+
+
+def arc_circle(x1, y1, x2, y2, r, large, sweep):
+    """Centre, radius, start angle and signed sweep of an SVG arc with
+    rx = ry = r and no rotation, by SVG 1.1 F.6.5 and F.6.6."""
+    hx, hy = (x1 - x2) / 2, (y1 - y2) / 2
+    r = max(r, math.hypot(hx, hy))
+    coef = math.sqrt(max(0.0, (r * r - hx * hx - hy * hy) / (hx * hx + hy * hy)))
+    if large == sweep:
+        coef = -coef
+    ccx, ccy = coef * hy, -coef * hx
+    centre = complex(ccx + (x1 + x2) / 2, ccy + (y1 + y2) / 2)
+    u, v = complex(hx - ccx, hy - ccy), complex(-hx - ccx, -hy - ccy)
+    theta = cmath.phase(u)
+    delta = cmath.phase(v / u) % (2 * math.pi)
+    if not sweep:
+        delta -= 2 * math.pi
+    return centre, r, theta, delta
+
+
+class TestDiskIsExact:
+    """Every disk path is the geodesic it stands for: a circle rebuilt
+    from the arc command passes within 0.5 px of points sampled on the
+    half-plane geodesic and carried over by the Cayley map, and meets the
+    boundary circle at right angles; points on a straight path lie within
+    0.5 px of it."""
+
+    W, H = 600, 400
+
+    def screen(self, z):
+        cx, cy, rad = self.W / 2, self.H / 2, 0.45 * min(self.W, self.H)
+        w = -1 if z is None else ((1j - z) / (1j + z)).conjugate()
+        return complex(cx + rad * w.real, cy - rad * w.imag)
+
+    def plan(self, sym):
+        def pt(c):
+            return None if c.is_infinity else complex(c.num / c.den)
+        for i in range(sym.n):
+            r, s = sym.arc(i)
+            if sym.pairing[i] != i:
+                yield pt(r), pt(s)
+                continue
+            if sym.ell[i] == 2:
+                x, y = order2_center(sym, i)
+                p = complex(x, y)
+            else:
+                x, y = order3_center(sym, i)
+                p = complex(x, y * math.sqrt(3))
+            yield pt(r), p
+            yield pt(s), p
+
+    def check(self, sym):
+        svg = render_polygon(sym, RenderSpec(style="disk", width=self.W,
+                                             height=self.H))
+        paths = [e.get("d") for e in ET.fromstring(svg)
+                 if e.tag.endswith("path")]
+        plan = list(self.plan(sym))
+        assert len(paths) == len(plan)
+        disk_centre, rad = complex(self.W / 2, self.H / 2), 0.45 * min(self.W, self.H)
+        for d, (e1, e2) in zip(paths, plan):
+            f = d.split()
+            a, b = complex(float(f[1]), float(f[2])), complex(float(f[-2]), float(f[-1]))
+            assert abs(a - self.screen(e1)) < 0.01 and abs(b - self.screen(e2)) < 0.01, d
+            samples = [self.screen(z) for z in halfplane_geodesic(e1, e2)]
+            if f[3] == "L" or a == b:
+                # a diameter, or an arc whose ends round to one point
+                for q in samples:
+                    assert segment_distance(q, a, b) < 0.5, (d, q)
+                continue
+            assert f[3] == "A" and f[4] == f[5] and f[6:9] == ["0", "0", f[8]], d
+            c, r, theta, delta = arc_circle(a.real, a.imag, b.real, b.imag,
+                                            float(f[4]), int(f[7]), int(f[8]))
+            for q in samples:
+                # distance from q to the drawn part of the circle
+                turned = cmath.phase((q - c) / cmath.rect(1, theta))
+                if turned * delta >= 0 and abs(turned) <= abs(delta):
+                    off = abs(abs(q - c) - r)
+                else:
+                    off = min(abs(q - a), abs(q - b))
+                assert off < 0.5, (d, q)
+            # the circles meet at right angles iff |c - O|^2 = r^2 + rad^2
+            assert abs(abs(c - disk_centre) - math.hypot(r, rad)) < 0.5, d
+
+    def test_levels_up_to_60(self, symbol_for, normalized_for):
+        for N in range(1, 61):
+            for sym in (symbol_for(N), normalized_for(N)):
+                self.check(sym)
+
+    @pytest.mark.parametrize("N", [180, 210, 420])
+    def test_large_levels(self, symbol_for, normalized_for, N):
+        for sym in (symbol_for(N), normalized_for(N)):
+            self.check(sym)
+
+    def test_diameters_are_straight(self, symbol_for):
+        # level 1: the halves of the order-2 arc (inf, 0) meet at i, the
+        # disk centre; the order-3 halves are arcs
+        svg = render_polygon(symbol_for(1), RenderSpec(style="disk"))
+        assert svg.count(" L ") == 2 and svg.count(" A ") == 2
+        # the geodesic (-p/q, q/p) passes through i as well
+        for p, q in ((2, 1), (3, 7), (41, 13)):
+            b, w = _to_disk(-p / q), _to_disk(q / p)
+            assert " L " in _disk_path(b, w, 300.0, 200.0, 180.0)
+
+
 class TestSpec:
     def test_bad_dimensions(self):
         with pytest.raises(FareyError):
             RenderSpec(width=0)
         with pytest.raises(FareyError):
             RenderSpec(xmin=2.0, xmax=1.0)
+
+    @pytest.mark.parametrize("style", ["bogus", "Disk", "", None])
+    def test_unknown_style(self, style):
+        with pytest.raises(InvalidSymbolError, match="style"):
+            RenderSpec(style=style)
+
+    def test_polygon_refuses_chords(self, symbol_for):
+        with pytest.raises(InvalidSymbolError, match="chords"):
+            render_polygon(symbol_for(13), RenderSpec(style="chords"))
