@@ -19,8 +19,8 @@ from collections import deque
 from math import gcd
 
 from . import classical
-from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    ORDER2, ORDER3, REVERSE, arc_matrix)
+from .exact import (IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
+                    ORDER2, ORDER3, _coprime_cusp)
 from .symbol import FareySymbol
 
 # order-3 rotation attached to the arc (infinity, 0)
@@ -68,9 +68,11 @@ class MembershipOracle:
 
     predicate(m) must be invariant under m -> -m and accept the identity.
     index_bound, when declared, caps the number of mediant insertions the
-    builder will attempt.  coset_key, when given, must be a function with
-    key(m1) == key(m2) iff m1 * m2^{-1} is in the group; it lets the builder
-    replace membership scans with hash lookups without changing the result.
+    builder will attempt.  coset_key, when given, is called with the four
+    entries (a, b, c, d) of a det-1 matrix m and must satisfy
+    key(*m1) == key(*m2) iff m1 * m2^{-1} is in the group; it lets the
+    builder replace membership scans with hash lookups without changing the
+    result.
     """
 
     def __init__(self, predicate, index_bound=None, coset_key=None,
@@ -97,65 +99,76 @@ def gamma0_oracle(N):
     return MembershipOracle(
         lambda m: m.c % N == 0,
         index_bound=classical.index_gamma0(N),
-        coset_key=lambda m: p1_normalize(N, m.c, m.d),
+        coset_key=lambda a, b, c, d: p1_normalize(N, c, d),
         name="Gamma0(%d)" % N,
         level=N)
 
 
-class _Arc:
-    __slots__ = ("r", "s", "mat", "neg", "in_key", "out_key", "partner",
-                 "ell", "prv", "nxt")
+class _Walk:
+    """The boundary of the polygon being built, as flat lists by arc id.
 
-    def __init__(self, r, s, keyed=False, key=None):
-        self.r = r
-        self.s = s
-        self.mat = arc_matrix(r, s)
-        if self.mat.det() != 1:
-            raise FareyError("builder arcs must be unimodular")
-        self.neg = self.mat * REVERSE
-        self.in_key = key(self.mat) if keyed else None
-        self.out_key = key(self.neg) if keyed else None
-        self.partner = None
-        self.ell = None
-        self.prv = None  # neighbors in the cyclic boundary walk
-        self.nxt = None
+    Arc k has the det-1 matrix ent[k] = (a, b, c, d); its columns (a : c)
+    and (b : d) are its ends.  nxt[k] and prv[k] are its neighbours in the
+    cyclic walk, partner[k] its partner (None while unpaired) and ell[k]
+    the order of a self-paired arc.  Ids follow creation order; a split
+    arc keeps its id and entries but leaves the walk.
+    """
 
-    def ends(self):
-        return (str(self.r), str(self.s))
+    __slots__ = ("ent", "nxt", "prv", "partner", "ell", "first")
 
+    def __init__(self):
+        # the triangle (infinity, 0, 1): arcs (infinity, 0), (0, 1), (1, infinity)
+        self.ent = [(1, 0, 0, 1), (0, -1, 1, -1), (1, -1, 1, 0)]
+        self.nxt = [1, 2, 0]
+        self.prv = [2, 0, 1]
+        self.partner = [None, None, None]
+        self.ell = {}
+        self.first = 0
 
-def _seed(make):
-    """The triangle (infinity, 0, 1) as a closed walk of make(r, s) arcs."""
-    arcs = [make(INFINITY, ZERO), make(ZERO, Cusp(1)), make(Cusp(1), INFINITY)]
-    for arc, succ in zip(arcs, arcs[1:] + arcs[:1]):
-        arc.nxt = succ
-        succ.prv = arc
-    return arcs
+    def split(self, k):
+        """Replace arc k in the walk by its halves at the mediant of its
+        ends; return their ids (left, right)."""
+        a, b, c, d = self.ent[k]
+        left = len(self.ent)
+        right = left + 1
+        self.ent += ((a, b - a, c, d - c), (a - b, b, c - d, d))
+        p, q = self.prv[k], self.nxt[k]
+        self.nxt += (right, q)
+        self.prv += (p, left)
+        self.nxt[p] = left
+        self.prv[q] = right
+        self.partner += (None, None)
+        if self.first == k:
+            self.first = left
+        return left, right
 
+    def ends(self, k):
+        a, b, c, d = self.ent[k]
+        return (str(_coprime_cusp(a, c)), str(_coprime_cusp(b, d)))
 
-def _split(victim, make):
-    """Replace victim in the walk by (left, right), split at its mediant."""
-    m = victim.mat
-    mid = Cusp(m.a - m.b, m.c - m.d)
-    left = make(victim.r, mid)
-    right = make(mid, victim.s)
-    left.prv, left.nxt = victim.prv, right
-    right.prv, right.nxt = left, victim.nxt
-    victim.prv.nxt = left
-    victim.nxt.prv = right
-    return left, right
+    def arcs(self):
+        """The ids of the walk's arcs in order, starting at first."""
+        nxt, first = self.nxt, self.first
+        out = []
+        k = first
+        for _ in range((len(self.ent) + 3) // 2):  # each split adds one arc
+            out.append(k)
+            k = nxt[k]
+        if k != first:
+            raise FareyError("boundary walk is not closed")
+        return out
 
-
-def _cycle(first, count):
-    """The arcs of the cyclic walk starting at first, as a list."""
-    out = []
-    arc = first
-    for _ in range(count):
-        out.append(arc)
-        arc = arc.nxt
-    if arc is not first:
-        raise FareyError("boundary walk is not closed")
-    return out
+    def symbol(self, level):
+        arcs = self.arcs()
+        index = {k: i for i, k in enumerate(arcs)}
+        partner, ent = self.partner, self.ent
+        pairing = [index.get(partner[k]) for k in arcs]
+        if None in pairing:
+            raise FareyError("boundary arc %r has no partner on the boundary"
+                             % (self.ends(arcs[pairing.index(None)]),))
+        ell = {i: self.ell.get(k) for i, k in enumerate(arcs) if partner[k] == k}
+        vertices = [_coprime_cusp(ent[k][0], ent[k][2]) for k in arcs]
+        return FareySymbol(vertices, pairing, ell, level=level)
 
 
 def _full_group_symbol(level):
@@ -179,149 +192,149 @@ def build_unimodular(oracle, on_event=None):
             on_event(("full-group",))
         return _full_group_symbol(oracle.level)
 
-    keyed = oracle.coset_key is not None
     key = oracle.coset_key
-    pool = {}        # out_key -> arc, for the keyed fast path
+    keyed = key is not None
+    walk = _Walk()
+    ent, partner, ell = walk.ent, walk.partner, walk.ell
+    # An arc m's in-key is key(m) and its out-key key(m * REVERSE), the key
+    # of the reversed arc; m * REVERSE = (b, -a, d, -c) needs no product.
+    in_key, out_key = [], []
+    pool = {}        # out_key -> unpaired arc id, for the keyed fast path
     claimed = set()  # right-coset labels already used up by the polygon
 
     def claim(label):
-        if keyed:
-            if label in claimed:
-                raise FareyError("coset label claimed twice; the oracle does "
-                                 "not define a genuine subgroup")
-            claimed.add(label)
+        if label in claimed:
+            raise FareyError("coset label claimed twice; the oracle does "
+                             "not define a genuine subgroup")
+        claimed.add(label)
 
-    def make_arc(r, s):
-        arc = _Arc(r, s, keyed, key)
-        claim(arc.in_key)
-        return arc
-
-    def is_even(arc):
+    def made(k):
+        """Record a new arc's keys and claim its in-key."""
         if keyed:
-            return arc.in_key == arc.out_key
-        return pred(arc.mat * arc.neg.adjugate())
+            a, b, c, d = ent[k]
+            in_key.append(key(a, b, c, d))
+            out_key.append(key(b, -a, d, -c))
+            claim(in_key[k])
 
-    def is_odd(arc):
-        if keyed:
-            return key(arc.neg * ORDER3) == arc.out_key
-        return pred(arc.neg * ORDER3 * arc.neg.adjugate())
+    def mats(k):
+        """An arc's matrix m and m * REVERSE, for the keyless tests."""
+        a, b, c, d = ent[k]
+        return IMat(a, b, c, d), IMat(b, -a, d, -c)
 
-    def find_partner(arc):
+    def is_even(k):
         if keyed:
-            return pool.get(arc.in_key)
-        for cand in _cycle(first, count):
-            if cand is arc or cand.partner is not None:
+            return in_key[k] == out_key[k]
+        m, neg = mats(k)
+        return pred(m * neg.adjugate())
+
+    def is_odd(k):
+        if keyed:
+            # m * REVERSE * ORDER3 = (-a, a - b, -c, c - d)
+            a, b, c, d = ent[k]
+            return key(-a, a - b, -c, c - d) == out_key[k]
+        neg = mats(k)[1]
+        return pred(neg * ORDER3 * neg.adjugate())
+
+    def find_partner(k):
+        if keyed:
+            return pool.get(in_key[k])
+        m = mats(k)[0]
+        for j in walk.arcs():
+            if j == k or partner[j] is not None:
                 continue
-            if pred(arc.mat * cand.neg.adjugate()):
-                return cand
+            if pred(m * mats(j)[1].adjugate()):
+                return j
         return None
 
-    def resolve(arc):
+    def resolve(k):
         """Self-pair or cross-pair a freshly created arc if a test fires."""
-        if is_even(arc):
-            arc.partner = arc
-            arc.ell = 2
+        if is_even(k):
+            partner[k] = k
+            ell[k] = 2
             if on_event is not None:
-                on_event(("even",) + arc.ends())
+                on_event(("even",) + walk.ends(k))
             return
-        if is_odd(arc):
-            arc.partner = arc
-            arc.ell = 3
-            claim(arc.out_key)
-            if on_event is not None:
-                on_event(("odd",) + arc.ends())
-            return
-        other = find_partner(arc)
-        if other is not None:
-            arc.partner = other
-            other.partner = arc
+        if is_odd(k):
+            partner[k] = k
+            ell[k] = 3
             if keyed:
-                del pool[other.out_key]
+                claim(out_key[k])
             if on_event is not None:
-                on_event(("pair",) + arc.ends() + other.ends())
+                on_event(("odd",) + walk.ends(k))
+            return
+        j = find_partner(k)
+        if j is not None:
+            partner[k] = j
+            partner[j] = k
+            if keyed:
+                del pool[out_key[j]]
+            if on_event is not None:
+                on_event(("pair",) + walk.ends(k) + walk.ends(j))
         elif keyed:
-            pool[arc.out_key] = arc
+            pool[out_key[k]] = k
 
-    seed = _seed(make_arc)
-    first = seed[0]
-    count = 3
-    waiting = deque()
-    for arc in seed:
-        resolve(arc)
-        waiting.append(arc)
+    for k in range(3):
+        made(k)
+    for k in range(3):
+        resolve(k)
+    waiting = deque(range(3))
     cap = 10 * oracle.index_bound if oracle.index_bound else 10**6
     inserts = 0
 
     while waiting:
         victim = waiting.popleft()
-        if victim.partner is not None:
+        if partner[victim] is not None:
             continue
         inserts += 1
         if inserts > cap:
             raise FareyError("mediant insertion cap %d exceeded; the oracle "
                              "group looks like it has infinite index" % cap)
         if keyed:
-            del pool[victim.out_key]
-            claim(victim.out_key)
+            del pool[out_key[victim]]
+            claim(out_key[victim])
         if on_event is not None:
-            on_event(("mediant",) + victim.ends())
-        left, right = _split(victim, make_arc)
-        if first is victim:
-            first = left
-        count += 1
+            on_event(("mediant",) + walk.ends(victim))
+        left, right = walk.split(victim)
+        made(left)
+        made(right)
         for child in (left, right):
             resolve(child)
             waiting.append(child)
 
-    return _assemble(_cycle(first, count), oracle.level)
-
-
-def _assemble(arcs, level):
-    index = {id(arc): i for i, arc in enumerate(arcs)}
-    pairing = [index.get(id(arc.partner)) for arc in arcs]
-    if None in pairing:
-        raise FareyError("boundary arc %r has no partner on the boundary"
-                         % (arcs[pairing.index(None)].ends(),))
-    ell = {i: arc.ell for i, arc in enumerate(arcs) if arc.partner is arc}
-    return FareySymbol([arc.r for arc in arcs], pairing, ell, level=level)
+    return walk.symbol(oracle.level)
 
 
 def replay_trace(trace, level=None):
     """Rebuild the symbol a trace came from, without consulting any oracle."""
     if trace and trace[0] == ("full-group",):
         return _full_group_symbol(level)
-    seed = _seed(_Arc)
-    first = seed[0]
-    count = 3
-    by_ends = {arc.ends(): arc for arc in seed}
+    walk = _Walk()
+    partner = walk.partner
+    by_ends = {walk.ends(k): k for k in range(3)}
 
     def boundary(ends):
-        arc = by_ends.get(tuple(ends))
-        if arc is None:
+        k = by_ends.get(tuple(ends))
+        if k is None:
             raise FareyError("trace event names no boundary arc %r" % (ends,))
-        return arc
+        return k
 
     for event in trace:
         kind = event[0] if event else None
-        arc = boundary(event[1:3])
+        k = boundary(event[1:3])
         if kind in ("even", "odd"):
-            arc.partner = arc
-            arc.ell = 2 if kind == "even" else 3
+            partner[k] = k
+            walk.ell[k] = 2 if kind == "even" else 3
         elif kind == "pair":
-            other = boundary(event[3:5])
-            arc.partner = other
-            other.partner = arc
+            j = boundary(event[3:5])
+            partner[k] = j
+            partner[j] = k
         elif kind == "mediant":
-            left, right = _split(arc, _Arc)
-            if first is arc:
-                first = left
-            count += 1
-            del by_ends[arc.ends()]
-            by_ends[left.ends()] = left
-            by_ends[right.ends()] = right
+            del by_ends[walk.ends(k)]
+            for child in walk.split(k):
+                by_ends[walk.ends(child)] = child
         else:
             raise FareyError("unknown trace event %r" % (event,))
-    return _assemble(_cycle(first, count), level)
+    return walk.symbol(level)
 
 
 def gamma0_symbol(N, on_event=None):

@@ -60,6 +60,9 @@ def render_chords(sym, spec=None):
     chord per paired orbit, filled dots for order-3 arcs and hollow dots
     for order-2 arcs."""
     spec = spec or RenderSpec(style="chords")
+    if spec.style != "chords":
+        raise InvalidSymbolError("render_chords draws the chords style; the "
+                                 "%s style comes from render_polygon" % spec.style)
     n = sym.n
     cx, cy = spec.width / 2.0, spec.height / 2.0
     rad = 0.42 * min(spec.width, spec.height)
@@ -183,10 +186,10 @@ def _halfplane_segments(sym):
         r, s = sym.arc(i)
         if sym.pairing[i] == i:
             t = elliptic_center(sym, i)
-            segs.append(("half", _cusp_x(r), t, sym.ell[i]))
-            segs.append(("half", _cusp_x(s), t, sym.ell[i]))
+            segs.append(("half", _cusp_x(r), t))
+            segs.append(("half", _cusp_x(s), t))
         else:
-            segs.append(("full", _cusp_x(r), _cusp_x(s), 0))
+            segs.append(("full", _cusp_x(r), _cusp_x(s)))
     return segs
 
 

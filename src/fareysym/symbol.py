@@ -69,6 +69,9 @@ class FareySymbol:
         for i, mu in ell.items():
             if mu not in (2, 3):
                 raise InvalidSymbolError("elliptic order must be 2 or 3, got %r" % mu)
+        if level is not None and (type(level) is not int or level <= 0):
+            raise InvalidSymbolError("level must be a positive integer, got %r"
+                                     % (level,))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "ell", ell)
@@ -349,12 +352,9 @@ class FareySymbol:
             ell = {int(i): mu for i, mu in ell.items()}
             if any(type(x) is not int for x in pairing + list(ell.values())):
                 raise TypeError('"pairing" entries and "ell" values must be integers')
-            level = d.get("level")
-            if level is not None and (type(level) is not int or level <= 0):
-                raise TypeError('"level" must be a positive integer')
         except (KeyError, ValueError, TypeError, OverflowError, FareyError) as e:
             raise InvalidSymbolError("malformed symbol data: %s" % e)
-        return FareySymbol(verts, pairing, ell, level)
+        return FareySymbol(verts, pairing, ell, d.get("level"))
 
     @staticmethod
     def from_json(text):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from math import gcd
 
@@ -37,6 +38,14 @@ BUILD_DIGESTS = {
     9409: "7d9490312a925cb02b9251bf13b15715967cf5841dc9c1c5036f65a2a770d404",
     10007: "46b674750e3911834b6a17cc9c1fae327e5744b2b14810803fcff904ddbba78b",
 }
+
+# sha256 over gamma0_symbol(N).to_json() + "\n" for N = 1..400, and over
+# json.dumps(trace) + "\n" of the on_event traces for N = 1..60 and 2310,
+# both computed with the builder that kept one object per arc
+SYMBOLS_TO_400_DIGEST = \
+    "0eac9cdcc8a01c87f0d800ef10c3d79804611f20e46cb5f39296571056ef7d96"
+TRACES_DIGEST = \
+    "4594c8fb16b15ab83a674701891d15f1c9ef8692013e9f44a99a48cf4130622a"
 
 
 def units(N):
@@ -135,7 +144,7 @@ class TestGamma0Oracle:
         o = gamma0_oracle(6)
         m = IMat(1, 1, 6, 7)
         assert o(m) == o(-m)
-        assert o.coset_key(m) == o.coset_key(-m)
+        assert o.coset_key(*m.entries()) == o.coset_key(*(-m).entries())
 
     def test_rejecting_identity_is_an_error(self):
         with pytest.raises(FareyError):
@@ -179,11 +188,32 @@ class TestBuild:
         assert gamma0_symbol(30) == gamma0_symbol(30)
 
     def test_oracle_without_key_agrees(self):
-        for N in (1, 2, 3, 7, 11, 13, 15, 24, 36):
+        for N in (1, 2, 3, 4, 7, 11, 13, 15, 24, 25, 36, 49, 60, 210):
             fast = gamma0_oracle(N)
             slow = MembershipOracle(fast.predicate,
                                     index_bound=fast.index_bound, level=N)
             assert build_unimodular(slow) == build_unimodular(fast)
+
+    def test_colliding_key_is_refused(self):
+        # a key that puts every arc in one coset claims a label twice
+        fake = MembershipOracle(gamma0_oracle(13).predicate,
+                                coset_key=lambda *entries: 0)
+        with pytest.raises(FareyError, match="coset label claimed twice"):
+            build_unimodular(fake)
+
+    def test_symbols_to_400_are_pinned(self):
+        h = hashlib.sha256()
+        for N in range(1, 401):
+            h.update((gamma0_symbol(N).to_json() + "\n").encode())
+        assert h.hexdigest() == SYMBOLS_TO_400_DIGEST
+
+    def test_traces_are_pinned(self):
+        h = hashlib.sha256()
+        for N in list(range(1, 61)) + [2310]:
+            trace = []
+            gamma0_symbol(N, on_event=trace.append)
+            h.update((json.dumps(trace) + "\n").encode())
+        assert h.hexdigest() == TRACES_DIGEST
 
     def test_trace_replays(self):
         for N in (1, 2, 13, 22, 37, 2310):

@@ -250,3 +250,8 @@ class TestSpec:
     def test_polygon_refuses_chords(self, symbol_for):
         with pytest.raises(InvalidSymbolError, match="chords"):
             render_polygon(symbol_for(13), RenderSpec(style="chords"))
+
+    @pytest.mark.parametrize("style", ["halfplane", "disk"])
+    def test_chords_refuse_polygon_styles(self, symbol_for, style):
+        with pytest.raises(InvalidSymbolError, match=style):
+            render_chords(symbol_for(13), RenderSpec(style=style))

@@ -238,6 +238,17 @@ class TestRotationAndJson:
         assert d["level"] == 13
         assert all(isinstance(v, int) for v in d["pairing"])
 
+    @pytest.mark.parametrize("level", [0, -3, True, False, 2.0, "13", -10**40])
+    def test_constructor_refuses_bad_level(self, symbol_for, level):
+        s = symbol_for(13)
+        with pytest.raises(InvalidSymbolError, match="level"):
+            FareySymbol(s.vertices, s.pairing, s.ell, level=level)
+
+    def test_constructor_keeps_good_level(self, symbol_for):
+        s = symbol_for(13)
+        assert FareySymbol(s.vertices, s.pairing, s.ell, level=None).level is None
+        assert FareySymbol(s.vertices, s.pairing, s.ell, level=10**40).level == 10**40
+
     def test_bad_json_rejected(self):
         with pytest.raises(InvalidSymbolError):
             FareySymbol.from_json("{not json")
