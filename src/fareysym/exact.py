@@ -190,21 +190,9 @@ class IMat:
 
     def apply(self, x):
         """Moebius action on a cusp: (p:q) -> (a p + b q : c p + d q)."""
-        return self.apply_all((x,))[0]
-
-    def apply_all(self, cusps):
-        """The images of cusps, as a list; the det is computed once.
-
-        A det +-1 matrix has an integral inverse, so it maps coprime pairs
-        to coprime pairs: its images only need the sign fixed, not Cusp's
-        gcd.  Any other nonzero det goes through the canonical Cusp(...).
-        """
-        a, b, c, d = self.a, self.b, self.c, self.d
-        det = a * d - b * c
-        if det == 0:
+        if self.det() == 0:
             raise FareyError("moebius action needs det != 0")
-        make = _coprime_cusp if det == 1 or det == -1 else Cusp
-        return [make(a * x.num + b * x.den, c * x.num + d * x.den) for x in cusps]
+        return Cusp(self.a * x.num + self.b * x.den, self.c * x.num + self.d * x.den)
 
     def size(self):
         """Sum of absolute values of the entries (word-problem measure)."""

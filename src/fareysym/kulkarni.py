@@ -21,7 +21,7 @@ from math import gcd
 from . import classical
 from .exact import (IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
                     ORDER2, ORDER3, _coprime_cusp)
-from .symbol import FareySymbol
+from .symbol import FareySymbol, symbol_from_ids
 
 # order-3 rotation attached to the arc (infinity, 0)
 _ODD_AT_INF = IMat(-1, -1, 1, 0)
@@ -160,15 +160,8 @@ class _Walk:
 
     def symbol(self, level):
         arcs = self.arcs()
-        index = {k: i for i, k in enumerate(arcs)}
-        partner, ent = self.partner, self.ent
-        pairing = [index.get(partner[k]) for k in arcs]
-        if None in pairing:
-            raise FareyError("boundary arc %r has no partner on the boundary"
-                             % (self.ends(arcs[pairing.index(None)]),))
-        ell = {i: self.ell.get(k) for i, k in enumerate(arcs) if partner[k] == k}
-        vertices = [_coprime_cusp(ent[k][0], ent[k][2]) for k in arcs]
-        return FareySymbol(vertices, pairing, ell, level=level)
+        vertices = [_coprime_cusp(self.ent[k][0], self.ent[k][2]) for k in arcs]
+        return symbol_from_ids(arcs, self.partner, self.ell, vertices, level)
 
 
 def _full_group_symbol(level):
@@ -319,6 +312,8 @@ def replay_trace(trace, level=None):
         return k
 
     for event in trace:
+        if type(event) is not tuple or not all(type(x) is str for x in event):
+            raise FareyError("trace event %r is not a tuple of strings" % (event,))
         kind = event[0] if event else None
         k = boundary(event[1:3])
         if kind in ("even", "odd"):

@@ -15,9 +15,11 @@ each position, and, by arc id, the partner and the elliptic order.  A cut
 gives its chord pair the ids of the pivot pair it replaces, so the partner
 and order tables never change during a run; a cut only splices the two
 id/vertex lists, moving one piece's vertices by the pivot gluing, and ends
-in NormalizationState.glue, the one place that reports it to on_op.  A
-FareySymbol is built from the polygon only at the end, or when a caller
-asks for one (on_op, NormalizationState.symbol).
+in NormalizationState.glue, the one place that reports it to on_op.  The
+vertices are plain integer pairs (p, q): a det-1 move keeps them coprime and
+nothing reads their sign, so a run makes Cusps only at the hand-off, for the
+pivot ends of each gluing and for the FareySymbol it builds at the end or on
+request (on_op, NormalizationState.symbol).
 
 Throughout, the polygon is kept rotated so that W occupies positions
 [0, w): each cut is told which of its arcs must land at position w and
@@ -27,8 +29,8 @@ cut that would move or replace that arc, which is what keeps coefficient
 growth in check.
 """
 
-from .exact import FareyError, InvalidSymbolError, arc_matrix
-from .symbol import FareySymbol, block_at, gluing_matrix
+from .exact import FareyError, InvalidSymbolError, _coprime_cusp, arc_matrix
+from .symbol import block_at, gluing_matrix, symbol_from_ids
 
 
 def _cyc(seq, a, b):
@@ -43,18 +45,19 @@ class NormalizationState:
     """The working polygon of a normalization run, cut in place, and the
     length w_len of its normalized prefix W, at positions [0, w_len).
 
-    verts[p] and ids[p] are the start vertex and the id of the arc at
-    position p; partner and ell are indexed by id.  keep is the id of the
-    arc (infinity, 0), which no cut may move or replace, or None.  on_op
-    and on_step, when set, observe every cut and every step.  .symbol
-    builds the polygon as a FareySymbol on each access.
+    verts[p] and ids[p] are the start vertex, an integer pair (p, q) of
+    either sign, and the id of the arc at position p; partner and ell are
+    indexed by id.  keep is the id of the arc (infinity, 0), which no cut
+    may move or replace, or None.  on_op and on_step, when set, observe
+    every cut and every step.  .symbol builds the polygon as a FareySymbol
+    on each access.
     """
 
     __slots__ = ("verts", "ids", "partner", "ell", "level", "keep",
                  "w_len", "on_op", "on_step")
 
     def __init__(self, symbol, w_len=0):
-        self.verts = list(symbol.vertices)
+        self.verts = [(v.num, v.den) for v in symbol.vertices]
         self.ids = list(range(symbol.n))
         self.partner = symbol.pairing
         self.ell = symbol.ell
@@ -81,18 +84,15 @@ class NormalizationState:
     def gluing(self, i, j):
         """Gluing matrix of the arc at position i, whose partner is at j."""
         n, v = self.n, self.verts
-        return gluing_matrix(arc_matrix(v[i], v[(i + 1) % n]),
-                             arc_matrix(v[j], v[(j + 1) % n]),
+        r, s, t, u = (_coprime_cusp(*v[k]) for k in (i, (i + 1) % n, j, (j + 1) % n))
+        return gluing_matrix(arc_matrix(r, s), arc_matrix(t, u),
                              self.ell.get(self.ids[i]))
 
     @property
     def symbol(self):
-        pos = [0] * self.n
-        for p, arc_id in enumerate(self.ids):
-            pos[arc_id] = p
-        pairing = [pos[self.partner[a]] for a in self.ids]
-        ell = {pos[a]: mu for a, mu in self.ell.items()}
-        return FareySymbol(self.verts, pairing, ell, self.level)
+        return symbol_from_ids(self.ids, self.partner, self.ell,
+                               [_coprime_cusp(p, q) for p, q in self.verts],
+                               self.level)
 
     def glue(self, head_ids, head, tail_ids, tail, g, move_tail, chord, place):
         """Finish a cut: make head + tail the polygon's cyclic word of arcs.
@@ -113,10 +113,11 @@ class NormalizationState:
         if g.det() != 1:
             raise InvalidSymbolError(
                 "pivot gluing has det %d (paired widths differ?)" % g.det())
-        if move_tail:
-            tail = g.inverse().apply_all(tail)
+        a, b, c, d = g.entries()
+        if move_tail:      # by the adjugate, which is g^-1 as det g = 1
+            tail = [(d * p - b * q, a * q - c * p) for p, q in tail]
         else:
-            head = g.apply_all(head)
+            head = [(a * p + b * q, c * p + d * q) for p, q in head]
         ids = head_ids + tail_ids
         verts = head + tail
         n = self.n

@@ -363,3 +363,17 @@ class FareySymbol:
         except json.JSONDecodeError as e:
             raise InvalidSymbolError("bad JSON: %s" % e)
         return FareySymbol.from_dict(d)
+
+
+def symbol_from_ids(ids, partner, ell, vertices, level):
+    """The FareySymbol of a polygon kept by arc id: ids in boundary order,
+    partner and ell by id, vertices by position.  Raises FareyError when an
+    arc's partner is not among ids."""
+    pos = {a: p for p, a in enumerate(ids)}
+    pairing = [pos.get(partner[a]) for a in ids]
+    if None in pairing:
+        p = pairing.index(None)
+        raise FareyError("boundary arc (%s, %s) has no partner on the boundary"
+                         % (vertices[p], vertices[(p + 1) % len(ids)]))
+    fixed = {p: ell.get(a) for p, a in enumerate(ids) if partner[a] == a}
+    return FareySymbol(vertices, pairing, fixed, level)

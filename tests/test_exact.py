@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
-                            ORDER3, REVERSE, arc_matrix,
+                            ORDER3, REVERSE, _coprime_cusp, arc_matrix,
                             classify, CLS_ELLIPTIC2, CLS_ELLIPTIC3,
                             CLS_HYPERBOLIC, CLS_IDENTITY, CLS_PARABOLIC)
 
@@ -131,36 +131,38 @@ class TestMoebius:
         assert g.det() in (1, -1)
         a, b, c, d = g.entries()
         want = [Cusp(a * x.num + b * x.den, c * x.num + d * x.den) for x in xs]
-        got = g.apply_all(xs)
+        got = [g.apply(x) for x in xs]
         assert [(y.num, y.den, hash(y)) for y in got] == [
             (y.num, y.den, hash(y)) for y in want]
-        assert got == [g.apply(x) for x in xs]
         for y in got:
             assert type(y) is Cusp
             with pytest.raises(AttributeError):
                 y.num = 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(unimodular_matrices(), st.lists(cusps, max_size=8))
+    def test_coprime_cusp_is_canonical(self, g, xs):
+        # the Cusps that Siegel and the builder make from coprime integer
+        # pairs of either sign, skipping the gcd
+        a, b, c, d = g.entries()
+        for x in xs:
+            p, q = a * x.num + b * x.den, c * x.num + d * x.den
+            for pair in ((p, q), (-p, -q)):
+                got, want = _coprime_cusp(*pair), Cusp(*pair)
+                assert got == want and hash(got) == hash(want)
+                assert type(got) is Cusp
+
     def test_other_dets_divide_out_the_gcd(self):
-        y = IMat(2, 0, 0, 1).apply_all([Cusp(1, 2)])[0]
+        y = IMat(2, 0, 0, 1).apply(Cusp(1, 2))
         assert (y.num, y.den) == (1, 1)
-        assert IMat(3, 0, 0, -1).apply_all([Cusp(1, 3), Cusp(-2, 1), INFINITY]) == [
+        m = IMat(3, 0, 0, -1)
+        assert [m.apply(x) for x in (Cusp(1, 3), Cusp(-2, 1), INFINITY)] == [
             Cusp(-1, 1), Cusp(6, 1), INFINITY]
 
     def test_det_zero_rejected(self):
         for m in (IMat(1, 2, 2, 4), IMat(0, 0, 0, 0)):
             with pytest.raises(FareyError):
-                m.apply_all([ZERO, INFINITY])
-            with pytest.raises(FareyError):
                 m.apply(ZERO)
-
-    def test_apply_agrees_with_apply_all(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            m = IMat(*(rng.randrange(-9, 10) for _ in range(4)))
-            if m.det() == 0:
-                continue
-            xs = [rand_cusp(rng) for _ in range(4)]
-            assert m.apply_all(xs) == [m.apply(x) for x in xs]
 
 
 class TestClassify:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
 from fareysym.exact import (IMat, IDENTITY, FareyError,
-                            classify, CLS_PARABOLIC)
+                            classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
 from fareysym.invariants import (contains, counts, cusp_orbits, express_word,
                                  generators, word_product)
 from fareysym.kulkarni import gamma0_symbol
@@ -130,6 +130,22 @@ class TestGenerators:
             g, nu_inf, nu2, nu3, _ = counts(ns)
             assert len(generators(ns)) == 2 * g + (nu_inf - 1) + nu2 + nu3, N
             assert len(generators(ns).symplectic_pairs) == g
+
+    def test_minimal_hyperbolic_count(self, normalized_for):
+        # Gamma maps onto H1(X; Z) = Z^2g and kills its parabolic and
+        # elliptic elements, so a generating system holds at least 2g
+        # hyperbolic elements; the normalized symbol's has exactly 2g
+        for N in range(1, 301):
+            ns = normalized_for(N)
+            for i in range(ns.n):
+                assert classify(ns.gluing(i)) == ns.arc_class(i), (N, i)
+            g = classical.genus_gamma0(N)
+            gens = generators(ns)
+            assert sum(classify(m) == CLS_HYPERBOLIC
+                       for m in gens.matrices()) == 2 * g, N
+            assert len(gens.symplectic_pairs) == g, N
+            for pair in gens.symplectic_pairs:
+                assert [classify(m) for m in pair] == [CLS_HYPERBOLIC] * 2, N
 
     def test_no_pairs_on_unnormalized(self, symbol_for):
         assert generators(symbol_for(15)).symplectic_pairs == []

@@ -233,10 +233,17 @@ class TestBuild:
         trace = []
         gamma0_symbol(13, on_event=trace.append)
         split = trace.index(("mediant", "0/1", "1/1"))
-        for bad in (trace[:split + 1] + [trace[split]],  # arc already split
-                    [("pair", "1/0", "0/1", "5/7", "1/1")],
-                    [("even", "2/3", "1/1")]):
-            with pytest.raises(FareyError, match="no boundary arc"):
+        for bad, match in (
+                # the arc is already split
+                (trace[:split + 1] + [trace[split]], "no boundary arc"),
+                ([("pair", "1/0", "0/1", "5/7", "1/1")], "no boundary arc"),
+                ([("even", "2/3", "1/1")], "no boundary arc"),
+                # events that are not tuples of strings
+                ([5], "not a tuple of strings"),
+                ([None], "not a tuple of strings"),
+                ([("mediant", ["1/0", "0/1"])], "not a tuple of strings"),
+                (["mediant"], "not a tuple of strings")):
+            with pytest.raises(FareyError, match=match):
                 replay_trace(bad)
 
     def test_incomplete_trace_raises(self):
