@@ -5,12 +5,13 @@ Cusp data, generators and the word problem
 The successor map walks a vertex of the polygon through the gluing
 elements; its cycles are the cusp classes and the product along a cycle
 generates the stabilizer, with the cusp width appearing as the translation
-length.  The same machinery solves the word problem: any group element is
-peeled back to the identity one side-crossing at a time.
+length.  The word problem first decides membership by a walk on the
+coset table (one class per right coset, the index of them), then peels a
+member back to the identity one side-crossing at a time.
 """
 
-from fareysym import (IMat, cusp_orbits, express_word, gamma0_symbol,
-                      generators, normalize, word_product)
+from fareysym import (IMat, contains, coset_table, cusp_orbits, express_word,
+                      gamma0_symbol, generators, normalize, word_product)
 
 sym = gamma0_symbol(15)
 print("cusp classes of Gamma0(15):")
@@ -34,5 +35,7 @@ print("\ntarget matrix:", g.entries())
 print("recovered word (arc, exponent):", word)
 print("product of the word:", word_product(sym, word).entries(), "(up to sign)")
 
-# Matrices outside the group are rejected.
-print("is [[1,1],[1,2]] in Gamma0(15)?", express_word(sym, IMat(1, 1, 1, 2)))
+# Matrices outside the group are refused by the coset walk alone.
+print("\ncoset table of Gamma0(15): %d classes" % len(coset_table(sym)))
+print("is [[1,1],[1,2]] in Gamma0(15)?", contains(sym, IMat(1, 1, 1, 2)),
+      express_word(sym, IMat(1, 1, 1, 2)))

@@ -14,8 +14,9 @@ from .kulkarni import (MembershipOracle, build_unimodular, gamma0_oracle,
                        gamma0_symbol, p1_normalize, replay_trace)
 from .siegel import (NormalizationState, base_cut, base_cut_elliptic,
                      normalize, siegel_step)
-from .invariants import (CuspClass, GeneratorSystem, contains, counts,
-                         cusp_orbits, express_word, generators, word_product)
+from .invariants import (CosetTable, CuspClass, GeneratorSystem, contains,
+                         coset_table, counts, cusp_orbits, express_word,
+                         generators, word_product)
 from .delta0 import (Delta0Presentation, GroupRingElement,
                      delta0_presentation, resolution_maps)
 from .render import RenderSpec, render_chords, render_polygon
@@ -26,7 +27,8 @@ __all__ = [
     "FareySymbol", "MembershipOracle", "build_unimodular",
     "gamma0_oracle", "gamma0_symbol", "p1_normalize", "replay_trace",
     "NormalizationState", "base_cut", "base_cut_elliptic", "normalize",
-    "siegel_step", "CuspClass", "GeneratorSystem", "contains", "counts",
+    "siegel_step", "CosetTable", "CuspClass", "GeneratorSystem", "contains",
+    "coset_table", "counts",
     "cusp_orbits", "express_word", "generators", "word_product",
     "Delta0Presentation", "GroupRingElement", "delta0_presentation",
     "resolution_maps", "RenderSpec", "render_chords", "render_polygon",

@@ -1,9 +1,11 @@
 """Derived data of a Farey symbol: cusp orbits and widths, the count tuple
-(genus, cusps, elliptic points, index), independent generator systems, and
-the word problem in the gluing generators.
+(genus, cusps, elliptic points, index), independent generator systems, the
+coset table of the group, and the word problem in the gluing generators.
 """
 
-from .exact import IMat, IDENTITY, FareyError
+from . import classical
+from .exact import IMat, IDENTITY, FareyError, InvalidSymbolError
+from .kulkarni import gamma0_oracle, gamma0_symbol
 
 
 class CuspClass:
@@ -165,39 +167,178 @@ def _word_data(sym):
     return memo["word"]
 
 
+class CosetTable:
+    """The right cosets of a finite-index group in PSL2(Z), as the
+    Gamma-classes of directed Farey edges: the class of x(infinity -> 0)
+    stands for the coset Gamma x, so the group itself is the class start of
+    (infinity -> 0).
+
+    Right multiplication permutes the classes: S[c] reverses the edge, and
+    U[c] rotates it inside the Farey triangle on its left (x -> x U with
+    U: infinity -> 1 -> 0 -> infinity), so that T = U then S turns the edge
+    about its start.  cycle[c] is the T-cycle through c, shared by its
+    members, and pos[c] the place of c on it; a cycle is as long as the
+    width of the cusp at the edge's start.
+    """
+
+    __slots__ = ("S", "U", "start", "cycle", "pos")
+
+    def __init__(self, S, U, start):
+        self.S, self.U, self.start = S, U, start
+        self.cycle = cycle = [None] * len(S)
+        self.pos = pos = [0] * len(S)
+        for x in range(len(S)):
+            cyc = []
+            while cycle[x] is None:
+                cycle[x] = cyc
+                pos[x] = len(cyc)
+                cyc.append(x)
+                x = S[U[x]]
+
+    def __len__(self):
+        return len(self.S)
+
+    def coset(self, g):
+        """The class of g(infinity -> 0), for a det-1 matrix g.
+
+        Euclid with nearest-integer quotients splits g as
+        T^q1 S T^q2 S ... T^qk: each step takes |c| to at most |c|/2, and
+        each power of T is one jump along a T-cycle, so the walk costs
+        O(#partial quotients) whatever n and the exponents are.
+        """
+        a, b, c, d = g.entries()
+        S, cycle, pos = self.S, self.cycle, self.pos
+        x = self.start
+        while c:
+            q = (2 * a + c) // (2 * c)
+            a, b = a - q * c, b - q * d
+            cyc = cycle[x]
+            x = S[cyc[(pos[x] + q) % len(cyc)]]
+            a, b, c, d = c, d, -a, -b
+        cyc = cycle[x]
+        return cyc[(pos[x] + a * b) % len(cyc)]  # g = T^(ab), a = d = +-1
+
+    def contains(self, g):
+        return self.coset(g) == self.start
+
+
+def _unimodular_table(sym):
+    """The coset table of a unimodular symbol, in O(n).
+
+    Its polygon is a union of n - 2 Farey triangles, found by a stack scan
+    over the vertices read from infinity: a vertex whose stack neighbour
+    and successor are Farey neighbours is an ear.  Each triangle gives the
+    three classes of its edges directed with it on their left, as the arcs
+    run; an order-3 arc adds one class for the triangle outside it, fixed
+    by U.  A boundary arc reversed is its partner's arc (through the
+    gluing), itself for an order-2 arc, and the outside class for an
+    order-3 arc.  That makes 3(n - 2) + nu3 classes, the index.
+    """
+    k, finite = sym.vertex_order()
+    n = sym.n
+    if n == 2:  # the full group: no triangle, one class
+        if sorted(sym.ell.values()) != [2, 3]:
+            raise FareyError("a two-arc symbol other than PSL2(Z)'s has no "
+                             "coset table")
+        return CosetTable([0], [0], 0)
+    pts = [(1, 0)] + [(v.num, v.den) for v in finite]
+    edge = {}  # (tail, head), by position from infinity -> class
+    U = []
+    stack = [0, 1]
+    for r in range(2, n):
+        p, q = pts[r]
+        while len(stack) > 1:
+            x, y = pts[stack[-2]]
+            if abs(x * q - p * y) != 1:
+                break
+            b = stack.pop()
+            a = stack[-1]
+            t = len(U)
+            edge[a, b], edge[b, r], edge[r, a] = t, t + 1, t + 2
+            U += (t + 2, t, t + 1)
+        stack.append(r)
+    if stack != [0, n - 1]:
+        raise FareyError("the polygon is not a union of Farey triangles")
+    S = [None] * len(U)
+    for (a, b), e in edge.items():
+        rev = edge.get((b, a))
+        if rev is not None:
+            S[e] = rev
+            continue
+        i = (k + a) % n  # a boundary arc, b = a + 1
+        j = sym.pairing[i]
+        if j != i:
+            S[e] = edge[(j - k) % n, (j - k + 1) % n]
+        elif sym.ell[i] == 2:
+            S[e] = e
+        else:
+            S[e] = len(U)
+            U.append(len(U))
+            S.append(e)
+    return CosetTable(S, U, edge[0, 1])
+
+
+def coset_table(sym):
+    """The CosetTable of the symbol's group, built once per symbol.
+
+    A symbol made by a normalization run or a base cut walks on the
+    unimodular symbol that run started from (cuts preserve the group).
+    Otherwise a symbol with a level is first checked to have the group
+    Gamma0(level): equal index, and every gluing in it.  Then a unimodular
+    symbol gives its own table and any other walks on gamma0_symbol(level),
+    which becomes its companion; a non-unimodular symbol with neither a
+    level nor a companion raises FareyError.
+    """
+    memo = sym._memo
+    if "cosets" in memo:
+        return memo["cosets"]
+    level = sym.level
+    if "companion" in memo:
+        table = coset_table(memo["companion"])
+    elif level is not None and (
+            sum(o.width for o in cusp_orbits(sym)) != classical.index_gamma0(level)
+            or not sym.contains_all(gamma0_oracle(level))):
+        raise InvalidSymbolError("the symbol's group is not Gamma0(%d), its "
+                                 "level" % level)
+    elif sym.is_unimodular():
+        table = _unimodular_table(sym)
+    elif level is not None:  # kept as the companion, so rotations share it
+        memo["companion"] = gamma0_symbol(level)
+        table = coset_table(memo["companion"])
+    else:
+        raise FareyError("the word problem on a non-unimodular symbol needs "
+                         "its level or the symbol it was cut from")
+    memo["cosets"] = table
+    return table
+
+
 def express_word(sym, g):
     """Express g as a word in the gluing generators of a valid symbol, or
     None if g is not in the group.
 
     Returns a list of (arc index, exponent) whose product equals g up to
-    sign.  The reduction repeatedly locates the image of infinity (nudged
-    off the vertices by evaluating at a large rational) among the boundary
-    intervals and strips the corresponding generator; a matrix fixing
-    infinity is then compared against powers of the stabilizer of infinity.
-    Read from infinity, the vertices of a valid symbol increase, so each
-    step finds its interval by bisection, in O(log n) cross products.
-
-    The entry-size of the working matrix can grow transiently (a parabolic
-    shift may enlarge the top row before the next step flips it down), so
-    progress is measured on a window: the running minimum of the size must
-    drop within n+8 steps.  A member always reduces to the identity or to a
-    power of the infinity-stabilizer, because its translate of the domain
-    is interior-disjoint from the domain itself; a non-member eventually
-    oscillates among the finitely many translates touching the domain, and
-    that stall is the rejection witness.
+    sign.  Membership is decided first, exactly, by the coset walk (see
+    coset_table), so a non-member costs O(#partial quotients) and never
+    reaches the reduction.  A member is then reduced: each step locates the
+    image of infinity (nudged off the vertices by evaluating at a large
+    rational) among the boundary intervals and strips the corresponding
+    generator, until a matrix fixing infinity is left, a power of the
+    stabilizer of infinity.  Read from infinity, the vertices of a valid
+    symbol increase, so each step finds its interval by bisection, in
+    O(log n) cross products.  A member whose reduction runs past the step
+    cap raises FareyError; the answer is never None for a member.
     """
     if g.det() != 1:
         raise FareyError("express_word needs an integral det-1 matrix")
     k, nums, dens, inverses, vert_height, width, stab = _word_data(sym)
+    if not coset_table(sym).contains(g):
+        return None
     n = sym.n
 
     word = []
     g = g.psl_normalize()
     steps = 0
     cap = (g.size().bit_length() + 8) * (n + 8) * 4
-    window = n + 8
-    best = g.size()
-    since_best = 0
     while True:
         steps += 1
         if steps > cap:
@@ -207,7 +348,8 @@ def express_word(sym, g):
         if g.c == 0:
             shift = g.b * g.a  # psl-normalization makes the diagonal +-1
             if shift % width:
-                return None
+                raise FareyError("the reduction left a translation that the "
+                                 "coset walk accepted but the cusp refuses")
             e = shift // width
             if len(stab) == 1:
                 return word + [(stab[0][0], -e)]
@@ -237,18 +379,12 @@ def express_word(sym, g):
                     lo = mid + 1
             else:
                 side = (k + lo) % n
-        g2 = (inverses[side] * g).psl_normalize()
-        if g2.size() < best:
-            best = g2.size()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > window:
-                return None
         word.append((side, 1))
-        g = g2
+        g = (inverses[side] * g).psl_normalize()
 
 
 def contains(sym, g):
-    """Membership test for the symbol's group."""
-    return express_word(sym, g) is not None
+    """Membership test for the symbol's group, by the coset walk alone."""
+    if g.det() != 1:
+        raise FareyError("contains needs an integral det-1 matrix")
+    return coset_table(sym).contains(g)

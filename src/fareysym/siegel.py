@@ -50,11 +50,13 @@ class NormalizationState:
     indexed by id.  keep is the id of the arc (infinity, 0), which no cut
     may move or replace, or None.  on_op and on_step, when set, observe
     every cut and every step.  .symbol builds the polygon as a FareySymbol
-    on each access.
+    on each access, with origin, the input or the unimodular symbol the
+    input walks on, as its companion for the word problem: cuts preserve
+    the group.
     """
 
     __slots__ = ("verts", "ids", "partner", "ell", "level", "keep",
-                 "w_len", "on_op", "on_step")
+                 "w_len", "on_op", "on_step", "origin")
 
     def __init__(self, symbol, w_len=0):
         self.verts = [(v.num, v.den) for v in symbol.vertices]
@@ -66,6 +68,7 @@ class NormalizationState:
         self.w_len = w_len
         self.on_op = None
         self.on_step = None
+        self.origin = symbol._memo.get("companion", symbol)
 
     @property
     def n(self):
@@ -90,9 +93,11 @@ class NormalizationState:
 
     @property
     def symbol(self):
-        return symbol_from_ids(self.ids, self.partner, self.ell,
-                               [_coprime_cusp(p, q) for p, q in self.verts],
-                               self.level)
+        out = symbol_from_ids(self.ids, self.partner, self.ell,
+                              [_coprime_cusp(p, q) for p, q in self.verts],
+                              self.level)
+        out._memo["companion"] = self.origin
+        return out
 
     def glue(self, head_ids, head, tail_ids, tail, g, move_tail, chord, place):
         """Finish a cut: make head + tail the polygon's cyclic word of arcs.

@@ -289,9 +289,18 @@ class FareySymbol:
         in circular order (see vertex_order), involution consistency (done
         at construction), equal widths on paired arcs, integrality/det of
         every gluing matrix and a nontrivial gluing on every pair of
-        distinct arcs.
-        With an oracle, additionally checks membership of every gluing.
+        distinct arcs; a pass is memoized, a failure is not.
+        With an oracle, additionally checks membership of every gluing, on
+        every call.
         """
+        if "valid" not in self._memo:
+            self._check_structure()
+            self._memo["valid"] = True
+        if oracle is not None and not self.contains_all(oracle):
+            raise InvalidSymbolError("a gluing matrix fails the membership oracle")
+        return self
+
+    def _check_structure(self):
         self.vertex_order()
         for i in range(self.n):
             j = self.pairing[i]
@@ -309,9 +318,6 @@ class FareySymbol:
                 if tag != want:
                     raise InvalidSymbolError(
                         "fixed arc %d has gluing of class %s, expected %s" % (i, tag, want))
-        if oracle is not None and not self.contains_all(oracle):
-            raise InvalidSymbolError("a gluing matrix fails the membership oracle")
-        return self
 
     # -- relabeling --------------------------------------------------------
 
@@ -322,7 +328,10 @@ class FareySymbol:
         verts = self.vertices[k:] + self.vertices[:k]
         pairing = [(self.pairing[(i + k) % n] - k) % n for i in range(n)]
         ell = {(i - k) % n: mu for i, mu in self.ell.items()}
-        return FareySymbol(verts, pairing, ell, self.level)
+        out = FareySymbol(verts, pairing, ell, self.level)
+        if "companion" in self._memo:  # the same group
+            out._memo["companion"] = self._memo["companion"]
+        return out
 
     # -- JSON interchange ---------------------------------------------------
 

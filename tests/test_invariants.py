@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 from fareysym import classical
 from fareysym.exact import (IMat, IDENTITY, FareyError,
                             classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
-from fareysym.invariants import (contains, counts, cusp_orbits, express_word,
-                                 generators, word_product)
+from fareysym.invariants import (contains, coset_table, counts, cusp_orbits,
+                                 express_word, generators, word_product)
 from fareysym.kulkarni import gamma0_symbol
-from fareysym.siegel import normalize
+from fareysym.siegel import base_cut, normalize
+from fareysym.symbol import FareySymbol
 
 S, T = IMat(0, 1, -1, 0), IMat(1, 1, 0, 1)
-# a member of Gamma0(6) that the stall window rejects on the normalized symbol
+# a member of Gamma0(6) that a reduction judging progress by a window of
+# steps used to reject on the normalized symbol
 WITNESS_6 = IMat(775716883104425, 33344582147310051, 24629656566474,
                  1058718231520391)
 
@@ -255,8 +257,8 @@ class TestWordProblemIsPinned:
             mats = [member_matrix(rng, uni, bits) for _ in range(count)]
             mats += [st_matrix(rng, bits) for _ in range(count)]
             if N <= 40 and not rotate:
-                # the ROADMAP witness, and a member with a partial quotient
-                # near 2^40, which runs into the step cap
+                # the witness, a member, and a member with a partial
+                # quotient near 2^40, whose reduction runs into the step cap
                 mats.append(WITNESS_6)
                 u = member_matrix(rng, uni, 8)
                 mats.append(u * IMat(1, 0, N, 1) ** (2 ** 40 + 3) * u.inverse())
@@ -275,12 +277,12 @@ class TestWordProblemIsPinned:
 
     def test_large_levels_and_known_defects(self):
         assert self.digest((6, 36, 180, 210), 64, 4, False) == (
-            72, "c1bfda9089d79d8b40e6543f4be1891e22c019a533230b1d19c811f455528d08")
+            72, "76a881eed9ea743fc16603605c1dba9019f0a108ff322859ab478082c5816b37")
 
 
 def test_words_on_rotated_symbols(symbol_for, normalized_for):
-    """A returned word multiplies back to +-g on every rotation; on a
-    unimodular symbol None comes only for c != 0 mod N."""
+    """A returned word multiplies back to +-g on every rotation, and None
+    comes only for c != 0 mod N, on both representations."""
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((1, 2, 6, 13, 15, 36, 37)), st.booleans(),
            st.integers(0, 10 ** 6), st.booleans(), st.integers(0, 2 ** 32))
@@ -292,9 +294,107 @@ def test_words_on_rotated_symbols(symbol_for, normalized_for):
         word = express_word(sym, g)
         if word is not None:
             assert word_product(sym, word).psl_eq(g)
-        elif not normalized:
+        else:
             assert g.c % N != 0
     prop()
+
+
+def huge_parabolic(rng, uni, N):
+    """u [[1, 0], [N, 1]]^(2^40 + 3) u^-1: a member of Gamma0(N) whose a/c
+    has one partial quotient near 2^40."""
+    u = member_matrix(rng, uni, 8)
+    return u * IMat(1, 0, N, 1) ** (2 ** 40 + 3) * u.inverse()
+
+
+class TestCosetWalk:
+    def test_table_size_is_the_index(self, symbol_for):
+        for N in range(1, 401):
+            t = coset_table(symbol_for(N))
+            assert len(t) == classical.index_gamma0(N), N
+            for x in range(len(t)):
+                assert t.S[t.S[x]] == x and t.U[t.U[t.U[x]]] == x, (N, x)
+
+    def test_witness_on_both_representations(self, symbol_for, normalized_for):
+        for sym in (symbol_for(6), normalized_for(6)):
+            assert contains(sym, WITNESS_6)
+            word = express_word(sym, WITNESS_6)
+            assert word_product(sym, word).psl_eq(WITNESS_6)
+
+    def test_huge_partial_quotient_is_a_member(self, symbol_for, normalized_for):
+        rng = random.Random(40)
+        for N in (6, 36, 210):
+            g = huge_parabolic(rng, symbol_for(N), N)
+            for sym in (symbol_for(N), normalized_for(N)):
+                assert contains(sym, g), N
+                assert not contains(sym, g * IMat(1, 1, 0, 1) ** 3 * S), N
+
+    def test_walk_agrees_with_congruence(self, symbol_for, normalized_for):
+        """contains(sym, g) == (c = 0 mod N) on both representations and
+        random rotations, for entries of 50 bits and more; a word, when
+        express_word gives one, multiplies back to +-g, and None comes only
+        for a non-member."""
+        @settings(max_examples=120, deadline=None)
+        @given(st.sampled_from((2, 6, 13, 36, 37, 60, 210)), st.booleans(),
+               st.integers(0, 10 ** 6), st.booleans(), st.integers(50, 90),
+               st.integers(0, 2 ** 32))
+        def prop(N, normalized, k, member, bits, seed):
+            uni = symbol_for(N)
+            sym = (normalized_for(N) if normalized else uni).rotated(k)
+            rng = random.Random(seed)
+            g = member_matrix(rng, uni, bits) if member else st_matrix(rng, bits)
+            assert contains(sym, g) == (g.c % N == 0)
+            try:
+                word = express_word(sym, g)
+            except FareyError as e:
+                assert g.c % N == 0 and "step cap" in str(e)
+                return
+            if word is None:
+                assert g.c % N != 0
+            else:
+                assert word_product(sym, word).psl_eq(g)
+        prop()
+
+
+class TestCompanion:
+    """A non-unimodular symbol walks on a unimodular symbol of its group."""
+
+    def test_normalized_walks_on_its_input(self, symbol_for, normalized_for):
+        for N in (6, 36):
+            assert coset_table(normalized_for(N)) is coset_table(symbol_for(N))
+            assert coset_table(normalized_for(N).rotated(3)) \
+                is coset_table(symbol_for(N))
+
+    def test_base_cut_walks_on_its_input(self, symbol_for):
+        s = symbol_for(15)
+        out = base_cut(s, 1, 0, 3, "other")[0]
+        assert not out.is_unimodular()
+        assert coset_table(out) is coset_table(s)
+
+    def test_level_gives_the_companion(self, normalized_for):
+        sym = FareySymbol.from_dict(normalized_for(36).to_dict())
+        assert not sym.is_unimodular()
+        rng = random.Random(36)
+        for _ in range(50):
+            g = st_matrix(rng, 50)
+            assert contains(sym, g) == (g.c % 36 == 0)
+        assert coset_table(sym.rotated(5)) is coset_table(sym)
+
+    def test_wrong_level_raises(self, normalized_for):
+        d = normalized_for(13).to_dict()
+        d["level"] = 26
+        sym = FareySymbol.from_dict(d)
+        with pytest.raises(FareyError, match="not Gamma0"):
+            contains(sym, IDENTITY)
+        with pytest.raises(FareyError, match="not Gamma0"):
+            express_word(sym, IDENTITY)
+
+    def test_no_level_and_no_companion_raises(self, normalized_for):
+        d = normalized_for(15).to_dict()
+        del d["level"]
+        sym = FareySymbol.from_dict(d)
+        assert not sym.is_unimodular()
+        with pytest.raises(FareyError, match="needs its level"):
+            express_word(sym, IDENTITY)
 
 
 class TestCuspEquivalence:

@@ -216,6 +216,21 @@ class TestValidation:
             with pytest.raises(InvalidSymbolError, match="increasing"):
                 s.validate()
 
+    def test_failure_is_not_memoized(self):
+        s = FareySymbol([INFINITY, ZERO, Cusp(2, 5), Cusp(1, 1)],
+                        [2, 1, 0, 3], {1: 2, 3: 2})
+        for _ in range(2):
+            with pytest.raises(InvalidSymbolError, match="widths"):
+                s.validate()
+
+    def test_oracle_checked_on_every_call(self, symbol_for):
+        s = FareySymbol.from_dict(symbol_for(15).to_dict())
+        s.validate()
+        s.validate(gamma0_oracle(15))
+        for _ in range(2):
+            with pytest.raises(InvalidSymbolError, match="oracle"):
+                s.validate(gamma0_oracle(30))
+
 
 class TestRotationAndJson:
     def test_rotation_is_relabeling(self, symbol_for):
