@@ -248,10 +248,3 @@ def arc_matrix(r, s):
         return IMat(r.num, s.num, r.den, s.den)
     return IMat(r.num, -s.num, r.den, -s.den)
 
-
-def exact_div(m, k):
-    """Divide all entries by k, raising if the division is not exact."""
-    a, b, c, d = m.entries()
-    if a % k or b % k or c % k or d % k:
-        raise InvalidSymbolError("matrix %r is not divisible by %d" % (m, k))
-    return IMat(a // k, b // k, c // k, d // k)

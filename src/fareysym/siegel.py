@@ -16,10 +16,10 @@ gives its chord pair the ids of the pivot pair it replaces, so the partner
 and order tables never change during a run; a cut only splices the two
 id/vertex lists, moving one piece's vertices by the pivot gluing, and ends
 in NormalizationState.glue, the one place that reports it to on_op.  The
-vertices are plain integer pairs (p, q): a det-1 move keeps them coprime and
-nothing reads their sign, so a run makes Cusps only at the hand-off, for the
-pivot ends of each gluing and for the FareySymbol it builds at the end or on
-request (on_op, NormalizationState.symbol).
+vertices are plain integer pairs (p, q): a det-1 move keeps them coprime, and
+the pivot gluing comes from the four ends by symbol.gluing_entries, which
+takes pairs of either sign, so a run makes Cusps only for the FareySymbol it
+builds at the end or on request (on_op, NormalizationState.symbol).
 
 Throughout, the polygon is kept rotated so that W occupies positions
 [0, w): each cut is told which of its arcs must land at position w and
@@ -29,8 +29,8 @@ cut that would move or replace that arc, which is what keeps coefficient
 growth in check.
 """
 
-from .exact import FareyError, InvalidSymbolError, _coprime_cusp, arc_matrix
-from .symbol import block_at, gluing_matrix, symbol_from_ids
+from .exact import FareyError, InvalidSymbolError, _coprime_cusp
+from .symbol import block_at, gluing_entries, symbol_from_ids
 
 
 def _cyc(seq, a, b):
@@ -85,11 +85,11 @@ class NormalizationState:
         return self.partner[self.ids[p]] == self.ids[q]
 
     def gluing(self, i, j):
-        """Gluing matrix of the arc at position i, whose partner is at j."""
+        """Entries (a, b, c, d) of the gluing matrix of the arc at position
+        i, whose partner is at j."""
         n, v = self.n, self.verts
-        r, s, t, u = (_coprime_cusp(*v[k]) for k in (i, (i + 1) % n, j, (j + 1) % n))
-        return gluing_matrix(arc_matrix(r, s), arc_matrix(t, u),
-                             self.ell.get(self.ids[i]))
+        return gluing_entries(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n],
+                              self.ell.get(self.ids[i]))
 
     @property
     def symbol(self):
@@ -103,10 +103,11 @@ class NormalizationState:
         """Finish a cut: make head + tail the polygon's cyclic word of arcs.
 
         The tail's vertices are moved by g^-1 (move_tail) or the head's by
-        g.  chord holds the ids of the pivot arcs the cut replaces; place =
-        (old position, position) rotates the result so the arc that sat at
-        the old position lands at position, and by default chord[0] is
-        arc 0.  The cut is then reported to on_op.
+        g, given by its entries (a, b, c, d).  chord holds the ids of the
+        pivot arcs the cut replaces; place = (old position, position)
+        rotates the result so the arc that sat at the old position lands at
+        position, and by default chord[0] is arc 0.  The cut is then
+        reported to on_op.
         """
         if self.keep is not None and (
                 self.keep in chord
@@ -115,10 +116,10 @@ class NormalizationState:
                 "normalization would move or replace the arc (infinity, 0), "
                 "which it keeps fixed; it cannot yet do so when that arc lies "
                 "in no block (fixed arc, pair or quad) of the input word")
-        if g.det() != 1:
+        a, b, c, d = g
+        if a * d - b * c != 1:
             raise InvalidSymbolError(
-                "pivot gluing has det %d (paired widths differ?)" % g.det())
-        a, b, c, d = g.entries()
+                "pivot gluing has det %d (paired widths differ?)" % (a * d - b * c))
         if move_tail:      # by the adjugate, which is g^-1 as det g = 1
             tail = [(d * p - b * q, a * q - c * p) for p, q in tail]
         else:

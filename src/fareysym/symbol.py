@@ -3,15 +3,15 @@ and elliptic orders on the fixed arcs.
 
 Arc i runs from vertices[i] to vertices[(i+1) % n].  The pairing sigma is an
 involution on arc indices; sigma-fixed arcs carry an elliptic order 2 or 3.
-The gluing matrix of every arc is derived from the arc matrices, never
-stored, so any transformation only has to produce vertices and a pairing.
+The gluing matrix of every arc is computed from the four endpoints of the
+arc and its partner by one closed formula (gluing_entries), never stored,
+so any transformation only has to produce vertices and a pairing.
 """
 
 import json
 
-from .exact import (Cusp, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    NotNormalizedError, ORDER3, REVERSE, arc_matrix, classify,
-                    cross, exact_div,
+from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
+                    NotNormalizedError, arc_matrix, classify, cross,
                     CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
 
 
@@ -29,18 +29,55 @@ def block_at(paired, k, room):
     return None
 
 
-def gluing_matrix(a, a_star, order=None):
-    """The gluing matrix of an arc, from its arc matrix a and its partner's
-    arc matrix a_star (a itself for a fixed arc of the given order).
+def _flipped(p, q):
+    """True iff the integer pair (p, q) is minus a canonical Cusp pair."""
+    return q < 0 or (q == 0 and p < 0)
 
-    For a paired arc this is A_a (A_{a*}^-)^{-1}, carrying the reversed
-    partner onto the arc; a fixed arc yields the order-2 rotation about
-    its midpoint, or the order-3 rotation fixing the triangle hanging off
-    the arc.  Raises InvalidSymbolError if the result is not integral.
+
+def gluing_entries(r, s, t, u, order=None):
+    """Entries (a, b, c, d) of the gluing of the arc (r, s) whose partner
+    is the arc (t, u); the points are integer pairs (p, q) of either sign,
+    and a fixed arc of the given order is its own partner.
+
+    With the arc matrix A = [r s] of positive determinant w, the width, and
+    A* = [t u] likewise, this is A (A* R)^-1 for R = REVERSE: it carries
+    the reversed partner onto the arc.  A fixed arc of order 3 yields
+    (A R) U (A R)^-1 for U = ORDER3, the rotation fixing the triangle
+    hanging off the arc, whose trace is -w before the division by w.  Any
+    signs of the pairs give the matrix, sign included, that their canonical
+    Cusps give.  Raises FareyError for a degenerate arc and InvalidSymbolError if the
+    result is not integral.
     """
-    am = a_star * REVERSE
-    num = am * ORDER3 * am.adjugate() if order == 3 else a * am.adjugate()
-    return exact_div(num, am.det())
+    (r1, r2), (s1, s2), (t1, t2), (u1, u2) = r, s, t, u
+    d_rs = r1 * s2 - s1 * r2
+    d_tu = t1 * u2 - u1 * t2
+    if not d_rs or not d_tu:
+        p, q = (r, s) if not d_rs else (t, u)
+        raise FareyError("degenerate arc (%s, %s)" % (Cusp(*p), Cusp(*q)))
+    if order == 3:
+        if d_rs < 0:
+            s1, s2 = -s1, -s2
+        w = abs(d_rs)
+        a = r1 * (r2 - s2) + s1 * s2
+        b = -(r1 * (r1 - s1) + s1 * s1)
+        c = r2 * (r2 - s2) + s2 * s2
+        d = -a - w
+    else:
+        if (d_rs < 0) != (d_tu < 0):
+            s1, s2 = -s1, -s2
+        w = abs(d_tu)
+        a = -(r1 * t2 + s1 * u2)
+        b = r1 * t1 + s1 * u1
+        c = -(r2 * t2 + s2 * u2)
+        d = r2 * t1 + s2 * u1
+        if _flipped(r1, r2) != _flipped(t1, t2):
+            a, b, c, d = -a, -b, -c, -d
+    if w != 1:
+        if a % w or b % w or c % w or d % w:
+            raise InvalidSymbolError("gluing numerator (%d, %d, %d, %d) is not "
+                                     "divisible by %d" % (a, b, c, d, w))
+        a, b, c, d = a // w, b // w, c // w, d // w
+    return a, b, c, d
 
 
 class FareySymbol:
@@ -113,7 +150,7 @@ class FareySymbol:
         return m
 
     def width(self, i):
-        return self.arc_mat(i).det()
+        return abs(cross(*self.arc(i)))
 
     def is_unimodular(self):
         return all(self.width(i) == 1 for i in range(self.n))
@@ -151,16 +188,20 @@ class FareySymbol:
 
     def gluing(self, i):
         """The gluing matrix of arc i (integral, det 1, unique up to sign);
-        see gluing_matrix."""
+        see gluing_entries."""
         g = self._glue[i]
         if g is not None:
             return g
-        g = gluing_matrix(self.arc_mat(i), self.arc_mat(self.pairing[i]),
-                          self.ell.get(i))
-        if g.det() != 1:
+        n, v, j = self.n, self.vertices, self.pairing[i]
+        r, s, t, u = v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]
+        a, b, c, d = gluing_entries((r.num, r.den), (s.num, s.den),
+                                    (t.num, t.den), (u.num, u.den),
+                                    self.ell.get(i))
+        if a * d - b * c != 1:
             raise InvalidSymbolError(
-                "gluing of arc %d has det %d (paired widths differ?)" % (i, g.det()))
-        self._glue[i] = g
+                "gluing of arc %d has det %d (paired widths differ?)"
+                % (i, a * d - b * c))
+        g = self._glue[i] = IMat(a, b, c, d)
         return g
 
     def gluings(self):
@@ -309,7 +350,7 @@ class FareySymbol:
                     "paired arcs %d, %d have widths %d != %d"
                     % (i, j, self.width(i), self.width(j)))
             g = self.gluing(i)  # raises if non-integral or det != 1
-            if j != i and g.is_identity_psl():
+            if j != i and not g.b and not g.c:  # det 1, so g = +-identity
                 raise InvalidSymbolError(
                     "paired arcs %d, %d have the identity as gluing" % (i, j))
             if j == i:

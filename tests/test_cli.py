@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -8,6 +9,13 @@ from fareysym.cli import check_level, cli_dispatch, make_parser
 from fareysym.kulkarni import gamma0_symbol
 from fareysym.siegel import base_cut
 from fareysym.symbol import FareySymbol
+
+# sha256 over the info and presentation JSON, in that order, of the
+# unimodular and then the normalized symbol of each level in INFO_LEVELS,
+# each read back through --in; info prints every generator's matrix, signs
+# included
+INFO_LEVELS = list(range(1, 101)) + [180, 420]
+INFO_DIGEST = "ff5341ad88cc7586ea42d99bc3b8899ef8732f92819e5e14646c6a3e982b897e"
 
 
 def run(capsys, *argv):
@@ -69,6 +77,19 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["mu"]) == 4
+
+    def test_info_and_presentation_digest_is_pinned(self, tmp_path, capsys,
+                                                    symbol_for, normalized_for):
+        path = tmp_path / "s.json"
+        h = hashlib.sha256()
+        for N in INFO_LEVELS:
+            for sym in (symbol_for(N), normalized_for(N)):
+                path.write_text(sym.to_json())
+                for command in ("info", "presentation"):
+                    code, out, _ = run(capsys, command, "--in", str(path))
+                    assert code == 0, (N, command)
+                    h.update(out.encode())
+        assert h.hexdigest() == INFO_DIGEST
 
     def test_render_styles(self, tmp_path, capsys):
         for style in ("chords", "halfplane", "disk"):
@@ -156,6 +177,23 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--in", str(bad))
         assert (code, out) == (2, "")
         assert "increasing" in err
+
+    @pytest.mark.parametrize("command", ["info", "normalize"])
+    @pytest.mark.parametrize("doc,message", [
+        # the two arcs of (infinity, 0) glued to each other by the identity
+        ({"vertices": ["1/0", "0/1"], "pairing": [1, 0], "ell": {}},
+         "identity"),
+        # the width-3 arcs (0, 3) and (3, 6) have equal widths, but their
+        # gluing is not integral
+        ({"vertices": ["1/0", "0/1", "3/1", "6/1"], "pairing": [3, 2, 1, 0],
+          "ell": {}}, "not divisible by 3"),
+    ])
+    def test_bad_gluing_is_2(self, tmp_path, capsys, command, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--in", str(bad))
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     @pytest.mark.parametrize("argv", [

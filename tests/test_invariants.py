@@ -133,6 +133,37 @@ class TestGenerators:
             assert len(generators(ns)) == 2 * g + (nu_inf - 1) + nu2 + nu3, N
             assert len(generators(ns).symplectic_pairs) == g
 
+    def test_stabilizer_word_is_the_block_relation(self, normalized_for):
+        """The cusp orbit of the vertex where the block word starts goes
+        once around the polygon: its stabilizer word reads the blocks in
+        reverse order, a quad (a, b, a*, b*) as b a* b* a, a pair (c, c*) as
+        c and a fixed arc as itself, every letter with exponent -1."""
+        def relation(blocks):
+            out = []
+            for kind, idx in reversed(blocks):
+                out += ([idx[1], idx[2], idx[3], idx[0]] if kind == "quad"
+                        else [idx[0]])
+            return out
+
+        def check(sym, where):
+            blocks = sym.factorize()
+            orbit, = [o for o in cusp_orbits(sym)
+                      if blocks[0][1][0] in o.vertex_indices]
+            letters = [j for j, _ in orbit.stabilizer_word]
+            assert {e for _, e in orbit.stabilizer_word} == {-1}, where
+            want = relation(blocks)
+            assert len(letters) == len(want) and any(
+                letters[k:] + letters[:k] == want
+                for k in range(len(want))), where
+
+        for N in range(1, 301):
+            ns = normalized_for(N)
+            assert ns.factorize()[0][1][0] == 0, N
+            check(ns, N)
+            if N <= 40:
+                for k in range(ns.n):
+                    check(ns.rotated(k), (N, k))
+
     def test_minimal_hyperbolic_count(self, normalized_for):
         # Gamma maps onto H1(X; Z) = Z^2g and kills its parabolic and
         # elliptic elements, so a generating system holds at least 2g

@@ -1,11 +1,14 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareysym.exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
-                            InvalidSymbolError, NotNormalizedError, classify,
+                            InvalidSymbolError, NotNormalizedError, ORDER3,
+                            REVERSE, arc_matrix, classify,
                             CLS_ELLIPTIC3, CLS_HYPERBOLIC, CLS_PARABOLIC)
-from fareysym.symbol import FareySymbol
+from fareysym.symbol import FareySymbol, gluing_entries
 from fareysym.kulkarni import gamma0_oracle
 
 
@@ -47,6 +50,68 @@ def random_pairing(rng, n):
                    4: [p + 2, p + 3, p, p + 1]}[kind]
     k = rng.randrange(n)
     return [(blocks[(i + k) % n] - k) % n for i in range(n)]
+
+
+def reference_gluing(r, s, t, u, order=None):
+    """The gluing by the matrix chain gluing_entries replaces: arc matrices
+    A, A* of the arcs (r, s) and (t, u), given as integer pairs of either
+    sign, then A (A* R)^-1, or for order 3 (A* R) U (A* R)^-1, with R =
+    REVERSE and U = ORDER3, divided by det A*."""
+    a = arc_matrix(Cusp(*r), Cusp(*s))
+    am = arc_matrix(Cusp(*t), Cusp(*u)) * REVERSE
+    num = am * ORDER3 * am.adjugate() if order == 3 else a * am.adjugate()
+    k = am.det()
+    if any(x % k for x in num.entries()):
+        raise InvalidSymbolError("not divisible by %d" % k)
+    return tuple(x // k for x in num.entries())
+
+
+@st.composite
+def arcs_of_width(draw, w):
+    """An arc (r, s) of width w as two primitive integer pairs, each of
+    either sign: M (1, 0) and M (x, +-w) for a random M in SL2(Z) and x
+    prime to w."""
+    m = IMat(1, 0, 0, 1)
+    for k in draw(st.lists(st.integers(-4, 4), max_size=5)):
+        m = m * IMat(1, k, 0, 1) * IMat(0, -1, 1, 0)
+    x = draw(st.integers(-9, 9).filter(lambda x: gcd(x, w) == 1))
+    y = draw(st.sampled_from([w, -w]))
+    r, s = (m.a, m.c), (m.a * x + m.b * y, m.c * x + m.d * y)
+    return tuple((p, q) if draw(st.booleans()) else (-p, -q) for p, q in (r, s))
+
+
+@st.composite
+def gluing_inputs(draw):
+    """(r, s, t, u, order): a pair of arcs of equal width 1..6, or one arc
+    of width 1..6 twice, with its endpoint pairs of either sign, for a fixed
+    arc of order 2 or 3."""
+    w = draw(st.integers(1, 6))
+    order = draw(st.sampled_from([None, 2, 3]))
+    r, s = draw(arcs_of_width(w))
+    if order is None:
+        t, u = draw(arcs_of_width(w))
+    else:
+        t, u = (p if draw(st.booleans()) else (-p[0], -p[1]) for p in (r, s))
+    return r, s, t, u, order
+
+
+class TestGluingFormula:
+    @settings(max_examples=400, deadline=None)
+    @given(gluing_inputs())
+    def test_matches_the_matrix_chain(self, args):
+        try:
+            want = reference_gluing(*args)
+        except InvalidSymbolError:
+            with pytest.raises(InvalidSymbolError, match="not divisible"):
+                gluing_entries(*args)
+            return
+        assert gluing_entries(*args) == want
+
+    def test_degenerate_arc_is_named(self):
+        with pytest.raises(FareyError, match=r"degenerate arc \(1/2, 1/2\)"):
+            gluing_entries((1, 2), (-1, -2), (1, 0), (0, 1))
+        with pytest.raises(FareyError, match=r"degenerate arc \(1/0, 1/0\)"):
+            gluing_entries((0, 1), (1, 0), (-1, 0), (1, 0))
 
 
 class TestConstruction:
@@ -204,6 +269,19 @@ class TestValidation:
         s = FareySymbol([INFINITY, ZERO, Cusp(2, 5), Cusp(1, 1)],
                         [2, 1, 0, 3], {1: 2, 3: 2})
         with pytest.raises(InvalidSymbolError):
+            s.validate()
+
+    def test_identity_gluing_rejected(self):
+        s = FareySymbol([INFINITY, ZERO], [1, 0], {})
+        with pytest.raises(InvalidSymbolError, match="identity"):
+            s.validate()
+
+    def test_non_integral_gluing_rejected(self):
+        # the width-3 arcs (0, 3) and (3, 6) have equal widths, but no
+        # integral matrix carries one onto the other reversed
+        s = FareySymbol([INFINITY, ZERO, Cusp(3, 1), Cusp(6, 1)],
+                        [3, 2, 1, 0], {})
+        with pytest.raises(InvalidSymbolError, match="not divisible by 3"):
             s.validate()
 
     def test_out_of_order_vertices(self):
