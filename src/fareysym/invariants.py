@@ -149,9 +149,10 @@ def word_product(sym, word):
 def _word_data(sym):
     """The word problem's per-symbol data, built once: the index k of the
     arc (infinity, 0), the numerators and denominators of the vertices
-    after infinity (increasing, see FareySymbol.vertex_order), the inverse
-    gluings, the largest vertex entry, and the width and stabilizer word
-    of the cusp at infinity, rotated to start at infinity itself."""
+    after infinity (increasing, see FareySymbol.vertex_order), the entries
+    of the inverse gluings, the place of each arc's partner counted from
+    arc k, the largest vertex entry, and the width and stabilizer word of
+    the cusp at infinity, rotated to start at infinity itself."""
     memo = sym._memo
     if "word" in memo:
         return memo["word"]
@@ -161,10 +162,61 @@ def _word_data(sym):
     pos = cycle.index(k)
     cycle = cycle[pos:] + cycle[:pos]
     memo["word"] = (k, [v.num for v in finite], [v.den for v in finite],
-                    [g.inverse() for g in sym.gluings()],
+                    [(g.d, -g.b, -g.c, g.a) for g in sym.gluings()],
+                    [(j - k) % sym.n for j in sym.pairing],
                     max(max(abs(v.num), v.den) for v in sym.vertices),
                     orbit.width, [(i, -1) for i in reversed(cycle)])
     return memo["word"]
+
+
+def _interval(nums, dens, p, q, start):
+    """The boundary interval holding x = p/q (q > 0) among the increasing
+    rationals nums[t]/dens[t]: the lo with those before lo below x and
+    those from lo on above it, or None when x is one of them.
+
+    The search gallops from the right end of interval start, probing 1, 2,
+    4, ... places further in the direction x lies until x is bracketed, and
+    bisects what is left.  Every probe keeps the invariant (those before lo
+    below x, those from hi on above), so the answer is the one plain
+    bisection gives, and x is found on one of them exactly when it is one:
+    a value equal to x can leave [lo, hi) only by being probed.
+    """
+    lo, hi = 0, len(nums)
+    i = base = start if start < hi else hi - 1
+    off = 1
+    d = p * dens[i] - nums[i] * q
+    if d > 0:
+        while d > 0:
+            lo = i + 1
+            i = base + off
+            if i >= hi:
+                break
+            off *= 2
+            d = p * dens[i] - nums[i] * q
+        else:
+            hi = i
+    elif d < 0:
+        while d < 0:
+            hi = i
+            i = base - off
+            if i < lo:
+                break
+            off *= 2
+            d = p * dens[i] - nums[i] * q
+        else:
+            lo = i + 1
+    if not d:
+        return None
+    while lo < hi:
+        i = (lo + hi) // 2
+        d = p * dens[i] - nums[i] * q
+        if not d:
+            return None
+        if d < 0:
+            hi = i
+        else:
+            lo = i + 1
+    return lo
 
 
 class CosetTable:
@@ -324,33 +376,42 @@ def express_word(sym, g):
     rational) among the boundary intervals and strips the corresponding
     generator, until a matrix fixing infinity is left, a power of the
     stabilizer of infinity.  Read from infinity, the vertices of a valid
-    symbol increase, so each step finds its interval by bisection, in
-    O(log n) cross products.  A member whose reduction runs past the step
+    symbol increase, so each step finds its interval by a search that
+    keeps the bisection invariant (see _interval).  The first search
+    starts in the middle, each later one at the partner of the arc just
+    stripped, whose gluing carried the point across to that partner: on a
+    normalized symbol the next interval is most often the partner's or a
+    neighbour's.
+    The same invariant makes the answer the one bisection gives.  The
+    matrix is kept as four integers, sign-fixed after each step as
+    IMat.psl_normalize does.  A member whose reduction runs past the step
     cap raises FareyError; the answer is never None for a member.
     """
     if g.det() != 1:
         raise FareyError("express_word needs an integral det-1 matrix")
-    k, nums, dens, inverses, vert_height, width, stab = _word_data(sym)
+    k, nums, dens, inverses, partner, vert_height, width, stab = _word_data(sym)
     if not coset_table(sym).contains(g):
         return None
     n = sym.n
 
     word = []
-    g = g.psl_normalize()
+    a, b, c, d = g.entries()
+    if a < 0 or (not a and b < 0):
+        a, b, c, d = -a, -b, -c, -d
     steps = 0
-    cap = (g.size().bit_length() + 8) * (n + 8) * 4
+    cap = ((abs(a) + abs(b) + abs(c) + abs(d)).bit_length() + 8) * (n + 8) * 4
+    start = (n - 1) // 2
     while True:
         steps += 1
         if steps > cap:
             raise FareyError("word reduction exceeded its step cap")
-        if g.is_identity_psl():
-            return word
-        if g.c == 0:
-            shift = g.b * g.a  # psl-normalization makes the diagonal +-1
-            if shift % width:
+        if not c:  # a = d = 1 after the sign fix
+            if not b:
+                return word
+            if b % width:
                 raise FareyError("the reduction left a translation that the "
                                  "coset walk accepted but the cusp refuses")
-            e = shift // width
+            e = b // width
             if len(stab) == 1:
                 return word + [(stab[0][0], -e)]
             if abs(e) * len(stab) > cap:
@@ -359,28 +420,23 @@ def express_word(sym, g):
                 stab = [(i, -x) for i, x in reversed(stab)]
             return word + stab * abs(e)
         # x = (p : q) = g(m), q > 0; c != 0 and m > |d| make q nonzero
-        m = 1 + max(max(abs(x) for x in g.entries()), vert_height)
-        side = None
-        while side is None:
-            p, q = g.a * m + g.b, g.c * m + g.d
+        m = 1 + max(abs(a), abs(b), abs(c), abs(d), vert_height)
+        while True:
+            p, q = a * m + b, c * m + d
             if q < 0:
                 p, q = -p, -q
-            # the finite vertices before lo lie below x, those from hi on above
-            lo, hi = 0, n - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                d = p * dens[mid] - nums[mid] * q
-                if d == 0:  # x is a vertex: move it off
-                    m *= 2
-                    break
-                if d < 0:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            else:
-                side = (k + lo) % n
+            lo = _interval(nums, dens, p, q, start)
+            if lo is not None:
+                break
+            m *= 2  # x is a vertex: move it off
+        side = (k + lo) % n
         word.append((side, 1))
-        g = (inverses[side] * g).psl_normalize()
+        start = partner[side]
+        ia, ib, ic, id_ = inverses[side]
+        a, b, c, d = (ia * a + ib * c, ia * b + ib * d,
+                      ic * a + id_ * c, ic * b + id_ * d)
+        if a < 0 or (not a and b < 0):
+            a, b, c, d = -a, -b, -c, -d
 
 
 def contains(sym, g):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from fareysym import classical
 from fareysym.exact import (IMat, IDENTITY, FareyError,
                             classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
-from fareysym.invariants import (contains, coset_table, counts, cusp_orbits,
-                                 express_word, generators, word_product)
+from fareysym.invariants import (_interval, contains, coset_table, counts,
+                                 cusp_orbits, express_word, generators,
+                                 word_product)
 from fareysym.kulkarni import gamma0_symbol
 from fareysym.siegel import base_cut, normalize
 from fareysym.symbol import FareySymbol
@@ -110,6 +112,52 @@ class TestCounts:
             assert counts(ns)[0] == ns.block_counts()[0]
 
 
+class IntersectionForm:
+    """omega on Z^pairs of a unimodular symbol: the curve dual to a pair
+    {i, i*} of non-elliptic arcs (i < i*) crosses arc i one way and arc i*
+    the other, and two such curves cross once, with a sign, exactly when
+    their pairs interleave."""
+
+    def __init__(self, sym):
+        self.sym = sym
+        self.pairs = [(i, j) for i, j in enumerate(sym.pairing) if i < j]
+        self.col = {i: c for c, (i, _) in enumerate(self.pairs)}
+        self.omega = [[(i < k < j < l) - (k < i < l < j)
+                       for k, l in self.pairs] for i, j in self.pairs]
+
+    def vector(self, m):
+        """The exponent sum, pair by pair, of the word of m."""
+        v = [0] * len(self.pairs)
+        for i, e in express_word(self.sym, m):
+            j = self.sym.pairing[i]
+            if i < j:
+                v[self.col[i]] += e
+            elif j < i:
+                v[self.col[j]] -= e
+        return v
+
+    def times(self, v):
+        """omega v."""
+        return [sum(x * y for x, y in zip(row, v)) for row in self.omega]
+
+
+def rank(rows):
+    """The rank over Q of an integer matrix."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for k in range(r + 1, len(rows)):
+            if rows[k][c]:
+                f = rows[k][c] / rows[r][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        r += 1
+    return r
+
+
 class TestGenerators:
     def test_gamma0_14_symplectic_pair(self, normalized_for):
         ns = normalized_for(14)
@@ -179,6 +227,34 @@ class TestGenerators:
             assert len(gens.symplectic_pairs) == g, N
             for pair in gens.symplectic_pairs:
                 assert [classify(m) for m in pair] == [CLS_HYPERBOLIC] * 2, N
+
+    def test_symplectic_basis(self, symbol_for, normalized_for):
+        """The quads of the normal form are a symplectic basis of H1: on
+        the unimodular symbol, with omega the signed interleaving form on
+        its non-elliptic pairs (the intersection form of their dual
+        curves), omega has rank 2g and the exponent-sum vectors of the
+        quad gluings (a1, b1, ..., ag, bg) have Gram matrix +-J, one sign
+        per level; the pair (cusp) gluings lie in the radical of omega."""
+        for N in list(range(1, 121)) + [200]:
+            uni, ns = symbol_for(N), normalized_for(N)
+            form = IntersectionForm(uni)
+            g = classical.genus_gamma0(N)
+            assert rank(form.omega) == 2 * g, N
+            vectors = [form.vector(m) for pair in
+                       generators(ns).symplectic_pairs for m in pair]
+            images = [form.times(w) for w in vectors]
+            gram = [[sum(x * y for x, y in zip(v, w)) for w in images]
+                    for v in vectors]
+            sign = gram[0][1] if g else 1
+            assert sign in (1, -1), N
+            assert gram == [[sign * ((y == x + 1 and x % 2 == 0)
+                                     - (x == y + 1 and y % 2 == 0))
+                             for y in range(2 * g)] for x in range(2 * g)], N
+            if N <= 80:
+                for kind, idx in ns.factorize():
+                    if kind == "pair":
+                        v = form.vector(ns.gluing(idx[0]))
+                        assert not any(form.times(v)), N
 
     def test_no_pairs_on_unnormalized(self, symbol_for):
         assert generators(symbol_for(15)).symplectic_pairs == []
@@ -265,10 +341,11 @@ def st_matrix(rng, bits):
     return g
 
 
-def word_record(sym, g):
-    """express_word's answer as text: the word, None, or the error message."""
+def word_record(sym, g, reduce=express_word):
+    """The answer of express_word, or of another reduction, as text: the
+    word, None, or the error message."""
     try:
-        return repr(express_word(sym, g))
+        return repr(reduce(sym, g))
     except FareyError as e:
         return "FareyError: %s" % e
 
@@ -384,6 +461,143 @@ class TestCosetWalk:
             else:
                 assert word_product(sym, word).psl_eq(g)
         prop()
+
+
+def bisect_interval(nums, dens, p, q):
+    """Plain bisection for _interval: the lo with nums[t]/dens[t] below
+    p/q (q > 0) for t < lo and above it from lo on, or None when a probe
+    lands on p/q."""
+    lo, hi = 0, len(nums)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        d = p * dens[mid] - nums[mid] * q
+        if d == 0:
+            return None
+        if d < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def reference_express_word(sym, g):
+    """The member reduction on IMat with plain bisection from the middle,
+    as it was before it moved to four integers and the galloping search;
+    express_word must give the same word, None or step-cap error."""
+    if g.det() != 1:
+        raise FareyError("express_word needs an integral det-1 matrix")
+    k, finite = sym.vertex_order()
+    nums, dens = [v.num for v in finite], [v.den for v in finite]
+    inverses = [h.inverse() for h in sym.gluings()]
+    vert_height = max(max(abs(v.num), v.den) for v in sym.vertices)
+    orbit = next(o for o in cusp_orbits(sym) if k in o.vertex_indices)
+    cycle = orbit.vertex_indices
+    pos = cycle.index(k)
+    cycle = cycle[pos:] + cycle[:pos]
+    width, stab = orbit.width, [(i, -1) for i in reversed(cycle)]
+    if not coset_table(sym).contains(g):
+        return None
+    n = sym.n
+
+    word = []
+    g = g.psl_normalize()
+    steps = 0
+    cap = (g.size().bit_length() + 8) * (n + 8) * 4
+    while True:
+        steps += 1
+        if steps > cap:
+            raise FareyError("word reduction exceeded its step cap")
+        if g.is_identity_psl():
+            return word
+        if g.c == 0:
+            shift = g.b * g.a
+            if shift % width:
+                raise FareyError("the reduction left a translation that the "
+                                 "coset walk accepted but the cusp refuses")
+            e = shift // width
+            if len(stab) == 1:
+                return word + [(stab[0][0], -e)]
+            if abs(e) * len(stab) > cap:
+                raise FareyError("word reduction exceeded its step cap")
+            if e < 0:
+                stab = [(i, -x) for i, x in reversed(stab)]
+            return word + stab * abs(e)
+        m = 1 + max(max(abs(x) for x in g.entries()), vert_height)
+        lo = None
+        while lo is None:
+            p, q = g.a * m + g.b, g.c * m + g.d
+            if q < 0:
+                p, q = -p, -q
+            lo = bisect_interval(nums, dens, p, q)
+            if lo is None:
+                m *= 2
+        side = (k + lo) % n
+        word.append((side, 1))
+        g = (inverses[side] * g).psl_normalize()
+
+
+class TestIntervalSearch:
+    """_interval against plain bisection, from every start: the only test
+    of x on a vertex, which no member of Gamma0(N) reaches (x = g(m) has a
+    denominator above every vertex's)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=40), min_size=1, max_size=14,
+                    unique=True),
+           st.one_of(st.integers(0, 13), st.fractions(max_denominator=60)))
+    def test_matches_bisection_from_every_start(self, values, x):
+        values.sort()
+        if isinstance(x, int):  # x on a vertex
+            x = values[x % len(values)]
+        nums = [v.numerator for v in values]
+        dens = [v.denominator for v in values]
+        p, q = x.numerator, x.denominator
+        want = bisect_interval(nums, dens, p, q)
+        if x in values:
+            assert want is None
+        else:
+            assert all(v < x for v in values[:want])
+            assert all(v > x for v in values[want:])
+        for start in range(len(values) + 1):
+            # p/q need not be in lowest terms
+            assert _interval(nums, dens, p, q, start) == want, start
+            assert _interval(nums, dens, 3 * p, 3 * q, start) == want, start
+
+    def test_far_starts(self):
+        values = [Fraction(t, 7) for t in range(-40, 41, 3)]
+        nums = [v.numerator for v in values]
+        dens = [v.denominator for v in values]
+        for t in range(-45, 46):
+            x = Fraction(t, 7) + Fraction(1, 100)
+            for start in range(len(values) + 1):
+                assert _interval(nums, dens, x.numerator, x.denominator,
+                                 start) == bisect_interval(
+                    nums, dens, x.numerator, x.denominator), (t, start)
+
+
+def test_reduction_matches_the_reference(symbol_for, normalized_for):
+    """express_word and reference_express_word agree on members, S/T words
+    and members with a huge partial quotient (the step cap), on both
+    representations and random rotations."""
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((2, 6, 13, 36, 60, 180)), st.booleans(),
+           st.integers(0, 10 ** 6), st.sampled_from(("member", "st", "huge")),
+           st.integers(16, 80), st.integers(0, 2 ** 32))
+    def prop(N, normalized, k, kind, bits, seed):
+        uni = symbol_for(N)
+        sym = (normalized_for(N) if normalized else uni).rotated(k)
+        rng = random.Random(seed)
+        if kind == "member":
+            g = member_matrix(rng, uni, bits)
+        elif kind == "st":
+            g = st_matrix(rng, bits)
+        else:
+            g = huge_parabolic(rng, uni, N)
+        want = word_record(sym, g, reference_express_word)
+        assert word_record(sym, g) == want
+        if kind == "huge":  # the reduction circles a cusp other than infinity
+            assert "step cap" in want
+    prop()
 
 
 class TestCompanion:

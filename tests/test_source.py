@@ -19,3 +19,20 @@ def test_no_bare_assert_in_src():
 def test_every_exported_name_resolves():
     missing = [name for name in fareysym.__all__ if not hasattr(fareysym, name)]
     assert not missing, missing
+
+
+def test_no_unused_imports_in_src():
+    # __init__.py imports in order to re-export, so it is left out
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not found, found

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fareysym.exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
                             InvalidSymbolError, NotNormalizedError, ORDER3,
                             REVERSE, arc_matrix, classify,
-                            CLS_ELLIPTIC3, CLS_HYPERBOLIC, CLS_PARABOLIC)
+                            CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_HYPERBOLIC,
+                            CLS_PARABOLIC)
 from fareysym.symbol import FareySymbol, gluing_entries
 from fareysym.kulkarni import gamma0_oracle
 
@@ -106,6 +107,22 @@ class TestGluingFormula:
                 gluing_entries(*args)
             return
         assert gluing_entries(*args) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 6).flatmap(arcs_of_width), st.sampled_from([2, 3]))
+    def test_fixed_arc_trace(self, arc, order):
+        """Every integral fixed-arc gluing has trace 0 (order 2) or -1
+        (order 3), so its class is the order's: validation needs no class
+        check on fixed arcs."""
+        r, s = arc
+        try:
+            a, b, c, d = gluing_entries(r, s, r, s, order)
+        except InvalidSymbolError:
+            return
+        assert a * d - b * c == 1
+        assert a + d == (0 if order == 2 else -1)
+        assert classify(IMat(a, b, c, d)) == (
+            CLS_ELLIPTIC2 if order == 2 else CLS_ELLIPTIC3)
 
     def test_degenerate_arc_is_named(self):
         with pytest.raises(FareyError, match=r"degenerate arc \(1/2, 1/2\)"):
