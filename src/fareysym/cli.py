@@ -145,10 +145,14 @@ def check_level(N):
 
 
 def _cmd_scan(args):
+    if args.jobs < 1:
+        raise InvalidSymbolError("--jobs must be a positive integer, got %d"
+                                 % args.jobs)
     levels = list(range(args.start, args.stop + 1))
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(levels))
+    if jobs > 1:
         from multiprocessing import Pool
-        with Pool(args.jobs) as pool:
+        with Pool(jobs) as pool:
             results = pool.map(check_level, levels)
     else:
         results = [check_level(N) for N in levels]

@@ -4,7 +4,7 @@ coset table of the group, and the word problem in the gluing generators.
 """
 
 from . import classical
-from .exact import IMat, IDENTITY, FareyError, InvalidSymbolError
+from .exact import IDENTITY, FareyError, InvalidSymbolError
 from .kulkarni import gamma0_oracle, gamma0_symbol
 
 
@@ -30,16 +30,15 @@ class CuspClass:
 
 
 def _width_at(delta, cusp):
-    """w > 0 with delta conjugate to [[1, w], [0, 1]] fixing the cusp."""
+    """w > 0 with delta = +-(1 - pqw, p^2 w, -q^2 w, 1 + pqw), the parabolic
+    of width w fixing the cusp p/q: the conjugate of [[1, w], [0, 1]]."""
     p, q = cusp.num, cusp.den
-    # x*p + y*q = 1; any solution does, as it only changes conj by a power of T
-    x = pow(p, -1, q) if q else p
-    y = (1 - x * p) // q if q else 0
-    conj = IMat(p, -y, q, x)
-    t = conj.inverse() * delta * conj
-    if t.c != 0 or abs(t.a) != 1 or t.a != t.d:
+    a, b, c, d = delta.entries()
+    if a + d == -2:
+        a, b, c, d = -a, -b, -c, -d
+    w = -c // (q * q) if q else b
+    if (a, b, c, d) != (1 - p * q * w, p * p * w, -q * q * w, 1 + p * q * w):
         raise FareyError("stabilizer product is not parabolic at its cusp")
-    w = t.b * t.a
     if w <= 0:
         raise FareyError("cusp width came out nonpositive")
     return w
@@ -151,8 +150,8 @@ def _word_data(sym):
     arc (infinity, 0), the numerators and denominators of the vertices
     after infinity (increasing, see FareySymbol.vertex_order), the entries
     of the inverse gluings, the place of each arc's partner counted from
-    arc k, the largest vertex entry, and the width and stabilizer word of
-    the cusp at infinity, rotated to start at infinity itself."""
+    arc k, and the width and stabilizer word of the cusp at infinity,
+    rotated to start at infinity itself."""
     memo = sym._memo
     if "word" in memo:
         return memo["word"]
@@ -164,58 +163,48 @@ def _word_data(sym):
     memo["word"] = (k, [v.num for v in finite], [v.den for v in finite],
                     [(g.d, -g.b, -g.c, g.a) for g in sym.gluings()],
                     [(j - k) % sym.n for j in sym.pairing],
-                    max(max(abs(v.num), v.den) for v in sym.vertices),
                     orbit.width, [(i, -1) for i in reversed(cycle)])
     return memo["word"]
 
 
 def _interval(nums, dens, p, q, start):
-    """The boundary interval holding x = p/q (q > 0) among the increasing
-    rationals nums[t]/dens[t]: the lo with those before lo below x and
-    those from lo on above it, or None when x is one of them.
+    """The boundary interval just left of x = p/q (q > 0) among the
+    increasing rationals nums[t]/dens[t]: the lo with those before lo below
+    x and those from lo on at or above it, as bisect_left finds it.
 
     The search gallops from the right end of interval start, probing 1, 2,
     4, ... places further in the direction x lies until x is bracketed, and
     bisects what is left.  Every probe keeps the invariant (those before lo
-    below x, those from hi on above), so the answer is the one plain
-    bisection gives, and x is found on one of them exactly when it is one:
-    a value equal to x can leave [lo, hi) only by being probed.
+    below x, those from hi on at or above it), so the answer is the one
+    plain bisection gives.
     """
     lo, hi = 0, len(nums)
-    i = base = start if start < hi else hi - 1
+    base = start if start < hi else hi - 1
     off = 1
-    d = p * dens[i] - nums[i] * q
-    if d > 0:
-        while d > 0:
-            lo = i + 1
+    if nums[base] * q < p * dens[base]:
+        lo = base + 1
+        while base + off < hi:
             i = base + off
-            if i >= hi:
+            if nums[i] * q >= p * dens[i]:
+                hi = i
                 break
-            off *= 2
-            d = p * dens[i] - nums[i] * q
-        else:
-            hi = i
-    elif d < 0:
-        while d < 0:
-            hi = i
-            i = base - off
-            if i < lo:
-                break
-            off *= 2
-            d = p * dens[i] - nums[i] * q
-        else:
             lo = i + 1
-    if not d:
-        return None
+            off *= 2
+    else:
+        hi = base
+        while base - off >= 0:
+            i = base - off
+            if nums[i] * q < p * dens[i]:
+                lo = i + 1
+                break
+            hi = i
+            off *= 2
     while lo < hi:
         i = (lo + hi) // 2
-        d = p * dens[i] - nums[i] * q
-        if not d:
-            return None
-        if d < 0:
-            hi = i
-        else:
+        if nums[i] * q < p * dens[i]:
             lo = i + 1
+        else:
+            hi = i
     return lo
 
 
@@ -371,13 +360,13 @@ def express_word(sym, g):
     Returns a list of (arc index, exponent) whose product equals g up to
     sign.  Membership is decided first, exactly, by the coset walk (see
     coset_table), so a non-member costs O(#partial quotients) and never
-    reaches the reduction.  A member is then reduced: each step locates the
-    image of infinity (nudged off the vertices by evaluating at a large
-    rational) among the boundary intervals and strips the corresponding
-    generator, until a matrix fixing infinity is left, a power of the
-    stabilizer of infinity.  Read from infinity, the vertices of a valid
-    symbol increase, so each step finds its interval by a search that
-    keeps the bisection invariant (see _interval).  The first search
+    reaches the reduction.  A member is then reduced: each step finds the
+    boundary interval just left of g(infinity) = a/c, where g(m) lies for
+    every large m (g(m) - a/c = -1/(c(cm + d))), and strips the
+    corresponding generator, until a matrix fixing infinity is left, a
+    power of the stabilizer of infinity.  Read from infinity, the vertices
+    of a valid symbol increase, so each step finds its interval by a search
+    that keeps the bisection invariant (see _interval).  The first search
     starts in the middle, each later one at the partner of the arc just
     stripped, whose gluing carried the point across to that partner: on a
     normalized symbol the next interval is most often the partner's or a
@@ -389,7 +378,7 @@ def express_word(sym, g):
     """
     if g.det() != 1:
         raise FareyError("express_word needs an integral det-1 matrix")
-    k, nums, dens, inverses, partner, vert_height, width, stab = _word_data(sym)
+    k, nums, dens, inverses, partner, width, stab = _word_data(sym)
     if not coset_table(sym).contains(g):
         return None
     n = sym.n
@@ -419,17 +408,8 @@ def express_word(sym, g):
             if e < 0:
                 stab = [(i, -x) for i, x in reversed(stab)]
             return word + stab * abs(e)
-        # x = (p : q) = g(m), q > 0; c != 0 and m > |d| make q nonzero
-        m = 1 + max(abs(a), abs(b), abs(c), abs(d), vert_height)
-        while True:
-            p, q = a * m + b, c * m + d
-            if q < 0:
-                p, q = -p, -q
-            lo = _interval(nums, dens, p, q, start)
-            if lo is not None:
-                break
-            m *= 2  # x is a vertex: move it off
-        side = (k + lo) % n
+        p, q = (a, c) if c > 0 else (-a, -c)
+        side = (k + _interval(nums, dens, p, q, start)) % n
         word.append((side, 1))
         start = partner[side]
         ia, ib, ic, id_ = inverses[side]

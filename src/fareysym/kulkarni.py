@@ -300,6 +300,8 @@ def build_unimodular(oracle, on_event=None):
 def replay_trace(trace, level=None):
     """Rebuild the symbol a trace came from, without consulting any oracle."""
     if trace and trace[0] == ("full-group",):
+        if len(trace) > 1:
+            raise FareyError("a full-group trace has no further events")
         return _full_group_symbol(level)
     walk = _Walk()
     partner = walk.partner

@@ -205,11 +205,40 @@ class TestExitCodes:
         ["member", "--matrix", "1,0,0,1", "--level"],
         ["render", "--level", "6", "--width"],
         ["render", "--level", "6", "--height"],
+        ["scan", "--from", "1", "--to", "3", "--jobs"],
     ])
     def test_nonpositive_size_is_2(self, capsys, argv, size):
         code, out, err = run(capsys, *argv, size)
         assert (code, out) == (2, "")
         assert "positive" in err
+
+    @pytest.mark.parametrize("jobs,levels,size", [
+        ("64", ("1", "3"), 3), ("2", ("1", "3"), 2), ("8", ("5", "5"), None),
+        ("8", ("5", "4"), None), ("1", ("1", "3"), None)])
+    def test_scan_starts_no_more_workers_than_levels(
+            self, capsys, monkeypatch, jobs, levels, size):
+        """The pool is a stand-in that records its size and maps in this
+        process, so no worker is started."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(x) for x in items]
+
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
+        code, out, _ = run(capsys, "scan", "--from", levels[0],
+                           "--to", levels[1], "--jobs", jobs)
+        assert code == 0 and "0 failure(s)" in out
+        assert sizes == ([size] if size else [])
 
 
 class TestParserReuse:

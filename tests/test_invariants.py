@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import random
 from fractions import Fraction
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
-from fareysym.exact import (IMat, IDENTITY, FareyError,
+from fareysym.exact import (IMat, IDENTITY, INFINITY, Cusp, FareyError,
                             classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
-from fareysym.invariants import (_interval, contains, coset_table, counts,
-                                 cusp_orbits, express_word, generators,
+from fareysym.invariants import (_interval, _width_at, contains, coset_table,
+                                 counts, cusp_orbits, express_word, generators,
                                  word_product)
-from fareysym.kulkarni import gamma0_symbol
+from fareysym.kulkarni import MembershipOracle, build_unimodular, gamma0_symbol
 from fareysym.siegel import base_cut, normalize
 from fareysym.symbol import FareySymbol
 
@@ -464,9 +465,9 @@ class TestCosetWalk:
 
 
 def bisect_interval(nums, dens, p, q):
-    """Plain bisection for _interval: the lo with nums[t]/dens[t] below
-    p/q (q > 0) for t < lo and above it from lo on, or None when a probe
-    lands on p/q."""
+    """The reference's bisection: the lo with nums[t]/dens[t] below p/q
+    (q > 0) for t < lo and above it from lo on, or None when a probe lands
+    on p/q."""
     lo, hi = 0, len(nums)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -482,8 +483,10 @@ def bisect_interval(nums, dens, p, q):
 
 def reference_express_word(sym, g):
     """The member reduction on IMat with plain bisection from the middle,
-    as it was before it moved to four integers and the galloping search;
-    express_word must give the same word, None or step-cap error."""
+    locating g(m) at a large m moved off the vertices, as it was before it
+    moved to four integers, the galloping search and g(infinity) = a/c;
+    express_word must give the same word, None or step-cap error on
+    Gamma0(N), N > 1."""
     if g.det() != 1:
         raise FareyError("express_word needs an integral det-1 matrix")
     k, finite = sym.vertex_order()
@@ -537,9 +540,8 @@ def reference_express_word(sym, g):
 
 
 class TestIntervalSearch:
-    """_interval against plain bisection, from every start: the only test
-    of x on a vertex, which no member of Gamma0(N) reaches (x = g(m) has a
-    denominator above every vertex's)."""
+    """_interval against bisect_left over Fractions, from every start, with
+    x on a vertex and off them."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fractions(max_denominator=40), min_size=1, max_size=14,
@@ -552,12 +554,7 @@ class TestIntervalSearch:
         nums = [v.numerator for v in values]
         dens = [v.denominator for v in values]
         p, q = x.numerator, x.denominator
-        want = bisect_interval(nums, dens, p, q)
-        if x in values:
-            assert want is None
-        else:
-            assert all(v < x for v in values[:want])
-            assert all(v > x for v in values[want:])
+        want = bisect.bisect_left(values, x)
         for start in range(len(values) + 1):
             # p/q need not be in lowest terms
             assert _interval(nums, dens, p, q, start) == want, start
@@ -568,11 +565,11 @@ class TestIntervalSearch:
         nums = [v.numerator for v in values]
         dens = [v.denominator for v in values]
         for t in range(-45, 46):
-            x = Fraction(t, 7) + Fraction(1, 100)
-            for start in range(len(values) + 1):
-                assert _interval(nums, dens, x.numerator, x.denominator,
-                                 start) == bisect_interval(
-                    nums, dens, x.numerator, x.denominator), (t, start)
+            for x in (Fraction(t, 7), Fraction(t, 7) + Fraction(1, 100)):
+                want = bisect.bisect_left(values, x)
+                for start in range(len(values) + 1):
+                    assert _interval(nums, dens, x.numerator, x.denominator,
+                                     start) == want, (x, start)
 
 
 def test_reduction_matches_the_reference(symbol_for, normalized_for):
@@ -598,6 +595,116 @@ def test_reduction_matches_the_reference(symbol_for, normalized_for):
         if kind == "huge":  # the reduction circles a cusp other than infinity
             assert "step cap" in want
     prop()
+
+
+def gamma_upper(N):
+    """The unimodular symbol of Gamma^0(N) = {b = 0 mod N}, from the keyless
+    builder: a group other than Gamma0(N), with no level."""
+    return build_unimodular(MembershipOracle(lambda m: m.b % N == 0))
+
+
+class TestWordProblemOnGammaUpper:
+    """On Gamma^0(N) many members have |c| = 1 or g(infinity) on a vertex at
+    some step of the reduction, which no member of Gamma0(N), N > 1, has."""
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 6, 7])
+    def test_members_multiply_back(self, N):
+        sym = gamma_upper(N)
+        assert sym.level is None
+        vertices = set(sym.vertices)
+        rng = random.Random(N)
+        edge_steps = 0
+        for _ in range(60):
+            g = member_matrix(rng, sym, 30)
+            word = express_word(sym, g)
+            assert word is not None and word_product(sym, word).psl_eq(g)
+            h = g
+            for i, e in word:
+                if h.c and (abs(h.c) == 1 or h.apply(INFINITY) in vertices):
+                    edge_steps += 1
+                h = sym.gluing(i).inverse() ** e * h
+        assert edge_steps > 0
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 6, 7])
+    def test_verdict_matches_the_congruence(self, N):
+        sym = gamma_upper(N)
+        assert express_word(sym, T) is None
+        assert express_word(sym, S) is None
+        rng = random.Random(100 + N)
+        for _ in range(60):
+            g = st_matrix(rng, 30)
+            word = express_word(sym, g)
+            if word is None:
+                assert g.b % N != 0
+            else:
+                assert word_product(sym, word).psl_eq(g)
+
+
+def reference_width_at(delta, cusp):
+    """_width_at by conjugation, as it was before the closed form: move the
+    cusp to infinity and read the translation."""
+    p, q = cusp.num, cusp.den
+    x = pow(p, -1, q) if q else p
+    y = (1 - x * p) // q if q else 0
+    conj = IMat(p, -y, q, x)
+    t = conj.inverse() * delta * conj
+    if t.c != 0 or abs(t.a) != 1 or t.a != t.d:
+        raise FareyError("stabilizer product is not parabolic at its cusp")
+    w = t.b * t.a
+    if w <= 0:
+        raise FareyError("cusp width came out nonpositive")
+    return w
+
+
+def width_record(delta, cusp, width_at=_width_at):
+    try:
+        return width_at(delta, cusp)
+    except FareyError as e:
+        return "FareyError: %s" % e
+
+
+class TestWidthAt:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(0, 24), st.integers(-6, 6),
+           st.sampled_from(("own cusp", "mirrored cusp", "other cusp",
+                            "any matrix")),
+           st.booleans())
+    def test_matches_the_conjugation(self, seed, bits, w, kind, negate):
+        rng = random.Random(seed)
+        h = st_matrix(rng, bits)
+        delta = h * T ** w * h.inverse()
+        cusp = h.apply(INFINITY)
+        if kind == "mirrored cusp":  # b and c fit width w there too
+            cusp = Cusp(-cusp.num, cusp.den)
+        elif kind == "other cusp":
+            cusp = st_matrix(rng, bits).apply(INFINITY)
+        elif kind == "any matrix":
+            delta = st_matrix(rng, bits)
+        if negate:
+            delta = -delta
+        want = width_record(delta, cusp, reference_width_at)
+        assert width_record(delta, cusp) == want
+        if kind == "own cusp":
+            assert want == (w if w > 0 else
+                            "FareyError: cusp width came out nonpositive")
+
+    def test_rejects(self):
+        h = IMat(2, 1, 5, 3)  # h(infinity) = 2/5
+        cusp = Cusp(2, 5)
+        assert _width_at(h * T ** 3 * h.inverse(), cusp) == 3
+        assert _width_at(-(h * T ** 3 * h.inverse()), cusp) == 3
+        assert _width_at(T ** 4, INFINITY) == 4
+        assert _width_at(S * T ** 2 * S.inverse(), Cusp(0, 1)) == 2
+        for delta, at, match in (
+                (IMat(2, 1, 1, 1), cusp, "not parabolic"),  # hyperbolic
+                (h * T ** 3 * h.inverse(), Cusp(1, 3), "not parabolic"),
+                (h * T ** 3 * h.inverse(), Cusp(-2, 5), "not parabolic"),
+                (T ** 3, Cusp(0, 1), "not parabolic"),
+                (IDENTITY, cusp, "nonpositive"),
+                (-IDENTITY, INFINITY, "nonpositive"),
+                (h * T ** -2 * h.inverse(), cusp, "nonpositive")):
+            with pytest.raises(FareyError, match=match):
+                _width_at(delta, at)
 
 
 class TestCompanion:

@@ -242,7 +242,10 @@ class TestBuild:
                 ([5], "not a tuple of strings"),
                 ([None], "not a tuple of strings"),
                 ([("mediant", ["1/0", "0/1"])], "not a tuple of strings"),
-                (["mediant"], "not a tuple of strings")):
+                (["mediant"], "not a tuple of strings"),
+                # nothing may follow the full group's one event
+                ([("full-group",), 5, None], "no further events"),
+                ([("full-group",), ("full-group",)], "no further events")):
             with pytest.raises(FareyError, match=match):
                 replay_trace(bad)
 
