@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_symbol(args):
     if getattr(args, "infile", None):
-        with open(args.infile) as fh:
+        with open(args.infile, "rb") as fh:
             sym = FareySymbol.from_json(fh.read())
         sym.validate()
         return sym
@@ -79,9 +79,9 @@ def _cmd_info(args):
                    "width": o.width,
                    "stabilizer_word": [list(t) for t in o.stabilizer_word]}
                   for o in cusp_orbits(sym)],
-        "generators": [{"matrix": list(m.entries()), "class": tag, "arc": i}
+        "generators": [{"matrix": list(m), "class": tag, "arc": i}
                        for m, tag, i in gens.entries],
-        "symplectic_pairs": [[list(a.entries()), list(b.entries())]
+        "symplectic_pairs": [[list(a), list(b)]
                              for a, b in gens.symplectic_pairs],
     }
     if sym.level is not None:
@@ -148,6 +148,12 @@ def _cmd_scan(args):
     if args.jobs < 1:
         raise InvalidSymbolError("--jobs must be a positive integer, got %d"
                                  % args.jobs)
+    if args.start < 1:
+        raise InvalidSymbolError("--from must be a positive integer, got %d"
+                                 % args.start)
+    if args.start > args.stop:
+        raise InvalidSymbolError("--from %d must not exceed --to %d"
+                                 % (args.start, args.stop))
     levels = list(range(args.start, args.stop + 1))
     jobs = min(args.jobs, len(levels))
     if jobs > 1:

@@ -79,8 +79,7 @@ class GroupRingElement:
     def __repr__(self):
         if not self.terms:
             return "GroupRingElement(0)"
-        bits = ["%+d*%s" % (c, list(m.entries())) for m, c in sorted(
-            self.terms.items(), key=lambda t: t[0].entries())]
+        bits = ["%+d*%s" % (c, list(m)) for m, c in sorted(self.terms.items())]
         return "GroupRingElement(%s)" % " ".join(bits)
 
     def act_on_divisor(self, divisor):
@@ -93,8 +92,7 @@ class GroupRingElement:
         return {cusp: k for cusp, k in out.items() if k}
 
     def to_jsonable(self):
-        return [[c, list(m.entries())] for m, c in sorted(
-            self.terms.items(), key=lambda t: t[0].entries())]
+        return [[c, list(m)] for m, c in sorted(self.terms.items())]
 
 
 def arc_divisor(sym, i):

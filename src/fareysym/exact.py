@@ -3,9 +3,12 @@
 Everything here is arbitrary-precision integer arithmetic; there is no
 floating point and no rational division.  Circular-order and membership
 predicates are expressed through the cross product
-D((p:q), (p':q')) = p*q' - p'*q alone.
+D((p:q), (p':q')) = p*q' - p'*q alone.  A point is a Cusp; a matrix is an
+IMat, the 4-tuple (a, b, c, d) of its entries, which unpacks, compares and
+hashes as a plain tuple does.
 """
 
+from collections import namedtuple
 from math import gcd
 
 
@@ -99,51 +102,39 @@ def cross(r, s):
     return r.num * s.den - s.num * r.den
 
 
-class IMat:
-    """A 2x2 integer matrix [[a, b], [c, d]].
+class IMat(namedtuple("IMat", "a b c d")):
+    """A 2x2 integer matrix [[a, b], [c, d]], as the 4-tuple (a, b, c, d).
 
     Used both for arc matrices (primitive columns, det > 0) and for group
-    elements (det 1, compared modulo sign).
+    elements (det 1, compared modulo sign).  Being a tuple, it is immutable
+    and compares and hashes as its entries do, so any code may unpack it as
+    four integers.
     """
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IMat is immutable")
+    __slots__ = ()
 
     def __repr__(self):
-        return "IMat(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        return (isinstance(other, IMat) and self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return "IMat(%d, %d, %d, %d)" % self
 
     def __mul__(self, other):
-        return IMat(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d)
+        a, b, c, d = self
+        e, f, g, h = other
+        return _new(IMat, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     def __neg__(self):
-        return IMat(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self
+        return _new(IMat, (-a, -b, -c, -d))
 
     def det(self):
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self
+        return a * d - b * c
 
     def trace(self):
-        return self.a + self.d
+        return self[0] + self[3]
 
     def adjugate(self):
-        return IMat(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return _new(IMat, (d, -b, -c, a))
 
     def inverse(self):
         """Inverse of a det +-1 matrix (stays integral)."""
@@ -155,26 +146,20 @@ class IMat:
         raise FareyError("inverse requires det +-1, got %d" % det)
 
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def psl_normalize(self):
         """Scale by -1 if needed so the first nonzero entry of (a,b,c,d) is > 0."""
-        for x in (self.a, self.b, self.c, self.d):
-            if x > 0:
-                return self
-            if x < 0:
-                return -self
+        for x in self:
+            if x:
+                return self if x > 0 else -self
         raise FareyError("zero matrix has no PSL2 normalization")
 
-    def psl_key(self):
-        return self.psl_normalize().entries()
-
     def psl_eq(self, other):
-        return self.psl_key() == other.psl_key()
+        return self.psl_normalize() == other.psl_normalize()
 
     def is_identity_psl(self):
-        m = self.psl_normalize()
-        return m.a == 1 and m.b == 0 and m.c == 0 and m.d == 1
+        return self.psl_normalize() == (1, 0, 0, 1)
 
     def __pow__(self, e):
         if e < 0:
@@ -190,14 +175,19 @@ class IMat:
 
     def apply(self, x):
         """Moebius action on a cusp: (p:q) -> (a p + b q : c p + d q)."""
-        if self.det() == 0:
+        a, b, c, d = self
+        if a * d == b * c:
             raise FareyError("moebius action needs det != 0")
-        return Cusp(self.a * x.num + self.b * x.den, self.c * x.num + self.d * x.den)
+        return Cusp(a * x.num + b * x.den, c * x.num + d * x.den)
 
     def size(self):
         """Sum of absolute values of the entries (word-problem measure)."""
-        return abs(self.a) + abs(self.b) + abs(self.c) + abs(self.d)
+        return sum(map(abs, self))
 
+
+# makes an IMat of a 4-tuple without the Python-level call to the
+# namedtuple's __new__
+_new = tuple.__new__
 
 IDENTITY = IMat(1, 0, 0, 1)
 # Right factor turning an arc matrix into the matrix of the reversed arc.

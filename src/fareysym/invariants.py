@@ -33,7 +33,7 @@ def _width_at(delta, cusp):
     """w > 0 with delta = +-(1 - pqw, p^2 w, -q^2 w, 1 + pqw), the parabolic
     of width w fixing the cusp p/q: the conjugate of [[1, w], [0, 1]]."""
     p, q = cusp.num, cusp.den
-    a, b, c, d = delta.entries()
+    a, b, c, d = delta
     if a + d == -2:
         a, b, c, d = -a, -b, -c, -d
     w = -c // (q * q) if q else b
@@ -148,10 +148,10 @@ def word_product(sym, word):
 def _word_data(sym):
     """The word problem's per-symbol data, built once: the index k of the
     arc (infinity, 0), the numerators and denominators of the vertices
-    after infinity (increasing, see FareySymbol.vertex_order), the entries
-    of the inverse gluings, the place of each arc's partner counted from
-    arc k, and the width and stabilizer word of the cusp at infinity,
-    rotated to start at infinity itself."""
+    after infinity (increasing, see FareySymbol.vertex_order), the inverse
+    gluings, the place of each arc's partner counted from arc k, and the
+    width and stabilizer word of the cusp at infinity, rotated to start at
+    infinity itself."""
     memo = sym._memo
     if "word" in memo:
         return memo["word"]
@@ -161,7 +161,7 @@ def _word_data(sym):
     pos = cycle.index(k)
     cycle = cycle[pos:] + cycle[:pos]
     memo["word"] = (k, [v.num for v in finite], [v.den for v in finite],
-                    [(g.d, -g.b, -g.c, g.a) for g in sym.gluings()],
+                    [g.adjugate() for g in sym.gluings()],
                     [(j - k) % sym.n for j in sym.pairing],
                     orbit.width, [(i, -1) for i in reversed(cycle)])
     return memo["word"]
@@ -247,7 +247,7 @@ class CosetTable:
         each power of T is one jump along a T-cycle, so the walk costs
         O(#partial quotients) whatever n and the exponents are.
         """
-        a, b, c, d = g.entries()
+        a, b, c, d = g
         S, cycle, pos = self.S, self.cycle, self.pos
         x = self.start
         while c:
@@ -384,7 +384,7 @@ def express_word(sym, g):
     n = sym.n
 
     word = []
-    a, b, c, d = g.entries()
+    a, b, c, d = g
     if a < 0 or (not a and b < 0):
         a, b, c, d = -a, -b, -c, -d
     steps = 0

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import REVERSE, FareyError, InvalidSymbolError
+from .exact import REVERSE, FareyError, InvalidSymbolError, arc_matrix
 
 STYLES = ("chords", "halfplane", "disk")
 STROKE = "#1f4e79"
@@ -98,20 +98,19 @@ def render_chords(sym, spec=None):
 def order2_center(sym, i):
     """Exact rational (x, y) of the interior point of an order-2 arc:
     the image of i under the arc matrix."""
-    m = sym.arc_mat(i)
-    den = m.c * m.c + m.d * m.d
-    return (Fraction(m.a * m.c + m.b * m.d, den), Fraction(m.det(), den))
+    a, b, c, d = arc_matrix(*sym.arc(i))
+    den = c * c + d * d
+    return (Fraction(a * c + b * d, den), Fraction(a * d - b * c, den))
 
 
 def order3_center(sym, i):
     """Interior point of an order-3 arc as (x, y_coeff) with y = y_coeff *
     sqrt(3): the image of rho = (1 + i sqrt 3)/2 under the reversed arc
     matrix."""
-    m = sym.arc_mat(i) * REVERSE
-    a, b, c, d = m.entries()
+    a, b, c, d = arc_matrix(*sym.arc(i)) * REVERSE
     den = c * c + c * d + d * d
     x = Fraction(2 * a * c + a * d + b * c + 2 * b * d, 2 * den)
-    y = Fraction(m.det(), 2 * den)
+    y = Fraction(a * d - b * c, 2 * den)
     return (x, y)
 
 

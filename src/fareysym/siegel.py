@@ -85,8 +85,8 @@ class NormalizationState:
         return self.partner[self.ids[p]] == self.ids[q]
 
     def gluing(self, i, j):
-        """Entries (a, b, c, d) of the gluing matrix of the arc at position
-        i, whose partner is at j."""
+        """The gluing IMat of the arc at position i, whose partner is at
+        j."""
         n, v = self.n, self.verts
         return gluing_entries(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n],
                               self.ell.get(self.ids[i]))
@@ -103,7 +103,7 @@ class NormalizationState:
         """Finish a cut: make head + tail the polygon's cyclic word of arcs.
 
         The tail's vertices are moved by g^-1 (move_tail) or the head's by
-        g, given by its entries (a, b, c, d).  chord holds the ids of the
+        g, an IMat.  chord holds the ids of the
         pivot arcs the cut replaces; place = (old position, position)
         rotates the result so the arc that sat at the old position lands at
         position, and by default chord[0] is arc 0.  The cut is then

@@ -11,7 +11,7 @@ so any transformation only has to produce vertices and a pairing.
 import json
 
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    NotNormalizedError, arc_matrix, cross,
+                    NotNormalizedError, cross,
                     CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
 
 
@@ -35,7 +35,7 @@ def _flipped(p, q):
 
 
 def gluing_entries(r, s, t, u, order=None):
-    """Entries (a, b, c, d) of the gluing of the arc (r, s) whose partner
+    """The gluing IMat (a, b, c, d) of the arc (r, s) whose partner
     is the arc (t, u); the points are integer pairs (p, q) of either sign,
     and a fixed arc of the given order is its own partner.
 
@@ -77,13 +77,13 @@ def gluing_entries(r, s, t, u, order=None):
             raise InvalidSymbolError("gluing numerator (%d, %d, %d, %d) is not "
                                      "divisible by %d" % (a, b, c, d, w))
         a, b, c, d = a // w, b // w, c // w, d // w
-    return a, b, c, d
+    return IMat(a, b, c, d)
 
 
 class FareySymbol:
     """An extended Farey symbol (vertices, pairing involution, elliptic map)."""
 
-    __slots__ = ("vertices", "pairing", "ell", "level", "_mats", "_glue", "_memo")
+    __slots__ = ("vertices", "pairing", "ell", "level", "_glue", "_memo")
 
     def __init__(self, vertices, pairing, ell=None, level=None):
         vertices = tuple(vertices)
@@ -113,7 +113,6 @@ class FareySymbol:
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "_mats", [None] * n)
         object.__setattr__(self, "_glue", [None] * n)
         object.__setattr__(self, "_memo", {})
 
@@ -140,14 +139,6 @@ class FareySymbol:
     def arc(self, i):
         """Endpoints (r, s) of arc i."""
         return self.vertices[i], self.vertices[(i + 1) % self.n]
-
-    def arc_mat(self, i):
-        m = self._mats[i]
-        if m is None:
-            r, s = self.arc(i)
-            m = arc_matrix(r, s)
-            self._mats[i] = m
-        return m
 
     def width(self, i):
         return abs(cross(*self.arc(i)))
@@ -200,12 +191,12 @@ class FareySymbol:
     def _glued(self, i, r, s, t, u):
         """The gluing of arc i from its ends r, s and its partner's t, u
         as integer pairs, checked to have det 1 and cached."""
-        a, b, c, d = gluing_entries(r, s, t, u, self.ell.get(i))
-        if a * d - b * c != 1:
+        g = gluing_entries(r, s, t, u, self.ell.get(i))
+        if g.det() != 1:
             raise InvalidSymbolError(
                 "gluing of arc %d has det %d (paired widths differ?)"
-                % (i, a * d - b * c))
-        g = self._glue[i] = IMat(a, b, c, d)
+                % (i, g.det()))
+        self._glue[i] = g
         return g
 
     def gluings(self):
@@ -411,9 +402,15 @@ class FareySymbol:
 
     @staticmethod
     def from_json(text):
+        """The symbol of a JSON document, given as str or as UTF-8 bytes.
+        Raises InvalidSymbolError for anything that is not one: bytes that
+        are not UTF-8, bad JSON, nesting too deep for the parser or an
+        integer too long to convert."""
         try:
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
             d = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise InvalidSymbolError("bad JSON: %s" % e)
         return FareySymbol.from_dict(d)
 

@@ -1,5 +1,11 @@
 import hashlib
 import json
+import os
+import pathlib
+import random
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -16,6 +22,7 @@ from fareysym.symbol import FareySymbol
 # included
 INFO_LEVELS = list(range(1, 101)) + [180, 420]
 INFO_DIGEST = "ff5341ad88cc7586ea42d99bc3b8899ef8732f92819e5e14646c6a3e982b897e"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -164,6 +171,21 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         assert run(capsys, command, "--in", str(bad))[0] == 2
 
+    @pytest.mark.parametrize("command", ["info", "normalize"])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe",                    # not UTF-8
+        b"[" * 1000 + b"]" * 1000,      # nested deeper than the parser goes
+        # an integer longer than int() converts from text
+        b'{"vertices": ["1/0", "0/1"], "pairing": [0, 1], '
+        b'"ell": {"0": 2, "1": 3}, "level": 1' + b"0" * 4999 + b"}",
+    ], ids=["not-utf8", "deep", "long-int"])
+    def test_unreadable_file_is_2(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, command, "--in", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["info", "normalize", "presentation"])
     def test_vertices_winding_twice_are_2(self, tmp_path, capsys, command):
@@ -206,6 +228,7 @@ class TestExitCodes:
         ["render", "--level", "6", "--width"],
         ["render", "--level", "6", "--height"],
         ["scan", "--from", "1", "--to", "3", "--jobs"],
+        ["scan", "--to", "3", "--from"],
     ])
     def test_nonpositive_size_is_2(self, capsys, argv, size):
         code, out, err = run(capsys, *argv, size)
@@ -214,7 +237,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("jobs,levels,size", [
         ("64", ("1", "3"), 3), ("2", ("1", "3"), 2), ("8", ("5", "5"), None),
-        ("8", ("5", "4"), None), ("1", ("1", "3"), None)])
+        ("1", ("1", "3"), None)])
     def test_scan_starts_no_more_workers_than_levels(
             self, capsys, monkeypatch, jobs, levels, size):
         """The pool is a stand-in that records its size and maps in this
@@ -239,6 +262,25 @@ class TestExitCodes:
                            "--to", levels[1], "--jobs", jobs)
         assert code == 0 and "0 failure(s)" in out
         assert sizes == ([size] if size else [])
+
+    def test_empty_scan_range_is_2(self, capsys):
+        code, out, err = run(capsys, "scan", "--from", "5", "--to", "4",
+                             "--jobs", "8")
+        assert (code, out) == (2, "")
+        assert "--from 5 must not exceed --to 4" in err
+
+    def test_scan_with_worker_processes(self):
+        """One real multiprocessing.Pool run, through the module's entry
+        point in a fresh interpreter."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run(
+            [sys.executable, "-m", "fareysym.cli", "scan", "--from", "1",
+             "--to", "12", "--jobs", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "scanned 12 levels, 0 failure(s)\n"
 
 
 class TestParserReuse:
@@ -330,3 +372,76 @@ def test_fuzzed_input_exits_0_1_or_2(tmp_path, capsys, symbol_for,
 class TestCheckLevel:
     def test_clean_level(self):
         assert check_level(30) == []
+
+
+# the fuzz corpus: the unimodular and the normalized symbol of each level
+FUZZ_LEVELS = (1, 2, 3, 4, 6, 7, 11, 13, 25, 30)
+FUZZ_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?'
+                        rb'|true|false|null|[\[\]{}:,]')
+FUZZ_POOL = (b"0", b"-1", b"2", b"3", b"7", b"1" + b"0" * 40, b"2.5", b"null",
+             b"true", b"[]", b"{}", b'"1/0"', b'"0/1"', b'"-1/2"', b'"3/0"',
+             b'"0/0"', b'"x"', b'"2"', b'"01"', b'["1/0"]', b'{"0": 2}')
+
+
+def mutate_bytes(rng, data):
+    """One byte-level edit: overwrite, insert or delete a byte, or copy a
+    run of bytes elsewhere."""
+    i = rng.randrange(len(data))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data[:i] + bytes([rng.randrange(256)]) + data[i + 1:]
+    if kind == 1:
+        return data[:i] + bytes([rng.choice(b'0123456789-/",:[]{}')]) + data[i:]
+    if kind == 2:
+        return data[:i] + data[i + 1:]
+    j = rng.randrange(len(data))
+    return data[:j] + data[i:i + rng.randrange(1, 12)] + data[j:]
+
+
+def mutate_tokens(rng, data):
+    """One token-level edit of a JSON text that keeps it JSON (but for a
+    duplicate key): replace a value by one from FUZZ_POOL or by another
+    value of the text of the same kind (string or not), swap two such
+    values, or drop or repeat a list item."""
+    toks = FUZZ_TOKEN.findall(data)
+    values = [k for k, t in enumerate(toks) if t not in b"[]{}:,"
+              and toks[k + 1] != b":"]
+    i = rng.choice(values)
+    j = rng.choice([k for k in values if toks[k][:1] == toks[i][:1] == b'"'
+                    or b'"' not in toks[k][:1] + toks[i][:1]])
+    kind = rng.randrange(4)
+    if kind == 0:
+        toks[i] = rng.choice(FUZZ_POOL)
+    elif kind == 1:
+        toks[i] = toks[j]
+    elif kind == 2:
+        toks[i], toks[j] = toks[j], toks[i]
+    elif toks[i + 1] == b"," and toks[i - 1] in b"[,":
+        toks[i:i + 2] = [] if rng.randrange(2) else toks[i:i + 2] * 2
+    return b" ".join(toks)
+
+
+def test_mutated_files_exit_0_or_2(tmp_path, capsys, symbol_for,
+                                   normalized_for):
+    """Seeded byte- and token-level mutations of the JSON of 20 symbols
+    (N <= 30, unimodular and normalized), read through --in by four
+    commands: each run exits 0, or 2 with one error line, and none raises."""
+    rng = random.Random(20261018)
+    path = tmp_path / "in.json"
+    seen = set()
+    for N in FUZZ_LEVELS:
+        for sym in (symbol_for(N), normalized_for(N)):
+            data = sym.to_json().encode()
+            for command in ("info", "normalize", "presentation", "render"):
+                for mutate in (mutate_bytes,) * 4 + (mutate_tokens,) * 8:
+                    mutant = data
+                    for _ in range(rng.randrange(1, 4)):
+                        mutant = mutate(rng, mutant)
+                    path.write_bytes(mutant)
+                    code, out, err = run(capsys, command, "--in", str(path))
+                    assert code in (0, 2), (command, mutant, err)
+                    if code == 2:
+                        assert out == "" and err.startswith("error: "), (command, mutant)
+                        assert err.count("\n") == 1, (command, mutant, err)
+                    seen.add(code)
+    assert seen == {0, 2}

@@ -7,6 +7,7 @@ from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
                             ORDER3, REVERSE, _coprime_cusp, arc_matrix,
                             classify, CLS_ELLIPTIC2, CLS_ELLIPTIC3,
                             CLS_HYPERBOLIC, CLS_IDENTITY, CLS_PARABOLIC)
+from fareysym.symbol import gluing_entries
 
 
 def rand_sl2(rng, length=20):
@@ -209,3 +210,44 @@ class TestClassify:
         assert m.psl_eq(IMat(1, -2, 0, 1))
         with pytest.raises(FareyError):
             IMat(0, 0, 0, 0).psl_normalize()
+
+
+class TestIMatValue:
+    """An IMat is the 4-tuple of its entries: equality, hashing and
+    immutability come from the tuple."""
+
+    @given(st.tuples(*[st.integers(-2**70, 2**70)] * 4))
+    def test_equals_and_hashes_as_its_entries(self, t):
+        m = IMat(*t)
+        assert m == t and t == m and hash(m) == hash(t)
+        assert (m.a, m.b, m.c, m.d) == t == tuple(m)
+        assert type(m.entries()) is tuple and m.entries() == t
+        assert list(m) == list(t)
+        assert {m: 1}[t] == 1
+
+    def test_immutable(self):
+        m = IMat(1, 2, 3, 7)
+        with pytest.raises(AttributeError):
+            m.a = 5
+        with pytest.raises(AttributeError):
+            m.e = 5
+        assert m == (1, 2, 3, 7)
+
+    def test_repr(self):
+        assert repr(IDENTITY) == "IMat(1, 0, 0, 1)"
+        assert repr(IMat(-3, 2**70, 0, 5)) == "IMat(-3, %d, 0, 5)" % 2**70
+
+    def test_products_and_powers_stay_imats(self):
+        g = IMat(2, 1, 1, 1)
+        for m in (g * g, g ** 3, g ** -2, -g, g.inverse(), g.adjugate(),
+                  IMat(0, -1, 1, 0).inverse(), IMat(1, 0, 0, -1).inverse(),
+                  g.psl_normalize(), (-g).psl_normalize()):
+            assert type(m) is IMat
+        assert g ** 3 == (13, 8, 8, 5) and g ** -2 == (2, -3, -3, 5)
+        assert IMat(1, 0, 0, -1).inverse() == (1, 0, 0, -1)
+        assert (-g).psl_normalize() == g and (-g).is_identity_psl() is False
+        assert (-IDENTITY).is_identity_psl()
+
+    def test_gluing_entries_returns_an_imat(self):
+        g = gluing_entries((1, 0), (0, 1), (0, 1), (1, 0))
+        assert type(g) is IMat and g.det() == 1
