@@ -3,9 +3,10 @@
 Everything here is arbitrary-precision integer arithmetic; there is no
 floating point and no rational division.  Circular-order and membership
 predicates are expressed through the cross product
-D((p:q), (p':q')) = p*q' - p'*q alone.  A point is a Cusp; a matrix is an
-IMat, the 4-tuple (a, b, c, d) of its entries, which unpacks, compares and
-hashes as a plain tuple does.
+D((p:q), (p':q')) = p*q' - p'*q alone.  A point is a Cusp, the coprime
+2-tuple (num, den); a matrix is an IMat, the 4-tuple (a, b, c, d) of its
+entries.  Both unpack, compare and hash as the plain tuple does, so a Cusp
+equals the pair (num, den).
 """
 
 from collections import namedtuple
@@ -28,40 +29,38 @@ class NotNormalizedError(FareyError):
         super().__init__(message or "symbol is not normalized (arc %d)" % arc_index)
 
 
-class Cusp:
-    """A point of P^1(Q) as a coprime pair (num : den) with den >= 0.
+# makes a Cusp or an IMat of a tuple of its fields without calling the
+# class, so no Python-level __new__ or __init__ runs
+_new = tuple.__new__
 
-    Infinity is (1 : 0).  The constructor canonicalizes: gcd is divided
-    out and the sign is moved to the numerator.
+
+class Cusp(namedtuple("Cusp", "num den")):
+    """A point of P^1(Q) as the coprime pair (num, den) with den >= 0.
+
+    Infinity is (1, 0).  The constructor canonicalizes: gcd is divided out
+    and the sign is moved to the numerator.  Being a tuple, a Cusp is
+    immutable and compares and hashes as the plain pair (num, den) does.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
-    def __init__(self, num, den=1):
-        if num == 0 and den == 0:
-            raise FareyError("(0, 0) does not define a point of P^1(Q)")
-        g = gcd(num, den)
+    def __new__(cls, num, den=1):
+        g = gcd(num, den) or 1
         num //= g
         den //= g
         if den < 0 or (den == 0 and num < 0):
             num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return _new(cls, (num, den))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Cusp is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Cusp) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __init__(self, num, den=1):
+        if num == 0 and den == 0:
+            raise FareyError("(0, 0) does not define a point of P^1(Q)")
 
     def __repr__(self):
-        return "Cusp(%d, %d)" % (self.num, self.den)
+        return "Cusp(%d, %d)" % self
 
     def __str__(self):
-        return "%d/%d" % (self.num, self.den)
+        return "%d/%d" % self
 
     @property
     def is_infinity(self):
@@ -80,17 +79,11 @@ class Cusp:
         return Cusp(int(text), 1)
 
 
-_SET_NUM, _SET_DEN = Cusp.num.__set__, Cusp.den.__set__
-
-
 def _coprime_cusp(num, den):
     """The Cusp of a pair known to be coprime: only the sign is fixed."""
     if den < 0 or (den == 0 and num < 0):
         num, den = -num, -den
-    x = object.__new__(Cusp)
-    _SET_NUM(x, num)
-    _SET_DEN(x, den)
-    return x
+    return _new(Cusp, (num, den))
 
 
 INFINITY = Cusp(1, 0)
@@ -184,10 +177,6 @@ class IMat(namedtuple("IMat", "a b c d")):
         """Sum of absolute values of the entries (word-problem measure)."""
         return sum(map(abs, self))
 
-
-# makes an IMat of a 4-tuple without the Python-level call to the
-# namedtuple's __new__
-_new = tuple.__new__
 
 IDENTITY = IMat(1, 0, 0, 1)
 # Right factor turning an arc matrix into the matrix of the reversed arc.

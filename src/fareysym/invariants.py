@@ -3,9 +3,8 @@
 coset table of the group, and the word problem in the gluing generators.
 """
 
-from . import classical
-from .exact import IDENTITY, FareyError, InvalidSymbolError
-from .kulkarni import gamma0_oracle, gamma0_symbol
+from .exact import IDENTITY, FareyError
+from .kulkarni import gamma0_symbol
 
 
 class CuspClass:
@@ -82,18 +81,17 @@ def counts(sym):
     """(genus, nu_inf, nu2, nu3, index) read off the symbol.
 
     nu2/nu3 count the fixed arcs, nu_inf the vertex orbits, the index is
-    the sum of the cusp widths (equal to 3(n-2) + nu3 on unimodular
-    symbols), and the genus comes from the Euler characteristic of the
-    glued surface.
+    the sum of the cusp widths (equal to 3(n-2) + nu3, the polygon's area),
+    and the genus comes from the Euler characteristic of the glued
+    surface.
     """
     nu2 = sum(1 for mu in sym.ell.values() if mu == 2)
     nu3 = sum(1 for mu in sym.ell.values() if mu == 3)
     orbits = cusp_orbits(sym)
     nu_inf = len(orbits)
     index = sum(o.width for o in orbits)
-    if sym.is_unimodular():
-        if index != 3 * (sym.n - 2) + nu3:
-            raise FareyError("width sum disagrees with arc count")
+    if index != 3 * (sym.n - 2) + nu3:
+        raise FareyError("width sum disagrees with arc count")
     twice_genus = 1 - nu_inf + (sym.n - nu2 - nu3) // 2
     if (sym.n - nu2 - nu3) % 2 or twice_genus % 2 or twice_genus < 0:
         raise FareyError("arc count and orbits give no genus")
@@ -160,6 +158,7 @@ def _word_data(sym):
     cycle = orbit.vertex_indices
     pos = cycle.index(k)
     cycle = cycle[pos:] + cycle[:pos]
+    # int lists: _interval reads nums[t] without a Cusp field lookup
     memo["word"] = (k, [v.num for v in finite], [v.den for v in finite],
                     [g.adjugate() for g in sym.gluings()],
                     [(j - k) % sym.n for j in sym.pairing],
@@ -282,7 +281,7 @@ def _unimodular_table(sym):
             raise FareyError("a two-arc symbol other than PSL2(Z)'s has no "
                              "coset table")
         return CosetTable([0], [0], 0)
-    pts = [(1, 0)] + [(v.num, v.den) for v in finite]
+    pts = ((1, 0),) + finite
     edge = {}  # (tail, head), by position from infinity -> class
     U = []
     stack = [0, 1]
@@ -322,25 +321,21 @@ def _unimodular_table(sym):
 def coset_table(sym):
     """The CosetTable of the symbol's group, built once per symbol.
 
-    A symbol made by a normalization run or a base cut walks on the
-    unimodular symbol that run started from (cuts preserve the group).
-    Otherwise a symbol with a level is first checked to have the group
-    Gamma0(level): equal index, and every gluing in it.  Then a unimodular
-    symbol gives its own table and any other walks on gamma0_symbol(level),
-    which becomes its companion; a non-unimodular symbol with neither a
-    level nor a companion raises FareyError.
+    The symbol is validated first, which checks that a symbol with a level
+    has the group Gamma0(level).  A symbol made by a normalization run or a
+    base cut walks on the unimodular symbol that run started from (cuts
+    preserve the group).  Otherwise a unimodular symbol gives its own table
+    and any other walks on gamma0_symbol(level), which becomes its
+    companion; a non-unimodular symbol with neither a level nor a companion
+    raises FareyError.
     """
     memo = sym._memo
     if "cosets" in memo:
         return memo["cosets"]
+    sym.validate()
     level = sym.level
     if "companion" in memo:
         table = coset_table(memo["companion"])
-    elif level is not None and (
-            sum(o.width for o in cusp_orbits(sym)) != classical.index_gamma0(level)
-            or not sym.contains_all(gamma0_oracle(level))):
-        raise InvalidSymbolError("the symbol's group is not Gamma0(%d), its "
-                                 "level" % level)
     elif sym.is_unimodular():
         table = _unimodular_table(sym)
     elif level is not None:  # kept as the companion, so rotations share it

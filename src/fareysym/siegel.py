@@ -16,10 +16,10 @@ gives its chord pair the ids of the pivot pair it replaces, so the partner
 and order tables never change during a run; a cut only splices the two
 id/vertex lists, moving one piece's vertices by the pivot gluing, and ends
 in NormalizationState.glue, the one place that reports it to on_op.  The
-vertices are plain integer pairs (p, q): a det-1 move keeps them coprime, and
-the pivot gluing comes from the four ends by symbol.gluing_entries, which
-takes pairs of either sign, so a run makes Cusps only for the FareySymbol it
-builds at the end or on request (on_op, NormalizationState.symbol).
+vertices are the input's Cusps and, once moved, plain pairs (p, q) of either
+sign, coprime as a det-1 move keeps them.  symbol.gluing_entries takes both,
+so a run makes new Cusps only for the FareySymbol it builds at the end or
+on request (on_op, NormalizationState.symbol).
 
 Throughout, the polygon is kept rotated so that W occupies positions
 [0, w): each cut is told which of its arcs must land at position w and
@@ -45,8 +45,8 @@ class NormalizationState:
     """The working polygon of a normalization run, cut in place, and the
     length w_len of its normalized prefix W, at positions [0, w_len).
 
-    verts[p] and ids[p] are the start vertex, an integer pair (p, q) of
-    either sign, and the id of the arc at position p; partner and ell are
+    verts[p] and ids[p] are the start vertex, a Cusp or an integer pair
+    (p, q) of either sign, and the id of the arc at position p; partner and ell are
     indexed by id.  keep is the id of the arc (infinity, 0), which no cut
     may move or replace, or None.  on_op and on_step, when set, observe
     every cut and every step.  .symbol builds the polygon as a FareySymbol
@@ -59,7 +59,7 @@ class NormalizationState:
                  "w_len", "on_op", "on_step", "origin")
 
     def __init__(self, symbol, w_len=0):
-        self.verts = [(v.num, v.den) for v in symbol.vertices]
+        self.verts = list(symbol.vertices)
         self.ids = list(range(symbol.n))
         self.partner = symbol.pairing
         self.ell = symbol.ell

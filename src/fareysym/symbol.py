@@ -10,6 +10,7 @@ so any transformation only has to produce vertices and a pairing.
 
 import json
 
+from . import classical
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
                     NotNormalizedError, cross,
                     CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
@@ -183,14 +184,12 @@ class FareySymbol:
         g = self._glue[i]
         if g is None:
             n, v, j = self.n, self.vertices, self.pairing[i]
-            r, s, t, u = v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]
-            g = self._glued(i, (r.num, r.den), (s.num, s.den),
-                            (t.num, t.den), (u.num, u.den))
+            g = self._glued(i, v[i], v[(i + 1) % n], v[j], v[(j + 1) % n])
         return g
 
     def _glued(self, i, r, s, t, u):
         """The gluing of arc i from its ends r, s and its partner's t, u
-        as integer pairs, checked to have det 1 and cached."""
+        as Cusps or integer pairs, checked to have det 1 and cached."""
         g = gluing_entries(r, s, t, u, self.ell.get(i))
         if g.det() != 1:
             raise InvalidSymbolError(
@@ -325,7 +324,10 @@ class FareySymbol:
         in circular order (see vertex_order), involution consistency (done
         at construction), equal widths on paired arcs, integrality/det of
         every gluing matrix and a nontrivial gluing on every pair of
-        distinct arcs; a pass is memoized, a failure is not.
+        distinct arcs.  With a level, the group must be Gamma0(level): every
+        gluing has c = 0 (mod level), and the index 3(n - 2) + nu3, the
+        polygon's area, is Gamma0(level)'s.  A pass is memoized, a failure
+        is not.
         With an oracle, additionally checks membership of every gluing, on
         every call.
         """
@@ -338,6 +340,7 @@ class FareySymbol:
 
     def _check_structure(self):
         self.vertex_order()
+        # exact tuples: CPython's fast unpacking skips tuple subclasses
         pts = [(v.num, v.den) for v in self.vertices]
         pts.append(pts[0])
         widths = [abs(p * y - q * x) for (p, q), (x, y) in zip(pts, pts[1:])]
@@ -353,6 +356,14 @@ class FareySymbol:
             if j != i and not g.b and not g.c:  # det 1, so g = +-identity
                 raise InvalidSymbolError(
                     "paired arcs %d, %d have the identity as gluing" % (i, j))
+        level = self.level
+        nu3 = sum(mu == 3 for mu in self.ell.values())
+        # c first, so that a wrong huge level fails before it is factored
+        if level is not None and (
+                any(g.c % level for g in glue)
+                or 3 * (self.n - 2) + nu3 != classical.index_gamma0(level)):
+            raise InvalidSymbolError("the symbol's group is not Gamma0(%d), its "
+                                     "level" % level)
 
     # -- relabeling --------------------------------------------------------
 

@@ -6,14 +6,17 @@ import random
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fareysym import classical
 from fareysym.cli import check_level, cli_dispatch, make_parser
+from fareysym.exact import FareyError
 from fareysym.kulkarni import gamma0_symbol
-from fareysym.siegel import base_cut
+from fareysym.siegel import base_cut, normalize
 from fareysym.symbol import FareySymbol
 
 # sha256 over the info and presentation JSON, in that order, of the
@@ -142,6 +145,33 @@ class TestExitCodes:
         assert code == 2
         assert "lies in no block" in err and "rotate" not in err
 
+    @pytest.mark.parametrize("command", ["info", "normalize", "presentation",
+                                         "render"])
+    def test_no_symbol_is_2(self, capsys, command):
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert err == "error: either --level or --in is required\n"
+
+    @pytest.mark.parametrize("command", ["info", "normalize", "presentation",
+                                         "render"])
+    @pytest.mark.parametrize("normal,level", [(False, 7), (True, 10**40 + 3)],
+                             ids=["level-7", "huge-level"])
+    def test_level_contradicting_the_group_is_2(self, tmp_path, capsys,
+                                               command, normal, level):
+        """The N = 6 symbol with another level: its gluings have c = 0 mod
+        6 only, so validation refuses it before the level is factored."""
+        sym = gamma0_symbol(6)
+        doc = (normalize(sym) if normal else sym).to_dict()
+        doc["level"] = level
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--in", str(bad))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: the symbol's group is not Gamma0(%d), its "
+                       "level\n" % level)
+
     @pytest.mark.parametrize("command", ["info", "normalize"])
     @pytest.mark.parametrize("change", [
         {"vertices": ["1/0", "0/1", "0/0"]},
@@ -262,6 +292,32 @@ class TestExitCodes:
                            "--to", levels[1], "--jobs", jobs)
         assert code == 0 and "0 failure(s)" in out
         assert sizes == ([size] if size else [])
+
+    @pytest.mark.parametrize("counts,widths,failures", [
+        (None, None, 3), ((9, 9, 9, 9, 9), [], 12)], ids=["raises", "wrong"])
+    def test_scan_reports_failed_levels(self, capsys, monkeypatch, counts,
+                                        widths, failures):
+        """Broken classical formulas fail every level: by a FareyError
+        (one failure each) or by wrong values (counts, widths, normalized
+        counts and block counts: four each)."""
+        def counts_gamma0(N):
+            if counts is None:
+                raise FareyError("no counts for %d" % N)
+            return counts
+
+        monkeypatch.setattr(classical, "counts_gamma0", counts_gamma0)
+        if widths is not None:
+            monkeypatch.setattr(classical, "cusp_widths_gamma0",
+                                lambda N: widths)
+        code, out, err = run(capsys, "scan", "--from", "4", "--to", "6")
+        assert code == 2
+        assert out == "scanned 3 levels, %d failure(s)\n" % failures
+        lines = err.splitlines()
+        assert len(lines) == failures + 1
+        assert all(line.startswith("N=%d: " % N) for line, N in
+                   zip(lines, sorted([4, 5, 6] * (failures // 3))))
+        assert lines[-1] == ("error: %d level(s) failed the invariant suite"
+                             % failures)
 
     def test_empty_scan_range_is_2(self, capsys):
         code, out, err = run(capsys, "scan", "--from", "5", "--to", "4",

@@ -7,6 +7,8 @@ from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
                             ORDER3, REVERSE, _coprime_cusp, arc_matrix,
                             classify, CLS_ELLIPTIC2, CLS_ELLIPTIC3,
                             CLS_HYPERBOLIC, CLS_IDENTITY, CLS_PARABOLIC)
+from fareysym.kulkarni import gamma0_symbol
+from fareysym.siegel import normalize
 from fareysym.symbol import gluing_entries
 
 
@@ -70,6 +72,62 @@ class TestCusp:
         from math import gcd
         assert gcd(c.num, c.den) == 1
         assert c.den > 0 or (c.den == 0 and c.num == 1)
+
+
+class TestCuspValue:
+    """A Cusp is the coprime 2-tuple (num, den): equality, hashing,
+    unpacking and immutability come from the tuple."""
+
+    def test_equals_and_hashes_as_its_pair(self):
+        c = Cusp(2, 4)
+        assert c == (1, 2) and (1, 2) == c and hash(c) == hash((1, 2))
+        assert {c: 1}[(1, 2)] == 1 and tuple(c) == (1, 2)
+        assert Cusp(1, 2) == (1, 2) and INFINITY == (1, 0) and ZERO == (0, 1)
+
+    @given(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))
+    def test_unpacks_as_its_fields(self, p, q):
+        if (p, q) == (0, 0):
+            return
+        c = Cusp(p, q)
+        num, den = c
+        assert (num, den) == (c.num, c.den) == (c[0], c[1])
+        assert type(c) is Cusp and len(c) == 2
+
+    def test_unpacks(self):
+        p, q = Cusp(-3, 6)
+        assert (p, q) == (-1, 2)
+
+    def test_coprime_cusp_is_a_cusp(self):
+        for num, den in ((3, -5), (-3, 5), (-1, 0), (1, 0), (0, -1), (7, 2)):
+            c = _coprime_cusp(num, den)
+            assert type(c) is Cusp and c == Cusp(num, den)
+        assert _coprime_cusp(3, -5) == (-3, 5)
+
+    def test_zero_zero_raises(self):
+        with pytest.raises(FareyError, match="P\\^1"):
+            Cusp(0, 0)
+
+    def test_immutable(self):
+        c = Cusp(1, 2)
+        with pytest.raises(AttributeError):
+            c.num = 5
+        with pytest.raises(AttributeError):
+            c.den = 5
+        with pytest.raises(AttributeError):
+            c.x = 5
+        assert c == (1, 2)
+
+    def test_repr_and_str(self):
+        assert repr(Cusp(-6, 4)) == "Cusp(-3, 2)" and str(Cusp(-6, 4)) == "-3/2"
+        assert repr(INFINITY) == "Cusp(1, 0)" and str(INFINITY) == "1/0"
+        big = Cusp(2**70 + 1, 3)
+        assert repr(big) == "Cusp(%d, 3)" % (2**70 + 1)
+        assert str(big) == "%d/3" % (2**70 + 1)
+        assert Cusp.parse(str(big)) == big
+
+    def test_normalize_output_vertices_are_cusps(self):
+        for N in (6, 15, 37):
+            assert all(type(v) is Cusp for v in normalize(gamma0_symbol(N)).vertices)
 
 
 class TestArcMatrix:

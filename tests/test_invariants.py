@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
 from fareysym.exact import (IMat, IDENTITY, INFINITY, Cusp, FareyError,
-                            classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
+                            InvalidSymbolError, classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
 from fareysym.invariants import (_interval, _width_at, contains, coset_table,
                                  counts, cusp_orbits, express_word, generators,
                                  word_product)
@@ -739,6 +739,21 @@ class TestCompanion:
             contains(sym, IDENTITY)
         with pytest.raises(FareyError, match="not Gamma0"):
             express_word(sym, IDENTITY)
+
+    @pytest.mark.parametrize("level", [3, 7, 12, 10**40 + 3])
+    def test_level_contradicting_the_group_raises(self, symbol_for,
+                                                 normalized_for, level):
+        """Validation refuses it: 3 divides every c of Gamma0(6) but the
+        index is 4, not 12; the others fail c = 0 (mod level) before the
+        level is factored."""
+        for sym in (symbol_for(6), normalized_for(6)):
+            d = sym.to_dict()
+            d["level"] = level
+            with pytest.raises(InvalidSymbolError, match="not Gamma0"):
+                FareySymbol.from_dict(d).validate()
+            for call in (contains, express_word):
+                with pytest.raises(InvalidSymbolError, match="not Gamma0"):
+                    call(FareySymbol.from_dict(d), IDENTITY)
 
     def test_no_level_and_no_companion_raises(self, normalized_for):
         d = normalized_for(15).to_dict()

@@ -85,6 +85,27 @@ class TestBaseCut:
         with pytest.raises(FareyError):
             base_cut(s, 1, 3, 7, "pivot")  # cuts on the wrong sides
 
+    @pytest.mark.parametrize("args,message", [
+        ((2, 3, 0, "pivot"), "out of range"),
+        ((2, 2, -1, "pivot"), "out of range"),
+        ((2, 2, 0, "sideways"), "side must be"),
+    ])
+    def test_bad_arguments_raise(self, symbol_for, args, message):
+        s = symbol_for(2)  # pairing (2, 1, 0): pivot 2 has partner 0
+        with pytest.raises(FareyError, match=message):
+            base_cut(s, *args)
+
+    @pytest.mark.parametrize("args,message", [
+        ((0, 0, "after"), "needs a fixed pivot"),
+        ((1, 3, "after"), "out of range"),
+        ((1, -1, "before"), "out of range"),
+        ((1, 0, "pivot"), "side must be"),
+    ])
+    def test_bad_elliptic_arguments_raise(self, symbol_for, args, message):
+        s = symbol_for(2)  # arc 1 is the fixed one
+        with pytest.raises(FareyError, match=message):
+            base_cut_elliptic(s, *args)
+
     def test_elliptic_cut_keeps_order_and_group(self, symbol_for):
         s = symbol_for(2)
         out, mapping = base_cut_elliptic(s, 1, 0, "after")

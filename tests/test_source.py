@@ -2,8 +2,10 @@ import ast
 import pathlib
 
 import fareysym
+from fareysym import cli
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "fareysym"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "fareysym"
 
 
 def test_no_bare_assert_in_src():
@@ -36,3 +38,30 @@ def test_no_unused_imports_in_src():
                     if name not in used:
                         found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not found, found
+
+
+def test_benchmark_tracer_installs(tmp_path, monkeypatch):
+    """perfbench's tracer wraps functions and methods of src/ by name; it
+    must find every one of them, count through them, and put each original
+    back."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+        tracer.active = True
+        out = tmp_path / "n15.json"
+        assert cli.cli_dispatch(["normalize", "--level", "15",
+                                 "--out", str(out)]) == 0
+        assert cli.cli_dispatch(["info", "--in", str(out),
+                                 "--out", str(tmp_path / "info.json")]) == 0
+    finally:
+        tracer.active = False
+        tracer.restore()
+    assert saved and all(owner.__dict__[attr] is original
+                         for owner, attr, original in saved)
+    metrics = tracer.layer_metrics()
+    assert metrics["siegel.base_cut_calls"][0] > 0
+    assert metrics["exact.cusp_new_calls"][0] > 0
