@@ -3,19 +3,25 @@
 The two base operations cut the fundamental polygon along a chord between
 two vertices and reglue one of the pieces after moving it by the pivot's
 gluing matrix; they preserve the group and the symbol axioms.  A Siegel
-step chains at most four base operations to extend the normalized prefix W
-of the cyclic arc word by one block (symbol.block_at): a fixed arc (+1),
-an adjacent pair (+2) or an interleaved quadruple (+4), following Siegel's
-construction of a canonical dissection of a compact Riemann surface.  The
-driver loops Siegel steps until the whole word is a sequence of blocks.
+step extends the normalized prefix W of the cyclic arc word by one block
+(symbol.block_at): a fixed arc (+1) or an adjacent pair (+2) by one base
+operation, or an interleaved quadruple (+4) by the composite of four,
+following Siegel's construction of a canonical dissection of a compact
+Riemann surface.  The driver loops Siegel steps until the whole word is a
+sequence of blocks.
 
 A run is one NormalizationState: a private polygon, cut in place, and the
 length of W.  The polygon holds the start vertex and the id of the arc at
 each position, and, by arc id, the partner and the elliptic order.  A cut
 gives its chord pair the ids of the pivot pair it replaces, so the partner
 and order tables never change during a run; a cut only splices the two
-id/vertex lists, moving one piece's vertices by the pivot gluing, and ends
-in NormalizationState.glue, the one place that reports it to on_op.  The
+id/vertex lists, moving one piece's vertices by the pivot gluing.  The
+hyperbolic step splices once: with the word read as W X a b Y a* Z b* T,
+its segment table, it computes the four pivot gluings from a few point
+images and writes W b* a b a* X Z Y T, moving each vertex once by its
+composite matrix (_step_hyperbolic).  Every cut and splice ends in
+NormalizationState.commit, the one place that checks the new word and
+reports it to on_op; a hyperbolic step reports its four stages.  The
 vertices are the input's Cusps and, once moved, plain pairs (p, q) of either
 sign, coprime as a det-1 move keeps them.  symbol.gluing_entries takes both,
 so a run makes new Cusps only for the FareySymbol it builds at the end or
@@ -29,8 +35,29 @@ cut that would move or replace that arc, which is what keeps coefficient
 growth in check.
 """
 
-from .exact import FareyError, InvalidSymbolError, _coprime_cusp
+from .exact import IDENTITY, FareyError, InvalidSymbolError, _coprime_cusp
 from .symbol import block_at, gluing_entries, symbol_from_ids
+
+
+_KEEP_MESSAGE = (
+    "normalization would move or replace the arc (infinity, 0), which it "
+    "keeps fixed; it cannot yet do so when that arc lies in no block "
+    "(fixed arc, pair or quad) of the input word")
+
+
+def _unimodular(g):
+    """The pivot gluing g, an IMat, after checking that it has det 1."""
+    a, b, c, d = g
+    if a * d - b * c != 1:
+        raise InvalidSymbolError(
+            "pivot gluing has det %d (paired widths differ?)" % (a * d - b * c))
+    return g
+
+
+def _moved(g, pts):
+    """The integer pairs pts, each moved by the matrix g."""
+    a, b, c, d = g
+    return [(a * p + b * q, c * p + d * q) for p, q in pts]
 
 
 def _cyc(seq, a, b):
@@ -112,31 +139,40 @@ class NormalizationState:
         if self.keep is not None and (
                 self.keep in chord
                 or self.keep in (tail_ids if move_tail else head_ids)):
-            raise InvalidSymbolError(
-                "normalization would move or replace the arc (infinity, 0), "
-                "which it keeps fixed; it cannot yet do so when that arc lies "
-                "in no block (fixed arc, pair or quad) of the input word")
-        a, b, c, d = g
-        if a * d - b * c != 1:
-            raise InvalidSymbolError(
-                "pivot gluing has det %d (paired widths differ?)" % (a * d - b * c))
-        if move_tail:      # by the adjugate, which is g^-1 as det g = 1
-            tail = [(d * p - b * q, a * q - c * p) for p, q in tail]
+            raise InvalidSymbolError(_KEEP_MESSAGE)
+        if move_tail:
+            tail = _moved(_unimodular(g).adjugate(), tail)
         else:
-            head = [(a * p + b * q, c * p + d * q) for p, q in head]
+            head = _moved(_unimodular(g), head)
         ids = head_ids + tail_ids
         verts = head + tail
+        if place is None:
+            k = ids.index(chord[0])
+        else:
+            k = (ids.index(self.ids[place[0]]) - place[1]) % self.n
+        self.commit(ids[k:] + ids[:k], verts[k:] + verts[:k])
+
+    def splice(self, start, end, parts):
+        """Replace the arcs at positions [start, end) by parts, a list of
+        (ids, vertices), and commit the result."""
+        ids, verts = self.ids[:start], self.verts[:start]
+        for part_ids, part_verts in parts:
+            ids += part_ids
+            verts += part_verts
+        ids += self.ids[end:]
+        verts += self.verts[end:]
+        self.commit(ids, verts)
+
+    def commit(self, ids, verts):
+        """Make ids, verts the polygon, after checking that they hold each
+        arc once, and report it to on_op."""
         n = self.n
         if len(ids) != n or len(verts) != n:
             raise FareyError("cut produced %d arcs, expected %d" % (len(verts), n))
         if len(set(ids)) != n:
             raise FareyError("cut produced repeated arc ids")
-        if place is None:
-            k = ids.index(chord[0])
-        else:
-            k = (ids.index(self.ids[place[0]]) - place[1]) % n
-        self.ids = ids[k:] + ids[:k]
-        self.verts = verts[k:] + verts[:k]
+        self.ids = ids
+        self.verts = verts
         if self.on_op is not None:
             self.on_op(self.symbol)
 
@@ -175,6 +211,8 @@ def base_cut(sym, pivot, c1, c2, side, place=None):
     state = _working(sym)
     n = state.n
     i = pivot
+    if not 0 <= i < n:
+        raise FareyError("pivot out of range")
     j = state.pos(state.partner[state.ids[i]])
     if i == j:
         raise FareyError("base_cut needs a non-fixed pivot")
@@ -210,6 +248,8 @@ def base_cut_elliptic(sym, pivot, cut, side, place=None):
     state = _working(sym)
     n = state.n
     i = pivot
+    if not 0 <= i < n:
+        raise FareyError("pivot out of range")
     if not state.paired(i, i):
         raise FareyError("base_cut_elliptic needs a fixed pivot")
     if not 0 <= cut < n:
@@ -293,35 +333,61 @@ def _step_parabolic(state, w, pivot):
 def _step_hyperbolic(state, w, a_pos):
     """Case where two interleaved pivot pairs become a quad after W.
 
-    Four base operations; the pieces containing W (and the trailing block T)
-    are never transformed.  Each chord keeps the id of the pivot it
-    replaces, so a, b, a*, b* below name the current arcs of those ids.
+    The word W X a b Y a* Z b* T becomes W b* a b a* X Z Y T in one splice.
+    It is the result of four base cuts, whose stages are
+        W b a* Z Y b* X a T    cut (w, a*), moving X a b Y by g1^-1,
+        W a* b* X Z Y a b T    cut (b*, b), moving a* Z Y a by g2,
+        W b* X Z Y a b a* T    cut (b*, X), moving b a* by g3^-1,
+        W b* a b a* X Z Y T    cut (a, b*), moving b a* X Z Y by g4^-1,
+    where each chord keeps the id of the pivot it replaces and gi is the
+    gluing of that cut's pivot.  With P the vertices before the step and
+    nx = b*+1 (mod n), the start of T or of W:
+        g1 = gluing(P[b], P[b+1], P[b*], P[nx]),
+        g2 = gluing(g1^-1 P[a], P[nx], P[a*], P[a*+1]),
+        g3 = gluing(g1^-1 P[a*], g1^-1 P[w], g2 P[w], P[nx]),
+        g4 = gluing(g2 g1^-1 P[a*], g3^-1 g1^-1 P[w], g3^-1 P[w], P[nx]).
+    So each vertex moves once, by its composite: the quad starts at P[w],
+    g1^-1 P[w], g4^-1 g3^-1 g1^-1 P[w] and g4^-1 g3^-1 P[w]; X moves by
+    g4^-1 g1^-1, Z by g4^-1 g2 and Y by g4^-1 g2 g1^-1; W and T stay.
+    Where a segment is empty, the image named here is the same point as
+    the one the cut reads.  on_op, when set, sees the four stages.
     """
-    n = state.n
-    a, b = state.ids[a_pos], state.ids[a_pos + 1]
+    n, ids, P = state.n, state.ids, state.verts
+    a, b = ids[a_pos], ids[a_pos + 1]
     a_s, b_s = state.partner[a], state.partner[b]
     b_pos, as_pos, bs_pos = a_pos + 1, state.pos(a_s), state.pos(b_s)
     if not w <= a_pos < b_pos < as_pos < bs_pos < n:
         raise FareyError("pivots out of pattern")
+    if state.keep is not None and state.keep in ids[w:bs_pos + 1]:
+        raise InvalidSymbolError(_KEEP_MESSAGE)
 
-    # 1: cut (w, a*); move the piece X a b Y by gluing(b)^-1.
-    base_cut(state, b_pos, w, as_pos, "pivot", (b_pos, w))
-    if state.ids[w:w + 2] != [b, a_s]:
-        raise FareyError("hyperbolic cut 1 out of pattern")
+    p_w, p_nx = P[w], P[(bs_pos + 1) % n]
+    g1i = _unimodular(gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx)).adjugate()
+    a1, as1, w1 = _moved(g1i, (P[a_pos], P[as_pos], p_w))
+    g2 = _unimodular(gluing_entries(a1, p_nx, P[as_pos], P[as_pos + 1]))
+    a2, b2 = _moved(g2, (as1, p_w))
+    g3i = _unimodular(gluing_entries(as1, w1, b2, p_nx)).adjugate()
+    b3, as3 = _moved(g3i, (w1, p_w))
+    g4i = _unimodular(gluing_entries(a2, b3, as3, p_nx)).adjugate()
 
-    # 2: cut (b'*, b'-start); move the piece b' a* Z Y by gluing(a).
-    base_cut(state, state.pos(a), state.pos(b_s), w, "other", (w + 1, w))
-    if state.ids[w:w + 2] != [a_s, b_s]:
-        raise FareyError("hyperbolic cut 2 out of pattern")
+    def moved(lo, hi, g):
+        """The segment at positions [lo, hi), its vertices moved by g."""
+        return ids[lo:hi], _moved(g, P[lo:hi])
 
-    # 3: cut (a'*-start, past b'*); move the piece a'* b'* by gluing(b'*)^-1.
-    base_cut(state, w + 1, w, w + 2, "pivot", (w + 1, w))
-    a3 = state.pos(a)
-    if not (state.ids[w] == b_s and state.ids[a3 + 1:a3 + 3] == [b, a_s]):
-        raise FareyError("hyperbolic cut 3 out of pattern")
-
-    # 4: cut (past b'', a'*-start); move the piece X Z Y a' b''* by gluing(a')^-1.
-    base_cut(state, a3, w + 1, a3 + 2, "pivot", (w, w))
+    X, Y, Z = (w, a_pos), (b_pos + 1, as_pos), (as_pos + 1, bs_pos)
+    stages = []
+    if state.on_op is not None:
+        x1, z2, y2 = moved(*X, g1i), moved(*Z, g2), moved(*Y, g2 * g1i)
+        stages = [
+            [([b, a_s], [p_w, P[as_pos]]), moved(*Z, IDENTITY), moved(*Y, g1i),
+             ([b_s], [as1]), x1, ([a], [a1])],
+            [([a_s, b_s], [p_w, as1]), x1, z2, y2, ([a, b], [a2, b2])],
+            [([b_s], [p_w]), x1, z2, y2, ([a, b, a_s], [a2, b3, as3])]]
+    g4i_g2 = g4i * g2
+    stages.append([([b_s, a, b, a_s], [p_w, w1] + _moved(g4i, (b3, as3))),
+                   moved(*X, g4i * g1i), moved(*Z, g4i_g2), moved(*Y, g4i_g2 * g1i)])
+    for parts in stages:
+        state.splice(w, bs_pos + 1, parts)
     if not (state.paired(w, w + 2) and state.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
     return w + 4
@@ -354,8 +420,8 @@ def siegel_step(state):
     possible, otherwise handle the first fixed arc (+1), the first adjacent
     pair (+2), or pick the interleaved pivots given by the first arc whose
     partner precedes it (+4).  One of the four cases always applies while
-    w_len < n.  The state's on_op sees every base operation and its
-    on_step this step's record.
+    w_len < n.  The state's on_op sees every base operation (a hyperbolic
+    step's four stages) and its on_step this step's record.
     """
     w = state.w_len
     if w >= state.n:

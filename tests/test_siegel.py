@@ -88,6 +88,8 @@ class TestBaseCut:
     @pytest.mark.parametrize("args,message", [
         ((2, 3, 0, "pivot"), "out of range"),
         ((2, 2, -1, "pivot"), "out of range"),
+        ((3, 2, 0, "pivot"), "pivot out of range"),
+        ((-1, 2, 0, "pivot"), "pivot out of range"),
         ((2, 2, 0, "sideways"), "side must be"),
     ])
     def test_bad_arguments_raise(self, symbol_for, args, message):
@@ -99,6 +101,9 @@ class TestBaseCut:
         ((0, 0, "after"), "needs a fixed pivot"),
         ((1, 3, "after"), "out of range"),
         ((1, -1, "before"), "out of range"),
+        ((3, 0, "before"), "pivot out of range"),
+        ((-1, 0, "before"), "pivot out of range"),
+        ((-2, 0, "before"), "pivot out of range"),
         ((1, 0, "pivot"), "side must be"),
     ])
     def test_bad_elliptic_arguments_raise(self, symbol_for, args, message):
@@ -210,6 +215,50 @@ class TestSiegelStep:
             state = siegel_step(state)
             assert state.w_len > w0
 
+    @staticmethod
+    def four_cuts(state, w, a_pos):
+        """The hyperbolic step as four base cuts, the reference for the
+        fused step: W X a b Y a* Z b* T becomes W b* a b a* X Z Y T."""
+        a, b = state.ids[a_pos], state.ids[a_pos + 1]
+        as_pos = state.pos(state.partner[a])
+        base_cut(state, a_pos + 1, w, as_pos, "pivot", (a_pos + 1, w))
+        base_cut(state, state.pos(a), state.pos(state.partner[b]), w, "other",
+                 (w + 1, w))
+        base_cut(state, w + 1, w, w + 2, "pivot", (w + 1, w))
+        a3 = state.pos(a)
+        base_cut(state, a3, w + 1, a3 + 2, "pivot", (w, w))
+
+    def test_hyperbolic_step_equals_four_base_cuts(self):
+        def copy(state, on_op):
+            out = NormalizationState.__new__(NormalizationState)
+            for name in NormalizationState.__slots__:
+                setattr(out, name, getattr(state, name))
+            out.ids, out.verts = list(state.ids), list(state.verts)
+            out.on_op, out.on_step = on_op, None
+            return out
+
+        def arcs(state):
+            return state.ids, [Cusp(p, q) for p, q in state.verts]
+
+        steps = 0
+        for N in range(1, 201):
+            log = []
+            state = _start_state(gamma0_symbol(N), on_step=log.append)
+            while not state.done():
+                before = copy(state, None)
+                siegel_step(state)
+                if log[-1]["kind"] != "hyperbolic":
+                    continue
+                w, a_pos = before.w_len, log[-1]["pivots"][0]
+                ref_ops, fused_ops = [], []
+                ref, staged = copy(before, ref_ops.append), copy(before, fused_ops.append)
+                self.four_cuts(ref, w, a_pos)
+                siegel_step(staged)
+                assert arcs(state) == arcs(ref) == arcs(staged), (N, w)
+                assert fused_ops == ref_ops and len(ref_ops) == 4, (N, w)
+                steps += 1
+        assert steps > 1000
+
     def test_step_refuses_to_move_infinity_zero(self, symbol_for):
         # unrotated, the (infinity, 0) arc of level 2 starts no ready block,
         # so the first step would have to move it
@@ -307,6 +356,7 @@ class TestNormalize:
         (420, DIGEST_420),
         (1000, "81683eed6c092951d361584b6f3fb002f83ac0e49825484ab658a6abd000686b"),
         (2000, "4505535d325ef2dd73b897508d286ad9b6352f49a9ddc85243f36c71a164842a"),
+        (3000, "69548916f02a61de56dc0b5fbdca5f6ed7cc6331d38e8e0a34837e95748d48cd"),
     ])
     def test_large_output_digest_is_pinned(self, N, digest):
         text = normalize(gamma0_symbol(N)).to_json()
