@@ -88,9 +88,9 @@ class TestBaseCut:
     @pytest.mark.parametrize("args,message", [
         ((2, 3, 0, "pivot"), "out of range"),
         ((2, 2, -1, "pivot"), "out of range"),
+        ((2, 2, 0, "sideways"), "side must be"),
         ((3, 2, 0, "pivot"), "pivot out of range"),
         ((-1, 2, 0, "pivot"), "pivot out of range"),
-        ((2, 2, 0, "sideways"), "side must be"),
     ])
     def test_bad_arguments_raise(self, symbol_for, args, message):
         s = symbol_for(2)  # pairing (2, 1, 0): pivot 2 has partner 0
@@ -101,10 +101,10 @@ class TestBaseCut:
         ((0, 0, "after"), "needs a fixed pivot"),
         ((1, 3, "after"), "out of range"),
         ((1, -1, "before"), "out of range"),
+        ((1, 0, "pivot"), "side must be"),
         ((3, 0, "before"), "pivot out of range"),
         ((-1, 0, "before"), "pivot out of range"),
         ((-2, 0, "before"), "pivot out of range"),
-        ((1, 0, "pivot"), "side must be"),
     ])
     def test_bad_elliptic_arguments_raise(self, symbol_for, args, message):
         s = symbol_for(2)  # arc 1 is the fixed one
