@@ -13,6 +13,20 @@ subdivision is what reproduces the classical polygons for Gamma0(N).
 For Gamma0(N) the membership tests reduce to equalities in P^1(Z/N) applied
 to bottom rows of arc matrices, which turns every pairing search into a hash
 lookup; a generic oracle falls back to explicit matrix membership tests.
+
+An arc (a, b, c, d) of Gamma0(N) has three keys: in = (c : d), out = (d : -c)
+and odd = (-c : c - d).  A mediant split acts on them by fixed Moebius maps,
+so the builder derives the halves' keys from their parent's.  The arc is in
+unit form when c and d are units mod N; with x = d/c and y = -c/d its keys
+are in = (1, x), out = (1, y) and odd = (1, x - 1), the last one whenever c
+alone is a unit.  When x - 1 is a unit too, with i = (x - 1)^-1, the left
+half (a, b - a, c, d - c) has x = x - 1 and y = -i, the right half
+(a - b, b, c - d, d) has x = -x*i and y = 1 + y, and both are again in unit
+form: one modular inverse replaces every p1_normalize call of the split.
+Otherwise the halves' keys come from p1_normalize, except the left half's
+in-key, which is its parent's odd key since (c : d - c) = -(-c : c - d).
+A key (1, r) is exactly the pair p1_normalize returns for its point, so
+derived and computed keys compare equal.
 """
 
 from collections import deque
@@ -38,6 +52,8 @@ def p1_normalize(N, u, v):
     w + (N/g)*j (j mod g), so the least j whose lift is a unit gives v' in
     a few steps.
     """
+    if N < 1:
+        raise FareyError("P^1(Z/%d) needs a positive level" % N)
     if N == 1:
         return (0, 0)
     u %= N
@@ -92,14 +108,39 @@ class MembershipOracle:
         return "MembershipOracle(%s)" % self.name
 
 
+class _P1Key:
+    """The coset key of Gamma0(N): the point (c : d) of P^1(Z/N).  The
+    builder recognizes it and derives the keys of split arcs itself."""
+
+    __slots__ = ("level",)
+
+    def __init__(self, level):
+        self.level = level
+
+    def __call__(self, a, b, c, d):
+        return p1_normalize(self.level, c, d)
+
+
+def _unit_halves(N, x, y):
+    """Keys of the halves (left, right) of an arc in unit form with ratios
+    x = d/c and y = -c/d mod N: the pairs of their in- and out-keys, or None
+    when x - 1 is not a unit mod N."""
+    try:
+        i = pow(x - 1, -1, N)
+    except ValueError:
+        return None
+    xr = -x * i % N
+    return ((1, x - 1), (1, xr)), ((1, -i % N), (1, (y + 1) % N))
+
+
 def gamma0_oracle(N):
     """Oracle for the Hecke congruence subgroup Gamma0(N): c = 0 mod N."""
-    if N < 1:
-        raise InvalidSymbolError("level must be a positive integer, got %r" % N)
+    if type(N) is not int or N <= 0:
+        raise InvalidSymbolError("level must be a positive integer, got %r" % (N,))
     return MembershipOracle(
         lambda m: m.c % N == 0,
         index_bound=classical.index_gamma0(N),
-        coset_key=lambda a, b, c, d: p1_normalize(N, c, d),
+        coset_key=_P1Key(N),
         name="Gamma0(%d)" % N,
         level=N)
 
@@ -187,11 +228,15 @@ def build_unimodular(oracle, on_event=None):
 
     key = oracle.coset_key
     keyed = key is not None
+    # for Gamma0(N), split arcs take their keys from their parent's
+    N = key.level if type(key) is _P1Key else None
     walk = _Walk()
     ent, partner, ell = walk.ent, walk.partner, walk.ell
     # An arc m's in-key is key(m) and its out-key key(m * REVERSE), the key
     # of the reversed arc; m * REVERSE = (b, -a, d, -c) needs no product.
-    in_key, out_key = [], []
+    # Its odd key is key(m * REVERSE * ORDER3); for Gamma0(N) the ones not
+    # read off the in-key are kept for the split (module docstring).
+    in_key, out_key, odd_key = [], [], {}
     pool = {}        # out_key -> unpaired arc id, for the keyed fast path
     claimed = set()  # right-coset labels already used up by the polygon
 
@@ -209,6 +254,37 @@ def build_unimodular(oracle, on_event=None):
             out_key.append(key(b, -a, d, -c))
             claim(in_key[k])
 
+    def odd(k):
+        k_in = in_key[k]
+        if N is not None and k_in[0] == 1:  # c is a unit
+            return (1, (k_in[1] - 1) % N)
+        o = odd_key.get(k)
+        if o is None:
+            # m * REVERSE * ORDER3 = (-a, a - b, -c, c - d)
+            a, b, c, d = ent[k]
+            o = odd_key[k] = key(-a, a - b, -c, c - d)
+        return o
+
+    def split(k):
+        """Split arc k and record its halves' keys; return their ids."""
+        left, right = walk.split(k)
+        if N is None:
+            made(left)
+            made(right)
+            return left, right
+        (u, x), (w, y) = in_key[k], out_key[k]
+        keys = _unit_halves(N, x, y) if u == w == 1 else None
+        if keys is None:
+            c, d = ent[k][2:]
+            keys = ((odd(k), p1_normalize(N, c - d, d)),
+                    (p1_normalize(N, d - c, -c), p1_normalize(N, d, d - c)))
+        ins, outs = keys
+        in_key.extend(ins)
+        out_key.extend(outs)
+        claim(ins[0])
+        claim(ins[1])
+        return left, right
+
     def mats(k):
         """An arc's matrix m and m * REVERSE, for the keyless tests."""
         a, b, c, d = ent[k]
@@ -222,9 +298,7 @@ def build_unimodular(oracle, on_event=None):
 
     def is_odd(k):
         if keyed:
-            # m * REVERSE * ORDER3 = (-a, a - b, -c, c - d)
-            a, b, c, d = ent[k]
-            return key(-a, a - b, -c, c - d) == out_key[k]
+            return odd(k) == out_key[k]
         neg = mats(k)[1]
         return pred(neg * ORDER3 * neg.adjugate())
 
@@ -287,9 +361,7 @@ def build_unimodular(oracle, on_event=None):
             claim(out_key[victim])
         if on_event is not None:
             on_event(("mediant",) + walk.ends(victim))
-        left, right = walk.split(victim)
-        made(left)
-        made(right)
+        left, right = split(victim)
         for child in (left, right):
             resolve(child)
             waiting.append(child)

@@ -235,22 +235,33 @@ class TestGenerators:
         its non-elliptic pairs (the intersection form of their dual
         curves), omega has rank 2g and the exponent-sum vectors of the
         quad gluings (a1, b1, ..., ag, bg) have Gram matrix +-J, one sign
-        per level; the pair (cusp) gluings lie in the radical of omega."""
-        for N in list(range(1, 121)) + [200]:
-            uni, ns = symbol_for(N), normalized_for(N)
-            form = IntersectionForm(uni)
-            g = classical.genus_gamma0(N)
-            assert rank(form.omega) == 2 * g, N
+        per symbol; the pair (cusp) gluings lie in the radical of omega.
+        H1 with omega is unimodular of rank 2g, with g from the classical
+        formula, so 2g vectors with Gram +-J span it: the rank is computed
+        only where it is cheap.  Every rotation of the normal form for
+        N <= 40 gives a symplectic basis too."""
+        def gram_is_J(form, ns, g, where):
             vectors = [form.vector(m) for pair in
                        generators(ns).symplectic_pairs for m in pair]
             images = [form.times(w) for w in vectors]
             gram = [[sum(x * y for x, y in zip(v, w)) for w in images]
                     for v in vectors]
             sign = gram[0][1] if g else 1
-            assert sign in (1, -1), N
+            assert sign in (1, -1), where
             assert gram == [[sign * ((y == x + 1 and x % 2 == 0)
                                      - (x == y + 1 and y % 2 == 0))
-                             for y in range(2 * g)] for x in range(2 * g)], N
+                             for y in range(2 * g)] for x in range(2 * g)], where
+
+        for N in range(1, 301):
+            uni, ns = symbol_for(N), normalized_for(N)
+            form = IntersectionForm(uni)
+            g = classical.genus_gamma0(N)
+            if N <= 120 or N == 200:
+                assert rank(form.omega) == 2 * g, N
+            gram_is_J(form, ns, g, N)
+            if N <= 40:
+                for k in range(ns.n):
+                    gram_is_J(form, ns.rotated(k), g, (N, k))
             if N <= 80:
                 for kind, idx in ns.factorize():
                     if kind == "pair":

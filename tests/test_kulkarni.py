@@ -6,10 +6,11 @@ from math import gcd
 import pytest
 
 from fareysym import classical
-from fareysym.exact import Cusp, IMat, INFINITY, FareyError
+from fareysym import kulkarni
+from fareysym.exact import Cusp, IMat, INFINITY, FareyError, InvalidSymbolError
 from fareysym.kulkarni import (MembershipOracle, build_unimodular,
                                gamma0_oracle, gamma0_symbol, p1_normalize,
-                               replay_trace)
+                               replay_trace, _unit_halves)
 from fareysym.symbol import FareySymbol
 
 # appendix polygons: the unimodular vertex lists for small levels
@@ -101,6 +102,12 @@ class TestP1Normalize:
         with pytest.raises(FareyError):
             p1_normalize(4, 2, 2)
 
+    @pytest.mark.parametrize("N, u, v", [(0, 1, 1), (0, 0, 1), (-6, 3, -5),
+                                         (-1, 1, 0)])
+    def test_level_below_one_raises(self, N, u, v):
+        with pytest.raises(FareyError, match="positive level"):
+            p1_normalize(N, u, v)
+
     def test_least_unit_multiple_small_levels(self):
         for N in range(1, 61):
             unit_list = units(N)
@@ -140,6 +147,18 @@ class TestGamma0Oracle:
         with pytest.raises(FareyError):
             gamma0_oracle(0)
 
+    @pytest.mark.parametrize("level", [0, -7, 7.0, True, False, "7", None])
+    def test_level_must_be_a_positive_int(self, level, monkeypatch):
+        # refused before anything is built: no P^1 key is ever computed
+        calls = []
+        monkeypatch.setattr(kulkarni, "p1_normalize",
+                            lambda *args: calls.append(args))
+        with pytest.raises(InvalidSymbolError, match="positive integer"):
+            gamma0_oracle(level)
+        with pytest.raises(InvalidSymbolError, match="positive integer"):
+            gamma0_symbol(level)
+        assert calls == []
+
     def test_sign_invariance(self):
         o = gamma0_oracle(6)
         m = IMat(1, 1, 6, 7)
@@ -149,6 +168,92 @@ class TestGamma0Oracle:
     def test_rejecting_identity_is_an_error(self):
         with pytest.raises(FareyError):
             MembershipOracle(lambda m: False)
+
+
+def primitive_row(c, d):
+    """(c, d) divided by its gcd; (0, 1) for (0, 0)."""
+    g = gcd(c, d)
+    return (c // g, d // g) if g else (0, 1)
+
+
+class TestKeyRecurrence:
+    """The builder's Gamma0(N) keys of an arc (a, b, c, d): in = (c : d),
+    out = (d : -c) and odd = (-c : c - d), derived from the parent's keys
+    when the arc is split into (a, b - a, c, d - c) and (a - b, b, c - d, d)."""
+
+    @staticmethod
+    def keys(N, c, d):
+        return (p1_normalize(N, c, d), p1_normalize(N, d, -c),
+                p1_normalize(N, -c, c - d))
+
+    # odd primes, prime squares and odd composites
+    @pytest.mark.parametrize("N", [3, 5, 13, 101, 10007, 9, 25, 121, 10201,
+                                   15, 45, 105, 1155, 3003])
+    def test_unit_form_halves_equal_p1_normalize(self, N):
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+        def prop(c, d):
+            c, d = primitive_row(c, d)
+            if gcd(c, N) != 1 or gcd(d, N) != 1:
+                return
+            (u, x), (w, y), odd = self.keys(N, c, d)
+            assert u == w == 1 and odd == (1, (x - 1) % N)
+            halves = _unit_halves(N, x, y)
+            if gcd(x - 1, N) != 1:
+                assert halves is None
+                return
+            ins, outs = halves
+            for side, (c1, d1) in enumerate(((c, d - c), (c - d, d))):
+                k_in, k_out, odd = self.keys(N, c1, d1)
+                assert (k_in, k_out) == (ins[side], outs[side])
+                assert odd == (1, (ins[side][1] - 1) % N)
+        prop()
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 30, 64, 2310, 3060, 9409,
+                                   10007])
+    def test_left_in_key_is_parent_odd_key(self, N):
+        # (c : d - c) = -(-c : c - d) at every level; and when c is a unit
+        # the odd key is (1, x - 1) with in = (1, x)
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+        def prop(c, d):
+            c, d = primitive_row(c, d)
+            k_in, _, odd = self.keys(N, c, d)
+            assert p1_normalize(N, c, d - c) == odd
+            if k_in[0] == 1:
+                assert odd == (1, (k_in[1] - 1) % N)
+        prop()
+
+    @staticmethod
+    def p1_calls(N, monkeypatch):
+        calls = [0]
+        original = kulkarni.p1_normalize
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+        monkeypatch.setattr(kulkarni, "p1_normalize", counted)
+        sym = gamma0_symbol(N)
+        monkeypatch.undo()
+        return sym, calls[0]
+
+    def test_prime_level_needs_few_p1_calls(self, monkeypatch):
+        # 3338 arcs; the builder that computed every key made 20019 calls
+        sym, calls = self.p1_calls(10007, monkeypatch)
+        assert sym.n == 3338
+        assert calls <= 16
+
+    def test_even_level_needs_fewer_p1_calls(self, monkeypatch):
+        # 2310 is even, so no arc has x - 1 a unit: every split falls back,
+        # and still saves the left half's in-key and some odd keys; the
+        # builder that computed every key made 13827 calls
+        sym, calls = self.p1_calls(2310, monkeypatch)
+        assert sym.n == 2306
+        assert calls < 13827
 
 
 class TestBuild:
