@@ -370,6 +370,15 @@ def express_word(sym, g):
     matrix is kept as four integers, sign-fixed after each step as
     IMat.psl_normalize does.  A member whose reduction runs past the step
     cap raises FareyError; the answer is never None for a member.
+
+    The gluings freely generate the group, a free product of copies of Z,
+    Z/2 and Z/3, so g has one reduced word: put each letter on the
+    generator min(i, partner(i)), take fixed arcs' exponents mod their
+    order and merge neighbours, and every word for g reduces to it.  The
+    answer spells it as (arc, 1) letters up to the shortest prefix after
+    which the rest fixes infinity, then the power of the stabilizer of
+    infinity: one letter when that is one gluing, else its word repeated,
+    inverted for a negative power.
     """
     if g.det() != 1:
         raise FareyError("express_word needs an integral det-1 matrix")

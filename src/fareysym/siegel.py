@@ -14,35 +14,29 @@ A run is one NormalizationState: a private polygon, cut in place, and the
 length of W.  The polygon holds the start vertex and the id of the arc at
 each position, and, by arc id, the partner and the elliptic order.  A cut
 gives its chord pair the ids of the pivot pair it replaces, so the partner
-and order tables never change during a run; a cut only splices the two
-id/vertex lists, moving one piece's vertices by the pivot gluing.  The
-hyperbolic step splices once: with the word read as W X a b Y a* Z b* T,
-its segment table, it computes the four pivot gluings from a few point
-images and writes W b* a b a* X Z Y T, moving each vertex once by its
-composite matrix (_step_hyperbolic).  Every cut and splice ends in
-NormalizationState.commit, the one place that checks the new word and
-reports it to on_op; a hyperbolic step reports its four stages.  The
-vertices are the input's Cusps and, once moved, plain pairs (p, q) of either
-sign, coprime as a det-1 move keeps them.  symbol.gluing_entries takes both,
-so a run makes new Cusps only for the FareySymbol it builds at the end or
-on request (on_op, NormalizationState.symbol).
+and order tables never change during a run.  Every cut and step is a
+segment table: it reads the word as slices, moves some of them by a matrix
+and commits the new word, a list of (ids, vertices) segments and an
+optional rotation, through NormalizationState.commit, the one place that
+changes the polygon, checks it and reports it to on_op.  A base cut reads
+X4 X1 a X2 X3 a* and writes X4 a' X3 X2 a'* X1, an elliptic one reads
+X2 X1 e and writes X2 e' X1, and a hyperbolic step reads W X a b Y a* Z b* T
+and writes W b* a b a* X Z Y T, moving each vertex once by its composite of
+the four cuts' pivot gluings (_step_hyperbolic).  The vertices are the
+input's Cusps and, once moved, plain pairs (p, q) of either sign, coprime
+as a det-1 move keeps them.  symbol.gluing_entries takes both, so a run
+makes new Cusps only for the FareySymbol it builds at the end or on
+request (on_op, NormalizationState.symbol).
 
 Throughout, the polygon is kept rotated so that W occupies positions
-[0, w): each cut is told which of its arcs must land at position w and
-splices its lists already rotated.  W is never transformed: the arc
-(infinity, 0) is placed inside W at the start, and the state refuses any
-cut that would move or replace that arc, which is what keeps coefficient
-growth in check.
+[0, w): each cut is told which of its arcs must land at position w.  W is
+never transformed: the arc (infinity, 0) is placed inside W at the start,
+and NormalizationState.check_keep refuses every cut that would move or
+replace that arc, which is what keeps coefficient growth in check.
 """
 
 from .exact import IDENTITY, FareyError, InvalidSymbolError, _coprime_cusp
 from .symbol import block_at, gluing_entries, symbol_from_ids
-
-
-_KEEP_MESSAGE = (
-    "normalization would move or replace the arc (infinity, 0), which it "
-    "keeps fixed; it cannot yet do so when that arc lies in no block "
-    "(fixed arc, pair or quad) of the input word")
 
 
 def _unimodular(g):
@@ -60,12 +54,14 @@ def _moved(g, pts):
     return [(a * p + b * q, c * p + d * q) for p, q in pts]
 
 
-def _cyc(seq, a, b):
-    """seq[a:b] read cyclically; empty when a == b (mod len(seq))."""
-    n = len(seq)
-    a %= n
-    b %= n
-    return seq[a:b] if a <= b else seq[a:] + seq[:b]
+def _check_positions(n, message, *ps):
+    """Refuse ps, raising FareyError(message), unless each is an int in
+    [0, n)."""
+    for p in ps:
+        if type(p) is not int:
+            raise FareyError("positions must be ints, got %r" % (p,))
+        if not 0 <= p < n:
+            raise FareyError(message)
 
 
 class NormalizationState:
@@ -73,13 +69,14 @@ class NormalizationState:
     length w_len of its normalized prefix W, at positions [0, w_len).
 
     verts[p] and ids[p] are the start vertex, a Cusp or an integer pair
-    (p, q) of either sign, and the id of the arc at position p; partner and ell are
-    indexed by id.  keep is the id of the arc (infinity, 0), which no cut
-    may move or replace, or None.  on_op and on_step, when set, observe
-    every cut and every step.  .symbol builds the polygon as a FareySymbol
-    on each access, with origin, the input or the unimodular symbol the
-    input walks on, as its companion for the word problem: cuts preserve
-    the group.
+    (p, q) of either sign, and the id of the arc at position p; partner and
+    ell are indexed by id.  commit is the one way to change them: every cut
+    and step hands it the new word as a table of segments.  keep is the id
+    of the arc (infinity, 0), which no cut may move or replace
+    (check_keep), or None.  on_op and on_step, when set, observe every cut
+    and every step.  .symbol builds the polygon as a FareySymbol on each
+    access, with origin, the input or the unimodular symbol the input walks
+    on, as its companion for the word problem: cuts preserve the group.
     """
 
     __slots__ = ("verts", "ids", "partner", "ell", "level", "keep",
@@ -126,51 +123,32 @@ class NormalizationState:
         out._memo["companion"] = self.origin
         return out
 
-    def glue(self, head_ids, head, tail_ids, tail, g, move_tail, chord, place):
-        """Finish a cut: make head + tail the polygon's cyclic word of arcs.
+    def check_keep(self, *id_lists):
+        """Refuse a cut that moves or replaces the arcs of id_lists when
+        the arc (infinity, 0) is among them."""
+        if self.keep is not None and any(self.keep in ids for ids in id_lists):
+            raise InvalidSymbolError(
+                "normalization would move or replace the arc (infinity, 0), "
+                "which it keeps fixed; it cannot yet do so when that arc lies "
+                "in no block (fixed arc, pair or quad) of the input word")
 
-        The tail's vertices are moved by g^-1 (move_tail) or the head's by
-        g, an IMat.  chord holds the ids of the
-        pivot arcs the cut replaces; place = (old position, position)
-        rotates the result so the arc that sat at the old position lands at
-        position, and by default chord[0] is arc 0.  The cut is then
-        reported to on_op.
-        """
-        if self.keep is not None and (
-                self.keep in chord
-                or self.keep in (tail_ids if move_tail else head_ids)):
-            raise InvalidSymbolError(_KEEP_MESSAGE)
-        if move_tail:
-            tail = _moved(_unimodular(g).adjugate(), tail)
-        else:
-            head = _moved(_unimodular(g), head)
-        ids = head_ids + tail_ids
-        verts = head + tail
-        if place is None:
-            k = ids.index(chord[0])
-        else:
-            k = (ids.index(self.ids[place[0]]) - place[1]) % self.n
-        self.commit(ids[k:] + ids[:k], verts[k:] + verts[:k])
-
-    def splice(self, start, end, parts):
-        """Replace the arcs at positions [start, end) by parts, a list of
-        (ids, vertices), and commit the result."""
-        ids, verts = self.ids[:start], self.verts[:start]
-        for part_ids, part_verts in parts:
-            ids += part_ids
-            verts += part_verts
-        ids += self.ids[end:]
-        verts += self.verts[end:]
-        self.commit(ids, verts)
-
-    def commit(self, ids, verts):
-        """Make ids, verts the polygon, after checking that they hold each
-        arc once, and report it to on_op."""
+    def commit(self, segments, place=None):
+        """Make the concatenation of segments, a list of (ids, vertices),
+        the polygon, after checking that it holds each arc once, and report
+        it to on_op.  place = (arc id, position) first rotates it so that
+        arc lands at position."""
+        ids, verts = [], []
+        for seg_ids, seg_verts in segments:
+            ids += seg_ids
+            verts += seg_verts
         n = self.n
         if len(ids) != n or len(verts) != n:
             raise FareyError("cut produced %d arcs, expected %d" % (len(verts), n))
         if len(set(ids)) != n:
             raise FareyError("cut produced repeated arc ids")
+        if place is not None:
+            k = (ids.index(place[0]) - place[1]) % n
+            ids, verts = ids[k:] + ids[:k], verts[k:] + verts[:k]
         self.ids = ids
         self.verts = verts
         if self.on_op is not None:
@@ -186,9 +164,25 @@ def _working(sym):
     return state
 
 
-def _cut_result(sym, state):
-    """What a base operation returns: nothing for the state of a run, else
-    (symbol, mapping) with mapping old position -> new one."""
+def _reglue(sym, state, segs, pivots, move_tail, place):
+    """Commit a base operation's segment table segs, head then tail in equal
+    halves, after moving the tail by g^-1 (move_tail) or the head by g, the
+    gluing of the pivot pair at positions pivots.  place is base_cut's.
+    Returns nothing for a run's state, else (symbol, mapping) with mapping
+    old position -> new one."""
+    if place is not None:
+        if not isinstance(place, (tuple, list)) or len(place) != 2:
+            raise FareyError("place must be a pair (old position, position)")
+        _check_positions(state.n, "place out of range", *place)
+    g = state.gluing(*pivots)
+    chord = [state.ids[p] for p in pivots]
+    half = len(segs) // 2
+    moved = slice(half, None) if move_tail else slice(0, half)
+    state.check_keep(chord, *[ids for ids, _ in segs[moved]])
+    g = _unimodular(g.adjugate() if move_tail else g)
+    segs[moved] = [(ids, _moved(g, verts)) for ids, verts in segs[moved]]
+    state.commit(segs, (chord[0], 0) if place is None
+                 else (state.ids[place[0]], place[1]))
     if state is sym:
         return None
     return state.symbol, {arc_id: p for p, arc_id in enumerate(state.ids)}
@@ -197,12 +191,14 @@ def _cut_result(sym, state):
 def base_cut(sym, pivot, c1, c2, side, place=None):
     """Non-elliptic cut-and-glue along the chord (vertex c1, vertex c2).
 
-    Writing the cyclic word as X1 a X2 X3 a* X4 with a the pivot arc, c2 the
-    vertex between X2 and X3 and c1 the vertex between X4 and X1, the piece
-    containing the pivot is moved by gluing(a)^-1 (side="pivot") or the other
-    piece is moved by gluing(a) (side="other"); the chord becomes the new
-    paired arcs a', a'*.  Returns (symbol, mapping) where mapping sends old
-    arc positions to new ones (the pivot pair maps to the chord pair).
+    Writing the cyclic word from past the pivot's partner as X4 X1 a X2 X3
+    a*, with a the pivot arc, c2 the vertex between X2 and X3 and c1 the
+    vertex between X4 and X1, the new word is X4 a' X3 X2 a'* X1: the piece
+    X2 a'* X1 containing the pivot is moved by gluing(a)^-1 (side="pivot")
+    or the other piece X4 a' X3 is moved by gluing(a) (side="other"); the
+    chord becomes the new paired arcs a', a'*, with a' starting at c1 and
+    a'* at c2.  Returns (symbol, mapping) where mapping sends old arc
+    positions to new ones (the pivot pair maps to the chord pair).
     place = (old arc, position) rotates the output so that the image of the
     old arc sits at position; by default the chord a' is arc 0.  sym may
     also be the NormalizationState of a run, which is then cut in place and
@@ -211,60 +207,52 @@ def base_cut(sym, pivot, c1, c2, side, place=None):
     state = _working(sym)
     n = state.n
     i = pivot
-    if not 0 <= i < n:
-        raise FareyError("pivot out of range")
+    _check_positions(n, "pivot out of range", i)
     j = state.pos(state.partner[state.ids[i]])
     if i == j:
         raise FareyError("base_cut needs a non-fixed pivot")
-    if not (0 <= c1 < n and 0 <= c2 < n):
-        raise FareyError("cut vertices out of range")
+    _check_positions(n, "cut vertices out of range", c1, c2)
     if (c2 - (i + 1)) % n > (j - (i + 1)) % n or (c1 - (j + 1)) % n > (i - (j + 1)) % n:
         raise FareyError("cuts do not separate the pivot from its partner")
     if side not in ("pivot", "other"):
         raise FareyError("side must be 'pivot' or 'other'")
 
-    # Head X4 a' X3 (a' starts at c1), tail X2 a'* X1 (a'* starts at c2); the
-    # pivot piece is the tail.  The chord a' (a'*) keeps the id of a (a*).
-    ids, v = state.ids, state.verts
-    state.glue(_cyc(ids, j + 1, c1) + [ids[i]] + _cyc(ids, c2, j),
-               _cyc(v, j + 1, c1 + 1) + _cyc(v, c2, j),
-               _cyc(ids, i + 1, c2) + [ids[j]] + _cyc(ids, c1, i),
-               _cyc(v, i + 1, c2 + 1) + _cyc(v, c1, i),
-               state.gluing(i, j), side == "pivot", (ids[i], ids[j]), place)
-    return _cut_result(sym, state)
+    # R, V: the word read from j + 1, so X4 X1 a X2 X3 a* with a* last
+    k = j + 1
+    R, V = state.ids[k:] + state.ids[:k], state.verts[k:] + state.verts[:k]
+    x1, a, x3 = (c1 - k) % n, (i - k) % n, (c2 - k) % n
+    segs = [(R[:x1] + [R[a]], V[:x1 + 1]), (R[x3:-1], V[x3:-1]),
+            (R[a + 1:x3] + [R[-1]], V[a + 1:x3 + 1]), (R[x1:a], V[x1:a])]
+    return _reglue(sym, state, segs, (i, j), side == "pivot", place)
 
 
 def base_cut_elliptic(sym, pivot, cut, side, place=None):
     """Cut from the elliptic point of a fixed arc to the vertex `cut`.
 
-    The piece between the cut and the pivot arc is moved: side="before"
-    moves the factor X1 (from the cut vertex up to the pivot) by the
-    gluing's inverse, side="after" moves the factor X2 (from past the pivot
-    back to the cut vertex) by the gluing.  The elliptic arc reappears with
-    the cut vertex as an endpoint; its order is unchanged.  place and the
-    run's state are as for base_cut; by default the new elliptic arc is
-    arc 0.
+    Writing the cyclic word from past the pivot e as X2 X1 e, with the cut
+    vertex between X2 and X1, the new word is X2 e' X1: side="before"
+    moves X1 (from the cut vertex up to the pivot) by the gluing's inverse,
+    side="after" moves X2 (from past the pivot back to the cut vertex) by
+    the gluing.  The elliptic arc e' starts at the cut vertex; its order is
+    unchanged.  place and the run's state are as for base_cut; by default
+    the new elliptic arc is arc 0.
     """
     state = _working(sym)
     n = state.n
     i = pivot
-    if not 0 <= i < n:
-        raise FareyError("pivot out of range")
+    _check_positions(n, "pivot out of range", i)
     if not state.paired(i, i):
         raise FareyError("base_cut_elliptic needs a fixed pivot")
-    if not 0 <= cut < n:
-        raise FareyError("cut vertex out of range")
+    _check_positions(n, "cut vertex out of range", cut)
     if side not in ("before", "after"):
         raise FareyError("side must be 'before' or 'after'")
 
-    # Head X2 a' (a' starts at the cut vertex), tail X1.
-    ids, v = state.ids, state.verts
-    state.glue(_cyc(ids, i + 1, cut) + [ids[i]],
-               _cyc(v, i + 1, cut) + [v[cut]],
-               _cyc(ids, cut, i),
-               _cyc(v, cut, i),
-               state.gluing(i, i), side == "before", (ids[i],), place)
-    return _cut_result(sym, state)
+    # R, V: the word read from i + 1, so X2 X1 e with e last
+    k = i + 1
+    R, V = state.ids[k:] + state.ids[:k], state.verts[k:] + state.verts[:k]
+    x = (cut - k) % n
+    segs = [(R[:x] + [R[-1]], V[:x + 1]), (R[x:-1], V[x:-1])]
+    return _reglue(sym, state, segs, (i, i), side == "before", place)
 
 
 def _start_state(sym, on_op=None, on_step=None):
@@ -285,8 +273,7 @@ def _start_state(sym, on_op=None, on_step=None):
             rot = (i0 - back) % n
             break
     state = NormalizationState(sym)
-    state.ids = state.ids[rot:] + state.ids[:rot]
-    state.verts = state.verts[rot:] + state.verts[:rot]
+    state.commit([(state.ids, state.verts)], (rot, 0))
     state.on_op, state.on_step = on_op, on_step
     return state
 
@@ -358,8 +345,7 @@ def _step_hyperbolic(state, w, a_pos):
     b_pos, as_pos, bs_pos = a_pos + 1, state.pos(a_s), state.pos(b_s)
     if not w <= a_pos < b_pos < as_pos < bs_pos < n:
         raise FareyError("pivots out of pattern")
-    if state.keep is not None and state.keep in ids[w:bs_pos + 1]:
-        raise InvalidSymbolError(_KEEP_MESSAGE)
+    state.check_keep(ids[w:bs_pos + 1])
 
     p_w, p_nx = P[w], P[(bs_pos + 1) % n]
     g1i = _unimodular(gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx)).adjugate()
@@ -386,8 +372,9 @@ def _step_hyperbolic(state, w, a_pos):
     g4i_g2 = g4i * g2
     stages.append([([b_s, a, b, a_s], [p_w, w1] + _moved(g4i, (b3, as3))),
                    moved(*X, g4i * g1i), moved(*Z, g4i_g2), moved(*Y, g4i_g2 * g1i)])
+    W, T = (ids[:w], P[:w]), (ids[bs_pos + 1:], P[bs_pos + 1:])
     for parts in stages:
-        state.splice(w, bs_pos + 1, parts)
+        state.commit([W] + parts + [T])
     if not (state.paired(w, w + 2) and state.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
     return w + 4

@@ -608,6 +608,40 @@ def test_reduction_matches_the_reference(symbol_for, normalized_for):
     prop()
 
 
+def free_reduction(sym, word):
+    """word in the free product of the gluings: each letter on the generator
+    min(i, partner(i)), the exponents of fixed arcs mod their order, and
+    adjacent letters on one generator merged."""
+    out = []
+    for i, e in word:
+        gen = min(i, sym.pairing[i])
+        if gen != i:
+            e = -e
+        order = sym.ell.get(i)
+        if out and out[-1][0] == gen:
+            e += out.pop()[1]
+        if order:
+            e %= order
+        if e:
+            out.append((gen, e))
+    return out
+
+
+def test_words_are_free_product_normal_forms(symbol_for, normalized_for):
+    """express_word(word_product(w)) reduces to w's free reduction: the
+    gluings are free generators, so the reduced word of a member is unique."""
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((2, 3, 13, 36, 60, 210)), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from((1, -1, 2, -3))),
+                    min_size=1, max_size=14))
+    def prop(N, normalized, letters):
+        sym = normalized_for(N) if normalized else symbol_for(N)
+        w = [(i % sym.n, e) for i, e in letters]
+        out = express_word(sym, word_product(sym, w))
+        assert free_reduction(sym, out) == free_reduction(sym, w)
+    prop()
+
+
 def gamma_upper(N):
     """The unimodular symbol of Gamma^0(N) = {b = 0 mod N}, from the keyless
     builder: a group other than Gamma0(N), with no level."""

@@ -18,6 +18,26 @@ from fareysym.symbol import FareySymbol
 DIGEST_420 = "c0f78472b2e92a5dc8b4443285b2124810fbcb79439f801f0cd9289dac75d290"
 
 
+def legal_cuts(sym):
+    """Every (cut, args) that base_cut or base_cut_elliptic accepts on sym."""
+    n, pairing = sym.n, sym.pairing
+    for i in range(n):
+        j = pairing[i]
+        if i == j:
+            for cut in range(n):
+                for side in ("before", "after"):
+                    yield base_cut_elliptic, (i, cut, side)
+            continue
+        # c1 a vertex from the end of a* to the start of a, c2 one from the
+        # end of a to the start of a*
+        for c1 in range(n):
+            for c2 in range(n):
+                if ((c1 - j - 1) % n <= (i - j - 1) % n
+                        and (c2 - i - 1) % n <= (j - i - 1) % n):
+                    for side in ("pivot", "other"):
+                        yield base_cut, (i, c1, c2, side)
+
+
 class TestBaseCut:
     def test_trivial_cut_is_rotation(self, symbol_for):
         # adjacent pivot pair, both transformed blocks empty
@@ -91,6 +111,17 @@ class TestBaseCut:
         ((2, 2, 0, "sideways"), "side must be"),
         ((3, 2, 0, "pivot"), "pivot out of range"),
         ((-1, 2, 0, "pivot"), "pivot out of range"),
+        ((2, 2, 0, "pivot", (5, 0)), "place out of range"),
+        ((2, 2, 0, "pivot", (-1, 0)), "place out of range"),
+        ((2, 2, 0, "pivot", (0, 7)), "place out of range"),
+        ((2, 2, 0, "pivot", (0, -1)), "place out of range"),
+        ((2, 2, 0, "pivot", (0,)), "place must be a pair"),
+        ((2, 2, 0, "pivot", (0, 1, 2)), "place must be a pair"),
+        ((2, 2, 0, "pivot", 0), "place must be a pair"),
+        ((2, 2, 0, "pivot", (0.0, 1)), "positions must be ints"),
+        ((2.0, 2, 0, "pivot"), "positions must be ints"),
+        ((2, 2.0, 0, "pivot"), "positions must be ints"),
+        ((2, 2, 0.0, "pivot"), "positions must be ints"),
     ])
     def test_bad_arguments_raise(self, symbol_for, args, message):
         s = symbol_for(2)  # pairing (2, 1, 0): pivot 2 has partner 0
@@ -105,6 +136,14 @@ class TestBaseCut:
         ((3, 0, "before"), "pivot out of range"),
         ((-1, 0, "before"), "pivot out of range"),
         ((-2, 0, "before"), "pivot out of range"),
+        ((1, 0, "after", (5, 0)), "place out of range"),
+        ((1, 0, "after", (-1, 0)), "place out of range"),
+        ((1, 0, "after", (0, 7)), "place out of range"),
+        ((1, 0, "after", (0, -1)), "place out of range"),
+        ((1, 0, "after", (0,)), "place must be a pair"),
+        ((1, 0, "after", (0, 1.0)), "positions must be ints"),
+        ((1.0, 0, "after"), "positions must be ints"),
+        ((1, 0.0, "after"), "positions must be ints"),
     ])
     def test_bad_elliptic_arguments_raise(self, symbol_for, args, message):
         s = symbol_for(2)  # arc 1 is the fixed one
@@ -159,6 +198,46 @@ class TestBaseCut:
         pivot = next(i for i, mu in s.ell.items() if mu == 3)
         for cut, side in ((0, "after"), (0, "before"), (3, "after")):
             self.check_place(s, base_cut_elliptic, pivot, cut, side)
+
+    def test_every_legal_cut_is_pinned(self):
+        # every pivot, cut vertex and side, on the unimodular and the
+        # normalized symbol: the output symbol and the position mapping
+        h = hashlib.sha256()
+        count = 0
+        for N in range(1, 25):
+            uni = gamma0_symbol(N)
+            for sym in (uni, normalize(uni)):
+                for cut, args in legal_cuts(sym):
+                    out, mapping = cut(sym, *args)
+                    h.update((out.to_json() + json.dumps(sorted(mapping.items()))
+                              + "\n").encode())
+                    count += 1
+        assert (count, h.hexdigest()) == (
+            11876, "7268cccace47edad7a8e42a664dbc0a577aea7fced5b14b97ed9f0fbed809155")
+
+    def test_infinity_zero_refusals_are_pinned(self):
+        # the same cuts on a run's state, which keeps the arc (infinity, 0):
+        # the polygon each one leaves, or its refusal
+        h = hashlib.sha256()
+        count = applied = 0
+        for N in range(1, 19):
+            uni = gamma0_symbol(N)
+            for sym in (uni, normalize(uni)):
+                for cut, args in legal_cuts(sym):
+                    state = NormalizationState(sym)
+                    assert state.keep is not None
+                    try:
+                        assert cut(state, *args) is None
+                    except InvalidSymbolError as e:
+                        assert "(infinity, 0)" in str(e), (N, args)
+                        h.update(b"refused\n")
+                    else:
+                        h.update(repr((state.ids, [tuple(v) for v in state.verts])).encode()
+                                 + b"\n")
+                        applied += 1
+                    count += 1
+        assert (count, applied, h.hexdigest()) == (
+            4540, 1862, "51874ff97bc35ce215f509537f82733d602638afc68787a15e5c458ffb944f10")
 
 
 class TestSiegelStep:
