@@ -14,19 +14,25 @@ For Gamma0(N) the membership tests reduce to equalities in P^1(Z/N) applied
 to bottom rows of arc matrices, which turns every pairing search into a hash
 lookup; a generic oracle falls back to explicit matrix membership tests.
 
-An arc (a, b, c, d) of Gamma0(N) has three keys: in = (c : d), out = (d : -c)
-and odd = (-c : c - d).  A mediant split acts on them by fixed Moebius maps,
-so the builder derives the halves' keys from their parent's.  The arc is in
-unit form when c and d are units mod N; with x = d/c and y = -c/d its keys
-are in = (1, x), out = (1, y) and odd = (1, x - 1), the last one whenever c
-alone is a unit.  When x - 1 is a unit too, with i = (x - 1)^-1, the left
-half (a, b - a, c, d - c) has x = x - 1 and y = -i, the right half
-(a - b, b, c - d, d) has x = -x*i and y = 1 + y, and both are again in unit
-form: one modular inverse replaces every p1_normalize call of the split.
-Otherwise the halves' keys come from p1_normalize, except the left half's
-in-key, which is its parent's odd key since (c : d - c) = -(-c : c - d).
-A key (1, r) is exactly the pair p1_normalize returns for its point, so
-derived and computed keys compare equal.
+An arc (a, b, c, d) of Gamma0(N) has the keys in = (c : d) and out = (d : -c).
+Inside the builder a point (c : d) is keyed in one of two charts: by the int
+x = d/c mod N when c is a unit mod N, and by N + c/d when only d is.  When
+neither is a unit the key is p1_normalize's pair, whose first entry is
+gcd(c, N) > 1.  Each point thus has exactly one key, so keys compare equal
+iff their points do.  A mediant split sends the in-points of the halves
+(a, b - a, c, d - c) and (a - b, b, c - d, d) to the ratios x - 1 and
+x/(1 - x) of the parent's x = d/c, and their out-points to (1 - x : 1) and
+(x : x - 1), of ratio 1 + y with y = -1/x: fixed Moebius maps.  So the
+builder derives the halves' keys from their parent's in whichever chart each
+lands, with at most one modular inverse per split, of x - 1, 1 - c/d or
+d - c, and none when c and d are units but x - 1 is not, as at every even
+level.  Only the halves whose rows have neither entry a unit call
+p1_normalize.
+
+An arc pairs with itself with order 2 when in = out and with order 3 when
+(-c : c - d) = out.  Two points of P^1(Z/N) are equal iff the determinant of
+their rows is 0 mod N, so the tests are the congruences N | c^2 + d^2 and
+N | c^2 - cd + d^2 on the arc's bottom row, and no key is needed for them.
 """
 
 from collections import deque
@@ -52,8 +58,11 @@ def p1_normalize(N, u, v):
     w + (N/g)*j (j mod g), so the least j whose lift is a unit gives v' in
     a few steps.
     """
-    if N < 1:
-        raise FareyError("P^1(Z/%d) needs a positive level" % N)
+    if type(N) is not int or N < 1:
+        raise FareyError("P^1(Z/N) needs a positive level, got %r" % (N,))
+    if type(u) is not int or type(v) is not int:
+        raise FareyError("(%r : %r) is not a point of P^1(Z/%d): the "
+                         "coordinates must be ints" % (u, v, N))
     if N == 1:
         return (0, 0)
     u %= N
@@ -121,16 +130,44 @@ class _P1Key:
         return p1_normalize(self.level, c, d)
 
 
-def _unit_halves(N, x, y):
-    """Keys of the halves (left, right) of an arc in unit form with ratios
-    x = d/c and y = -c/d mod N: the pairs of their in- and out-keys, or None
-    when x - 1 is not a unit mod N."""
-    try:
-        i = pow(x - 1, -1, N)
-    except ValueError:
-        return None
-    xr = -x * i % N
-    return ((1, x - 1), (1, xr)), ((1, -i % N), (1, (y + 1) % N))
+def _chart_key(N, c, d):
+    """The builder's key of the point (c : d) of P^1(Z/N), N > 1: d/c when c
+    is a unit mod N, N + c/d when only d is, else p1_normalize's pair."""
+    if gcd(c, N) == 1:
+        return d * pow(c, -1, N) % N
+    if gcd(d, N) == 1:
+        return N + c * pow(d, -1, N) % N
+    return p1_normalize(N, c, d)
+
+
+def _split_keys(N, k_in, k_out, c, d):
+    """Keys of the halves of an arc with bottom row (c, d), in-key k_in and
+    out-key k_out: the pairs (in, out) of the left and right halves, with
+    at most one modular inverse (module docstring)."""
+    if type(k_in) is tuple:  # neither c nor d is a unit
+        e = d - c
+        if gcd(e, N) != 1:
+            return ((p1_normalize(N, c, e), p1_normalize(N, e, -c)),
+                    (p1_normalize(N, -e, d), p1_normalize(N, d, e)))
+        s = pow(e, -1, N)
+        return (N + c * s % N, -c * s % N), (-d * s % N, N + d * s % N)
+    if k_in < N:  # c is a unit, x = d/c
+        x = k_in
+        if gcd(x - 1, N) == 1:
+            i = pow(x - 1, -1, N)
+            r_out = (k_out + 1) % N if k_out < N else N + x * i % N
+            return ((x - 1) % N, -i % N), (-x * i % N, r_out)
+        left = ((x - 1) % N, N + (1 - x) % N)
+        if k_out < N:  # d is a unit too, y = -c/d = -1/x
+            return left, (N + (-1 - k_out) % N, (k_out + 1) % N)
+        return left, (p1_normalize(N, c - d, d), p1_normalize(N, d, d - c))
+    t = k_in - N  # only d is a unit, t = c/d
+    r_out = (1 - t) % N
+    if gcd(1 - t, N) == 1:
+        s = pow(1 - t, -1, N)
+        return (N + t * s % N, -t * s % N), (-s % N, r_out)
+    return ((p1_normalize(N, c, d - c), p1_normalize(N, d - c, -c)),
+            (N + (t - 1) % N, r_out))
 
 
 def gamma0_oracle(N):
@@ -228,15 +265,14 @@ def build_unimodular(oracle, on_event=None):
 
     key = oracle.coset_key
     keyed = key is not None
-    # for Gamma0(N), split arcs take their keys from their parent's
+    # for Gamma0(N), keys come in charts and split arcs take theirs from
+    # their parent's (module docstring)
     N = key.level if type(key) is _P1Key else None
     walk = _Walk()
     ent, partner, ell = walk.ent, walk.partner, walk.ell
     # An arc m's in-key is key(m) and its out-key key(m * REVERSE), the key
     # of the reversed arc; m * REVERSE = (b, -a, d, -c) needs no product.
-    # Its odd key is key(m * REVERSE * ORDER3); for Gamma0(N) the ones not
-    # read off the in-key are kept for the split (module docstring).
-    in_key, out_key, odd_key = [], [], {}
+    in_key, out_key = [], []
     pool = {}        # out_key -> unpaired arc id, for the keyed fast path
     claimed = set()  # right-coset labels already used up by the polygon
 
@@ -250,20 +286,13 @@ def build_unimodular(oracle, on_event=None):
         """Record a new arc's keys and claim its in-key."""
         if keyed:
             a, b, c, d = ent[k]
-            in_key.append(key(a, b, c, d))
-            out_key.append(key(b, -a, d, -c))
+            if N is None:
+                in_key.append(key(a, b, c, d))
+                out_key.append(key(b, -a, d, -c))
+            else:
+                in_key.append(_chart_key(N, c, d))
+                out_key.append(_chart_key(N, d, -c))
             claim(in_key[k])
-
-    def odd(k):
-        k_in = in_key[k]
-        if N is not None and k_in[0] == 1:  # c is a unit
-            return (1, (k_in[1] - 1) % N)
-        o = odd_key.get(k)
-        if o is None:
-            # m * REVERSE * ORDER3 = (-a, a - b, -c, c - d)
-            a, b, c, d = ent[k]
-            o = odd_key[k] = key(-a, a - b, -c, c - d)
-        return o
 
     def split(k):
         """Split arc k and record its halves' keys; return their ids."""
@@ -272,17 +301,12 @@ def build_unimodular(oracle, on_event=None):
             made(left)
             made(right)
             return left, right
-        (u, x), (w, y) = in_key[k], out_key[k]
-        keys = _unit_halves(N, x, y) if u == w == 1 else None
-        if keys is None:
-            c, d = ent[k][2:]
-            keys = ((odd(k), p1_normalize(N, c - d, d)),
-                    (p1_normalize(N, d - c, -c), p1_normalize(N, d, d - c)))
-        ins, outs = keys
-        in_key.extend(ins)
-        out_key.extend(outs)
-        claim(ins[0])
-        claim(ins[1])
+        _, _, c, d = ent[k]
+        (li, lo), (ri, ro) = _split_keys(N, in_key[k], out_key[k], c, d)
+        in_key.extend((li, ri))
+        out_key.extend((lo, ro))
+        claim(li)
+        claim(ri)
         return left, right
 
     def mats(k):
@@ -290,17 +314,25 @@ def build_unimodular(oracle, on_event=None):
         a, b, c, d = ent[k]
         return IMat(a, b, c, d), IMat(b, -a, d, -c)
 
-    def is_even(k):
+    def self_order(k):
+        """The order, 2 or 3, of a self-pairing of arc k, or None."""
+        if N is not None:
+            # (c : d) = (d : -c), resp. (-c : c - d) = (d : -c), in P^1(Z/N)
+            _, _, c, d = ent[k]
+            s = c * c + d * d
+            if s % N == 0:
+                return 2
+            return 3 if (s - c * d) % N == 0 else None
         if keyed:
-            return in_key[k] == out_key[k]
+            if in_key[k] == out_key[k]:
+                return 2
+            # m * REVERSE * ORDER3 = (-a, a - b, -c, c - d)
+            a, b, c, d = ent[k]
+            return 3 if key(-a, a - b, -c, c - d) == out_key[k] else None
         m, neg = mats(k)
-        return pred(m * neg.adjugate())
-
-    def is_odd(k):
-        if keyed:
-            return odd(k) == out_key[k]
-        neg = mats(k)[1]
-        return pred(neg * ORDER3 * neg.adjugate())
+        if pred(m * neg.adjugate()):
+            return 2
+        return 3 if pred(neg * ORDER3 * neg.adjugate()) else None
 
     def find_partner(k):
         if keyed:
@@ -315,19 +347,14 @@ def build_unimodular(oracle, on_event=None):
 
     def resolve(k):
         """Self-pair or cross-pair a freshly created arc if a test fires."""
-        if is_even(k):
+        mu = self_order(k)
+        if mu is not None:
             partner[k] = k
-            ell[k] = 2
-            if on_event is not None:
-                on_event(("even",) + walk.ends(k))
-            return
-        if is_odd(k):
-            partner[k] = k
-            ell[k] = 3
-            if keyed:
+            ell[k] = mu
+            if mu == 3 and keyed:
                 claim(out_key[k])
             if on_event is not None:
-                on_event(("odd",) + walk.ends(k))
+                on_event(("even" if mu == 2 else "odd",) + walk.ends(k))
             return
         j = find_partner(k)
         if j is not None:
@@ -371,6 +398,9 @@ def build_unimodular(oracle, on_event=None):
 
 def replay_trace(trace, level=None):
     """Rebuild the symbol a trace came from, without consulting any oracle."""
+    if not isinstance(trace, (list, tuple)):
+        raise FareyError("a trace is a list of events, got %s"
+                         % type(trace).__name__)
     if trace and trace[0] == ("full-group",):
         if len(trace) > 1:
             raise FareyError("a full-group trace has no further events")

@@ -10,7 +10,7 @@ from fareysym import kulkarni
 from fareysym.exact import Cusp, IMat, INFINITY, FareyError, InvalidSymbolError
 from fareysym.kulkarni import (MembershipOracle, build_unimodular,
                                gamma0_oracle, gamma0_symbol, p1_normalize,
-                               replay_trace, _unit_halves)
+                               replay_trace, _chart_key, _split_keys)
 from fareysym.symbol import FareySymbol
 
 # appendix polygons: the unimodular vertex lists for small levels
@@ -38,6 +38,10 @@ BUILD_DIGESTS = {
     3060: "07f6c0316261a079bf87995d9374fd768f740f951463930fa1ab497fb9e47da4",
     9409: "7d9490312a925cb02b9251bf13b15715967cf5841dc9c1c5036f65a2a770d404",
     10007: "46b674750e3911834b6a17cc9c1fae327e5744b2b14810803fcff904ddbba78b",
+    # computed with the builder whose Gamma0(N) keys were p1_normalize pairs
+    6930: "df82d15c024601f344047e1134c40b7fead9717e0aa1a6967343b2b2de192c9e",
+    40000: "d790218fdabc5308a02b42a3e99641719f882be9d9c87f7206b978578d79cebd",
+    8192: "7474842925af2cc7874ba99a735fca26240a3593436f55324866438a9a5b56ba",
 }
 
 # sha256 over gamma0_symbol(N).to_json() + "\n" for N = 1..400, and over
@@ -103,9 +107,15 @@ class TestP1Normalize:
             p1_normalize(4, 2, 2)
 
     @pytest.mark.parametrize("N, u, v", [(0, 1, 1), (0, 0, 1), (-6, 3, -5),
-                                         (-1, 1, 0)])
+                                         (-1, 1, 0), (6.0, 1, 2), (True, 1, 0)])
     def test_level_below_one_raises(self, N, u, v):
         with pytest.raises(FareyError, match="positive level"):
+            p1_normalize(N, u, v)
+
+    @pytest.mark.parametrize("N, u, v", [(6, 1.5, 2), (6, 1, 2.0), (6, True, 1),
+                                         (6, 1, None), (1, "1", 0)])
+    def test_coordinates_must_be_ints(self, N, u, v):
+        with pytest.raises(FareyError, match="must be ints"):
             p1_normalize(N, u, v)
 
     def test_least_unit_multiple_small_levels(self):
@@ -176,20 +186,51 @@ def primitive_row(c, d):
     return (c // g, d // g) if g else (0, 1)
 
 
+# levels for the chart properties: primes, powers of 2 and 3, odd composites
+# and even smooth levels; at 13, 10009, 2, 65, 91, 1105 and 2210 some points
+# self-pair, so the congruences fire as well as stay silent
+CHART_LEVELS = [13, 10009, 2, 8192, 9, 6561, 65, 91, 1105, 3003, 2210, 2310,
+                2520, 6930, 40000]
+
+
+def rows(N):
+    """Primitive rows (c, d) whose entries are multiples of random divisors
+    of N, so that every chart and the fallback are drawn."""
+    from hypothesis import strategies as st
+    divisors = [g for g in range(1, N + 1) if N % g == 0]
+    entry = st.tuples(st.sampled_from(divisors), st.integers(-10**6, 10**6))
+    return st.tuples(entry, entry).map(
+        lambda r: primitive_row(r[0][0] * r[0][1], r[1][0] * r[1][1]))
+
+
+def unit_multiple(N, c, d, lam, s, t):
+    """A primitive row for the point lam * (c : d) when lam is a unit mod N
+    (else for (c : d)), its entries moved by multiples of N."""
+    if gcd(lam, N) != 1:
+        lam = 1
+    return primitive_row(lam * c + N * s, lam * d + N * t)
+
+
 class TestKeyRecurrence:
-    """The builder's Gamma0(N) keys of an arc (a, b, c, d): in = (c : d),
-    out = (d : -c) and odd = (-c : c - d), derived from the parent's keys
-    when the arc is split into (a, b - a, c, d - c) and (a - b, b, c - d, d)."""
+    """The builder's Gamma0(N) keys of an arc (a, b, c, d): in = (c : d) and
+    out = (d : -c), derived from the parent's keys when the arc is split
+    into (a, b - a, c, d - c) and (a - b, b, c - d, d).  It self-pairs with
+    order 2 when in = out and with order 3 when (-c : c - d) = out."""
 
     @staticmethod
     def keys(N, c, d):
         return (p1_normalize(N, c, d), p1_normalize(N, d, -c),
                 p1_normalize(N, -c, c - d))
 
+    @staticmethod
+    def chart_keys(N, c, d):
+        return _chart_key(N, c, d), _chart_key(N, d, -c)
+
     # odd primes, prime squares and odd composites
     @pytest.mark.parametrize("N", [3, 5, 13, 101, 10007, 9, 25, 121, 10201,
                                    15, 45, 105, 1155, 3003])
     def test_unit_form_halves_equal_p1_normalize(self, N):
+        # in unit form the keys are the ratios r of p1_normalize's (1, r)
         from hypothesis import given, settings, strategies as st
 
         @settings(max_examples=300, deadline=None)
@@ -198,17 +239,69 @@ class TestKeyRecurrence:
             c, d = primitive_row(c, d)
             if gcd(c, N) != 1 or gcd(d, N) != 1:
                 return
+            k_in, k_out = self.chart_keys(N, c, d)
             (u, x), (w, y), odd = self.keys(N, c, d)
-            assert u == w == 1 and odd == (1, (x - 1) % N)
-            halves = _unit_halves(N, x, y)
-            if gcd(x - 1, N) != 1:
-                assert halves is None
-                return
-            ins, outs = halves
+            assert u == w == 1 and (k_in, k_out) == (x, y)
+            assert odd == (1, (x - 1) % N)
+            halves = _split_keys(N, k_in, k_out, c, d)
             for side, (c1, d1) in enumerate(((c, d - c), (c - d, d))):
-                k_in, k_out, odd = self.keys(N, c1, d1)
-                assert (k_in, k_out) == (ins[side], outs[side])
-                assert odd == (1, (ins[side][1] - 1) % N)
+                assert halves[side] == self.chart_keys(N, c1, d1)
+        prop()
+
+    @pytest.mark.parametrize("N", CHART_LEVELS)
+    def test_split_keys_equal_chart_keys(self, N):
+        from hypothesis import given, settings
+
+        @settings(max_examples=200, deadline=None)
+        @given(rows(N))
+        def prop(row):
+            c, d = row
+            k_in, k_out = self.chart_keys(N, c, d)
+            halves = _split_keys(N, k_in, k_out, c, d)
+            for side, (c1, d1) in enumerate(((c, d - c), (c - d, d))):
+                assert halves[side] == self.chart_keys(N, c1, d1)
+        prop()
+
+    @pytest.mark.parametrize("N", CHART_LEVELS)
+    def test_chart_keys_agree_with_p1_normalize(self, N):
+        # two rows have equal builder keys iff they are the same point
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=200, deadline=None)
+        @given(rows(N), rows(N), st.booleans(),
+               st.integers(-10**6, 10**6), st.integers(-9, 9), st.integers(-9, 9))
+        def prop(r1, r2, same, lam, s, t):
+            if same:
+                r2 = unit_multiple(N, *r1, lam, s, t)
+            assert ((_chart_key(N, *r1) == _chart_key(N, *r2))
+                    == (p1_normalize(N, *r1) == p1_normalize(N, *r2)))
+        prop()
+
+    @pytest.mark.parametrize("N", CHART_LEVELS)
+    def test_self_pairing_congruences_agree_with_keys(self, N):
+        # N | c^2 + d^2 iff in = out, and N | c^2 - cd + d^2 iff the odd key
+        # (-c : c - d) equals out; the rows drawn from the roots of
+        # x^2 + 1 and x^2 - x + 1 mod N are the self-pairing ones
+        from hypothesis import given, settings, strategies as st
+        roots = [(x, 1) for x in range(N)
+                 if (x * x + 1) % N == 0 or (x * x - x + 1) % N == 0]
+        row = rows(N)
+        if roots:
+            row = st.one_of(row, st.tuples(
+                st.sampled_from(roots), st.integers(-10**6, 10**6),
+                st.integers(-9, 9), st.integers(-9, 9)).map(
+                    lambda r: unit_multiple(N, *r[0], r[1], r[2], r[3])))
+
+        @settings(max_examples=200, deadline=None)
+        @given(row)
+        def prop(r):
+            c, d = r
+            k_in, k_out = self.chart_keys(N, c, d)
+            p_in, p_out, p_odd = self.keys(N, c, d)
+            even = (c * c + d * d) % N == 0
+            assert even == (k_in == k_out) == (p_in == p_out)
+            odd = (c * c - c * d + d * d) % N == 0
+            assert odd == (_chart_key(N, -c, c - d) == k_out) == (p_odd == p_out)
         prop()
 
     @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 30, 64, 2310, 3060, 9409,
@@ -242,18 +335,21 @@ class TestKeyRecurrence:
         return sym, calls[0]
 
     def test_prime_level_needs_few_p1_calls(self, monkeypatch):
-        # 3338 arcs; the builder that computed every key made 20019 calls
+        # 3338 arcs; the builder that computed every key made 20019 calls,
+        # and at a prime every key lies in one of the two charts
         sym, calls = self.p1_calls(10007, monkeypatch)
         assert sym.n == 3338
-        assert calls <= 16
+        assert calls == 0
 
     def test_even_level_needs_fewer_p1_calls(self, monkeypatch):
-        # 2310 is even, so no arc has x - 1 a unit: every split falls back,
-        # and still saves the left half's in-key and some odd keys; the
-        # builder that computed every key made 13827 calls
+        # 2310 is even, so no unit x = d/c has x - 1 a unit; the charts
+        # still carry every key whose row has a unit entry, and only rows
+        # with neither entry a unit call p1_normalize.  The builder that
+        # computed every key made 13827 calls, and the one that derived
+        # keys only when c, d and x - 1 were units made 9982
         sym, calls = self.p1_calls(2310, monkeypatch)
         assert sym.n == 2306
-        assert calls < 13827
+        assert calls <= 3676
 
 
 class TestBuild:
@@ -350,7 +446,10 @@ class TestBuild:
                 (["mediant"], "not a tuple of strings"),
                 # nothing may follow the full group's one event
                 ([("full-group",), 5, None], "no further events"),
-                ([("full-group",), ("full-group",)], "no further events")):
+                ([("full-group",), ("full-group",)], "no further events"),
+                # traces that are not lists of events
+                (5, "list of events"),
+                (None, "list of events")):
             with pytest.raises(FareyError, match=match):
                 replay_trace(bad)
 
