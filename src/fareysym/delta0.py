@@ -215,8 +215,9 @@ def resolution_maps(sym, stage):
     From stage 2 on the maps are square and diagonal over the elliptic
     arcs, alternating gamma - 1 (even stages) and mu (odd stages).
     """
-    if stage < 1:
-        raise FareyError("resolution stages are numbered from 1")
+    if type(stage) is not int or stage < 1:
+        raise FareyError("resolution stages are ints numbered from 1, got %r"
+                         % (stage,))
     pres = delta0_presentation(sym)
     ell = pres.elliptic
     if stage == 1:

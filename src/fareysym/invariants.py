@@ -135,9 +135,14 @@ def generators(sym):
 
 
 def word_product(sym, word):
-    """Product of gluing generators given as (arc index, exponent) pairs."""
-    out = IDENTITY
+    """Product of gluing generators given as (arc index, exponent) pairs;
+    raises FareyError unless each index is an int in [0, n) and each
+    exponent an int."""
+    out, n = IDENTITY, sym.n
     for i, e in word:
+        if type(i) is not int or type(e) is not int or not 0 <= i < n:
+            raise FareyError("word letter (%r, %r) is not an arc index in "
+                             "[0, %d) with an int exponent" % (i, e, n))
         g = sym.gluing(i)
         out = out * (g if e == 1 else g.inverse() if e == -1 else g ** e)
     return out

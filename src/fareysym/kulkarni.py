@@ -92,9 +92,9 @@ class MembershipOracle:
     """A computable membership test for a finite-index subgroup of PSL2(Z).
 
     predicate(m) must be invariant under m -> -m and accept the identity.
-    index_bound, when declared, caps the number of mediant insertions the
-    builder will attempt.  coset_key, when given, is called with the four
-    entries (a, b, c, d) of a det-1 matrix m and must satisfy
+    index_bound, when declared, a positive int, caps the number of mediant
+    insertions the builder will attempt.  coset_key, when given, is called
+    with the four entries (a, b, c, d) of a det-1 matrix m and must satisfy
     key(*m1) == key(*m2) iff m1 * m2^{-1} is in the group; it lets the
     builder replace membership scans with hash lookups without changing the
     result.
@@ -104,6 +104,10 @@ class MembershipOracle:
                  name=None, level=None):
         if not predicate(IMat(1, 0, 0, 1)):
             raise FareyError("membership oracle rejects the identity")
+        if index_bound is not None and (type(index_bound) is not int
+                                        or index_bound < 1):
+            raise FareyError("index_bound must be None or a positive int, "
+                             "got %r" % (index_bound,))
         self.predicate = predicate
         self.index_bound = index_bound
         self.coset_key = coset_key

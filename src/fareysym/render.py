@@ -36,6 +36,9 @@ class RenderSpec:
         if self.style not in STYLES:
             raise InvalidSymbolError("unknown render style %r (expected one of %s)"
                                      % (self.style, ", ".join(STYLES)))
+        if type(self.width) is not int or type(self.height) is not int:
+            raise InvalidSymbolError("render dimensions must be ints, got %r, %r"
+                                     % (self.width, self.height))
         if self.width <= 0 or self.height <= 0:
             raise InvalidSymbolError("render dimensions must be positive")
         if not self.xmax > self.xmin:

@@ -24,8 +24,9 @@ X2 X1 e and writes X2 e' X1, and a hyperbolic step reads W X a b Y a* Z b* T
 and writes W b* a b a* X Z Y T, moving each vertex once by its composite of
 the four cuts' pivot gluings (_step_hyperbolic).  The vertices are the
 input's Cusps and, once moved, plain pairs (p, q) of either sign, coprime
-as a det-1 move keeps them.  symbol.gluing_entries takes both, so a run
-makes new Cusps only for the FareySymbol it builds at the end or on
+as a det-1 move keeps them: symbol.gluing_entries takes both and refuses
+paired arcs of unequal widths, so every gluing it returns has det 1.  A
+run makes new Cusps only for the FareySymbol it builds at the end or on
 request (on_op, NormalizationState.symbol).
 
 Throughout, the polygon is kept rotated so that W occupies positions
@@ -37,15 +38,6 @@ replace that arc, which is what keeps coefficient growth in check.
 
 from .exact import IDENTITY, FareyError, InvalidSymbolError, _coprime_cusp
 from .symbol import block_at, gluing_entries, symbol_from_ids
-
-
-def _unimodular(g):
-    """The pivot gluing g, an IMat, after checking that it has det 1."""
-    a, b, c, d = g
-    if a * d - b * c != 1:
-        raise InvalidSymbolError(
-            "pivot gluing has det %d (paired widths differ?)" % (a * d - b * c))
-    return g
 
 
 def _moved(g, pts):
@@ -108,13 +100,6 @@ class NormalizationState:
         """True iff the arc at position q is the partner of the one at p."""
         return self.partner[self.ids[p]] == self.ids[q]
 
-    def gluing(self, i, j):
-        """The gluing IMat of the arc at position i, whose partner is at
-        j."""
-        n, v = self.n, self.verts
-        return gluing_entries(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n],
-                              self.ell.get(self.ids[i]))
-
     @property
     def symbol(self):
         out = symbol_from_ids(self.ids, self.partner, self.ell,
@@ -174,12 +159,15 @@ def _reglue(sym, state, segs, pivots, move_tail, place):
         if not isinstance(place, (tuple, list)) or len(place) != 2:
             raise FareyError("place must be a pair (old position, position)")
         _check_positions(state.n, "place out of range", *place)
-    g = state.gluing(*pivots)
     chord = [state.ids[p] for p in pivots]
     half = len(segs) // 2
     moved = slice(half, None) if move_tail else slice(0, half)
     state.check_keep(chord, *[ids for ids, _ in segs[moved]])
-    g = _unimodular(g.adjugate() if move_tail else g)
+    i, j = pivots
+    n, v = state.n, state.verts
+    g = gluing_entries(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n],
+                       state.ell.get(chord[0]))
+    g = g.adjugate() if move_tail else g
     segs[moved] = [(ids, _moved(g, verts)) for ids, verts in segs[moved]]
     state.commit(segs, (chord[0], 0) if place is None
                  else (state.ids[place[0]], place[1]))
@@ -348,13 +336,13 @@ def _step_hyperbolic(state, w, a_pos):
     state.check_keep(ids[w:bs_pos + 1])
 
     p_w, p_nx = P[w], P[(bs_pos + 1) % n]
-    g1i = _unimodular(gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx)).adjugate()
+    g1i = gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx).adjugate()
     a1, as1, w1 = _moved(g1i, (P[a_pos], P[as_pos], p_w))
-    g2 = _unimodular(gluing_entries(a1, p_nx, P[as_pos], P[as_pos + 1]))
+    g2 = gluing_entries(a1, p_nx, P[as_pos], P[as_pos + 1])
     a2, b2 = _moved(g2, (as1, p_w))
-    g3i = _unimodular(gluing_entries(as1, w1, b2, p_nx)).adjugate()
+    g3i = gluing_entries(as1, w1, b2, p_nx).adjugate()
     b3, as3 = _moved(g3i, (w1, p_w))
-    g4i = _unimodular(gluing_entries(a2, b3, as3, p_nx)).adjugate()
+    g4i = gluing_entries(a2, b3, as3, p_nx).adjugate()
 
     def moved(lo, hi, g):
         """The segment at positions [lo, hi), its vertices moved by g."""

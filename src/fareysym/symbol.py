@@ -46,8 +46,10 @@ def gluing_entries(r, s, t, u, order=None):
     (A R) U (A R)^-1 for U = ORDER3, the rotation fixing the triangle
     hanging off the arc, whose trace is -w before the division by w.  Any
     signs of the pairs give the matrix, sign included, that their canonical
-    Cusps give.  Raises FareyError for a degenerate arc and InvalidSymbolError if the
-    result is not integral.
+    Cusps give.  An integral result has det w / w*, for w* the partner's
+    width, so paired arcs of unequal widths are refused first and every
+    matrix returned has det 1.  Raises FareyError for a degenerate arc and
+    InvalidSymbolError if the widths differ or the result is not integral.
     """
     (r1, r2), (s1, s2), (t1, t2), (u1, u2) = r, s, t, u
     d_rs = r1 * s2 - s1 * r2
@@ -55,10 +57,14 @@ def gluing_entries(r, s, t, u, order=None):
     if not d_rs or not d_tu:
         p, q = (r, s) if not d_rs else (t, u)
         raise FareyError("degenerate arc (%s, %s)" % (Cusp(*p), Cusp(*q)))
+    w = abs(d_tu)
+    if abs(d_rs) != w:
+        raise InvalidSymbolError("paired arcs (%s, %s) and (%s, %s) have widths "
+                                 "%d != %d" % (Cusp(*r), Cusp(*s), Cusp(*t),
+                                               Cusp(*u), abs(d_rs), w))
     if order == 3:
         if d_rs < 0:
             s1, s2 = -s1, -s2
-        w = abs(d_rs)
         a = r1 * (r2 - s2) + s1 * s2
         b = -(r1 * (r1 - s1) + s1 * s1)
         c = r2 * (r2 - s2) + s2 * s2
@@ -66,7 +72,6 @@ def gluing_entries(r, s, t, u, order=None):
     else:
         if (d_rs < 0) != (d_tu < 0):
             s1, s2 = -s1, -s2
-        w = abs(d_tu)
         a = -(r1 * t2 + s1 * u2)
         b = r1 * t1 + s1 * u1
         c = -(r2 * t2 + s2 * u2)
@@ -189,13 +194,8 @@ class FareySymbol:
 
     def _glued(self, i, r, s, t, u):
         """The gluing of arc i from its ends r, s and its partner's t, u
-        as Cusps or integer pairs, checked to have det 1 and cached."""
-        g = gluing_entries(r, s, t, u, self.ell.get(i))
-        if g.det() != 1:
-            raise InvalidSymbolError(
-                "gluing of arc %d has det %d (paired widths differ?)"
-                % (i, g.det()))
-        self._glue[i] = g
+        as Cusps or integer pairs, cached; gluing_entries checks it."""
+        g = self._glue[i] = gluing_entries(r, s, t, u, self.ell.get(i))
         return g
 
     def gluings(self):
@@ -322,12 +322,12 @@ class FareySymbol:
 
         Checks the arc (infinity, 0) and that the vertices go once around
         in circular order (see vertex_order), involution consistency (done
-        at construction), equal widths on paired arcs, integrality/det of
-        every gluing matrix and a nontrivial gluing on every pair of
-        distinct arcs.  With a level, the group must be Gamma0(level): every
-        gluing has c = 0 (mod level), and the index 3(n - 2) + nu3, the
-        polygon's area, is Gamma0(level)'s.  A pass is memoized, a failure
-        is not.
+        at construction), equal widths on paired arcs and integrality of
+        every gluing matrix, so det 1 (both in gluing_entries), and a
+        nontrivial gluing on every pair of distinct arcs.  With a level,
+        the group must be Gamma0(level): every gluing has c = 0 (mod
+        level), and the index 3(n - 2) + nu3, the polygon's area, is
+        Gamma0(level)'s.  A pass is memoized, a failure is not.
         With an oracle, additionally checks membership of every gluing, on
         every call.
         """
@@ -343,14 +343,9 @@ class FareySymbol:
         # exact tuples: CPython's fast unpacking skips tuple subclasses
         pts = [(v.num, v.den) for v in self.vertices]
         pts.append(pts[0])
-        widths = [abs(p * y - q * x) for (p, q), (x, y) in zip(pts, pts[1:])]
         glue = self._glue
         for i, j in enumerate(self.pairing):
-            if widths[i] != widths[j]:
-                raise InvalidSymbolError(
-                    "paired arcs %d, %d have widths %d != %d"
-                    % (i, j, widths[i], widths[j]))
-            # raises if non-integral or det != 1
+            # raises if the widths differ or the result is not integral
             g = glue[i] or self._glued(i, pts[i], pts[i + 1],
                                        pts[j], pts[j + 1])
             if j != i and not g.b and not g.c:  # det 1, so g = +-identity

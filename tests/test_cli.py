@@ -239,6 +239,9 @@ class TestExitCodes:
         # gluing is not integral
         ({"vertices": ["1/0", "0/1", "3/1", "6/1"], "pairing": [3, 2, 1, 0],
           "ell": {}}, "not divisible by 3"),
+        # the arc (infinity, 0) of width 1 paired with (2/5, 1) of width 3
+        ({"vertices": ["1/0", "0/1", "2/5", "1/1"], "pairing": [2, 1, 0, 3],
+          "ell": {"1": 2, "3": 2}}, "widths"),
     ])
     def test_bad_gluing_is_2(self, tmp_path, capsys, command, doc, message):
         bad = tmp_path / "bad.json"

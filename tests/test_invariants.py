@@ -334,6 +334,14 @@ class TestExpressWord:
         with pytest.raises(FareyError, match="step cap"):
             express_word(symbol_for(1), g)
 
+    @pytest.mark.parametrize("word", [
+        [(99, 1)], [(6, 1)], [(-1, 1)], [(0, 1.5)], [(0, True)], [(True, 1)],
+        [(1.0, 1)], [("0", 1)], [(0, 1), (0, None)]])
+    def test_word_product_refuses_malformed_letters(self, symbol_for, word):
+        # gamma0_symbol(11) has 6 arcs; a bad letter is named, not indexed
+        with pytest.raises(FareyError, match="word letter"):
+            word_product(symbol_for(11), word)
+
 
 def member_matrix(rng, sym, bits):
     """Random word in the gluings of sym until an entry reaches `bits`."""

@@ -179,6 +179,13 @@ class TestGamma0Oracle:
         with pytest.raises(FareyError):
             MembershipOracle(lambda m: False)
 
+    @pytest.mark.parametrize("bound", [0, -1, 2.5, True, "6"])
+    def test_index_bound_must_be_a_positive_int(self, bound):
+        # unchecked, 0 falls back to the default cap and -1 fails later
+        # with a negative insertion cap
+        with pytest.raises(FareyError, match="index_bound"):
+            MembershipOracle(gamma0_oracle(6).predicate, index_bound=bound)
+
 
 def primitive_row(c, d):
     """(c, d) divided by its gcd; (0, 1) for (0, 0)."""

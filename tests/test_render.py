@@ -255,3 +255,12 @@ class TestSpec:
     def test_chords_refuse_polygon_styles(self, symbol_for, style):
         with pytest.raises(InvalidSymbolError, match=style):
             render_chords(symbol_for(13), RenderSpec(style=style))
+
+    @pytest.mark.parametrize("dims", [{"width": 1.5}, {"width": True},
+                                      {"width": "5"}, {"height": 400.0},
+                                      {"height": None}])
+    def test_dimensions_must_be_ints(self, dims):
+        # unchecked, a float width writes a truncated header over
+        # coordinates computed from the float
+        with pytest.raises(InvalidSymbolError, match="ints"):
+            RenderSpec(**dims)

@@ -40,6 +40,41 @@ def test_no_unused_imports_in_src():
     assert not found, found
 
 
+def test_no_unreferenced_private_names_in_src():
+    # no dead helpers: every module-level _name (dunders aside) is named
+    # somewhere in src/ outside its own definition, by a load, an
+    # attribute or an import
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))]
+    defined = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = {id(n) for n in ast.walk(node)}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in defined and id(node) not in defined[name]:
+                used.add(name)
+    assert sorted(set(defined) - used) == []
+
+
 def test_benchmark_tracer_installs(tmp_path, monkeypatch):
     """perfbench's tracer wraps functions and methods of src/ by name; it
     must find every one of them, count through them, and put each original

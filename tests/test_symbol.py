@@ -96,6 +96,19 @@ def gluing_inputs(draw):
     return r, s, t, u, order
 
 
+@st.composite
+def any_width_inputs(draw):
+    """(r, s, t, u, order): two arcs of independent widths 1..6, or a fixed
+    arc of order 2 or 3 and width 1..6 twice, its pairs of either sign."""
+    order = draw(st.sampled_from([None, None, 2, 3]))
+    r, s = draw(st.integers(1, 6).flatmap(arcs_of_width))
+    if order is None:
+        t, u = draw(st.integers(1, 6).flatmap(arcs_of_width))
+    else:
+        t, u = (p if draw(st.booleans()) else (-p[0], -p[1]) for p in (r, s))
+    return r, s, t, u, order
+
+
 class TestGluingFormula:
     @settings(max_examples=400, deadline=None)
     @given(gluing_inputs())
@@ -129,6 +142,26 @@ class TestGluingFormula:
             gluing_entries((1, 2), (-1, -2), (1, 0), (0, 1))
         with pytest.raises(FareyError, match=r"degenerate arc \(1/0, 1/0\)"):
             gluing_entries((0, 1), (1, 0), (-1, 0), (1, 0))
+
+    @settings(max_examples=400, deadline=None)
+    @given(any_width_inputs())
+    def test_refuses_exactly_unequal_widths_and_non_integral(self, args):
+        """An integral result has det w / w*, so the width check is the
+        det-1 check: gluing_entries refuses iff the widths differ or the
+        matrix chain is not integral, and all it returns has det 1."""
+        (r1, r2), (s1, s2), (t1, t2), (u1, u2) = args[:4]
+        w, w_star = abs(r1 * s2 - s1 * r2), abs(t1 * u2 - u1 * t2)
+        try:
+            want = reference_gluing(*args)
+        except InvalidSymbolError:
+            want = None
+        if w != w_star or want is None:
+            with pytest.raises(InvalidSymbolError,
+                               match="widths" if w != w_star else "not divisible"):
+                gluing_entries(*args)
+            return
+        g = gluing_entries(*args)
+        assert g == want and g.det() == 1
 
 
 class TestConstruction:
