@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 usage error, 2 validation failure on the inputs,
 3 internal invariant violation.  Symbols travel as JSON objects with keys
 "vertices", "pairing", "ell" and optional "level".  To revalidate every
 intermediate symbol of a normalization, call
-normalize(sym, on_op=lambda s: s.validate()).
+normalize(sym, on_op=lambda s: s.validate()).  info and presentation
+print the bytes json.dumps(doc, indent=2) gives, written by _indented.
 """
 
 import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import classical
 from .exact import FareyError, IMat, InvalidSymbolError, NotNormalizedError
@@ -38,6 +40,36 @@ def _load_symbol(args):
     if getattr(args, "level", None) is not None:
         return gamma0_symbol(args.level)
     raise InvalidSymbolError("either --level or --in is required")
+
+
+_INT = frozenset([int])
+
+
+def _indented(obj, pad="\n"):
+    """Exactly json.dumps(obj, indent=2) for a document of dicts with str
+    keys, lists, tuples and scalars, faster: CPython's C encoder runs only
+    without indent.  An int item is written in place and a list of ints
+    in one pass; any other scalar than a str goes to json.dumps."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": "
+             + (int.__repr__(v) if type(v) is int else _indented(v, inner))
+             for k, v in obj.items()]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _INT.issuperset(map(type, obj)):  # no bools: they print as true
+            items = map(int.__repr__, obj)
+        else:
+            items = [int.__repr__(x) if type(x) is int else _indented(x, inner)
+                     for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    return json.dumps(obj)
 
 
 def _emit(text, out):
@@ -86,13 +118,13 @@ def _cmd_info(args):
     }
     if sym.level is not None:
         doc["level"] = sym.level
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(_indented(doc), args.out)
 
 
 def _cmd_presentation(args):
     sym = _load_symbol(args)
     pres = delta0_presentation(sym)
-    _emit(json.dumps(pres.to_jsonable(), indent=2), args.out)
+    _emit(_indented(pres.to_jsonable()), args.out)
 
 
 def _cmd_member(args):

@@ -136,13 +136,17 @@ def generators(sym):
 
 def word_product(sym, word):
     """Product of gluing generators given as (arc index, exponent) pairs;
-    raises FareyError unless each index is an int in [0, n) and each
-    exponent an int."""
+    raises FareyError unless each letter is a pair, each index an int in
+    [0, n) and each exponent an int."""
     out, n = IDENTITY, sym.n
-    for i, e in word:
+    for letter in word:
+        try:
+            i, e = letter
+        except (TypeError, ValueError):
+            i = e = None
         if type(i) is not int or type(e) is not int or not 0 <= i < n:
-            raise FareyError("word letter (%r, %r) is not an arc index in "
-                             "[0, %d) with an int exponent" % (i, e, n))
+            raise FareyError("word letter %r is not an arc index in [0, %d) "
+                             "with an int exponent" % (letter, n))
         g = sym.gluing(i)
         out = out * (g if e == 1 else g.inverse() if e == -1 else g ** e)
     return out

@@ -13,6 +13,7 @@ deterministic for a fixed symbol and spec.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,16 @@ STYLES = ("chords", "halfplane", "disk")
 STROKE = "#1f4e79"
 ACCENT = "#c0392b"
 BACKGROUND = "#ffffff"
+
+
+def _finite_real(x):
+    """True iff x is a real number other than a bool whose float is
+    finite.  A Decimal is not real: its difference with a float raises."""
+    try:
+        return (type(x) is not bool and isinstance(x, numbers.Real)
+                and math.isfinite(x))
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
 
 
 @dataclass
@@ -41,6 +52,11 @@ class RenderSpec:
                                      % (self.width, self.height))
         if self.width <= 0 or self.height <= 0:
             raise InvalidSymbolError("render dimensions must be positive")
+        if not (_finite_real(self.xmin) and _finite_real(self.xmax)
+                and _finite_real(self.xmax - self.xmin)):
+            # no values in the message: repr of a huge int raises
+            raise InvalidSymbolError("render x-range ends must be finite reals "
+                                     "with a finite difference")
         if not self.xmax > self.xmin:
             raise InvalidSymbolError("empty x-range")
 

@@ -194,8 +194,15 @@ class FareySymbol:
 
     def _glued(self, i, r, s, t, u):
         """The gluing of arc i from its ends r, s and its partner's t, u
-        as Cusps or integer pairs, cached; gluing_entries checks it."""
+        as Cusps or integer pairs, cached; gluing_entries checks it.  The
+        partner j of a non-fixed arc is glued by the inverse, which
+        gluing_entries gives as minus the adjugate, so that is cached too:
+        its checks are those of arc i, as they are symmetric in the arcs."""
         g = self._glue[i] = gluing_entries(r, s, t, u, self.ell.get(i))
+        j = self.pairing[i]
+        if j != i:
+            a, b, c, d = g
+            self._glue[j] = IMat(-d, b, c, -a)
         return g
 
     def gluings(self):
@@ -323,11 +330,11 @@ class FareySymbol:
         Checks the arc (infinity, 0) and that the vertices go once around
         in circular order (see vertex_order), involution consistency (done
         at construction), equal widths on paired arcs and integrality of
-        every gluing matrix, so det 1 (both in gluing_entries), and a
-        nontrivial gluing on every pair of distinct arcs.  With a level,
-        the group must be Gamma0(level): every gluing has c = 0 (mod
-        level), and the index 3(n - 2) + nu3, the polygon's area, is
-        Gamma0(level)'s.  A pass is memoized, a failure is not.
+        every gluing matrix, so det 1 (both in gluing_entries, once per
+        pair of arcs), and a nontrivial gluing on every pair of distinct
+        arcs.  With a level, the group must be Gamma0(level): every gluing
+        has c = 0 (mod level), and the index 3(n - 2) + nu3, the polygon's
+        area, is Gamma0(level)'s.  A pass is memoized, a failure is not.
         With an oracle, additionally checks membership of every gluing, on
         every call.
         """

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
-from fareysym.cli import check_level, cli_dispatch, make_parser
+from fareysym.cli import _indented, check_level, cli_dispatch, make_parser
 from fareysym.exact import FareyError
 from fareysym.kulkarni import gamma0_symbol
 from fareysym.siegel import base_cut, normalize
@@ -504,3 +504,30 @@ def test_mutated_files_exit_0_or_2(tmp_path, capsys, symbol_for,
                         assert err.count("\n") == 1, (command, mutant, err)
                     seen.add(code)
     assert seen == {0, 2}
+
+
+# keys and strings that exercise every escape: non-ASCII (astral included),
+# quote, backslash and control characters
+json_texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e')
+                     | st.characters(), max_size=6)
+json_scalars = (st.integers(-2 ** 800, 2 ** 800) | st.booleans() | st.none()
+                | st.floats(allow_nan=False, allow_infinity=False) | json_texts)
+
+
+def json_documents(depth):
+    """Documents nested up to depth containers deep: dicts with str keys,
+    lists and tuples (empty ones included), lists of ints alone, scalars."""
+    if depth == 0:
+        return json_scalars
+    child = json_documents(depth - 1)
+    return (json_scalars
+            | st.lists(st.integers(-2 ** 800, 2 ** 800), max_size=4)
+            | st.lists(child, max_size=4)
+            | st.lists(child, max_size=4).map(tuple)
+            | st.dictionaries(json_texts, child, max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_documents(5))
+def test_indented_writes_json_dumps_bytes(doc):
+    assert _indented(doc) == json.dumps(doc, indent=2)

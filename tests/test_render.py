@@ -264,3 +264,17 @@ class TestSpec:
         # coordinates computed from the float
         with pytest.raises(InvalidSymbolError, match="ints"):
             RenderSpec(**dims)
+
+    @pytest.mark.parametrize("ends", [
+        {"xmax": float("inf")}, {"xmin": float("-inf")}, {"xmin": float("nan")},
+        {"xmin": "a"}, {"xmax": None}, {"xmin": True}, {"xmax": 1j},
+        {"xmax": 10 ** 5000}, {"xmin": -1e308, "xmax": 1e308}])
+    def test_x_range_must_be_finite_reals(self, ends):
+        # unchecked, an infinite end divides by zero, a str compares with a
+        # TypeError and a huge int overflows its float
+        with pytest.raises(InvalidSymbolError, match="finite reals"):
+            RenderSpec(**ends)
+
+    def test_x_range_takes_any_finite_real(self, symbol_for):
+        spec = RenderSpec(style="halfplane", xmin=Fraction(-1, 4), xmax=1)
+        assert render_polygon(symbol_for(13), spec).startswith("<svg")

@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd
 
 import pytest
@@ -162,6 +163,26 @@ class TestGluingFormula:
             return
         g = gluing_entries(*args)
         assert g == want and g.det() == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(any_width_inputs())
+    def test_partner_gluing_is_the_negated_adjugate(self, args):
+        """The gluing of the partner (t, u) is minus the adjugate of the
+        gluing of (r, s), and one side is refused exactly when the other
+        is, with the same exception type: FareySymbol caches both from one
+        gluing_entries call."""
+        r, s, t, u = args[:4]
+        outcomes = []
+        for ends in ((r, s, t, u), (t, u, r, s)):
+            try:
+                outcomes.append(gluing_entries(*ends))
+            except FareyError as e:
+                outcomes.append(type(e))
+        g, h = outcomes
+        if isinstance(g, IMat) or isinstance(h, IMat):
+            assert isinstance(g, IMat) and h == -g.adjugate()
+        else:
+            assert g is h
 
 
 class TestConstruction:
@@ -358,6 +379,35 @@ class TestValidation:
         for _ in range(2):
             with pytest.raises(InvalidSymbolError, match="oracle"):
                 s.validate(gamma0_oracle(30))
+
+    def test_cached_gluings_are_fresh_gluings(self, symbol_for, normalized_for):
+        """Each pair's gluing is computed once and the partner's derived
+        from it: whether validate or gluing calls in reverse order fill
+        the cache, every entry equals a fresh gluing_entries call."""
+        for N in range(1, 61):
+            for sym in (symbol_for(N), normalized_for(N)):
+                v, n = sym.vertices, sym.n
+                want = [gluing_entries(v[i], v[(i + 1) % n], v[j],
+                                       v[(j + 1) % n], sym.ell.get(i))
+                        for i, j in enumerate(sym.pairing)]
+                fresh = FareySymbol.from_dict(sym.to_dict())
+                fresh.validate()
+                assert fresh._glue == want, N
+                fresh = FareySymbol.from_dict(sym.to_dict())
+                assert [fresh.gluing(i) for i in reversed(range(n))] == want[::-1], N
+                assert fresh._glue == want, N
+
+    def test_failure_names_the_lower_arc_first(self):
+        # arcs 0 and 2 have widths 1 and 3: a refused gluing of arc 2
+        # caches nothing, and validate still fails at arc 0
+        s = FareySymbol([INFINITY, ZERO, Cusp(2, 5), Cusp(1, 1)],
+                        [2, 1, 0, 3], {1: 2, 3: 2})
+        with pytest.raises(InvalidSymbolError,
+                           match=re.escape("(2/5, 1/1) and (1/0, 0/1) have widths 3 != 1")):
+            s.gluing(2)
+        with pytest.raises(InvalidSymbolError,
+                           match=re.escape("(1/0, 0/1) and (2/5, 1/1) have widths 1 != 3")):
+            s.validate()
 
 
 class TestRotationAndJson:
