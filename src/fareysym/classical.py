@@ -8,13 +8,13 @@ so they can serve as reference oracles for everything computed from symbols.
 from fractions import Fraction
 from math import gcd
 
-from .exact import FareyError
+from .exact import FareyError, _shown
 
 
 def factorize(n):
     """Prime factorization of n >= 1 as a list of (p, e) pairs."""
     if n < 1:
-        raise FareyError("factorize needs n >= 1, got %r" % n)
+        raise FareyError("factorize needs n >= 1, got %s" % _shown(n))
     out = []
     d = 2
     while d * d <= n:

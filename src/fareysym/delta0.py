@@ -8,7 +8,7 @@ free presentation whose higher syzygies alternate between multiplication by
 (gamma - 1) and by the orbit sum of gamma, one coordinate per elliptic arc.
 """
 
-from .exact import IDENTITY, FareyError
+from .exact import IDENTITY, FareyError, _shown
 
 
 class GroupRingElement:
@@ -216,8 +216,8 @@ def resolution_maps(sym, stage):
     arcs, alternating gamma - 1 (even stages) and mu (odd stages).
     """
     if type(stage) is not int or stage < 1:
-        raise FareyError("resolution stages are ints numbered from 1, got %r"
-                         % (stage,))
+        raise FareyError("resolution stages are ints numbered from 1, got %s"
+                         % _shown(stage))
     pres = delta0_presentation(sym)
     ell = pres.elliptic
     if stage == 1:

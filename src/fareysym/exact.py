@@ -29,6 +29,25 @@ class NotNormalizedError(FareyError):
         super().__init__(message or "symbol is not normalized (arc %d)" % arc_index)
 
 
+def _shown(value):
+    """repr(value) for an error message.  repr raises ValueError on an int
+    of more than 4300 digits (sys.get_int_max_str_digits), so such an int is
+    shown by its size, also inside a tuple or list, and any other value
+    whose repr raises so by its type."""
+    if type(value) is tuple or type(value) is list:
+        items = [_shown(v) for v in value]
+        if type(value) is list:
+            return "[%s]" % ", ".join(items)
+        return "(%s,)" % items[0] if len(items) == 1 else "(%s)" % ", ".join(items)
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return "%s<int of %d bits>" % ("-" if value < 0 else "",
+                                           value.bit_length())
+        return "<%s too long to show>" % type(value).__name__
+
+
 # makes a Cusp or an IMat of a tuple of its fields without calling the
 # class, so no Python-level __new__ or __init__ runs
 _new = tuple.__new__

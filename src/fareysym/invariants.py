@@ -3,7 +3,7 @@
 coset table of the group, and the word problem in the gluing generators.
 """
 
-from .exact import IDENTITY, FareyError
+from .exact import IDENTITY, FareyError, _shown
 from .kulkarni import gamma0_symbol
 
 
@@ -145,8 +145,8 @@ def word_product(sym, word):
         except (TypeError, ValueError):
             i = e = None
         if type(i) is not int or type(e) is not int or not 0 <= i < n:
-            raise FareyError("word letter %r is not an arc index in [0, %d) "
-                             "with an int exponent" % (letter, n))
+            raise FareyError("word letter %s is not an arc index in [0, %d) "
+                             "with an int exponent" % (_shown(letter), n))
         g = sym.gluing(i)
         out = out * (g if e == 1 else g.inverse() if e == -1 else g ** e)
     return out

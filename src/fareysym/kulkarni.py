@@ -15,24 +15,32 @@ to bottom rows of arc matrices, which turns every pairing search into a hash
 lookup; a generic oracle falls back to explicit matrix membership tests.
 
 An arc (a, b, c, d) of Gamma0(N) has the keys in = (c : d) and out = (d : -c).
-Inside the builder a point (c : d) is keyed in one of two charts: by the int
-x = d/c mod N when c is a unit mod N, and by N + c/d when only d is.  When
-neither is a unit the key is p1_normalize's pair, whose first entry is
-gcd(c, N) > 1.  Each point thus has exactly one key, so keys compare equal
-iff their points do.  A mediant split sends the in-points of the halves
+Inside the builder a point (c : d) has one of three keys: the int x = d/c
+mod N when c is a unit mod N, N + c/d when only d is, and, when neither is,
+the pair (g, d * (c/g)^-1 mod N/g) with g = gcd(c, N) > 1.  That pair is
+p1_normalize's (g, w) before its search for the least unit lift, and costs
+one gcd and one inverse mod N/g.  Scaling by a unit fixes it, and two points
+with the same pair differ by the unit mod N that the CRT lifts from
+(c'/g) / (c/g) mod N/g.  Each point thus has exactly one key, so keys compare
+equal iff their points do.  A mediant split sends the in-points of the halves
 (a, b - a, c, d - c) and (a - b, b, c - d, d) to the ratios x - 1 and
 x/(1 - x) of the parent's x = d/c, and their out-points to (1 - x : 1) and
 (x : x - 1), of ratio 1 + y with y = -1/x: fixed Moebius maps.  So the
 builder derives the halves' keys from their parent's in whichever chart each
 lands, with at most one modular inverse per split, of x - 1, 1 - c/d or
 d - c, and none when c and d are units but x - 1 is not, as at every even
-level.  Only the halves whose rows have neither entry a unit call
-p1_normalize.
+level.  The halves whose rows have neither entry a unit take the pair; the
+builder calls p1_normalize at no level.
 
 An arc pairs with itself with order 2 when in = out and with order 3 when
 (-c : c - d) = out.  Two points of P^1(Z/N) are equal iff the determinant of
 their rows is 0 mod N, so the tests are the congruences N | c^2 + d^2 and
 N | c^2 - cd + d^2 on the arc's bottom row, and no key is needed for them.
+
+The builder runs one breadth-first loop for every oracle.  For Gamma0(N) the
+loop itself splices the halves into the walk, derives and claims their keys,
+tests the congruences and looks each half up in the pool of unpaired arcs;
+the generic keyed and keyless paths branch off it into the closures.
 """
 
 from collections import deque
@@ -40,7 +48,7 @@ from math import gcd
 
 from . import classical
 from .exact import (IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    ORDER2, ORDER3, _coprime_cusp)
+                    ORDER2, ORDER3, _coprime_cusp, _shown)
 from .symbol import FareySymbol, symbol_from_ids
 
 # order-3 rotation attached to the arc (infinity, 0)
@@ -59,23 +67,26 @@ def p1_normalize(N, u, v):
     a few steps.
     """
     if type(N) is not int or N < 1:
-        raise FareyError("P^1(Z/N) needs a positive level, got %r" % (N,))
+        raise FareyError("P^1(Z/N) needs a positive level, got %s" % _shown(N))
     if type(u) is not int or type(v) is not int:
-        raise FareyError("(%r : %r) is not a point of P^1(Z/%d): the "
-                         "coordinates must be ints" % (u, v, N))
+        raise FareyError("(%s : %s) is not a point of P^1(Z/%s): the "
+                         "coordinates must be ints"
+                         % (_shown(u), _shown(v), _shown(N)))
     if N == 1:
         return (0, 0)
     u %= N
     v %= N
     if u == 0:
         if gcd(v, N) != 1:
-            raise FareyError("(%d : %d) is not a point of P^1(Z/%d)" % (u, v, N))
+            raise FareyError("(%s : %s) is not a point of P^1(Z/%s)"
+                             % (_shown(u), _shown(v), _shown(N)))
         return (0, 1)
     g = gcd(u, N)
     if g == 1:
         return (1, v * pow(u, -1, N) % N)
     if gcd(g, v) > 1:
-        raise FareyError("(%d : %d) is not a point of P^1(Z/%d)" % (u, v, N))
+        raise FareyError("(%s : %s) is not a point of P^1(Z/%s)"
+                         % (_shown(u), _shown(v), _shown(N)))
     step = N // g
     s0 = pow(u // g, -1, step)
     q, w = divmod(v * s0, step)
@@ -107,7 +118,7 @@ class MembershipOracle:
         if index_bound is not None and (type(index_bound) is not int
                                         or index_bound < 1):
             raise FareyError("index_bound must be None or a positive int, "
-                             "got %r" % (index_bound,))
+                             "got %s" % _shown(index_bound))
         self.predicate = predicate
         self.index_bound = index_bound
         self.coset_key = coset_key
@@ -136,23 +147,34 @@ class _P1Key:
 
 def _chart_key(N, c, d):
     """The builder's key of the point (c : d) of P^1(Z/N), N > 1: d/c when c
-    is a unit mod N, N + c/d when only d is, else p1_normalize's pair."""
+    is a unit mod N, N + c/d when only d is, else _nonunit_key's pair."""
     if gcd(c, N) == 1:
         return d * pow(c, -1, N) % N
     if gcd(d, N) == 1:
         return N + c * pow(d, -1, N) % N
-    return p1_normalize(N, c, d)
+    return _nonunit_key(N, c, d)
+
+
+def _nonunit_key(N, c, d):
+    """The key (g, d * (c/g)^-1 mod N/g), g = gcd(c, N), of a point (c : d)
+    with neither entry a unit mod N: p1_normalize's pair before its search
+    for the least unit lift (module docstring)."""
+    g = gcd(c, N)
+    step = N // g
+    return g, d * pow(c // g, -1, step) % step
 
 
 def _split_keys(N, k_in, k_out, c, d):
     """Keys of the halves of an arc with bottom row (c, d), in-key k_in and
-    out-key k_out: the pairs (in, out) of the left and right halves, with
-    at most one modular inverse (module docstring)."""
+    out-key k_out: the pairs (in, out) of the left and right halves.  In
+    the two charts they come from the parent's keys with at most one
+    modular inverse; a half whose row has neither entry a unit takes
+    _nonunit_key's pairs (module docstring)."""
     if type(k_in) is tuple:  # neither c nor d is a unit
         e = d - c
         if gcd(e, N) != 1:
-            return ((p1_normalize(N, c, e), p1_normalize(N, e, -c)),
-                    (p1_normalize(N, -e, d), p1_normalize(N, d, e)))
+            return ((_nonunit_key(N, c, e), _nonunit_key(N, e, -c)),
+                    (_nonunit_key(N, -e, d), _nonunit_key(N, d, e)))
         s = pow(e, -1, N)
         return (N + c * s % N, -c * s % N), (-d * s % N, N + d * s % N)
     if k_in < N:  # c is a unit, x = d/c
@@ -164,20 +186,21 @@ def _split_keys(N, k_in, k_out, c, d):
         left = ((x - 1) % N, N + (1 - x) % N)
         if k_out < N:  # d is a unit too, y = -c/d = -1/x
             return left, (N + (-1 - k_out) % N, (k_out + 1) % N)
-        return left, (p1_normalize(N, c - d, d), p1_normalize(N, d, d - c))
+        return left, (_nonunit_key(N, c - d, d), _nonunit_key(N, d, d - c))
     t = k_in - N  # only d is a unit, t = c/d
     r_out = (1 - t) % N
     if gcd(1 - t, N) == 1:
         s = pow(1 - t, -1, N)
         return (N + t * s % N, -t * s % N), (-s % N, r_out)
-    return ((p1_normalize(N, c, d - c), p1_normalize(N, d - c, -c)),
+    return ((_nonunit_key(N, c, d - c), _nonunit_key(N, d - c, -c)),
             (N + (t - 1) % N, r_out))
 
 
 def gamma0_oracle(N):
     """Oracle for the Hecke congruence subgroup Gamma0(N): c = 0 mod N."""
     if type(N) is not int or N <= 0:
-        raise InvalidSymbolError("level must be a positive integer, got %r" % (N,))
+        raise InvalidSymbolError("level must be a positive integer, got %s"
+                                 % _shown(N))
     return MembershipOracle(
         lambda m: m.c % N == 0,
         index_bound=classical.index_gamma0(N),
@@ -209,7 +232,8 @@ class _Walk:
 
     def split(self, k):
         """Replace arc k in the walk by its halves at the mediant of its
-        ends; return their ids (left, right)."""
+        ends; return their ids (left, right).  build_unimodular makes the
+        same splice inline."""
         a, b, c, d = self.ent[k]
         left = len(self.ent)
         right = left + 1
@@ -269,11 +293,16 @@ def build_unimodular(oracle, on_event=None):
 
     key = oracle.coset_key
     keyed = key is not None
-    # for Gamma0(N), keys come in charts and split arcs take theirs from
-    # their parent's (module docstring)
-    N = key.level if type(key) is _P1Key else None
+    # For Gamma0(N) the first arcs take chart keys, and the loop derives the
+    # halves' keys from their parent's and tests self-pairings by congruence
+    # (module docstring).
+    N = None
+    if type(key) is _P1Key:
+        N = key.level
+        key = lambda a, b, c, d: _chart_key(N, c, d)
     walk = _Walk()
-    ent, partner, ell = walk.ent, walk.partner, walk.ell
+    ent, nxt, prv = walk.ent, walk.nxt, walk.prv
+    partner, ell = walk.partner, walk.ell
     # An arc m's in-key is key(m) and its out-key key(m * REVERSE), the key
     # of the reversed arc; m * REVERSE = (b, -a, d, -c) needs no product.
     in_key, out_key = [], []
@@ -290,28 +319,9 @@ def build_unimodular(oracle, on_event=None):
         """Record a new arc's keys and claim its in-key."""
         if keyed:
             a, b, c, d = ent[k]
-            if N is None:
-                in_key.append(key(a, b, c, d))
-                out_key.append(key(b, -a, d, -c))
-            else:
-                in_key.append(_chart_key(N, c, d))
-                out_key.append(_chart_key(N, d, -c))
+            in_key.append(key(a, b, c, d))
+            out_key.append(key(b, -a, d, -c))
             claim(in_key[k])
-
-    def split(k):
-        """Split arc k and record its halves' keys; return their ids."""
-        left, right = walk.split(k)
-        if N is None:
-            made(left)
-            made(right)
-            return left, right
-        _, _, c, d = ent[k]
-        (li, lo), (ri, ro) = _split_keys(N, in_key[k], out_key[k], c, d)
-        in_key.extend((li, ri))
-        out_key.extend((lo, ro))
-        claim(li)
-        claim(ri)
-        return left, right
 
     def mats(k):
         """An arc's matrix m and m * REVERSE, for the keyless tests."""
@@ -320,13 +330,6 @@ def build_unimodular(oracle, on_event=None):
 
     def self_order(k):
         """The order, 2 or 3, of a self-pairing of arc k, or None."""
-        if N is not None:
-            # (c : d) = (d : -c), resp. (-c : c - d) = (d : -c), in P^1(Z/N)
-            _, _, c, d = ent[k]
-            s = c * c + d * d
-            if s % N == 0:
-                return 2
-            return 3 if (s - c * d) % N == 0 else None
         if keyed:
             if in_key[k] == out_key[k]:
                 return 2
@@ -392,10 +395,54 @@ def build_unimodular(oracle, on_event=None):
             claim(out_key[victim])
         if on_event is not None:
             on_event(("mediant",) + walk.ends(victim))
-        left, right = split(victim)
-        for child in (left, right):
-            resolve(child)
-            waiting.append(child)
+        # the splice of _Walk.split, inline
+        a, b, c, d = ent[victim]
+        left = len(ent)
+        right = left + 1
+        ent += (a, b - a, c, d - c), (a - b, b, c - d, d)
+        p, q = prv[victim], nxt[victim]
+        nxt += right, q
+        prv += p, left
+        nxt[p] = left
+        prv[q] = right
+        partner += None, None
+        if walk.first == victim:
+            walk.first = left
+        waiting += left, right
+        if N is None:
+            made(left)
+            made(right)
+            resolve(left)
+            resolve(right)
+            continue
+        (li, lo), (ri, ro) = _split_keys(N, in_key[victim], out_key[victim], c, d)
+        in_key += li, ri
+        out_key += lo, ro
+        claim(li)
+        claim(ri)
+        for k, c, d, k_in, k_out in ((left, c, d - c, li, lo),
+                                     (right, c - d, d, ri, ro)):
+            # (c : d) = (d : -c), resp. (-c : c - d) = (d : -c), in P^1(Z/N)
+            s = c * c + d * d
+            if s % N == 0:
+                mu = 2
+            elif (s - c * d) % N == 0:
+                mu = 3
+                claim(k_out)
+            else:
+                j = pool.pop(k_in, None)
+                if j is None:
+                    pool[k_out] = k
+                else:
+                    partner[k] = j
+                    partner[j] = k
+                    if on_event is not None:
+                        on_event(("pair",) + walk.ends(k) + walk.ends(j))
+                continue
+            partner[k] = k
+            ell[k] = mu
+            if on_event is not None:
+                on_event(("even" if mu == 2 else "odd",) + walk.ends(k))
 
     return walk.symbol(oracle.level)
 
@@ -421,7 +468,8 @@ def replay_trace(trace, level=None):
 
     for event in trace:
         if type(event) is not tuple or not all(type(x) is str for x in event):
-            raise FareyError("trace event %r is not a tuple of strings" % (event,))
+            raise FareyError("trace event %s is not a tuple of strings"
+                             % _shown(event))
         kind = event[0] if event else None
         k = boundary(event[1:3])
         if kind in ("even", "odd"):

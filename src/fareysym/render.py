@@ -17,12 +17,14 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import REVERSE, FareyError, InvalidSymbolError, arc_matrix
+from .exact import REVERSE, FareyError, InvalidSymbolError, _shown, arc_matrix
 
 STYLES = ("chords", "halfplane", "disk")
 STROKE = "#1f4e79"
 ACCENT = "#c0392b"
 BACKGROUND = "#ffffff"
+# the largest width or height in pixels: rendering divides both as floats
+MAX_SIDE = 10**6
 
 
 def _finite_real(x):
@@ -45,13 +47,14 @@ class RenderSpec:
 
     def __post_init__(self):
         if self.style not in STYLES:
-            raise InvalidSymbolError("unknown render style %r (expected one of %s)"
-                                     % (self.style, ", ".join(STYLES)))
-        if type(self.width) is not int or type(self.height) is not int:
-            raise InvalidSymbolError("render dimensions must be ints, got %r, %r"
-                                     % (self.width, self.height))
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidSymbolError("render dimensions must be positive")
+            raise InvalidSymbolError("unknown render style %s (expected one of %s)"
+                                     % (_shown(self.style), ", ".join(STYLES)))
+        if not all(type(x) is int and 0 < x <= MAX_SIDE
+                   for x in (self.width, self.height)):
+            raise InvalidSymbolError("render dimensions must be positive ints "
+                                     "up to %d, got %s, %s"
+                                     % (MAX_SIDE, _shown(self.width),
+                                        _shown(self.height)))
         if not (_finite_real(self.xmin) and _finite_real(self.xmax)
                 and _finite_real(self.xmax - self.xmin)):
             # no values in the message: repr of a huge int raises

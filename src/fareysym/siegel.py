@@ -36,7 +36,8 @@ and NormalizationState.check_keep refuses every cut that would move or
 replace that arc, which is what keeps coefficient growth in check.
 """
 
-from .exact import IDENTITY, FareyError, InvalidSymbolError, _coprime_cusp
+from .exact import (IDENTITY, FareyError, InvalidSymbolError, _coprime_cusp,
+                    _shown)
 from .symbol import block_at, gluing_entries, symbol_from_ids
 
 
@@ -51,7 +52,7 @@ def _check_positions(n, message, *ps):
     [0, n)."""
     for p in ps:
         if type(p) is not int:
-            raise FareyError("positions must be ints, got %r" % (p,))
+            raise FareyError("positions must be ints, got %s" % _shown(p))
         if not 0 <= p < n:
             raise FareyError(message)
 

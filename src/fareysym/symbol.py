@@ -12,7 +12,7 @@ import json
 
 from . import classical
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    NotNormalizedError, cross,
+                    NotNormalizedError, cross, _shown,
                     CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
 
 
@@ -111,10 +111,11 @@ class FareySymbol:
                                      "fixed arcs %s" % sorted(fixed))
         for i, mu in ell.items():
             if mu not in (2, 3):
-                raise InvalidSymbolError("elliptic order must be 2 or 3, got %r" % mu)
+                raise InvalidSymbolError("elliptic order must be 2 or 3, got %s"
+                                         % _shown(mu))
         if level is not None and (type(level) is not int or level <= 0):
-            raise InvalidSymbolError("level must be a positive integer, got %r"
-                                     % (level,))
+            raise InvalidSymbolError("level must be a positive integer, got %s"
+                                     % _shown(level))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "ell", ell)

@@ -2,7 +2,10 @@
 
 from math import gcd
 
+import pytest
+
 from fareysym import classical
+from fareysym.exact import FareyError
 
 
 def brute_p1_size(N):
@@ -60,3 +63,10 @@ def test_genus_is_integral_up_to_1000():
     for N in range(1, 1001):
         g = classical.genus_gamma0(N)
         assert g >= 0
+
+
+@pytest.mark.parametrize("n", [0, -12, pytest.param(-10**5000, id="huge")])
+def test_factorize_refuses_n_below_one(n):
+    # a huge int is named by its size: its repr raises ValueError
+    with pytest.raises(FareyError, match="n >= 1"):
+        classical.factorize(n)

@@ -118,7 +118,8 @@ class TestResolution:
                 g = sym.gluing(i) ** mu
                 assert g.psl_normalize().is_identity_psl()
 
-    @pytest.mark.parametrize("stage", [2.5, True, "2", None, 1.0])
+    @pytest.mark.parametrize("stage", [2.5, True, "2", None, 1.0,
+                                       pytest.param(-10**5000, id="huge")])
     def test_stage_must_be_an_int(self, symbol_for, stage):
         # unchecked, 2.5 gives [], True the stage-1 map and "2" a TypeError
         with pytest.raises(FareyError, match="stages"):

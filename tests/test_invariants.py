@@ -336,7 +336,8 @@ class TestExpressWord:
 
     @pytest.mark.parametrize("word", [
         [(99, 1)], [(6, 1)], [(-1, 1)], [(0, 1.5)], [(0, True)], [(True, 1)],
-        [(1.0, 1)], [("0", 1)], [(0, 1), (0, None)], [(0,)], [5]])
+        [(1.0, 1)], [("0", 1)], [(0, 1), (0, None)], [(0,)], [5],
+        [(10**5000, 1)]])
     def test_word_product_refuses_malformed_letters(self, symbol_for, word):
         # gamma0_symbol(11) has 6 arcs; a bad letter is named, not indexed
         with pytest.raises(FareyError, match="word letter"):

@@ -10,7 +10,8 @@ from fareysym import kulkarni
 from fareysym.exact import Cusp, IMat, INFINITY, FareyError, InvalidSymbolError
 from fareysym.kulkarni import (MembershipOracle, build_unimodular,
                                gamma0_oracle, gamma0_symbol, p1_normalize,
-                               replay_trace, _chart_key, _split_keys)
+                               replay_trace, _chart_key, _nonunit_key,
+                               _split_keys)
 from fareysym.symbol import FareySymbol
 
 # appendix polygons: the unimodular vertex lists for small levels
@@ -42,6 +43,10 @@ BUILD_DIGESTS = {
     6930: "df82d15c024601f344047e1134c40b7fead9717e0aa1a6967343b2b2de192c9e",
     40000: "d790218fdabc5308a02b42a3e99641719f882be9d9c87f7206b978578d79cebd",
     8192: "7474842925af2cc7874ba99a735fca26240a3593436f55324866438a9a5b56ba",
+    # computed with the builder that keyed points with neither entry a unit
+    # by p1_normalize's pair
+    2520: "985f3fe954991fc3a9cc0e3c674a8c4d1ee4019b2613d8efcbba411b6fc93ef4",
+    3210: "ec4a4fb3f2251deaa7921be2cfbbbfa07152c3c81a41467487e50222b9335fa4",
 }
 
 # sha256 over gamma0_symbol(N).to_json() + "\n" for N = 1..400, and over
@@ -105,15 +110,20 @@ class TestP1Normalize:
     def test_invalid_point(self):
         with pytest.raises(FareyError):
             p1_normalize(4, 2, 2)
+        with pytest.raises(FareyError, match="not a point"):
+            p1_normalize(10**5000, 2, 4)
 
     @pytest.mark.parametrize("N, u, v", [(0, 1, 1), (0, 0, 1), (-6, 3, -5),
-                                         (-1, 1, 0), (6.0, 1, 2), (True, 1, 0)])
+                                         (-1, 1, 0), (6.0, 1, 2), (True, 1, 0),
+                                         pytest.param(-10**5000, 1, 2, id="huge")])
     def test_level_below_one_raises(self, N, u, v):
         with pytest.raises(FareyError, match="positive level"):
             p1_normalize(N, u, v)
 
     @pytest.mark.parametrize("N, u, v", [(6, 1.5, 2), (6, 1, 2.0), (6, True, 1),
-                                         (6, 1, None), (1, "1", 0)])
+                                         (6, 1, None), (1, "1", 0),
+                                         pytest.param(10**5000, 10**5000, 1.5,
+                                                      id="huge")])
     def test_coordinates_must_be_ints(self, N, u, v):
         with pytest.raises(FareyError, match="must be ints"):
             p1_normalize(N, u, v)
@@ -157,7 +167,8 @@ class TestGamma0Oracle:
         with pytest.raises(FareyError):
             gamma0_oracle(0)
 
-    @pytest.mark.parametrize("level", [0, -7, 7.0, True, False, "7", None])
+    @pytest.mark.parametrize("level", [0, -7, 7.0, True, False, "7", None,
+                                       pytest.param(-10**5000, id="huge")])
     def test_level_must_be_a_positive_int(self, level, monkeypatch):
         # refused before anything is built: no P^1 key is ever computed
         calls = []
@@ -179,7 +190,8 @@ class TestGamma0Oracle:
         with pytest.raises(FareyError):
             MembershipOracle(lambda m: False)
 
-    @pytest.mark.parametrize("bound", [0, -1, 2.5, True, "6"])
+    @pytest.mark.parametrize("bound", [0, -1, 2.5, True, "6",
+                                       pytest.param(-10**5000, id="huge")])
     def test_index_bound_must_be_a_positive_int(self, bound):
         # unchecked, 0 falls back to the default cap and -1 fails later
         # with a negative insertion cap
@@ -314,18 +326,46 @@ class TestKeyRecurrence:
     @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 30, 64, 2310, 3060, 9409,
                                    10007])
     def test_left_in_key_is_parent_odd_key(self, N):
-        # (c : d - c) = -(-c : c - d) at every level; and when c is a unit
-        # the odd key is (1, x - 1) with in = (1, x)
+        # the left half's in-point (c : d - c) is the parent's odd point
+        # (-c : c - d), so the order-3 congruence N | c^2 - cd + d^2 holds
+        # iff the left half's in-key equals the parent's out-key; the rows
+        # drawn from the roots of x^2 - x + 1 mod N (at 9409) make it hold
         from hypothesis import given, settings, strategies as st
+        ints = st.integers(-10**6, 10**6)
+        row = st.tuples(ints, ints).map(lambda r: primitive_row(*r))
+        roots = [(x, 1) for x in range(N) if (x * x - x + 1) % N == 0]
+        if roots:
+            row = st.one_of(row, st.tuples(
+                st.sampled_from(roots), ints, st.integers(-9, 9),
+                st.integers(-9, 9)).map(
+                    lambda r: unit_multiple(N, *r[0], r[1], r[2], r[3])))
 
         @settings(max_examples=200, deadline=None)
-        @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-        def prop(c, d):
-            c, d = primitive_row(c, d)
-            k_in, _, odd = self.keys(N, c, d)
-            assert p1_normalize(N, c, d - c) == odd
-            if k_in[0] == 1:
-                assert odd == (1, (k_in[1] - 1) % N)
+        @given(row)
+        def prop(r):
+            c, d = r
+            k_in, k_out = self.chart_keys(N, c, d)
+            left_in = _split_keys(N, k_in, k_out, c, d)[0][0]
+            assert left_in == _chart_key(N, -c, c - d)
+            odd = (c * c - c * d + d * d) % N == 0
+            assert odd == (left_in == k_out)
+        prop()
+
+    @pytest.mark.parametrize("N", CHART_LEVELS)
+    def test_nonunit_key_is_p1_normalize_pair_before_search(self, N):
+        # a point with neither entry a unit is keyed by (g, w mod N/g) of
+        # p1_normalize's (g, w); at primes and prime powers no primitive
+        # row is such a point, and every example passes over
+        from hypothesis import given, settings
+
+        @settings(max_examples=200, deadline=None)
+        @given(rows(N))
+        def prop(row):
+            c, d = row
+            if gcd(c, N) == 1 or gcd(d, N) == 1:
+                return
+            g, w = p1_normalize(N, c, d)
+            assert _chart_key(N, c, d) == _nonunit_key(N, c, d) == (g, w % (N // g))
         prop()
 
     @staticmethod
@@ -349,14 +389,16 @@ class TestKeyRecurrence:
         assert calls == 0
 
     def test_even_level_needs_fewer_p1_calls(self, monkeypatch):
-        # 2310 is even, so no unit x = d/c has x - 1 a unit; the charts
-        # still carry every key whose row has a unit entry, and only rows
-        # with neither entry a unit call p1_normalize.  The builder that
-        # computed every key made 13827 calls, and the one that derived
-        # keys only when c, d and x - 1 were units made 9982
-        sym, calls = self.p1_calls(2310, monkeypatch)
-        assert sym.n == 2306
-        assert calls <= 3676
+        # at these even levels no unit x = d/c has x - 1 a unit, and many
+        # rows have neither entry a unit; the charts carry every key whose
+        # row has a unit entry and _nonunit_key the others, so no level
+        # calls p1_normalize.  At 2310 the builder that computed every key
+        # made 13827 calls, the one that derived keys only when c, d and
+        # x - 1 were units 9982, and the one that keyed rows with neither
+        # entry a unit by p1_normalize 3676
+        for N, n in ((2310, 2306), (2520, 2306), (6930, 6914)):
+            sym, calls = self.p1_calls(N, monkeypatch)
+            assert (sym.n, calls) == (n, 0)
 
 
 class TestBuild:
@@ -456,7 +498,9 @@ class TestBuild:
                 ([("full-group",), ("full-group",)], "no further events"),
                 # traces that are not lists of events
                 (5, "list of events"),
-                (None, "list of events")):
+                (None, "list of events"),
+                # a huge int is named by its size
+                ([(10**5000,)], "not a tuple of strings")):
             with pytest.raises(FareyError, match=match):
                 replay_trace(bad)
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from fareysym.exact import FareyError, InvalidSymbolError
-from fareysym.render import (RenderSpec, _disk_path, _to_disk, order2_center,
-                             order3_center, render_chords, render_polygon)
+from fareysym.render import (MAX_SIDE, RenderSpec, _disk_path, _to_disk,
+                             order2_center, order3_center, render_chords,
+                             render_polygon)
 
 # sha256 over the chord and half-plane SVGs (default specs) of the unimodular
 # and then the normalized symbol of Gamma0(N)
@@ -258,7 +259,9 @@ class TestSpec:
 
     @pytest.mark.parametrize("dims", [{"width": 1.5}, {"width": True},
                                       {"width": "5"}, {"height": 400.0},
-                                      {"height": None}])
+                                      {"height": None}, {"width": 10**400},
+                                      {"height": 10**400}, {"width": 10**5000},
+                                      {"height": MAX_SIDE + 1}])
     def test_dimensions_must_be_ints(self, dims):
         # unchecked, a float width writes a truncated header over
         # coordinates computed from the float
@@ -278,3 +281,12 @@ class TestSpec:
     def test_x_range_takes_any_finite_real(self, symbol_for):
         spec = RenderSpec(style="halfplane", xmin=Fraction(-1, 4), xmax=1)
         assert render_polygon(symbol_for(13), spec).startswith("<svg")
+
+    @pytest.mark.parametrize("style", ["chords", "halfplane", "disk"])
+    def test_largest_dimensions_render(self, symbol_for, style):
+        # beyond the cap, a width of 10**400 overflowed its float
+        spec = RenderSpec(style=style, width=MAX_SIDE, height=MAX_SIDE)
+        draw = render_chords if style == "chords" else render_polygon
+        svg = draw(symbol_for(13), spec)
+        ET.fromstring(svg)
+        assert 'width="%d"' % MAX_SIDE in svg and "inf" not in svg

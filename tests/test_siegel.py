@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,8 @@ class TestBaseCut:
         ((2.0, 2, 0, "pivot"), "positions must be ints"),
         ((2, 2.0, 0, "pivot"), "positions must be ints"),
         ((2, 2, 0.0, "pivot"), "positions must be ints"),
+        # its repr raises ValueError, so it is named by its type
+        ((2, 2, 0, "pivot", (Fraction(10**5000), 1)), "positions must be ints"),
     ])
     def test_bad_arguments_raise(self, symbol_for, args, message):
         s = symbol_for(2)  # pairing (2, 1, 0): pivot 2 has partner 0

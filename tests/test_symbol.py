@@ -193,6 +193,8 @@ class TestConstruction:
             pattern_symbol([0, 1], ell={0: 2})  # arc 1 fixed but no order
         with pytest.raises(InvalidSymbolError):
             pattern_symbol([0, 1], ell={0: 2, 1: 5})
+        with pytest.raises(InvalidSymbolError, match="elliptic order"):
+            pattern_symbol([0, 1], ell={0: 2, 1: 10**5000})
 
     def test_too_small(self):
         with pytest.raises(InvalidSymbolError):
@@ -431,7 +433,8 @@ class TestRotationAndJson:
         assert d["level"] == 13
         assert all(isinstance(v, int) for v in d["pairing"])
 
-    @pytest.mark.parametrize("level", [0, -3, True, False, 2.0, "13", -10**40])
+    @pytest.mark.parametrize("level", [0, -3, True, False, 2.0, "13", -10**40,
+                                       pytest.param(-10**5000, id="huge")])
     def test_constructor_refuses_bad_level(self, symbol_for, level):
         s = symbol_for(13)
         with pytest.raises(InvalidSymbolError, match="level"):
