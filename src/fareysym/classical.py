@@ -12,9 +12,11 @@ from .exact import FareyError, _shown
 
 
 def factorize(n):
-    """Prime factorization of n >= 1 as a list of (p, e) pairs."""
-    if n < 1:
-        raise FareyError("factorize needs n >= 1, got %s" % _shown(n))
+    """Prime factorization of an int n >= 1 as a list of (p, e) pairs.
+    Every formula below factorizes its argument first, so each refuses a
+    level that is not such an int with FareyError."""
+    if type(n) is not int or n < 1:
+        raise FareyError("factorize needs an int n >= 1, got %s" % _shown(n))
     out = []
     d = 2
     while d * d <= n:
@@ -54,10 +56,11 @@ def index_gamma0(N):
 
 def nu2_gamma0(N):
     """Number of order-2 elliptic classes of Gamma0(N)."""
+    factors = factorize(N)
     if N % 4 == 0:
         return 0
     r = 1
-    for p, _ in factorize(N):
+    for p, _ in factors:
         if p == 2:
             continue
         if p % 4 == 1:
@@ -69,10 +72,11 @@ def nu2_gamma0(N):
 
 def nu3_gamma0(N):
     """Number of order-3 elliptic classes of Gamma0(N)."""
+    factors = factorize(N)
     if N % 9 == 0:
         return 0
     r = 1
-    for p, _ in factorize(N):
+    for p, _ in factors:
         if p == 3:
             continue
         if p % 3 == 1:

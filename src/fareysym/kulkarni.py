@@ -43,6 +43,7 @@ tests the congruences and looks each half up in the pool of unpaired arcs;
 the generic keyed and keyless paths branch off it into the closures.
 """
 
+import sys
 from collections import deque
 from math import gcd
 
@@ -205,7 +206,7 @@ def gamma0_oracle(N):
         lambda m: m.c % N == 0,
         index_bound=classical.index_gamma0(N),
         coset_key=_P1Key(N),
-        name="Gamma0(%d)" % N,
+        name="Gamma0(%s)" % _shown(N),
         level=N)
 
 
@@ -489,5 +490,11 @@ def replay_trace(trace, level=None):
 
 
 def gamma0_symbol(N, on_event=None):
-    """Convenience wrapper: unimodular symbol for Gamma0(N)."""
-    return build_unimodular(gamma0_oracle(N), on_event)
+    """Convenience wrapper: unimodular symbol for Gamma0(N).  Refuses a
+    level whose index exceeds sys.maxsize: no memory holds its polygon,
+    of about index / 3 arcs."""
+    oracle = gamma0_oracle(N)
+    if oracle.index_bound > sys.maxsize:
+        raise FareyError("%s has index above %d, too large to build"
+                         % (oracle.name, sys.maxsize))
+    return build_unimodular(oracle, on_event)

@@ -34,6 +34,17 @@ Throughout, the polygon is kept rotated so that W occupies positions
 never transformed: the arc (infinity, 0) is placed inside W at the start,
 and NormalizationState.check_keep refuses every cut that would move or
 replace that arc, which is what keeps coefficient growth in check.
+
+A step pays for the window it rewrites, not for the whole polygon.  A
+commit may replace just the positions [lo, hi): its each-arc-once check
+is then that the new ids are distinct and, as a set, the ids they replace,
+which is the whole-polygon check since nothing outside the window changes.
+A hyperbolic step commits only [w, b*], in each on_op stage too.  The step
+choice rests on two invariants of a run.  Fixed arcs only ever leave the
+tail [w, n), so once one scan finds none, no later step scans for one.  A
+hyperbolic step is chosen only when the tail holds no adjacent pair, and it
+keeps X, Z, Y and T each in order, so the next search for a pair tests only
+the seams X|Z, Z|Y and Y|T; any other commit brings back the full scan.
 """
 
 from .exact import (IDENTITY, FareyError, InvalidSymbolError, _coprime_cusp,
@@ -70,10 +81,14 @@ class NormalizationState:
     and every step.  .symbol builds the polygon as a FareySymbol on each
     access, with origin, the input or the unimodular symbol the input walks
     on, as its companion for the word problem: cuts preserve the group.
+    fixed and seams are what the step choice knows of the tail [w_len, n):
+    fixed is False once it holds no fixed arc, and seams, when not None,
+    lists the only positions k where the arcs at k, k + 1 may be an
+    adjacent pair (_choose_step).
     """
 
     __slots__ = ("verts", "ids", "partner", "ell", "level", "keep",
-                 "w_len", "on_op", "on_step", "origin")
+                 "w_len", "on_op", "on_step", "origin", "fixed", "seams")
 
     def __init__(self, symbol, w_len=0):
         self.verts = list(symbol.vertices)
@@ -86,6 +101,8 @@ class NormalizationState:
         self.on_op = None
         self.on_step = None
         self.origin = symbol._memo.get("companion", symbol)
+        self.fixed = True
+        self.seams = None
 
     @property
     def n(self):
@@ -118,25 +135,32 @@ class NormalizationState:
                 "which it keeps fixed; it cannot yet do so when that arc lies "
                 "in no block (fixed arc, pair or quad) of the input word")
 
-    def commit(self, segments, place=None):
+    def commit(self, segments, place=None, lo=0, hi=None):
         """Make the concatenation of segments, a list of (ids, vertices),
-        the polygon, after checking that it holds each arc once, and report
-        it to on_op.  place = (arc id, position) first rotates it so that
-        arc lands at position."""
+        positions [lo, hi) of the polygon, all of it by default, after
+        checking that it holds the ids it replaces, each once, and report
+        the polygon to on_op.  Nothing outside the window changes, so each
+        arc is still on the boundary once.  place = (arc id, position), for
+        a whole-polygon commit, first rotates the new word so that arc lands
+        at position.  Every commit clears seams."""
         ids, verts = [], []
         for seg_ids, seg_verts in segments:
             ids += seg_ids
             verts += seg_verts
-        n = self.n
-        if len(ids) != n or len(verts) != n:
-            raise FareyError("cut produced %d arcs, expected %d" % (len(verts), n))
-        if len(set(ids)) != n:
-            raise FareyError("cut produced repeated arc ids")
+        hi = self.n if hi is None else hi
+        m = hi - lo
+        if len(ids) != m or len(verts) != m:
+            raise FareyError("cut produced %d arcs, expected %d" % (len(verts), m))
+        # m distinct ids that include the m distinct ones they replace
+        new = set(ids)
+        if len(new) != m or not new.issuperset(self.ids[lo:hi]):
+            raise FareyError("cut produced repeated or foreign arc ids")
         if place is not None:
-            k = (ids.index(place[0]) - place[1]) % n
+            k = (ids.index(place[0]) - place[1]) % m
             ids, verts = ids[k:] + ids[:k], verts[k:] + verts[:k]
-        self.ids = ids
-        self.verts = verts
+        self.ids[lo:hi] = ids
+        self.verts[lo:hi] = verts
+        self.seams = None
         if self.on_op is not None:
             self.on_op(self.symbol)
 
@@ -326,7 +350,8 @@ def _step_hyperbolic(state, w, a_pos):
     g1^-1 P[w], g4^-1 g3^-1 g1^-1 P[w] and g4^-1 g3^-1 P[w]; X moves by
     g4^-1 g1^-1, Z by g4^-1 g2 and Y by g4^-1 g2 g1^-1; W and T stay.
     Where a segment is empty, the image named here is the same point as
-    the one the cut reads.  on_op, when set, sees the four stages.
+    the one the cut reads.  on_op, when set, sees the four stages.  Each
+    commit, a stage's or the step's, rewrites only the window [w, b*].
     """
     n, ids, P = state.n, state.ids, state.verts
     a, b = ids[a_pos], ids[a_pos + 1]
@@ -361,25 +386,37 @@ def _step_hyperbolic(state, w, a_pos):
     g4i_g2 = g4i * g2
     stages.append([([b_s, a, b, a_s], [p_w, w1] + _moved(g4i, (b3, as3))),
                    moved(*X, g4i * g1i), moved(*Z, g4i_g2), moved(*Y, g4i_g2 * g1i)])
-    W, T = (ids[:w], P[:w]), (ids[bs_pos + 1:], P[bs_pos + 1:])
     for parts in stages:
-        state.commit([W] + parts + [T])
+        state.commit(parts, lo=w, hi=bs_pos + 1)
     if not (state.paired(w, w + 2) and state.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
+    # no segment of the new tail X Z Y T holds an adjacent pair, as the old
+    # tail held none: only the seams X|Z, Z|Y and Y|T, at the last
+    # positions of X, Z and Y, can
+    x_last = a_pos + 3
+    z_last = x_last + bs_pos - as_pos - 1
+    state.seams = [x_last, z_last, bs_pos]
     return w + 4
 
 
 def _choose_step(state, w):
-    """(kind, pivots, handler) of the first non-extend step that applies."""
+    """(kind, pivots, handler) of the first non-extend step that applies:
+    the first fixed arc in [w, n), else the first adjacent pair, else the
+    first arc whose partner precedes it.  Fixed arcs only ever leave the
+    tail, so once a scan finds none the run never scans for one again; the
+    pairs are sought only at state.seams when it is set."""
     ids, partner = state.ids, state.partner
     n = len(ids)
-    for e in range(w, n):
-        if partner[ids[e]] == ids[e]:
-            return "elliptic", [e], _step_elliptic
-    for k in range(w, n - 1):
+    if state.fixed:
+        for e in range(w, n):
+            if partner[ids[e]] == ids[e]:
+                return "elliptic", [e], _step_elliptic
+        state.fixed = False
+    pair_at = (range(w, n - 1) if state.seams is None
+               else [k for k in state.seams if w <= k < n - 1])
+    for k in pair_at:
         if partner[ids[k]] == ids[k + 1]:
             return "parabolic", [k], _step_parabolic
-    # the first arc whose partner precedes it within [w, n)
     seen = {}
     for f in range(w, n):
         a_pos = seen.get(partner[ids[f]])

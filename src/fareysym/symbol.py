@@ -259,19 +259,20 @@ class FareySymbol:
         with distance exactly 2 iff the arc is linked to another one.  At
         distance 2 the chord has exactly one arc strictly inside, and the
         arc is linked iff that one is not fixed; a chord at distance 1 has
-        nothing inside, so it is never linked.
+        nothing inside, so it is never linked.  Memoized.
         """
-        n = self.n
-        for i in range(n):
-            j = self.pairing[i]
-            d = self.distance(i, j)
-            if d > 2:
-                return i
-            if d == 2:
+        memo = self._memo
+        if "defect" not in memo:
+            n, pairing = self.n, self.pairing
+            bad = None
+            for i, j in enumerate(pairing):
+                d = min((i - j) % n, (j - i) % n)
                 mid = (i + 1) % n if j == (i + 2) % n else (i - 1) % n
-                if self.pairing[mid] == mid:
-                    return i
-        return None
+                if d > 2 or d == 2 and pairing[mid] == mid:
+                    bad = i
+                    break
+            memo["defect"] = bad
+        return memo["defect"]
 
     def is_normalized(self):
         return self.normalization_defect() is None
@@ -365,8 +366,8 @@ class FareySymbol:
         if level is not None and (
                 any(g.c % level for g in glue)
                 or 3 * (self.n - 2) + nu3 != classical.index_gamma0(level)):
-            raise InvalidSymbolError("the symbol's group is not Gamma0(%d), its "
-                                     "level" % level)
+            raise InvalidSymbolError("the symbol's group is not Gamma0(%s), its "
+                                     "level" % _shown(level))
 
     # -- relabeling --------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Self-checks of the classical Gamma0(N) formulas against brute force."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -70,3 +71,17 @@ def test_factorize_refuses_n_below_one(n):
     # a huge int is named by its size: its repr raises ValueError
     with pytest.raises(FareyError, match="n >= 1"):
         classical.factorize(n)
+
+
+@pytest.mark.parametrize("n", [2.5, 10.0, Fraction(6), "a", True],
+                         ids=["2.5", "10.0", "Fraction", "str", "bool"])
+@pytest.mark.parametrize("formula", [
+    classical.factorize, classical.divisors, classical.euler_phi,
+    classical.index_gamma0, classical.nu2_gamma0, classical.nu3_gamma0,
+    classical.nu_inf_gamma0, classical.genus_gamma0,
+    classical.cusp_widths_gamma0, classical.counts_gamma0])
+def test_formulas_refuse_a_level_that_is_not_an_int(formula, n):
+    # unchecked, factorize(2.5) gave [(2.5, 1)], factorize(10.0) gave
+    # [(2, 1), (5.0, 1)], index_gamma0(2.5) gave 3.5 and "a" a TypeError
+    with pytest.raises(FareyError, match="an int n >= 1"):
+        formula(n)

@@ -180,6 +180,16 @@ class TestGamma0Oracle:
             gamma0_symbol(level)
         assert calls == []
 
+    def test_huge_level_is_named_by_its_size(self):
+        # "Gamma0(%d)" of it raised a bare ValueError: its repr raises
+        o = gamma0_oracle(10**5000)
+        assert repr(o) == "MembershipOracle(Gamma0(<int of 16610 bits>))"
+        assert o(IMat(1, 0, 10**5000, 1)) and not o(IMat(1, 0, 10**4999, 1))
+        # its index is beyond any list, so it is refused before the build
+        with pytest.raises(FareyError, match=r"Gamma0\(<int of 16610 bits>\) "
+                                             "has index above"):
+            gamma0_symbol(10**5000)
+
     def test_sign_invariance(self):
         o = gamma0_oracle(6)
         m = IMat(1, 1, 6, 7)

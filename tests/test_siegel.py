@@ -14,7 +14,7 @@ from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
 from fareysym.invariants import counts, express_word, generators
 from fareysym.siegel import (NormalizationState, base_cut, base_cut_elliptic,
                              normalize, siegel_step, _start_state)
-from fareysym.symbol import FareySymbol
+from fareysym.symbol import FareySymbol, block_at
 
 DIGEST_420 = "c0f78472b2e92a5dc8b4443285b2124810fbcb79439f801f0cd9289dac75d290"
 
@@ -37,6 +37,42 @@ def legal_cuts(sym):
                         and (c2 - i - 1) % n <= (j - i - 1) % n):
                     for side in ("pivot", "other"):
                         yield base_cut, (i, c1, c2, side)
+
+
+def reference_step(state):
+    """(kind, pivots) of the next Siegel step of a run by whole-tail scans,
+    the reference for the incremental dispatch: an extend when a block sits
+    at w, else the first fixed arc in [w, n), the first adjacent pair, or
+    the first arc whose partner precedes it."""
+    w, ids, partner = state.w_len, state.ids, state.partner
+    n = len(ids)
+    if block_at(state.paired, w, n - w) is not None:
+        return "extend", []
+    for e in range(w, n):
+        if partner[ids[e]] == ids[e]:
+            return "elliptic", [e]
+    for k in range(w, n - 1):
+        if partner[ids[k]] == ids[k + 1]:
+            return "parabolic", [k]
+    seen = {}
+    for f in range(w, n):
+        a_pos = seen.get(partner[ids[f]])
+        if a_pos is not None:
+            return "hyperbolic", [a_pos, a_pos + 1]
+        seen[ids[f]] = f
+    raise AssertionError("no step applies")
+
+
+def check_dispatch(sym, kinds):
+    """Normalize sym one step at a time, checking before each step that
+    the step taken is the reference's; counts the steps by kind."""
+    log = []
+    state = _start_state(sym, on_step=log.append)
+    while not state.done():
+        want = reference_step(state)
+        siegel_step(state)
+        assert (log[-1]["kind"], log[-1]["pivots"]) == want, (sym, state.w_len)
+        kinds[want[0]] = kinds.get(want[0], 0) + 1
 
 
 class TestBaseCut:
@@ -244,6 +280,53 @@ class TestBaseCut:
 
 
 class TestSiegelStep:
+    def test_dispatch_matches_the_whole_tail_scans(self):
+        kinds = {}
+        for N in range(1, 201):
+            check_dispatch(gamma0_symbol(N), kinds)
+        assert kinds == {"extend": 425, "elliptic": 149, "parabolic": 761,
+                         "hyperbolic": 1931}
+
+    def test_dispatch_matches_on_every_legal_cut(self):
+        # the output of every legal cut, so pairs, quads and fixed arcs sit
+        # anywhere in the tail; a symbol the run refuses, at its start or
+        # partway, is checked up to the refusal
+        kinds = {}
+        done = refused = 0
+        for N in range(1, 19):
+            uni = gamma0_symbol(N)
+            for sym in (uni, normalize(uni)):
+                for cut, args in legal_cuts(sym):
+                    try:
+                        check_dispatch(cut(sym, *args)[0], kinds)
+                    except InvalidSymbolError:
+                        refused += 1
+                    else:
+                        done += 1
+        assert (done, refused) == (1848, 2692)
+        assert kinds["elliptic"] > 100 and kinds["hyperbolic"] > 300, kinds
+
+    @pytest.mark.parametrize("window", [
+        lambda ids: ids[2:5],
+        lambda ids: ids[2:5] + ids[2:3],
+        lambda ids: ids[2:5] + ids[6:7],
+        lambda ids: ids[2:5] + [-1],
+        lambda ids: ids[2:7],
+    ], ids=["drops-one", "repeats-one", "one-from-outside", "unknown-id",
+            "one-too-many"])
+    def test_window_commit_holds_each_arc_once(self, symbol_for, window):
+        # the window is positions [2, 6); an arc from outside it would be
+        # on the boundary twice
+        state = NormalizationState(symbol_for(15))
+        ids, verts = list(state.ids), list(state.verts)
+        new = window(ids)
+        with pytest.raises(FareyError, match="cut produced"):
+            state.commit([(new, verts[2:2 + len(new)])], lo=2, hi=6)
+        assert (state.ids, state.verts) == (ids, verts)
+        state.commit([(ids[5:1:-1], verts[5:1:-1])], lo=2, hi=6)
+        assert state.ids == ids[:2] + ids[5:1:-1] + ids[6:]
+        assert state.verts == verts[:2] + verts[5:1:-1] + verts[6:]
+
     def test_first_step_extends_infinity_pair(self, symbol_for):
         state = _start_state(symbol_for(15))
         state = siegel_step(state)

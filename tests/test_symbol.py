@@ -318,6 +318,19 @@ class TestLinkedAndNormalized:
             for s in (symbol_for(N), normalized_for(N)):
                 assert s.normalization_defect() == reference_defect(s), N
 
+    def test_defect_is_one_pass_per_symbol(self, normalized_for, monkeypatch):
+        # the pass calls no method per arc, and is_normalized and factorize,
+        # so generators and info too, read its memo
+        monkeypatch.setattr(FareySymbol, "distance", None)
+        sym = normalized_for(37)
+        s = FareySymbol(sym.vertices, sym.pairing, sym.ell)
+        assert "defect" not in s._memo
+        assert s.normalization_defect() is None and s._memo["defect"] is None
+        s._memo["defect"] = 3
+        assert not s.is_normalized()
+        with pytest.raises(NotNormalizedError):
+            s.factorize()
+
 
 class TestGroupCheck:
     def test_contains_all(self, symbol_for):
@@ -444,6 +457,14 @@ class TestRotationAndJson:
         s = symbol_for(13)
         assert FareySymbol(s.vertices, s.pairing, s.ell, level=None).level is None
         assert FareySymbol(s.vertices, s.pairing, s.ell, level=10**40).level == 10**40
+
+    def test_huge_wrong_level_is_named_by_its_size(self, symbol_for):
+        # its repr raises ValueError, so the message names it by its size
+        s = symbol_for(13)
+        huge = FareySymbol(s.vertices, s.pairing, s.ell, level=10**5000)
+        with pytest.raises(InvalidSymbolError, match=re.escape(
+                "not Gamma0(<int of 16610 bits>), its level")):
+            huge.validate()
 
     def test_bad_json_rejected(self):
         with pytest.raises(InvalidSymbolError):
