@@ -8,15 +8,14 @@ so they can serve as reference oracles for everything computed from symbols.
 from fractions import Fraction
 from math import gcd
 
-from .exact import FareyError, _shown
+from .exact import FareyError, _int_arg
 
 
 def factorize(n):
     """Prime factorization of an int n >= 1 as a list of (p, e) pairs.
     Every formula below factorizes its argument first, so each refuses a
     level that is not such an int with FareyError."""
-    if type(n) is not int or n < 1:
-        raise FareyError("factorize needs an int n >= 1, got %s" % _shown(n))
+    _int_arg(n, 1, None, "factorize needs an int n >= 1")
     out = []
     d = 2
     while d * d <= n:

@@ -15,7 +15,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import classical
-from .exact import FareyError, IMat, InvalidSymbolError, NotNormalizedError
+from .exact import (FareyError, IMat, InvalidSymbolError, NotNormalizedError,
+                    _int_arg)
 from .invariants import counts, cusp_orbits, express_word, generators
 from .kulkarni import gamma0_oracle, gamma0_symbol
 from .render import STYLES, RenderSpec, render_chords, render_polygon
@@ -177,12 +178,10 @@ def check_level(N):
 
 
 def _cmd_scan(args):
-    if args.jobs < 1:
-        raise InvalidSymbolError("--jobs must be a positive integer, got %d"
-                                 % args.jobs)
-    if args.start < 1:
-        raise InvalidSymbolError("--from must be a positive integer, got %d"
-                                 % args.start)
+    _int_arg(args.jobs, 1, None, "--jobs must be a positive integer",
+             InvalidSymbolError)
+    _int_arg(args.start, 1, None, "--from must be a positive integer",
+             InvalidSymbolError)
     if args.start > args.stop:
         raise InvalidSymbolError("--from %d must not exceed --to %d"
                                  % (args.start, args.stop))

@@ -8,7 +8,7 @@ free presentation whose higher syzygies alternate between multiplication by
 (gamma - 1) and by the orbit sum of gamma, one coordinate per elliptic arc.
 """
 
-from .exact import IDENTITY, FareyError, _shown
+from .exact import IDENTITY, FareyError, _int_arg
 
 
 class GroupRingElement:
@@ -215,9 +215,7 @@ def resolution_maps(sym, stage):
     From stage 2 on the maps are square and diagonal over the elliptic
     arcs, alternating gamma - 1 (even stages) and mu (odd stages).
     """
-    if type(stage) is not int or stage < 1:
-        raise FareyError("resolution stages are ints numbered from 1, got %s"
-                         % _shown(stage))
+    _int_arg(stage, 1, None, "resolution stages are ints numbered from 1")
     pres = delta0_presentation(sym)
     ell = pres.elliptic
     if stage == 1:

@@ -48,6 +48,15 @@ def _shown(value):
         return "<%s too long to show>" % type(value).__name__
 
 
+def _int_arg(value, lo, hi, message, error=FareyError):
+    """value if it is an int, not a bool, in [lo, hi), where a None bound is
+    open; else raises error("<message>, got <value>").  The one int check."""
+    if (type(value) is not int or lo is not None and value < lo
+            or hi is not None and value >= hi):
+        raise error("%s, got %s" % (message, _shown(value)))
+    return value
+
+
 # makes a Cusp or an IMat of a tuple of its fields without calling the
 # class, so no Python-level __new__ or __init__ runs
 _new = tuple.__new__
@@ -64,7 +73,12 @@ class Cusp(namedtuple("Cusp", "num den")):
     __slots__ = ()
 
     def __new__(cls, num, den=1):
-        g = gcd(num, den) or 1
+        try:  # free on ints: checked only when gcd refuses its arguments
+            g = gcd(num, den) or 1
+        except TypeError:
+            for x in (num, den):
+                _int_arg(x, None, None, "cusp coordinates must be ints")
+            raise
         num //= g
         den //= g
         if den < 0 or (den == 0 and num < 0):
@@ -91,11 +105,12 @@ class Cusp(namedtuple("Cusp", "num den")):
 
     @staticmethod
     def parse(text):
-        """Parse "p/q" (or a bare integer "p") into a Cusp."""
-        if "/" in text:
-            p, q = text.split("/")
+        """Parse the str "p/q" (or a bare integer "p") into a Cusp."""
+        try:
+            p, q = text.split("/") if "/" in text else (text, 1)
             return Cusp(int(p), int(q))
-        return Cusp(int(text), 1)
+        except (AttributeError, TypeError, ValueError):
+            raise FareyError("not a cusp p/q: %s" % _shown(text)) from None
 
 
 def _coprime_cusp(num, den):
@@ -174,7 +189,7 @@ class IMat(namedtuple("IMat", "a b c d")):
         return self.psl_normalize() == (1, 0, 0, 1)
 
     def __pow__(self, e):
-        if e < 0:
+        if _int_arg(e, None, None, "matrix powers need an int exponent") < 0:
             return self.inverse() ** (-e)
         r = IDENTITY
         m = self
@@ -213,15 +228,21 @@ CLS_PARABOLIC = "parabolic"
 CLS_HYPERBOLIC = "hyperbolic"
 
 
+def _sl2_arg(g, message):
+    """g if its entries are four ints (see _int_arg) of det 1, else FareyError."""
+    a, b, c, d = [_int_arg(x, None, None, message) for x in g]
+    if a * d - b * c != 1:
+        raise FareyError("%s, got det %s" % (message, _shown(a * d - b * c)))
+    return g
+
+
 def classify(g):
     """Trace classification of a det-1 integer matrix.
 
     Returns one of the CLS_* tags; elliptic order is 2 iff the trace is 0
     and 3 iff the trace is +-1 (no other elliptic traces occur in SL2(Z)).
     """
-    if g.det() != 1:
-        raise FareyError("classification is defined for det-1 matrices")
-    t = abs(g.trace())
+    t = abs(_sl2_arg(g, "classification is defined for det-1 matrices").trace())
     if t == 0:
         return CLS_ELLIPTIC2
     if t == 1:

@@ -3,7 +3,7 @@
 coset table of the group, and the word problem in the gluing generators.
 """
 
-from .exact import IDENTITY, FareyError, _shown
+from .exact import IDENTITY, FareyError, _int_arg, _shown, _sl2_arg
 from .kulkarni import gamma0_symbol
 
 
@@ -143,10 +143,9 @@ def word_product(sym, word):
         try:
             i, e = letter
         except (TypeError, ValueError):
-            i = e = None
-        if type(i) is not int or type(e) is not int or not 0 <= i < n:
-            raise FareyError("word letter %s is not an arc index in [0, %d) "
-                             "with an int exponent" % (_shown(letter), n))
+            raise FareyError("word letter %s is not a pair" % _shown(letter)) from None
+        _int_arg(i, 0, n, "word letter arc indices are ints in [0, n)")
+        _int_arg(e, None, None, "word letter exponents are ints")
         g = sym.gluing(i)
         out = out * (g if e == 1 else g.inverse() if e == -1 else g ** e)
     return out
@@ -233,7 +232,8 @@ class CosetTable:
     __slots__ = ("S", "U", "start", "cycle", "pos")
 
     def __init__(self, S, U, start):
-        self.S, self.U, self.start = S, U, start
+        self.S, self.U = S, U
+        self.start = _int_arg(start, 0, len(S), "start classes are ints in [0, len(S))")
         self.cycle = cycle = [None] * len(S)
         self.pos = pos = [0] * len(S)
         for x in range(len(S)):
@@ -389,8 +389,7 @@ def express_word(sym, g):
     infinity: one letter when that is one gluing, else its word repeated,
     inverted for a negative power.
     """
-    if g.det() != 1:
-        raise FareyError("express_word needs an integral det-1 matrix")
+    _sl2_arg(g, "express_word needs an integral det-1 matrix")
     k, nums, dens, inverses, partner, width, stab = _word_data(sym)
     if not coset_table(sym).contains(g):
         return None
@@ -434,6 +433,5 @@ def express_word(sym, g):
 
 def contains(sym, g):
     """Membership test for the symbol's group, by the coset walk alone."""
-    if g.det() != 1:
-        raise FareyError("contains needs an integral det-1 matrix")
-    return coset_table(sym).contains(g)
+    return coset_table(sym).contains(
+        _sl2_arg(g, "contains needs an integral det-1 matrix"))

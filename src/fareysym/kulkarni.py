@@ -49,7 +49,7 @@ from math import gcd
 
 from . import classical
 from .exact import (IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    ORDER2, ORDER3, _coprime_cusp, _shown)
+                    ORDER2, ORDER3, _coprime_cusp, _int_arg, _shown)
 from .symbol import FareySymbol, symbol_from_ids
 
 # order-3 rotation attached to the arc (infinity, 0)
@@ -67,12 +67,9 @@ def p1_normalize(N, u, v):
     w + (N/g)*j (j mod g), so the least j whose lift is a unit gives v' in
     a few steps.
     """
-    if type(N) is not int or N < 1:
-        raise FareyError("P^1(Z/N) needs a positive level, got %s" % _shown(N))
-    if type(u) is not int or type(v) is not int:
-        raise FareyError("(%s : %s) is not a point of P^1(Z/%s): the "
-                         "coordinates must be ints"
-                         % (_shown(u), _shown(v), _shown(N)))
+    _int_arg(N, 1, None, "P^1(Z/N) needs a positive level")
+    for x in (u, v):
+        _int_arg(x, None, None, "P^1(Z/N) coordinates must be ints")
     if N == 1:
         return (0, 0)
     u %= N
@@ -116,10 +113,8 @@ class MembershipOracle:
                  name=None, level=None):
         if not predicate(IMat(1, 0, 0, 1)):
             raise FareyError("membership oracle rejects the identity")
-        if index_bound is not None and (type(index_bound) is not int
-                                        or index_bound < 1):
-            raise FareyError("index_bound must be None or a positive int, "
-                             "got %s" % _shown(index_bound))
+        if index_bound is not None:
+            _int_arg(index_bound, 1, None, "index_bound must be a positive int")
         self.predicate = predicate
         self.index_bound = index_bound
         self.coset_key = coset_key
@@ -199,9 +194,8 @@ def _split_keys(N, k_in, k_out, c, d):
 
 def gamma0_oracle(N):
     """Oracle for the Hecke congruence subgroup Gamma0(N): c = 0 mod N."""
-    if type(N) is not int or N <= 0:
-        raise InvalidSymbolError("level must be a positive integer, got %s"
-                                 % _shown(N))
+    _int_arg(N, 1, None, "level must be a positive integer",
+             InvalidSymbolError)
     return MembershipOracle(
         lambda m: m.c % N == 0,
         index_bound=classical.index_gamma0(N),

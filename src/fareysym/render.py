@@ -17,7 +17,8 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import REVERSE, FareyError, InvalidSymbolError, _shown, arc_matrix
+from .exact import (REVERSE, FareyError, InvalidSymbolError, _int_arg, _shown,
+                    arc_matrix)
 
 STYLES = ("chords", "halfplane", "disk")
 STROKE = "#1f4e79"
@@ -49,12 +50,9 @@ class RenderSpec:
         if self.style not in STYLES:
             raise InvalidSymbolError("unknown render style %s (expected one of %s)"
                                      % (_shown(self.style), ", ".join(STYLES)))
-        if not all(type(x) is int and 0 < x <= MAX_SIDE
-                   for x in (self.width, self.height)):
-            raise InvalidSymbolError("render dimensions must be positive ints "
-                                     "up to %d, got %s, %s"
-                                     % (MAX_SIDE, _shown(self.width),
-                                        _shown(self.height)))
+        for x in (self.width, self.height):
+            _int_arg(x, 1, MAX_SIDE + 1, "render dimensions must be positive "
+                     "ints up to %d" % MAX_SIDE, InvalidSymbolError)
         if not (_finite_real(self.xmin) and _finite_real(self.xmax)
                 and _finite_real(self.xmax - self.xmin)):
             # no values in the message: repr of a huge int raises

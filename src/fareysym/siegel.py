@@ -48,7 +48,7 @@ the seams X|Z, Z|Y and Y|T; any other commit brings back the full scan.
 """
 
 from .exact import (IDENTITY, FareyError, InvalidSymbolError, _coprime_cusp,
-                    _shown)
+                    _int_arg)
 from .symbol import block_at, gluing_entries, symbol_from_ids
 
 
@@ -56,16 +56,6 @@ def _moved(g, pts):
     """The integer pairs pts, each moved by the matrix g."""
     a, b, c, d = g
     return [(a * p + b * q, c * p + d * q) for p, q in pts]
-
-
-def _check_positions(n, message, *ps):
-    """Refuse ps, raising FareyError(message), unless each is an int in
-    [0, n)."""
-    for p in ps:
-        if type(p) is not int:
-            raise FareyError("positions must be ints, got %s" % _shown(p))
-        if not 0 <= p < n:
-            raise FareyError(message)
 
 
 class NormalizationState:
@@ -97,7 +87,7 @@ class NormalizationState:
         self.ell = symbol.ell
         self.level = symbol.level
         self.keep = symbol.infinity_zero_arc()
-        self.w_len = w_len
+        self.w_len = _int_arg(w_len, 0, symbol.n + 1, "w_len is an int in [0, n]")
         self.on_op = None
         self.on_step = None
         self.origin = symbol._memo.get("companion", symbol)
@@ -183,7 +173,9 @@ def _reglue(sym, state, segs, pivots, move_tail, place):
     if place is not None:
         if not isinstance(place, (tuple, list)) or len(place) != 2:
             raise FareyError("place must be a pair (old position, position)")
-        _check_positions(state.n, "place out of range", *place)
+        for p in place:
+            _int_arg(p, 0, state.n, "place out of range: positions must "
+                     "be ints in [0, n)")
     chord = [state.ids[p] for p in pivots]
     half = len(segs) // 2
     moved = slice(half, None) if move_tail else slice(0, half)
@@ -219,12 +211,12 @@ def base_cut(sym, pivot, c1, c2, side, place=None):
     """
     state = _working(sym)
     n = state.n
-    i = pivot
-    _check_positions(n, "pivot out of range", i)
+    i = _int_arg(pivot, 0, n, "pivot out of range: positions must be ints in [0, n)")
     j = state.pos(state.partner[state.ids[i]])
     if i == j:
         raise FareyError("base_cut needs a non-fixed pivot")
-    _check_positions(n, "cut vertices out of range", c1, c2)
+    for c in (c1, c2):
+        _int_arg(c, 0, n, "cut vertex out of range: positions must be ints in [0, n)")
     if (c2 - (i + 1)) % n > (j - (i + 1)) % n or (c1 - (j + 1)) % n > (i - (j + 1)) % n:
         raise FareyError("cuts do not separate the pivot from its partner")
     if side not in ("pivot", "other"):
@@ -252,11 +244,10 @@ def base_cut_elliptic(sym, pivot, cut, side, place=None):
     """
     state = _working(sym)
     n = state.n
-    i = pivot
-    _check_positions(n, "pivot out of range", i)
+    i = _int_arg(pivot, 0, n, "pivot out of range: positions must be ints in [0, n)")
     if not state.paired(i, i):
         raise FareyError("base_cut_elliptic needs a fixed pivot")
-    _check_positions(n, "cut vertex out of range", cut)
+    _int_arg(cut, 0, n, "cut vertex out of range: positions must be ints in [0, n)")
     if side not in ("before", "after"):
         raise FareyError("side must be 'before' or 'after'")
 

@@ -12,8 +12,10 @@ import json
 
 from . import classical
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    NotNormalizedError, cross, _shown,
+                    NotNormalizedError, cross, _int_arg, _shown,
                     CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
+
+_ARC = "arc index out of range: arc indices are ints in [0, n)"
 
 
 def block_at(paired, k, room):
@@ -110,12 +112,12 @@ class FareySymbol:
             raise InvalidSymbolError("elliptic orders must be given exactly on the "
                                      "fixed arcs %s" % sorted(fixed))
         for i, mu in ell.items():
-            if mu not in (2, 3):
-                raise InvalidSymbolError("elliptic order must be 2 or 3, got %s"
-                                         % _shown(mu))
-        if level is not None and (type(level) is not int or level <= 0):
-            raise InvalidSymbolError("level must be a positive integer, got %s"
-                                     % _shown(level))
+            _int_arg(i, 0, n, _ARC, InvalidSymbolError)
+            _int_arg(mu, 2, 4, "elliptic order must be 2 or 3",
+                     InvalidSymbolError)
+        if level is not None:
+            _int_arg(level, 1, None, "level must be a positive integer",
+                     InvalidSymbolError)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "ell", ell)
@@ -145,7 +147,8 @@ class FareySymbol:
 
     def arc(self, i):
         """Endpoints (r, s) of arc i."""
-        return self.vertices[i], self.vertices[(i + 1) % self.n]
+        v = self.vertices
+        return v[_int_arg(i, 0, len(v), _ARC)], v[(i + 1) % len(v)]
 
     def width(self, i):
         return abs(cross(*self.arc(i)))
@@ -187,7 +190,7 @@ class FareySymbol:
     def gluing(self, i):
         """The gluing matrix of arc i (integral, det 1, unique up to sign);
         see gluing_entries."""
-        g = self._glue[i]
+        g = self._glue[_int_arg(i, 0, len(self._glue), _ARC)]
         if g is None:
             n, v, j = self.n, self.vertices, self.pairing[i]
             g = self._glued(i, v[i], v[(i + 1) % n], v[j], v[(j + 1) % n])
@@ -214,17 +217,16 @@ class FareySymbol:
     def distance(self, i, j):
         """Cyclic distance min((i-j) mod n, (j-i) mod n)."""
         n = self.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise FareyError("arc index out of range")
-        d = (i - j) % n
+        d = (_int_arg(i, 0, n, _ARC) - _int_arg(j, 0, n, _ARC)) % n
         return min(d, n - d)
 
     def arc_class(self, i):
         """Hyperbolic / parabolic / elliptic2 / elliptic3, read off distances."""
-        d = self.distance(i, self.pairing[i])
+        n = self.n
+        d = (_int_arg(i, 0, n, _ARC) - self.pairing[i]) % n
         if d == 0:
             return CLS_ELLIPTIC2 if self.ell[i] == 2 else CLS_ELLIPTIC3
-        if d == 1:
+        if d == 1 or d == n - 1:
             return CLS_PARABOLIC
         return CLS_HYPERBOLIC
 
@@ -242,12 +244,12 @@ class FareySymbol:
 
     def is_linked(self, i, j):
         """True iff the pairs of i and j interleave around the cycle."""
-        si, sj = self.pairing[i], self.pairing[j]
+        n, pairing = self.n, self.pairing
+        si, sj = pairing[_int_arg(i, 0, n, _ARC)], pairing[_int_arg(j, 0, n, _ARC)]
         if i == si or j == sj:
             raise FareyError("linkedness is defined for non-fixed arcs")
         if i == j:
             raise FareyError("linkedness needs two distinct arcs")
-        n = self.n
         lo, hi = i, si
         inside = lambda k: 0 < (k - lo) % n < (hi - lo) % n
         return inside(j) != inside(sj)
@@ -374,7 +376,7 @@ class FareySymbol:
     def rotated(self, k):
         """The same symbol with arc k relabeled as arc 0."""
         n = self.n
-        k %= n
+        k = _int_arg(k, None, None, "rotations are by an int number of arcs") % n
         verts = self.vertices[k:] + self.vertices[:k]
         pairing = [(self.pairing[(i + k) % n] - k) % n for i in range(n)]
         ell = {(i - k) % n: mu for i, mu in self.ell.items()}
@@ -409,8 +411,8 @@ class FareySymbol:
                 if type(i) is not str or i != str(int(i)):
                     raise ValueError('"ell" key %r is not an arc index in decimal' % (i,))
             ell = {int(i): mu for i, mu in ell.items()}
-            if any(type(x) is not int for x in pairing + list(ell.values())):
-                raise TypeError('"pairing" entries and "ell" values must be integers')
+            for x in pairing:  # the constructor checks the elliptic orders
+                _int_arg(x, None, None, '"pairing" entries must be integers')
         except (KeyError, ValueError, TypeError, OverflowError, FareyError) as e:
             raise InvalidSymbolError("malformed symbol data: %s" % e)
         return FareySymbol(verts, pairing, ell, d.get("level"))
@@ -425,7 +427,7 @@ class FareySymbol:
             if isinstance(text, bytes):
                 text = text.decode("utf-8")
             d = json.loads(text)
-        except (ValueError, RecursionError) as e:
+        except (TypeError, ValueError, RecursionError) as e:
             raise InvalidSymbolError("bad JSON: %s" % e)
         return FareySymbol.from_dict(d)
 

@@ -75,6 +75,32 @@ def test_no_unreferenced_private_names_in_src():
     assert sorted(set(defined) - used) == []
 
 
+def test_int_checks_only_in_exact():
+    # exact._int_arg is the one check of an int argument; a type(x) is not
+    # int elsewhere is a second copy of that rule
+    def is_type_call(e):
+        return (isinstance(e, ast.Call) and isinstance(e.func, ast.Name)
+                and e.func.id == "type")
+
+    def is_int(e):
+        return isinstance(e, ast.Name) and e.id == "int"
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left] + node.comparators
+            for op, a, b in zip(node.ops, sides, sides[1:]):
+                if (isinstance(op, (ast.IsNot, ast.NotEq))
+                        and (is_type_call(a) and is_int(b)
+                             or is_int(a) and is_type_call(b))):
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
+
+
 def test_benchmark_tracer_installs(tmp_path, monkeypatch):
     """perfbench's tracer wraps functions and methods of src/ by name; it
     must find every one of them, count through them, and put each original

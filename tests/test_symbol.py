@@ -439,6 +439,18 @@ class TestRotationAndJson:
             for s in (symbol_for(N), normalized_for(N)):
                 assert FareySymbol.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize("ell", [{0: 2.0, 1: 3}, {0: 2, 1: 3.0},
+                                     {0.0: 2, 1: 3}, {0: 2, True: 3}])
+    def test_ell_that_json_cannot_carry_is_refused(self, ell):
+        """A float order or arc was accepted, to_json wrote it as 2.0 or
+        "0.0" and from_json refused that; the constructor refuses it now,
+        and the same symbol with ints round-trips."""
+        with pytest.raises(InvalidSymbolError):
+            FareySymbol([INFINITY, ZERO], [0, 1], ell)
+        s = FareySymbol([INFINITY, ZERO], [0, 1],
+                        {int(i): int(mu) for i, mu in ell.items()})
+        assert FareySymbol.from_json(s.to_json()) == s
+
     def test_json_shape(self, symbol_for):
         d = symbol_for(13).to_dict()
         assert d["vertices"][0] == "1/0"
