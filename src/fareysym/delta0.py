@@ -15,7 +15,8 @@ class GroupRingElement:
     """Formal Z-linear combination of PSL2(Z) elements.
 
     Terms are keyed by sign-normalized matrices; zero coefficients are
-    dropped, so an element is zero iff it has no terms.
+    dropped, so an element is zero iff it has no terms.  of and a scalar
+    product check their int; the constructor trusts its dict of int terms.
     """
 
     __slots__ = ("terms",)
@@ -39,6 +40,7 @@ class GroupRingElement:
 
     @staticmethod
     def of(mat, coeff=1):
+        _int_arg(coeff, None, None, "group ring coefficients must be ints")
         return GroupRingElement({mat: coeff})
 
     @staticmethod
@@ -61,7 +63,8 @@ class GroupRingElement:
         return GroupRingElement({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, GroupRingElement):
+            _int_arg(other, None, None, "scalar multipliers must be ints")
             return GroupRingElement({m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():

@@ -57,6 +57,15 @@ def _int_arg(value, lo, hi, message, error=FareyError):
     return value
 
 
+def _int_args(values, message, error=FareyError):
+    """values if every entry is an int, not a bool, by one C-level type test;
+    else raises _int_arg's error for the first entry that is not."""
+    if not {int}.issuperset(map(type, values)):
+        for value in values:
+            _int_arg(value, None, None, message, error)
+    return values
+
+
 # makes a Cusp or an IMat of a tuple of its fields without calling the
 # class, so no Python-level __new__ or __init__ runs
 _new = tuple.__new__
@@ -76,8 +85,7 @@ class Cusp(namedtuple("Cusp", "num den")):
         try:  # free on ints: checked only when gcd refuses its arguments
             g = gcd(num, den) or 1
         except TypeError:
-            for x in (num, den):
-                _int_arg(x, None, None, "cusp coordinates must be ints")
+            _int_args((num, den), "cusp coordinates must be ints")
             raise
         num //= g
         den //= g
@@ -230,7 +238,7 @@ CLS_HYPERBOLIC = "hyperbolic"
 
 def _sl2_arg(g, message):
     """g if its entries are four ints (see _int_arg) of det 1, else FareyError."""
-    a, b, c, d = [_int_arg(x, None, None, message) for x in g]
+    a, b, c, d = _int_args(g, message)
     if a * d - b * c != 1:
         raise FareyError("%s, got det %s" % (message, _shown(a * d - b * c)))
     return g

@@ -12,7 +12,7 @@ subdivision is what reproduces the classical polygons for Gamma0(N).
 
 For Gamma0(N) the membership tests reduce to equalities in P^1(Z/N) applied
 to bottom rows of arc matrices, which turns every pairing search into a hash
-lookup; a generic oracle falls back to explicit matrix membership tests.
+lookup; any other oracle is answered by explicit matrix membership tests.
 
 An arc (a, b, c, d) of Gamma0(N) has the keys in = (c : d) and out = (d : -c).
 Inside the builder a point (c : d) has one of three keys: the int x = d/c
@@ -37,10 +37,10 @@ An arc pairs with itself with order 2 when in = out and with order 3 when
 their rows is 0 mod N, so the tests are the congruences N | c^2 + d^2 and
 N | c^2 - cd + d^2 on the arc's bottom row, and no key is needed for them.
 
-The builder runs one breadth-first loop for every oracle.  For Gamma0(N) the
-loop itself splices the halves into the walk, derives and claims their keys,
-tests the congruences and looks each half up in the pool of unpaired arcs;
-the generic keyed and keyless paths branch off it into the closures.
+The builder runs one breadth-first loop and pairs each new arc in one of two
+ways: for Gamma0(N) the loop claims its keys, tests the congruences and looks
+it up in the pool of unpaired arcs; any other oracle's arcs go to resolve,
+which scans the walk with membership tests.
 """
 
 import sys
@@ -49,7 +49,8 @@ from math import gcd
 
 from . import classical
 from .exact import (IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    ORDER2, ORDER3, _coprime_cusp, _int_arg, _shown)
+                    ORDER2, ORDER3, _coprime_cusp, _int_arg, _int_args,
+                    _shown)
 from .symbol import FareySymbol, symbol_from_ids
 
 # order-3 rotation attached to the arc (infinity, 0)
@@ -68,8 +69,7 @@ def p1_normalize(N, u, v):
     a few steps.
     """
     _int_arg(N, 1, None, "P^1(Z/N) needs a positive level")
-    for x in (u, v):
-        _int_arg(x, None, None, "P^1(Z/N) coordinates must be ints")
+    _int_args((u, v), "P^1(Z/N) coordinates must be ints")
     if N == 1:
         return (0, 0)
     u %= N
@@ -102,22 +102,20 @@ class MembershipOracle:
 
     predicate(m) must be invariant under m -> -m and accept the identity.
     index_bound, when declared, a positive int, caps the number of mediant
-    insertions the builder will attempt.  coset_key, when given, is called
-    with the four entries (a, b, c, d) of a det-1 matrix m and must satisfy
-    key(*m1) == key(*m2) iff m1 * m2^{-1} is in the group; it lets the
-    builder replace membership scans with hash lookups without changing the
-    result.
+    insertions the builder will attempt.  coset_key is None except on
+    gamma0_oracle's oracles, where key(a, b, c, d) of a det-1 matrix names
+    its right coset, key(*m1) == key(*m2) iff m1 * m2^-1 is in Gamma0(N), and
+    the builder pairs arcs by hash lookups instead of membership scans.
     """
 
-    def __init__(self, predicate, index_bound=None, coset_key=None,
-                 name=None, level=None):
+    def __init__(self, predicate, index_bound=None, name=None, level=None):
         if not predicate(IMat(1, 0, 0, 1)):
             raise FareyError("membership oracle rejects the identity")
         if index_bound is not None:
             _int_arg(index_bound, 1, None, "index_bound must be a positive int")
         self.predicate = predicate
         self.index_bound = index_bound
-        self.coset_key = coset_key
+        self.coset_key = None
         self.name = name or "oracle"
         self.level = level
 
@@ -196,12 +194,11 @@ def gamma0_oracle(N):
     """Oracle for the Hecke congruence subgroup Gamma0(N): c = 0 mod N."""
     _int_arg(N, 1, None, "level must be a positive integer",
              InvalidSymbolError)
-    return MembershipOracle(
-        lambda m: m.c % N == 0,
-        index_bound=classical.index_gamma0(N),
-        coset_key=_P1Key(N),
-        name="Gamma0(%s)" % _shown(N),
-        level=N)
+    oracle = MembershipOracle(lambda m: m.c % N == 0,
+                              index_bound=classical.index_gamma0(N),
+                              name="Gamma0(%s)" % _shown(N), level=N)
+    oracle.coset_key = _P1Key(N)
+    return oracle
 
 
 class _Walk:
@@ -286,23 +283,18 @@ def build_unimodular(oracle, on_event=None):
             on_event(("full-group",))
         return _full_group_symbol(oracle.level)
 
-    key = oracle.coset_key
-    keyed = key is not None
-    # For Gamma0(N) the first arcs take chart keys, and the loop derives the
-    # halves' keys from their parent's and tests self-pairings by congruence
-    # (module docstring).
-    N = None
-    if type(key) is _P1Key:
-        N = key.level
-        key = lambda a, b, c, d: _chart_key(N, c, d)
     walk = _Walk()
     ent, nxt, prv = walk.ent, walk.nxt, walk.prv
     partner, ell = walk.partner, walk.ell
-    # An arc m's in-key is key(m) and its out-key key(m * REVERSE), the key
-    # of the reversed arc; m * REVERSE = (b, -a, d, -c) needs no product.
-    in_key, out_key = [], []
-    pool = {}        # out_key -> unpaired arc id, for the keyed fast path
-    claimed = set()  # right-coset labels already used up by the polygon
+    key = oracle.coset_key
+    N = key.level if type(key) is _P1Key else None
+    if N is not None:
+        # arc k's keys: in = (c : d) and out = (d : -c), the reversed arc's
+        # in-key, in the builder's charts (module docstring)
+        in_key = [_chart_key(N, c, d) for a, b, c, d in ent]
+        out_key = [_chart_key(N, d, -c) for a, b, c, d in ent]
+        pool = {}        # out-key -> unpaired arc id
+        claimed = set()  # right-coset labels already used up by the polygon
 
     def claim(label):
         if label in claimed:
@@ -310,84 +302,78 @@ def build_unimodular(oracle, on_event=None):
                              "not define a genuine subgroup")
         claimed.add(label)
 
-    def made(k):
-        """Record a new arc's keys and claim its in-key."""
-        if keyed:
-            a, b, c, d = ent[k]
-            in_key.append(key(a, b, c, d))
-            out_key.append(key(b, -a, d, -c))
-            claim(in_key[k])
-
     def mats(k):
-        """An arc's matrix m and m * REVERSE, for the keyless tests."""
+        """An arc's matrix m and m * REVERSE = (b, -a, d, -c)."""
         a, b, c, d = ent[k]
         return IMat(a, b, c, d), IMat(b, -a, d, -c)
 
-    def self_order(k):
-        """The order, 2 or 3, of a self-pairing of arc k, or None."""
-        if keyed:
-            if in_key[k] == out_key[k]:
-                return 2
-            # m * REVERSE * ORDER3 = (-a, a - b, -c, c - d)
-            a, b, c, d = ent[k]
-            return 3 if key(-a, a - b, -c, c - d) == out_key[k] else None
+    def resolve(k):
+        """Self-pair or cross-pair arc k by membership tests, if one fires."""
         m, neg = mats(k)
         if pred(m * neg.adjugate()):
-            return 2
-        return 3 if pred(neg * ORDER3 * neg.adjugate()) else None
-
-    def find_partner(k):
-        if keyed:
-            return pool.get(in_key[k])
-        m = mats(k)[0]
-        for j in walk.arcs():
-            if j == k or partner[j] is not None:
-                continue
-            if pred(m * mats(j)[1].adjugate()):
-                return j
-        return None
-
-    def resolve(k):
-        """Self-pair or cross-pair a freshly created arc if a test fires."""
-        mu = self_order(k)
-        if mu is not None:
-            partner[k] = k
-            ell[k] = mu
-            if mu == 3 and keyed:
-                claim(out_key[k])
-            if on_event is not None:
-                on_event(("even" if mu == 2 else "odd",) + walk.ends(k))
+            mu = 2
+        elif pred(neg * ORDER3 * neg.adjugate()):
+            mu = 3
+        else:
+            for j in walk.arcs():
+                if (j != k and partner[j] is None
+                        and pred(m * mats(j)[1].adjugate())):
+                    partner[k] = j
+                    partner[j] = k
+                    if on_event is not None:
+                        on_event(("pair",) + walk.ends(k) + walk.ends(j))
+                    return
             return
-        j = find_partner(k)
-        if j is not None:
-            partner[k] = j
-            partner[j] = k
-            if keyed:
-                del pool[out_key[j]]
-            if on_event is not None:
-                on_event(("pair",) + walk.ends(k) + walk.ends(j))
-        elif keyed:
-            pool[out_key[k]] = k
+        partner[k] = k
+        ell[k] = mu
+        if on_event is not None:
+            on_event(("even" if mu == 2 else "odd",) + walk.ends(k))
 
-    for k in range(3):
-        made(k)
-    for k in range(3):
-        resolve(k)
-    waiting = deque(range(3))
+    fresh = (0, 1, 2)  # the arcs to pair: the triangle's, then each split's
+    waiting = deque()
     cap = 10 * oracle.index_bound if oracle.index_bound else 10**6
     inserts = 0
 
-    while waiting:
+    while True:
+        if N is None:
+            for k in fresh:
+                resolve(k)
+        else:
+            for k in fresh:
+                a, b, c, d = ent[k]
+                k_in, k_out = in_key[k], out_key[k]
+                claim(k_in)
+                # (c : d) = (d : -c), resp. (-c : c - d) = (d : -c), in P^1(Z/N)
+                s = c * c + d * d
+                if s % N == 0:
+                    mu = 2
+                elif (s - c * d) % N == 0:
+                    mu = 3
+                    claim(k_out)
+                else:
+                    j = pool.pop(k_in, None)
+                    if j is None:
+                        pool[k_out] = k
+                    else:
+                        partner[k] = j
+                        partner[j] = k
+                        if on_event is not None:
+                            on_event(("pair",) + walk.ends(k) + walk.ends(j))
+                    continue
+                partner[k] = k
+                ell[k] = mu
+                if on_event is not None:
+                    on_event(("even" if mu == 2 else "odd",) + walk.ends(k))
+        waiting += fresh
+        while waiting and partner[waiting[0]] is not None:
+            waiting.popleft()
+        if not waiting:
+            break
         victim = waiting.popleft()
-        if partner[victim] is not None:
-            continue
         inserts += 1
         if inserts > cap:
             raise FareyError("mediant insertion cap %d exceeded; the oracle "
                              "group looks like it has infinite index" % cap)
-        if keyed:
-            del pool[out_key[victim]]
-            claim(out_key[victim])
         if on_event is not None:
             on_event(("mediant",) + walk.ends(victim))
         # the splice of _Walk.split, inline
@@ -403,41 +389,14 @@ def build_unimodular(oracle, on_event=None):
         partner += None, None
         if walk.first == victim:
             walk.first = left
-        waiting += left, right
-        if N is None:
-            made(left)
-            made(right)
-            resolve(left)
-            resolve(right)
-            continue
-        (li, lo), (ri, ro) = _split_keys(N, in_key[victim], out_key[victim], c, d)
-        in_key += li, ri
-        out_key += lo, ro
-        claim(li)
-        claim(ri)
-        for k, c, d, k_in, k_out in ((left, c, d - c, li, lo),
-                                     (right, c - d, d, ri, ro)):
-            # (c : d) = (d : -c), resp. (-c : c - d) = (d : -c), in P^1(Z/N)
-            s = c * c + d * d
-            if s % N == 0:
-                mu = 2
-            elif (s - c * d) % N == 0:
-                mu = 3
-                claim(k_out)
-            else:
-                j = pool.pop(k_in, None)
-                if j is None:
-                    pool[k_out] = k
-                else:
-                    partner[k] = j
-                    partner[j] = k
-                    if on_event is not None:
-                        on_event(("pair",) + walk.ends(k) + walk.ends(j))
-                continue
-            partner[k] = k
-            ell[k] = mu
-            if on_event is not None:
-                on_event(("even" if mu == 2 else "odd",) + walk.ends(k))
+        fresh = left, right
+        if N is not None:
+            k_out = out_key[victim]
+            del pool[k_out]
+            claim(k_out)
+            (li, lo), (ri, ro) = _split_keys(N, in_key[victim], k_out, c, d)
+            in_key += li, ri
+            out_key += lo, ro
 
     return walk.symbol(oracle.level)
 

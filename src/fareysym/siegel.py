@@ -345,10 +345,15 @@ def _step_hyperbolic(state, w, a_pos):
     commit, a stage's or the step's, rewrites only the window [w, b*].
     """
     n, ids, P = state.n, state.ids, state.verts
-    a, b = ids[a_pos], ids[a_pos + 1]
+    b_pos = a_pos + 1
+    a, b = ids[a_pos], ids[b_pos]
     a_s, b_s = state.partner[a], state.partner[b]
-    b_pos, as_pos, bs_pos = a_pos + 1, state.pos(a_s), state.pos(b_s)
-    if not w <= a_pos < b_pos < as_pos < bs_pos < n:
+    try:  # a* after b and b* after a*, else the pattern fails below
+        as_pos = ids.index(a_s, b_pos + 1)
+        bs_pos = ids.index(b_s, as_pos + 1)
+    except ValueError:
+        bs_pos = n
+    if not w <= a_pos < bs_pos < n:
         raise FareyError("pivots out of pattern")
     state.check_keep(ids[w:bs_pos + 1])
 

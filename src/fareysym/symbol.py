@@ -12,7 +12,7 @@ import json
 
 from . import classical
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    NotNormalizedError, cross, _int_arg, _shown,
+                    NotNormalizedError, cross, _int_arg, _int_args, _shown,
                     CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
 
 _ARC = "arc index out of range: arc indices are ints in [0, n)"
@@ -95,7 +95,8 @@ class FareySymbol:
 
     def __init__(self, vertices, pairing, ell=None, level=None):
         vertices = tuple(vertices)
-        pairing = tuple(pairing)
+        pairing = _int_args(tuple(pairing), "pairing entries must be ints",
+                            InvalidSymbolError)
         ell = dict(ell or {})
         n = len(vertices)
         if n < 2:
@@ -395,8 +396,8 @@ class FareySymbol:
             d["level"] = self.level
         return d
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_dict(d):
@@ -411,8 +412,6 @@ class FareySymbol:
                 if type(i) is not str or i != str(int(i)):
                     raise ValueError('"ell" key %r is not an arc index in decimal' % (i,))
             ell = {int(i): mu for i, mu in ell.items()}
-            for x in pairing:  # the constructor checks the elliptic orders
-                _int_arg(x, None, None, '"pairing" entries must be integers')
         except (KeyError, ValueError, TypeError, OverflowError, FareyError) as e:
             raise InvalidSymbolError("malformed symbol data: %s" % e)
         return FareySymbol(verts, pairing, ell, d.get("level"))

@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fareysym import (Cusp, CosetTable, FareyError, FareySymbol, IMat,
-                      INFINITY, MembershipOracle, NormalizationState,
+from fareysym import (Cusp, CosetTable, FareyError, FareySymbol,
+                      GroupRingElement, IMat, INFINITY, MembershipOracle, NormalizationState,
                       RenderSpec, ZERO, base_cut, base_cut_elliptic,
                       classify, contains, express_word, gamma0_oracle,
                       gamma0_symbol, p1_normalize, replay_trace,
@@ -71,6 +71,8 @@ ROWS = [
     ("gamma0_symbol(N)", ints(1), 2, gamma0_symbol),
     ("replay_trace(level)", ints(1, none=True), 2,
      lambda v: replay_trace(TRACE, level=v)),
+    ("FareySymbol(pairing entry)", ints(0, 1), 0,
+     lambda v: FareySymbol([INFINITY, ZERO], [v, 1], {0: 2, 1: 3})),
     ("FareySymbol(ell key)", ints(0, 1), 0,
      lambda v: FareySymbol([INFINITY, ZERO], [0, 1], {v: 2, 1: 3})),
     ("FareySymbol(ell order)", ints(2, 4), 2,
@@ -116,6 +118,9 @@ ROWS = [
     ("NormalizationState(w_len)", ints(0, SYM.n + 1), 0,
      lambda v: NormalizationState(SYM, v)),
     ("resolution_maps(stage)", ints(1), 1, lambda v: resolution_maps(SYM, v)),
+    ("GroupRingElement.of(coeff)", ints(), 2,
+     lambda v: GroupRingElement.of(T, v)),
+    ("GroupRingElement * k", ints(), 2, lambda v: GroupRingElement.one() * v),
     ("RenderSpec(width)", ints(1, MAX_SIDE + 1), 600,
      lambda v: RenderSpec(width=v)),
     ("RenderSpec(height)", ints(1, MAX_SIDE + 1), 400,

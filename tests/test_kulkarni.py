@@ -167,6 +167,33 @@ class TestGamma0Oracle:
         with pytest.raises(FareyError):
             gamma0_oracle(0)
 
+    @pytest.mark.parametrize("N", [2, 6, 13, 49, 60, 2310])
+    def test_coset_key_decides_the_right_coset(self, N):
+        # key(*m1) == key(*m2) iff m1 * m2^-1 has c = 0 mod N
+        from hypothesis import given, settings, strategies as st
+        key = gamma0_oracle(N).coset_key
+        S = IMat(0, -1, 1, 0)
+
+        def word(qs):
+            """The product of the T^q S, q in qs."""
+            m = IMat(1, 0, 0, 1)
+            for q in qs:
+                m = m * IMat(1, q, 0, 1) * S
+            return m
+
+        mats = st.lists(st.integers(-20, 20), min_size=1, max_size=8).map(word)
+
+        @settings(max_examples=200, deadline=None)
+        @given(mats, mats, st.booleans(), st.integers(-20, 20),
+               st.integers(-20, 20))
+        def prop(m1, m2, same_coset, t, s):
+            if same_coset:  # m2 = h m1 with h = (1, 0; Nt, 1)(1, s; 0, 1)
+                m2 = IMat(1, s, N * t, N * t * s + 1) * m1
+            in_group = (m1 * m2.adjugate()).c % N == 0
+            assert in_group or not same_coset
+            assert (key(*m1) == key(*m2)) == in_group
+        prop()
+
     @pytest.mark.parametrize("level", [0, -7, 7.0, True, False, "7", None,
                                        pytest.param(-10**5000, id="huge")])
     def test_level_must_be_a_positive_int(self, level, monkeypatch):
@@ -454,12 +481,12 @@ class TestBuild:
                                     index_bound=fast.index_bound, level=N)
             assert build_unimodular(slow) == build_unimodular(fast)
 
-    def test_colliding_key_is_refused(self):
-        # a key that puts every arc in one coset claims a label twice
-        fake = MembershipOracle(gamma0_oracle(13).predicate,
-                                coset_key=lambda *entries: 0)
+    def test_colliding_key_is_refused(self, monkeypatch):
+        # split keys that put both halves in one coset claim a label twice
+        monkeypatch.setattr(kulkarni, "_split_keys",
+                            lambda N, k_in, k_out, c, d: ((0, 1), (0, 2)))
         with pytest.raises(FareyError, match="coset label claimed twice"):
-            build_unimodular(fake)
+            gamma0_symbol(13)
 
     def test_symbols_to_400_are_pinned(self):
         h = hashlib.sha256()

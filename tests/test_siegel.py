@@ -13,7 +13,8 @@ from fareysym.exact import Cusp, FareyError, INFINITY, InvalidSymbolError, ZERO
 from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
 from fareysym.invariants import counts, express_word, generators
 from fareysym.siegel import (NormalizationState, base_cut, base_cut_elliptic,
-                             normalize, siegel_step, _start_state)
+                             normalize, siegel_step, _start_state,
+                             _step_hyperbolic)
 from fareysym.symbol import FareySymbol, block_at
 
 DIGEST_420 = "c0f78472b2e92a5dc8b4443285b2124810fbcb79439f801f0cd9289dac75d290"
@@ -423,6 +424,27 @@ class TestSiegelStep:
                 assert fused_ops == ref_ops and len(ref_ops) == 4, (N, w)
                 steps += 1
         assert steps > 1000
+
+    @pytest.mark.parametrize("N", [11, 37, 60, 97])
+    def test_hyperbolic_step_refuses_pivots_out_of_pattern(self, N):
+        # W X a b Y a* Z b* T needs w <= a and a* after b, b* after a*;
+        # every other choice of w and a raises before anything moves
+        sym = gamma0_symbol(N)
+        n = sym.n
+        refused = 0
+        for w in range(n - 1):
+            for a_pos in range(n - 1):
+                state = NormalizationState(sym, w)
+                ids, partner = state.ids, state.partner
+                as_pos = state.pos(partner[ids[a_pos]])
+                if w <= a_pos < a_pos + 1 < as_pos < state.pos(
+                        partner[ids[a_pos + 1]]):
+                    continue
+                with pytest.raises(FareyError, match="pivots out of pattern"):
+                    _step_hyperbolic(state, w, a_pos)
+                assert state.ids == list(range(n))
+                refused += 1
+        assert refused > n
 
     def test_step_refuses_to_move_infinity_zero(self, symbol_for):
         # unrotated, the (infinity, 0) arc of level 2 starts no ready block,

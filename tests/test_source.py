@@ -101,6 +101,19 @@ def test_int_checks_only_in_exact():
     assert not found, found
 
 
+def test_no_keyword_pass_through_in_src():
+    # a **kw parameter passes options through that no caller names, and
+    # escapes every check of its own arguments
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+                    and node.args.kwarg is not None):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
+
+
 def test_benchmark_tracer_installs(tmp_path, monkeypatch):
     """perfbench's tracer wraps functions and methods of src/ by name; it
     must find every one of them, count through them, and put each original

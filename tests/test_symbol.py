@@ -451,6 +451,20 @@ class TestRotationAndJson:
                         {int(i): int(mu) for i, mu in ell.items()})
         assert FareySymbol.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize("pairing, shown", [
+        ([1.0, 0.0], "1.0"), ([True, False], "True"), ([1, 0.0], "0.0"),
+        (["1", 0], "'1'"), ([None, 0], "None")])
+    def test_pairing_that_json_cannot_carry_is_refused(self, pairing, shown):
+        """A float entry raised a bare TypeError, and a bool one was
+        accepted and written to JSON as true, which from_json refused; the
+        constructor refuses both and names the first bad entry."""
+        with pytest.raises(InvalidSymbolError,
+                           match="pairing entries must be ints, got %s$"
+                           % re.escape(shown)):
+            FareySymbol([INFINITY, ZERO], pairing)
+        s = FareySymbol([INFINITY, ZERO], [1, 0])
+        assert FareySymbol.from_json(s.to_json()) == s
+
     def test_json_shape(self, symbol_for):
         d = symbol_for(13).to_dict()
         assert d["vertices"][0] == "1/0"
