@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import classical
 from .exact import (FareyError, IMat, InvalidSymbolError, NotNormalizedError,
-                    _int_arg)
+                    _int_arg, _int_str)
 from .invariants import counts, cusp_orbits, express_word, generators
 from .kulkarni import gamma0_oracle, gamma0_symbol
 from .render import STYLES, RenderSpec, render_chords, render_polygon
@@ -46,26 +46,36 @@ def _load_symbol(args):
 _INT = frozenset([int])
 
 
-def _indented(obj, pad="\n"):
+def _indented(obj):
     """Exactly json.dumps(obj, indent=2) for a document of dicts with str
     keys, lists, tuples and scalars, faster: CPython's C encoder runs only
-    without indent.  An int item is written in place and a list of ints
-    in one pass; any other scalar than a str goes to json.dumps."""
+    without indent.  A document holding an int past CPython's digit limit,
+    which json.dumps refuses, is written again with exact._int_str."""
+    try:
+        return _dump(obj, "\n", int.__repr__)
+    except ValueError:
+        return _dump(obj, "\n", _int_str)
+
+
+def _dump(obj, pad, num):
+    """_indented's writer: an int item is written in place by num and a
+    list of ints in one pass; any other scalar than a str goes to
+    json.dumps."""
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         return "{" + inner + ("," + inner).join(
             [encode_basestring_ascii(k) + ": "
-             + (int.__repr__(v) if type(v) is int else _indented(v, inner))
+             + (num(v) if type(v) is int else _dump(v, inner, num))
              for k, v in obj.items()]) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if _INT.issuperset(map(type, obj)):  # no bools: they print as true
-            items = map(int.__repr__, obj)
+            items = map(num, obj)
         else:
-            items = [int.__repr__(x) if type(x) is int else _indented(x, inner)
+            items = [num(x) if type(x) is int else _dump(x, inner, num)
                      for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, str):

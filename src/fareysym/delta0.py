@@ -8,44 +8,56 @@ free presentation whose higher syzygies alternate between multiplication by
 (gamma - 1) and by the orbit sum of gamma, one coordinate per elliptic arc.
 """
 
-from .exact import IDENTITY, FareyError, _int_arg
+from .exact import IDENTITY, FareyError, _int_arg, _int_args
+
+
+def _element(terms):
+    """The GroupRingElement of a dict of int terms, unchecked: the group
+    ring operations build their results through it.  Matrices are
+    sign-normalized and merged, and zero coefficients dropped."""
+    merged = {}
+    for m, c in terms.items():
+        if c == 0:
+            continue
+        m = m.psl_normalize()
+        c = merged.get(m, 0) + c
+        if c:
+            merged[m] = c
+        else:
+            del merged[m]
+    out = object.__new__(GroupRingElement)
+    out.terms = merged
+    return out
 
 
 class GroupRingElement:
     """Formal Z-linear combination of PSL2(Z) elements.
 
     Terms are keyed by sign-normalized matrices; zero coefficients are
-    dropped, so an element is zero iff it has no terms.  of and a scalar
-    product check their int; the constructor trusts its dict of int terms.
+    dropped, so an element is zero iff it has no terms.  The constructor,
+    of and a scalar product check their ints; the group ring operations
+    build their results through _element, which trusts them.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        merged = {}
-        for m, c in (terms or {}).items():
-            if c == 0:
-                continue
-            m = m.psl_normalize()
-            c = merged.get(m, 0) + c
-            if c:
-                merged[m] = c
-            else:
-                del merged[m]
-        self.terms = merged
+        terms = terms or {}
+        _int_args(terms.values(), "group ring coefficients must be ints")
+        self.terms = _element(terms).terms
 
     @staticmethod
     def zero():
-        return GroupRingElement()
+        return _element({})
 
     @staticmethod
     def of(mat, coeff=1):
         _int_arg(coeff, None, None, "group ring coefficients must be ints")
-        return GroupRingElement({mat: coeff})
+        return _element({mat: coeff})
 
     @staticmethod
     def one():
-        return GroupRingElement({IDENTITY: 1})
+        return _element({IDENTITY: 1})
 
     def is_zero(self):
         return not self.terms
@@ -54,24 +66,27 @@ class GroupRingElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return GroupRingElement(out)
+        return _element(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return GroupRingElement({m: -c for m, c in self.terms.items()})
+        return _element({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GroupRingElement):
             _int_arg(other, None, None, "scalar multipliers must be ints")
-            return GroupRingElement({m: c * other for m, c in self.terms.items()})
+            return _element({m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = (m1 * m2).psl_normalize()
                 out[m] = out.get(m, 0) + c1 * c2
-        return GroupRingElement(out)
+        return _element(out)
+
+    def __rmul__(self, other):
+        return self * other  # an int scalar commutes with every element
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms

@@ -29,11 +29,44 @@ class NotNormalizedError(FareyError):
         super().__init__(message or "symbol is not normalized (arc %d)" % arc_index)
 
 
+def _int_str(x):
+    """str(x) for an int of any size.  CPython refuses to write more digits
+    than sys.get_int_max_str_digits() (4300 by default), a process-wide
+    setting left alone here: a longer int is split at a power of 10 into
+    halves written alone.  Below the limit the bytes are str(x)'s."""
+    try:
+        return int.__repr__(x)
+    except ValueError:
+        if x < 0:
+            return "-" + _int_str(-x)
+        k = x.bit_length() * 3 // 20  # about half its decimal digits
+        hi, lo = divmod(x, 10 ** k)
+        return _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def _int_of(text):
+    """int(text), also past CPython's digit limit (see _int_str): a longer
+    run of ASCII digits, with or without a sign, is read in halves."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        value = _int_of(digits[:k]) * 10 ** (len(digits) - k) + _int_of(digits[k:])
+        return -value if body[0] == "-" else value
+
+
 def _shown(value):
     """repr(value) for an error message.  repr raises ValueError on an int
     of more than 4300 digits (sys.get_int_max_str_digits), so such an int is
     shown by its size, also inside a tuple or list, and any other value
-    whose repr raises so by its type."""
+    whose repr raises so by its type; a str of more than 200 characters is
+    shown by its length."""
+    if isinstance(value, str) and len(value) > 200:
+        return "<str of %d characters>" % len(value)
     if type(value) is tuple or type(value) is list:
         items = [_shown(v) for v in value]
         if type(value) is list:
@@ -98,10 +131,13 @@ class Cusp(namedtuple("Cusp", "num den")):
             raise FareyError("(0, 0) does not define a point of P^1(Q)")
 
     def __repr__(self):
-        return "Cusp(%d, %d)" % self
+        return "Cusp(%s, %s)" % tuple(map(_int_str, self))
 
     def __str__(self):
-        return "%d/%d" % self
+        try:  # "%d" is faster, but refuses ints past the digit limit
+            return "%d/%d" % self
+        except ValueError:
+            return "%s/%s" % tuple(map(_int_str, self))
 
     @property
     def is_infinity(self):
@@ -116,7 +152,7 @@ class Cusp(namedtuple("Cusp", "num den")):
         """Parse the str "p/q" (or a bare integer "p") into a Cusp."""
         try:
             p, q = text.split("/") if "/" in text else (text, 1)
-            return Cusp(int(p), int(q))
+            return Cusp(_int_of(p), _int_of(q))
         except (AttributeError, TypeError, ValueError):
             raise FareyError("not a cusp p/q: %s" % _shown(text)) from None
 
@@ -149,7 +185,7 @@ class IMat(namedtuple("IMat", "a b c d")):
     __slots__ = ()
 
     def __repr__(self):
-        return "IMat(%d, %d, %d, %d)" % self
+        return "IMat(%s, %s, %s, %s)" % tuple(map(_int_str, self))
 
     def __mul__(self, other):
         a, b, c, d = self

@@ -55,6 +55,8 @@ from .symbol import FareySymbol, symbol_from_ids
 
 # order-3 rotation attached to the arc (infinity, 0)
 _ODD_AT_INF = IMat(-1, -1, 1, 0)
+# order-3 rotation infinity -> 1 -> 0 -> infinity of the start triangle
+_START_ROTATION = IMat(1, -1, 1, 0)
 
 
 def p1_normalize(N, u, v):
@@ -270,7 +272,9 @@ def build_unimodular(oracle, on_event=None):
     """Unimodular Farey symbol whose gluing group is the oracle's group.
 
     Deterministic for a fixed oracle.  Raises FareyError when the insertion
-    cap is hit, which indicates an infinite-index (or dishonest) oracle.
+    cap is hit, which indicates an infinite-index (or dishonest) oracle, and
+    for a group other than PSL2(Z) that holds the rotation of the start
+    triangle (infinity, 0, 1), which would fold that triangle onto itself.
     on_event, when given, is called with each replayable event in turn;
     their list is the trace that replay_trace rebuilds the symbol from.
     """
@@ -282,6 +286,11 @@ def build_unimodular(oracle, on_event=None):
         if on_event is not None:
             on_event(("full-group",))
         return _full_group_symbol(oracle.level)
+    if pred(_START_ROTATION):
+        raise FareyError("the group holds the order-3 rotation infinity -> 1 "
+                         "-> 0 -> infinity of the start triangle; the builder "
+                         "cannot yet build such a group, which needs a start "
+                         "other than the triangle (infinity, 0, 1)")
 
     walk = _Walk()
     ent, nxt, prv = walk.ent, walk.nxt, walk.prv

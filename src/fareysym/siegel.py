@@ -18,10 +18,11 @@ and order tables never change during a run.  Every cut and step is a
 segment table: it reads the word as slices, moves some of them by a matrix
 and commits the new word, a list of (ids, vertices) segments and an
 optional rotation, through NormalizationState.commit, the one place that
-changes the polygon, checks it and reports it to on_op.  A base cut reads
-X4 X1 a X2 X3 a* and writes X4 a' X3 X2 a'* X1, an elliptic one reads
-X2 X1 e and writes X2 e' X1, and a hyperbolic step reads W X a b Y a* Z b* T
-and writes W b* a b a* X Z Y T, moving each vertex once by its composite of
+changes the polygon, checks it and reports it to on_op.  Both public cuts
+are one cut (_cut): read from its first cut vertex, X1 a X2 X3 a* X4
+becomes a' X3 X2 a'* X1 X4, and an elliptic pivot is its own partner, with
+X2, X3 and a'* empty.  A hyperbolic step reads W X a b Y a* Z b* T and
+writes W b* a b a* X Z Y T, moving each vertex once by its composite of
 the four cuts' pivot gluings (_step_hyperbolic).  The vertices are the
 input's Cusps and, once moved, plain pairs (p, q) of either sign, coprime
 as a det-1 move keeps them: symbol.gluing_entries takes both and refuses
@@ -39,7 +40,8 @@ A step pays for the window it rewrites, not for the whole polygon.  A
 commit may replace just the positions [lo, hi): its each-arc-once check
 is then that the new ids are distinct and, as a set, the ids they replace,
 which is the whole-polygon check since nothing outside the window changes.
-A hyperbolic step commits only [w, b*], in each on_op stage too.  The step
+An elliptic step and a parabolic one of variant A commit only [w, j], j
+the pivot's partner (see _cut), a hyperbolic step only [w, b*].  The step
 choice rests on two invariants of a run.  Fixed arcs only ever leave the
 tail [w, n), so once one scan finds none, no later step scans for one.  A
 hyperbolic step is chosen only when the tail holds no adjacent pair, and it
@@ -47,8 +49,7 @@ keeps X, Z, Y and T each in order, so the next search for a pair tests only
 the seams X|Z, Z|Y and Y|T; any other commit brings back the full scan.
 """
 
-from .exact import (IDENTITY, FareyError, InvalidSymbolError, _coprime_cusp,
-                    _int_arg)
+from .exact import FareyError, InvalidSymbolError, _coprime_cusp, _int_arg
 from .symbol import block_at, gluing_entries, symbol_from_ids
 
 
@@ -164,30 +165,44 @@ def _working(sym):
     return state
 
 
-def _reglue(sym, state, segs, pivots, move_tail, place):
-    """Commit a base operation's segment table segs, head then tail in equal
-    halves, after moving the tail by g^-1 (move_tail) or the head by g, the
-    gluing of the pivot pair at positions pivots.  place is base_cut's.
-    Returns nothing for a run's state, else (symbol, mapping) with mapping
-    old position -> new one."""
+def _cut(sym, state, i, j, c1, c2, move_tail, place):
+    """The one cut both public cuts make, with pivot a at position i and its
+    partner a* at j: read from vertex c1, the word X1 a X2 X3 a* X4, with
+    vertex c2 between X2 and X3, becomes a' X3 X2 a'* X1 X4 after X2 a'* X1
+    is moved by g^-1 (move_tail) or a' X3 X4 by g, the pivot's gluing.  An
+    elliptic pivot is its own partner, i = j = c2: X2, X3 and a'* are empty.
+    A cut in order at positions [c1, j] that lands a' at c1 and moves the
+    pivot's piece leaves X4 in place, so it commits only [c1, j + 1); any
+    other commits the whole word, placed by place (base_cut's) or with a'
+    at 0.  Returns nothing for a run's state, else (symbol, mapping) with
+    mapping old position -> new one."""
     if place is not None:
         if not isinstance(place, (tuple, list)) or len(place) != 2:
             raise FareyError("place must be a pair (old position, position)")
         for p in place:
             _int_arg(p, 0, state.n, "place out of range: positions must "
                      "be ints in [0, n)")
-    chord = [state.ids[p] for p in pivots]
-    half = len(segs) // 2
-    moved = slice(half, None) if move_tail else slice(0, half)
-    state.check_keep(chord, *[ids for ids, _ in segs[moved]])
-    i, j = pivots
-    n, v = state.n, state.verts
-    g = gluing_entries(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n],
-                       state.ell.get(chord[0]))
+    n, ids, verts = state.n, state.ids, state.verts
+    chord = [ids[i], ids[j]]
+    if move_tail and place is not None and place[0] == i and place[1] == c1 <= i <= j:
+        lo, hi, place = c1, j + 1, None
+    else:  # the word read from c1, so the cut is in order in [0, j]
+        place = (chord[0], 0) if place is None else (state.ids[place[0]], place[1])
+        ids, verts = ids[c1:] + ids[:c1], verts[c1:] + verts[:c1]
+        i, j, c2 = [(x - c1) % n for x in (i, j, c2)]
+        lo, hi = 0, n
+    star = int(j > i)
+    segs = [([ids[i]], [verts[lo]]), (ids[c2:j], verts[c2:j]),           # a' X3
+            (ids[i + 1:c2] + ids[j:j + star], verts[i + 1:c2 + star]),  # X2 a'*
+            (ids[lo:i], verts[lo:i]), (ids[j + 1:hi], verts[j + 1:hi])]  # X1 X4
+    moved = (2, 3) if move_tail else (0, 1, 4)
+    state.check_keep(chord, *[segs[k][0] for k in moved])
+    g = gluing_entries(verts[i], verts[(i + 1) % n], verts[j],
+                       verts[(j + 1) % n], state.ell.get(chord[0]))
     g = g.adjugate() if move_tail else g
-    segs[moved] = [(ids, _moved(g, verts)) for ids, verts in segs[moved]]
-    state.commit(segs, (chord[0], 0) if place is None
-                 else (state.ids[place[0]], place[1]))
+    for k in moved:
+        segs[k] = (segs[k][0], _moved(g, segs[k][1]))
+    state.commit(segs, place, lo, hi)
     if state is sym:
         return None
     return state.symbol, {arc_id: p for p, arc_id in enumerate(state.ids)}
@@ -221,14 +236,7 @@ def base_cut(sym, pivot, c1, c2, side, place=None):
         raise FareyError("cuts do not separate the pivot from its partner")
     if side not in ("pivot", "other"):
         raise FareyError("side must be 'pivot' or 'other'")
-
-    # R, V: the word read from j + 1, so X4 X1 a X2 X3 a* with a* last
-    k = j + 1
-    R, V = state.ids[k:] + state.ids[:k], state.verts[k:] + state.verts[:k]
-    x1, a, x3 = (c1 - k) % n, (i - k) % n, (c2 - k) % n
-    segs = [(R[:x1] + [R[a]], V[:x1 + 1]), (R[x3:-1], V[x3:-1]),
-            (R[a + 1:x3] + [R[-1]], V[a + 1:x3 + 1]), (R[x1:a], V[x1:a])]
-    return _reglue(sym, state, segs, (i, j), side == "pivot", place)
+    return _cut(sym, state, i, j, c1, c2, side == "pivot", place)
 
 
 def base_cut_elliptic(sym, pivot, cut, side, place=None):
@@ -250,13 +258,7 @@ def base_cut_elliptic(sym, pivot, cut, side, place=None):
     _int_arg(cut, 0, n, "cut vertex out of range: positions must be ints in [0, n)")
     if side not in ("before", "after"):
         raise FareyError("side must be 'before' or 'after'")
-
-    # R, V: the word read from i + 1, so X2 X1 e with e last
-    k = i + 1
-    R, V = state.ids[k:] + state.ids[:k], state.verts[k:] + state.verts[:k]
-    x = (cut - k) % n
-    segs = [(R[:x] + [R[-1]], V[:x + 1]), (R[x:-1], V[x:-1])]
-    return _reglue(sym, state, segs, (i, i), side == "before", place)
+    return _cut(sym, state, i, i, cut, i, side == "before", place)
 
 
 def _start_state(sym, on_op=None, on_step=None):
@@ -324,15 +326,16 @@ def _step_parabolic(state, w, pivot):
 def _step_hyperbolic(state, w, a_pos):
     """Case where two interleaved pivot pairs become a quad after W.
 
-    The word W X a b Y a* Z b* T becomes W b* a b a* X Z Y T in one splice.
-    It is the result of four base cuts, whose stages are
+    The word W X a b Y a* Z b* T becomes W b* a b a* X Z Y T.  It is the
+    result of four base cuts, whose stages are
         W b a* Z Y b* X a T    cut (w, a*), moving X a b Y by g1^-1,
         W a* b* X Z Y a b T    cut (b*, b), moving a* Z Y a by g2,
         W b* X Z Y a b a* T    cut (b*, X), moving b a* by g3^-1,
         W b* a b a* X Z Y T    cut (a, b*), moving b a* X Z Y by g4^-1,
     where each chord keeps the id of the pivot it replaces and gi is the
-    gluing of that cut's pivot.  With P the vertices before the step and
-    nx = b*+1 (mod n), the start of T or of W:
+    gluing of that cut's pivot.  on_op, when set, sees the four cuts, which
+    the step then makes.  Otherwise it makes one splice: with P the
+    vertices before the step and nx = b*+1 (mod n), the start of T or of W,
         g1 = gluing(P[b], P[b+1], P[b*], P[nx]),
         g2 = gluing(g1^-1 P[a], P[nx], P[a*], P[a*+1]),
         g3 = gluing(g1^-1 P[a*], g1^-1 P[w], g2 P[w], P[nx]),
@@ -341,8 +344,7 @@ def _step_hyperbolic(state, w, a_pos):
     g1^-1 P[w], g4^-1 g3^-1 g1^-1 P[w] and g4^-1 g3^-1 P[w]; X moves by
     g4^-1 g1^-1, Z by g4^-1 g2 and Y by g4^-1 g2 g1^-1; W and T stay.
     Where a segment is empty, the image named here is the same point as
-    the one the cut reads.  on_op, when set, sees the four stages.  Each
-    commit, a stage's or the step's, rewrites only the window [w, b*].
+    the one the cut reads.  The splice rewrites only the window [w, b*].
     """
     n, ids, P = state.n, state.ids, state.verts
     b_pos = a_pos + 1
@@ -357,33 +359,26 @@ def _step_hyperbolic(state, w, a_pos):
         raise FareyError("pivots out of pattern")
     state.check_keep(ids[w:bs_pos + 1])
 
-    p_w, p_nx = P[w], P[(bs_pos + 1) % n]
-    g1i = gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx).adjugate()
-    a1, as1, w1 = _moved(g1i, (P[a_pos], P[as_pos], p_w))
-    g2 = gluing_entries(a1, p_nx, P[as_pos], P[as_pos + 1])
-    a2, b2 = _moved(g2, (as1, p_w))
-    g3i = gluing_entries(as1, w1, b2, p_nx).adjugate()
-    b3, as3 = _moved(g3i, (w1, p_w))
-    g4i = gluing_entries(a2, b3, as3, p_nx).adjugate()
-
-    def moved(lo, hi, g):
-        """The segment at positions [lo, hi), its vertices moved by g."""
-        return ids[lo:hi], _moved(g, P[lo:hi])
-
-    X, Y, Z = (w, a_pos), (b_pos + 1, as_pos), (as_pos + 1, bs_pos)
-    stages = []
     if state.on_op is not None:
-        x1, z2, y2 = moved(*X, g1i), moved(*Z, g2), moved(*Y, g2 * g1i)
-        stages = [
-            [([b, a_s], [p_w, P[as_pos]]), moved(*Z, IDENTITY), moved(*Y, g1i),
-             ([b_s], [as1]), x1, ([a], [a1])],
-            [([a_s, b_s], [p_w, as1]), x1, z2, y2, ([a, b], [a2, b2])],
-            [([b_s], [p_w]), x1, z2, y2, ([a, b, a_s], [a2, b3, as3])]]
-    g4i_g2 = g4i * g2
-    stages.append([([b_s, a, b, a_s], [p_w, w1] + _moved(g4i, (b3, as3))),
-                   moved(*X, g4i * g1i), moved(*Z, g4i_g2), moved(*Y, g4i_g2 * g1i)])
-    for parts in stages:
-        state.commit(parts, lo=w, hi=bs_pos + 1)
+        base_cut(state, b_pos, w, as_pos, "pivot", (b_pos, w))
+        base_cut(state, bs_pos, w + bs_pos - a_pos - 1, w, "other", (w + 1, w))
+        base_cut(state, w + 1, w, w + 2, "pivot", (w + 1, w))
+        base_cut(state, bs_pos - 2, w + 1, bs_pos, "pivot", (bs_pos - 2, w + 1))
+    else:
+        p_w, p_nx = P[w], P[(bs_pos + 1) % n]
+        g1i = gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx).adjugate()
+        a1, as1, w1 = _moved(g1i, (P[a_pos], P[as_pos], p_w))
+        g2 = gluing_entries(a1, p_nx, P[as_pos], P[as_pos + 1])
+        a2, b2 = _moved(g2, (as1, p_w))
+        g3i = gluing_entries(as1, w1, b2, p_nx).adjugate()
+        b3, as3 = _moved(g3i, (w1, p_w))
+        g4i = gluing_entries(a2, b3, as3, p_nx).adjugate()
+        g4i_g2 = g4i * g2
+        segs = [(ids[lo:hi], _moved(g, P[lo:hi])) for lo, hi, g in (
+            (w, a_pos, g4i * g1i), (as_pos + 1, bs_pos, g4i_g2),   # X Z
+            (b_pos + 1, as_pos, g4i_g2 * g1i))]                    # Y
+        state.commit([([b_s, a, b, a_s], [p_w, w1] + _moved(g4i, (b3, as3)))]
+                     + segs, lo=w, hi=bs_pos + 1)
     if not (state.paired(w, w + 2) and state.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
     # no segment of the new tail X Z Y T holds an adjacent pair, as the old

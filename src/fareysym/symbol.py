@@ -62,8 +62,8 @@ def gluing_entries(r, s, t, u, order=None):
     w = abs(d_tu)
     if abs(d_rs) != w:
         raise InvalidSymbolError("paired arcs (%s, %s) and (%s, %s) have widths "
-                                 "%d != %d" % (Cusp(*r), Cusp(*s), Cusp(*t),
-                                               Cusp(*u), abs(d_rs), w))
+                                 "%s != %s" % (Cusp(*r), Cusp(*s), Cusp(*t),
+                                               Cusp(*u), _shown(abs(d_rs)), _shown(w)))
     if order == 3:
         if d_rs < 0:
             s1, s2 = -s1, -s2
@@ -82,8 +82,8 @@ def gluing_entries(r, s, t, u, order=None):
             a, b, c, d = -a, -b, -c, -d
     if w != 1:
         if a % w or b % w or c % w or d % w:
-            raise InvalidSymbolError("gluing numerator (%d, %d, %d, %d) is not "
-                                     "divisible by %d" % (a, b, c, d, w))
+            raise InvalidSymbolError("gluing numerator %s is not divisible by %s"
+                                     % (_shown((a, b, c, d)), _shown(w)))
         a, b, c, d = a // w, b // w, c // w, d // w
     return IMat(a, b, c, d)
 

@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
 from fareysym.cli import _indented, check_level, cli_dispatch, make_parser
-from fareysym.exact import FareyError
+from fareysym.delta0 import delta0_presentation
+from fareysym.exact import FareyError, _int_of, _int_str
+from fareysym.invariants import generators
 from fareysym.kulkarni import gamma0_symbol
-from fareysym.siegel import base_cut, normalize
+from fareysym.siegel import base_cut, base_cut_elliptic, normalize
 from fareysym.symbol import FareySymbol
 
 # sha256 over the info and presentation JSON, in that order, of the
@@ -531,3 +533,61 @@ def json_documents(depth):
 @given(json_documents(5))
 def test_indented_writes_json_dumps_bytes(doc):
     assert _indented(doc) == json.dumps(doc, indent=2)
+
+
+def tall_symbol(bits):
+    """A valid symbol with a vertex of more than `bits` bits: seeded base
+    cuts on gamma0_symbol(11), each kept when it raises the height and
+    keeps the arc (infinity, 0)."""
+    rng = random.Random(14)
+    sym, height = gamma0_symbol(11), 0
+    while height <= bits:
+        n = sym.n
+        i = rng.randrange(n)
+        j = sym.pairing[i]
+        if i == j:
+            out = base_cut_elliptic(sym, i, rng.randrange(n),
+                                    rng.choice(("before", "after")))[0]
+        else:
+            c1 = (j + 1 + rng.randrange((i - j - 1) % n + 1)) % n
+            c2 = (i + 1 + rng.randrange((j - i - 1) % n + 1)) % n
+            out = base_cut(sym, i, c1, c2, rng.choice(("pivot", "other")))[0]
+        h = max(v.height_bits() for v in out.vertices)
+        if h > height and out.infinity_zero_arc() is not None:
+            sym, height = out, h
+    return sym
+
+
+def test_symbol_past_the_digit_limit_crosses_json(tmp_path, capsys):
+    # 4300 digits, CPython's limit on int <-> str, is about 14,284 bits;
+    # this symbol's vertices reach 37,397 bits and its gluings 22,048
+    sym = tall_symbol(30000)
+    sym.validate()
+    text = sym.to_json()
+    assert FareySymbol.from_json(text) == sym
+    path = tmp_path / "tall.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "info", "--in", str(path))
+    assert code == 0, err
+    doc = json.loads(out, parse_int=_int_of)
+    assert [g["matrix"] for g in doc["generators"]] == [
+        list(m) for m in generators(sym).matrices()]
+    assert max(abs(x) for g in doc["generators"] for x in g["matrix"]) > 10**4300
+    code, out, err = run(capsys, "presentation", "--in", str(path))
+    assert code == 0, err
+    assert json.loads(out, parse_int=_int_of) == delta0_presentation(sym).to_jsonable()
+    # normalize reads and validates it, then stops at the known gap of an
+    # arc (infinity, 0) that lies in no block of the input word (ROADMAP
+    # item 6), so its refusal shows that the file was read
+    code, out, err = run(capsys, "normalize", "--in", str(path))
+    assert code == 2 and "arc (infinity, 0)" in err, err
+
+
+def test_indented_writes_ints_past_the_digit_limit():
+    # json.dumps refuses them; the bytes are json.dumps's layout with each
+    # such int written whole
+    big = 7 * 10**5000 + 3
+    text = _indented({"a": big, "b": [1, -big], "c": [[big, "x"], (-big,)]})
+    assert text.replace(_int_str(big), "7") == json.dumps(
+        {"a": 7, "b": [1, -7], "c": [[7, "x"], [-7]]}, indent=2)
+    assert json.loads(text, parse_int=_int_of)["c"][1] == [-big]

@@ -121,6 +121,8 @@ ROWS = [
     ("GroupRingElement.of(coeff)", ints(), 2,
      lambda v: GroupRingElement.of(T, v)),
     ("GroupRingElement * k", ints(), 2, lambda v: GroupRingElement.one() * v),
+    ("GroupRingElement(coeff)", ints(), 2, lambda v: GroupRingElement({T: v})),
+    ("k * GroupRingElement", ints(), 2, lambda v: v * GroupRingElement.one()),
     ("RenderSpec(width)", ints(1, MAX_SIDE + 1), 600,
      lambda v: RenderSpec(width=v)),
     ("RenderSpec(height)", ints(1, MAX_SIDE + 1), 400,

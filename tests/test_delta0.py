@@ -25,6 +25,17 @@ class TestGroupRing:
         x = GroupRingElement.one() * 3
         assert x.terms[IDENTITY] == 3
 
+    def test_scalar_multiplication_on_the_left(self):
+        # int * element raised a bare TypeError
+        y = GroupRingElement.of(IMat(1, 1, 0, 1)) - GroupRingElement.one() * 3
+        assert 3 * y == y * 3 == y + y + y
+
+    @pytest.mark.parametrize("coeff", [2.5, 2.0, True, "2", None])
+    def test_constructor_checks_its_coefficients(self, coeff):
+        # 2.5 was accepted and printed as +2
+        with pytest.raises(FareyError, match="coefficients must be ints"):
+            GroupRingElement({IDENTITY: 1, IMat(1, 1, 0, 1): coeff})
+
     def test_divisor_action(self):
         x = GroupRingElement.of(IMat(0, 1, -1, 0))  # swaps 0 and infinity
         d = x.act_on_divisor({ZERO: 1, INFINITY: -1})

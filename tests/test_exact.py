@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
-                            ORDER3, REVERSE, _coprime_cusp, arc_matrix,
+                            ORDER3, REVERSE, _coprime_cusp, _int_of, _int_str,
+                            arc_matrix,
                             classify, CLS_ELLIPTIC2, CLS_ELLIPTIC3,
                             CLS_HYPERBOLIC, CLS_IDENTITY, CLS_PARABOLIC)
 from fareysym.kulkarni import gamma0_symbol
@@ -128,6 +130,53 @@ class TestCuspValue:
     def test_normalize_output_vertices_are_cusps(self):
         for N in (6, 15, 37):
             assert all(type(v) is Cusp for v in normalize(gamma0_symbol(N)).vertices)
+
+
+# ints of up to 20,000 decimal digits, past CPython's default limit of
+# 4300 on int <-> str; r * 10**k + r puts a run of zeros in the middle
+huge_ints = st.one_of(
+    st.integers(-10**20000, 10**20000),
+    st.builds(lambda r, k, sign: sign * (r * 10**k + r),
+              st.integers(0, 2**64), st.integers(0, 20000),
+              st.sampled_from([1, -1])))
+
+
+class TestIntCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(huge_ints)
+    def test_round_trip_at_any_size(self, x):
+        text = _int_str(x)
+        assert _int_of(text) == x
+        assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
+        try:
+            plain = str(x)
+        except ValueError:  # past the limit: only the codec reads and writes
+            assert len(text.lstrip("-")) > 4300
+        else:
+            assert text == plain and int(plain) == x
+
+    @settings(max_examples=30, deadline=None)
+    @given(huge_ints, st.integers(1, 10**30))
+    def test_cusps_and_matrices_cross_text(self, p, q):
+        c = Cusp(p, q)
+        assert Cusp.parse(str(c)) == c
+        assert repr(c) == "Cusp(%s, %s)" % (_int_str(c.num), _int_str(c.den))
+        m = IMat(1, p, 0, 1)
+        assert repr(m) == "IMat(1, %s, 0, 1)" % _int_str(p)
+
+    def test_parse_keeps_int_syntax(self):
+        big = "7" * 5000
+        assert _int_of(" -" + big + " ") == -int(big[:2500]) * 10**2500 - int(big[2500:])
+        assert Cusp.parse("+%s/1" % big) == Cusp(_int_of(big))
+        assert _int_of("1_000") == 1000
+        for bad in (big + "x", big + "_1", "--" + big, "", "-"):
+            with pytest.raises(ValueError):
+                _int_of(bad)
+
+    def test_a_long_refusal_is_named_by_its_size(self):
+        with pytest.raises(FareyError) as info:
+            Cusp.parse("1" * 5000 + "x")
+        assert str(info.value) == "not a cusp p/q: <str of 5001 characters>"
 
 
 class TestArcMatrix:

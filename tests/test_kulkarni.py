@@ -8,6 +8,7 @@ import pytest
 from fareysym import classical
 from fareysym import kulkarni
 from fareysym.exact import Cusp, IMat, INFINITY, FareyError, InvalidSymbolError
+from fareysym.invariants import CosetTable
 from fareysym.kulkarni import (MembershipOracle, build_unimodular,
                                gamma0_oracle, gamma0_symbol, p1_normalize,
                                replay_trace, _chart_key, _nonunit_key,
@@ -601,6 +602,17 @@ class TestBuild:
                                 index_bound=6)
         with pytest.raises(FareyError):
             build_unimodular(dead)
+
+    @pytest.mark.parametrize("S,U", [([1, 0], [0, 1]),
+                                     ([1, 0, 2], [0, 2, 1])])
+    def test_start_rotation_group_is_refused(self, S, U):
+        # each group holds infinity -> 1 -> 0 -> infinity; the builder
+        # returned a 3-arc symbol of index 6 for the first and a 7-arc one
+        # without the arc (infinity, 0) for the second
+        oracle = MembershipOracle(CosetTable(S, U, 0).contains)
+        assert oracle(IMat(1, -1, 1, 0))
+        with pytest.raises(FareyError, match="rotation infinity -> 1 -> 0"):
+            build_unimodular(oracle)
 
     def test_mediants_stay_in_circular_order(self):
         # every vertex list from the builder passes the circular-order check

@@ -76,6 +76,45 @@ def check_dispatch(sym, kinds):
         kinds[want[0]] = kinds.get(want[0], 0) + 1
 
 
+@pytest.fixture
+def commits(monkeypatch):
+    """Every NormalizationState.commit from here on, as (lo, hi, place)."""
+    log = []
+    commit = NormalizationState.commit
+
+    def recording(self, segments, place=None, lo=0, hi=None):
+        log.append((lo, self.n if hi is None else hi, place))
+        commit(self, segments, place, lo, hi)
+
+    monkeypatch.setattr(NormalizationState, "commit", recording)
+    return log
+
+
+def check_windows(sym, commits, kinds):
+    """Normalize sym one step at a time, checking the one commit each step
+    makes: an elliptic step and a parabolic step that moves the gap (variant
+    A) rewrite only [w, j + 1), j the pivot's partner, a hyperbolic step a
+    window from w, and only variant B the whole polygon; counts the steps by
+    kind."""
+    state = _start_state(sym)
+    while not state.done():
+        w, n, before = state.w_len, state.n, list(state.ids)
+        kind, pivots = reference_step(state)
+        del commits[:]
+        siegel_step(state)
+        if kind == "extend":
+            assert commits == []
+        elif kind == "parabolic" and state.keep in before[w:pivots[0]]:
+            kind = "variant B"
+            assert [(lo, hi) for lo, hi, _ in commits] == [(0, n)], (sym, w)
+        else:
+            (lo, hi, place), = commits
+            assert (lo, place) == (w, None), (sym, kind, w)
+            if kind != "hyperbolic":
+                assert hi == pivots[0] + (kind == "parabolic") + 1, (sym, kind, w)
+        kinds[kind] = kinds.get(kind, 0) + 1
+
+
 class TestBaseCut:
     def test_trivial_cut_is_rotation(self, symbol_for):
         # adjacent pivot pair, both transformed blocks empty
@@ -306,6 +345,28 @@ class TestSiegelStep:
                         done += 1
         assert (done, refused) == (1848, 2692)
         assert kinds["elliptic"] > 100 and kinds["hyperbolic"] > 300, kinds
+
+    def test_steps_commit_only_their_windows(self, commits):
+        kinds = {}
+        for N in range(1, 201):
+            check_windows(gamma0_symbol(N), commits, kinds)
+        assert kinds == {"extend": 425, "elliptic": 149, "parabolic": 761,
+                         "hyperbolic": 1931}
+
+    def test_steps_commit_only_their_windows_on_every_legal_cut(self, commits):
+        kinds, refused = {}, 0
+        for N in range(1, 19):
+            uni = gamma0_symbol(N)
+            for sym in (uni, normalize(uni)):
+                for cut, args in legal_cuts(sym):
+                    try:
+                        check_windows(cut(sym, *args)[0], commits, kinds)
+                    except InvalidSymbolError:
+                        refused += 1
+        # the same symbols and refusals as the dispatch test's
+        assert refused == 2692
+        assert kinds == {"extend": 2961, "elliptic": 144, "parabolic": 1394,
+                         "variant B": 374, "hyperbolic": 304}
 
     @pytest.mark.parametrize("window", [
         lambda ids: ids[2:5],

@@ -131,6 +131,11 @@ def test_benchmark_tracer_installs(tmp_path, monkeypatch):
                                  "--out", str(out)]) == 0
         assert cli.cli_dispatch(["info", "--in", str(out),
                                  "--out", str(tmp_path / "info.json")]) == 0
+        # level 26 takes elliptic, parabolic and hyperbolic steps; the
+        # tracer reads an elliptic or parabolic step off its one call to
+        # the module global base_cut_elliptic or base_cut
+        assert cli.cli_dispatch(["normalize", "--level", "26",
+                                 "--out", str(tmp_path / "n26.json")]) == 0
     finally:
         tracer.active = False
         tracer.restore()
@@ -139,3 +144,5 @@ def test_benchmark_tracer_installs(tmp_path, monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["siegel.base_cut_calls"][0] > 0
     assert metrics["exact.cusp_new_calls"][0] > 0
+    assert metrics["siegel.steps.elliptic"][0] >= 1
+    assert metrics["siegel.steps.parabolic"][0] >= 1

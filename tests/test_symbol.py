@@ -14,6 +14,14 @@ from fareysym.symbol import FareySymbol, gluing_entries
 from fareysym.kulkarni import gamma0_oracle
 
 
+def test_a_huge_width_is_named_by_its_size():
+    # a width past CPython's 4300-digit limit raised a bare ValueError
+    sym = FareySymbol([INFINITY, ZERO, Cusp(1, 2), Cusp(10**5000)], [1, 0, 3, 2])
+    with pytest.raises(InvalidSymbolError,
+                       match=r"have widths <int of 16611 bits> != 1$"):
+        sym.validate()
+
+
 def pattern_symbol(pairing, ell=None):
     """Symbol with placeholder vertices for purely combinatorial tests."""
     return FareySymbol([Cusp(i, 1) for i in range(len(pairing))], pairing, ell)
