@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import classical
 from .exact import (FareyError, IMat, InvalidSymbolError, NotNormalizedError,
-                    _int_arg, _int_str)
+                    _int_arg, _int_of, _int_str)
 from .invariants import counts, cusp_orbits, express_word, generators
 from .kulkarni import gamma0_oracle, gamma0_symbol
 from .render import STYLES, RenderSpec, render_chords, render_polygon
@@ -83,6 +83,18 @@ def _dump(obj, pad, num):
     return json.dumps(obj)
 
 
+def _compact(obj):
+    """json.dumps(obj) for a document of dicts with str keys, lists and
+    scalars, whose ints may pass CPython's digit limit: those are written
+    by exact._int_str."""
+    if isinstance(obj, dict):
+        return "{%s}" % ", ".join([encode_basestring_ascii(k) + ": " + _compact(v)
+                                   for k, v in obj.items()])
+    if isinstance(obj, list):
+        return "[%s]" % ", ".join(map(_compact, obj))
+    return _int_str(obj) if type(obj) is int else json.dumps(obj)
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -140,7 +152,7 @@ def _cmd_presentation(args):
 
 def _cmd_member(args):
     try:
-        a, b, c, d = (int(x) for x in args.matrix.split(","))
+        a, b, c, d = (_int_of(x) for x in args.matrix.split(","))
     except ValueError:
         raise InvalidSymbolError("--matrix wants four comma-separated integers")
     g = IMat(a, b, c, d)
@@ -151,7 +163,7 @@ def _cmd_member(args):
     doc = {"level": args.level, "matrix": [a, b, c, d],
            "member": word is not None,
            "word": [list(t) for t in word] if word is not None else None}
-    _emit(json.dumps(doc), args.out)
+    _emit(_compact(doc), args.out)
 
 
 def _cmd_render(args):

@@ -81,6 +81,16 @@ def _shown(value):
         return "<%s too long to show>" % type(value).__name__
 
 
+def _shown_cusp(point):
+    """The cusp of point, a Cusp or an integer pair (p, q) of either sign,
+    as "p/q" for an error message; a cusp whose "p/q" passes 200
+    characters is shown by its height in bits, as _shown shows a long
+    value by its size."""
+    c = Cusp(*point)
+    text = str(c)
+    return text if len(text) <= 200 else "<cusp of %d bits>" % c.height_bits()
+
+
 def _int_arg(value, lo, hi, message, error=FareyError):
     """value if it is an int, not a bool, in [lo, hi), where a None bound is
     open; else raises error("<message>, got <value>").  The one int check."""
@@ -306,7 +316,8 @@ def arc_matrix(r, s):
     """
     d = cross(r, s)
     if d == 0:
-        raise FareyError("degenerate arc (%s, %s)" % (r, s))
+        raise FareyError("degenerate arc (%s, %s)"
+                         % (_shown_cusp(r), _shown_cusp(s)))
     if d > 0:
         return IMat(r.num, s.num, r.den, s.den)
     return IMat(r.num, -s.num, r.den, -s.den)

@@ -272,9 +272,11 @@ def build_unimodular(oracle, on_event=None):
     """Unimodular Farey symbol whose gluing group is the oracle's group.
 
     Deterministic for a fixed oracle.  Raises FareyError when the insertion
-    cap is hit, which indicates an infinite-index (or dishonest) oracle, and
-    for a group other than PSL2(Z) that holds the rotation of the start
-    triangle (infinity, 0, 1), which would fold that triangle onto itself.
+    cap is hit, which indicates an infinite-index (or dishonest) oracle, for
+    a group other than PSL2(Z) that holds the rotation of the start
+    triangle (infinity, 0, 1), which would fold that triangle onto itself,
+    and when the arc (infinity, 0) pairs with no arc of that triangle: the
+    builder would split it, and a symbol is read from that arc.
     on_event, when given, is called with each replayable event in turn;
     their list is the trace that replay_trace rebuilds the symbol from.
     """
@@ -379,13 +381,19 @@ def build_unimodular(oracle, on_event=None):
         if not waiting:
             break
         victim = waiting.popleft()
+        if victim == 0:  # the arc (infinity, 0), walk.first
+            raise FareyError("the arc (infinity, 0) pairs with no arc of the "
+                             "start triangle, so the builder would split it; "
+                             "it cannot yet build a symbol without that arc, "
+                             "which needs another vertical arc (infinity, x0) "
+                             "as its anchor")
         inserts += 1
         if inserts > cap:
             raise FareyError("mediant insertion cap %d exceeded; the oracle "
                              "group looks like it has infinite index" % cap)
         if on_event is not None:
             on_event(("mediant",) + walk.ends(victim))
-        # the splice of _Walk.split, inline
+        # the splice of _Walk.split, inline; walk.first stays 0
         a, b, c, d = ent[victim]
         left = len(ent)
         right = left + 1
@@ -396,8 +404,6 @@ def build_unimodular(oracle, on_event=None):
         nxt[p] = left
         prv[q] = right
         partner += None, None
-        if walk.first == victim:
-            walk.first = left
         fresh = left, right
         if N is not None:
             k_out = out_key[victim]

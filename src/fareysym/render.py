@@ -14,7 +14,6 @@ deterministic for a fixed symbol and spec.
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (REVERSE, FareyError, InvalidSymbolError, _int_arg, _shown,
@@ -38,15 +37,19 @@ def _finite_real(x):
         return False
 
 
-@dataclass
 class RenderSpec:
-    style: str = "chords"          # one of STYLES
-    width: int = 600
-    height: int = 400
-    xmin: float = -0.25
-    xmax: float = 1.25
+    """What to draw: a style of STYLES, the picture's size in pixels and,
+    for the half-plane, the x-range shown.  Compares field by field.  A
+    plain class, not a dataclass: the dataclasses module imports inspect,
+    ast, dis and tokenize into every process that imports this package."""
 
-    def __post_init__(self):
+    # the fields in order, which a match statement also reads positionally
+    __match_args__ = ("style", "width", "height", "xmin", "xmax")
+
+    def __init__(self, style="chords", width=600, height=400, xmin=-0.25,
+                 xmax=1.25):
+        self.style, self.width, self.height = style, width, height
+        self.xmin, self.xmax = xmin, xmax
         if self.style not in STYLES:
             raise InvalidSymbolError("unknown render style %s (expected one of %s)"
                                      % (_shown(self.style), ", ".join(STYLES)))
@@ -60,6 +63,18 @@ class RenderSpec:
                                      "with a finite difference")
         if not self.xmax > self.xmin:
             raise InvalidSymbolError("empty x-range")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in zip(self.__match_args__, self._values())))
 
 
 def _fmt(x):

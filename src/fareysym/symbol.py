@@ -13,7 +13,8 @@ import json
 from . import classical
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
                     NotNormalizedError, cross, _int_arg, _int_args, _shown,
-                    CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC, CLS_HYPERBOLIC)
+                    _shown_cusp, CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC,
+                    CLS_HYPERBOLIC)
 
 _ARC = "arc index out of range: arc indices are ints in [0, n)"
 
@@ -58,12 +59,14 @@ def gluing_entries(r, s, t, u, order=None):
     d_tu = t1 * u2 - u1 * t2
     if not d_rs or not d_tu:
         p, q = (r, s) if not d_rs else (t, u)
-        raise FareyError("degenerate arc (%s, %s)" % (Cusp(*p), Cusp(*q)))
+        raise FareyError("degenerate arc (%s, %s)"
+                         % (_shown_cusp(p), _shown_cusp(q)))
     w = abs(d_tu)
     if abs(d_rs) != w:
         raise InvalidSymbolError("paired arcs (%s, %s) and (%s, %s) have widths "
-                                 "%s != %s" % (Cusp(*r), Cusp(*s), Cusp(*t),
-                                               Cusp(*u), _shown(abs(d_rs)), _shown(w)))
+                                 "%s != %s" % (_shown_cusp(r), _shown_cusp(s),
+                                               _shown_cusp(t), _shown_cusp(u),
+                                               _shown(abs(d_rs)), _shown(w)))
     if order == 3:
         if d_rs < 0:
             s1, s2 = -s1, -s2
@@ -183,7 +186,7 @@ class FareySymbol:
             if not s.den or cross(r, s) >= 0:
                 raise InvalidSymbolError(
                     "vertices read from (infinity, 0) are not increasing at %s, %s"
-                    % (r, s))
+                    % (_shown_cusp(r), _shown_cusp(s)))
         return k, finite
 
     # -- gluing data -----------------------------------------------------
@@ -440,6 +443,7 @@ def symbol_from_ids(ids, partner, ell, vertices, level):
     if None in pairing:
         p = pairing.index(None)
         raise FareyError("boundary arc (%s, %s) has no partner on the boundary"
-                         % (vertices[p], vertices[(p + 1) % len(ids)]))
+                         % (_shown_cusp(vertices[p]),
+                            _shown_cusp(vertices[(p + 1) % len(ids)])))
     fixed = {p: ell.get(a) for p, a in enumerate(ids) if partner[a] == a}
     return FareySymbol(vertices, pairing, fixed, level)

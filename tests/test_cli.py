@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from fareysym import classical
 from fareysym.cli import _indented, check_level, cli_dispatch, make_parser
 from fareysym.delta0 import delta0_presentation
-from fareysym.exact import FareyError, _int_of, _int_str
-from fareysym.invariants import generators
+from fareysym.exact import FareyError, IMat, _int_of, _int_str
+from fareysym.invariants import generators, word_product
 from fareysym.kulkarni import gamma0_symbol
 from fareysym.siegel import base_cut, base_cut_elliptic, normalize
 from fareysym.symbol import FareySymbol
@@ -66,6 +66,25 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["member"] is False and doc["word"] is None
+
+    def test_member_past_the_digit_limit(self, capsys):
+        # a member of Gamma0(6) with an entry of 5000 digits, which int()
+        # refuses: --matrix was refused with exit 2
+        b = "1" * 5000
+        code, out, err = run(capsys, "member", "--level", "6",
+                             "--matrix", "1,%s,0,1" % b)
+        assert (code, err) == (0, "")
+        assert out.startswith('{"level": 6, "matrix": [1, %s, 0, 1], '
+                              '"member": true, "word": [[' % b)
+        doc = json.loads(out, parse_int=_int_of)
+        g = IMat(*doc["matrix"])
+        assert g == (1, _int_of(b), 0, 1)
+        word = [tuple(t) for t in doc["word"]]
+        assert word_product(gamma0_symbol(6), word).psl_eq(g)
+        code, out, err = run(capsys, "member", "--level", "6",
+                             "--matrix", "1,%sx,0,1" % b)
+        assert (code, out) == (2, "")
+        assert err == "error: --matrix wants four comma-separated integers\n"
 
     def test_normalize_roundtrip_through_files(self, tmp_path, capsys):
         sym_file = tmp_path / "s.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
                             ORDER3, REVERSE, _coprime_cusp, _int_of, _int_str,
-                            arc_matrix,
+                            _shown_cusp, arc_matrix,
                             classify, CLS_ELLIPTIC2, CLS_ELLIPTIC3,
                             CLS_HYPERBOLIC, CLS_IDENTITY, CLS_PARABOLIC)
 from fareysym.kulkarni import gamma0_symbol
@@ -177,6 +177,24 @@ class TestIntCodec:
         with pytest.raises(FareyError) as info:
             Cusp.parse("1" * 5000 + "x")
         assert str(info.value) == "not a cusp p/q: <str of 5001 characters>"
+
+    def test_a_long_cusp_is_named_by_its_size(self):
+        # "p/q" is kept up to 200 characters, either way round and for a
+        # pair of either sign; a longer cusp is named by its height in bits
+        p = 10**196 + 1
+        assert _shown_cusp(Cusp(p, 7)) == "%d/7" % p  # 199 characters
+        assert _shown_cusp((-p, -70)) == "%d/70" % p  # 200
+        assert _shown_cusp((p, 700)) == "<cusp of 652 bits>"  # 201
+        assert _shown_cusp((7, 100 * p)) == "<cusp of 658 bits>"
+        assert _shown_cusp(INFINITY) == "1/0"
+        with pytest.raises(FareyError) as info:
+            arc_matrix(Cusp(10**5000), Cusp(10**5000))
+        assert str(info.value) == ("degenerate arc (<cusp of 16610 bits>, "
+                                   "<cusp of 16610 bits>)")
+        with pytest.raises(FareyError) as info:
+            gluing_entries((10**5000, 1), (10**5000, 1), (1, 0), (0, 1))
+        assert str(info.value) == ("degenerate arc (<cusp of 16610 bits>, "
+                                   "<cusp of 16610 bits>)")
 
 
 class TestArcMatrix:

@@ -4,11 +4,12 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
 from fareysym import kulkarni
 from fareysym.exact import Cusp, IMat, INFINITY, FareyError, InvalidSymbolError
-from fareysym.invariants import CosetTable
+from fareysym.invariants import CosetTable, counts, cusp_orbits
 from fareysym.kulkarni import (MembershipOracle, build_unimodular,
                                gamma0_oracle, gamma0_symbol, p1_normalize,
                                replay_trace, _chart_key, _nonunit_key,
@@ -614,6 +615,16 @@ class TestBuild:
         with pytest.raises(FareyError, match="rotation infinity -> 1 -> 0"):
             build_unimodular(oracle)
 
+    def test_a_split_arc_infinity_zero_is_refused(self):
+        # Gamma(2) pairs (infinity, 0) with no arc of the start triangle;
+        # the builder returned the polygon 1/0 -1/1 0/1 1/1, which has no
+        # arc (infinity, 0) and which validate refuses
+        oracle = MembershipOracle(lambda m: m.b % 2 == 0 and m.c % 2 == 0,
+                                  index_bound=6)
+        with pytest.raises(FareyError, match=r"arc \(infinity, 0\) pairs with "
+                           "no arc of the start triangle"):
+            build_unimodular(oracle)
+
     def test_mediants_stay_in_circular_order(self):
         # every vertex list from the builder passes the circular-order check
         for N in (19, 28, 45):
@@ -625,3 +636,87 @@ class TestBuild:
             i = s.infinity_zero_arc()
             assert s.pairing[i] == (i - 1) % s.n
             assert s.arc((i - 1) % s.n) == (Cusp(1, 1), INFINITY)
+
+
+@st.composite
+def transitive_pairs(draw, max_points=39):
+    """A transitive pair (S, U) of permutations with S^2 = U^3 = 1, the
+    action of PSL2(Z) = Z/2 * Z/3 on the right cosets of a subgroup of
+    index len(S), point 0 the subgroup itself.  The orbits of U, 3-cycles
+    and then fixed points, are joined into one orbit by a random tree of
+    S-swaps, fixed points dropped once no point is left to swap with, and
+    a random share of the points left pairs up by S.  Hypothesis draws
+    only the seed of a generator that makes every choice: its own draws
+    lean to small counts and near-identity orders, which give small
+    orbits."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mu = rng.randint(1, max_points)
+    turns = rng.randint(0, mu // 3)
+    points = rng.sample(range(mu), mu)
+    blobs = ([points[k:k + 3] for k in range(0, 3 * turns, 3)]
+             + [[p] for p in points[3 * turns:]])
+    S, U = {}, {}
+    kept, free = list(blobs[0]), list(blobs[0])
+    for blob in blobs[1:]:
+        if not free:
+            break
+        a = free.pop(rng.randrange(len(free)))
+        b = rng.choice(blob)
+        S[a], S[b] = b, a
+        kept += blob
+        free += [p for p in blob if p != b]
+    rng.shuffle(free)
+    for k in range(0, 2 * rng.randint(0, len(free) // 2), 2):
+        a, b = free[k:k + 2]
+        S[a], S[b] = b, a
+    for blob in blobs:
+        for a, b in zip(blob, blob[1:] + blob[:1]):
+            U[a] = b
+    k = rng.randrange(len(kept))  # the subgroup's coset, renumbered 0
+    kept = kept[k:] + kept[:k]
+    label = {p: i for i, p in enumerate(kept)}
+    return [label[S.get(p, p)] for p in kept], [label[U[p]] for p in kept]
+
+
+def permutation_invariants(S, U):
+    """(genus, nu_inf, nu2, nu3, index) and the sorted cusp widths of the
+    group of a transitive pair, by the formulas: index mu = len(S); nu2
+    and nu3 are the fixed points of S and of U; the cusps are the cycles
+    of x -> S[U[x]], of their lengths as widths; and 12g = 12 + mu - 3nu2
+    - 4nu3 - 6nu_inf."""
+    mu = len(S)
+    nu2 = sum(S[x] == x for x in range(mu))
+    nu3 = sum(U[x] == x for x in range(mu))
+    widths, seen = [], set()
+    for x in range(mu):
+        w = 0
+        while x not in seen:
+            seen.add(x)
+            x = S[U[x]]
+            w += 1
+        if w:
+            widths.append(w)
+    twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * len(widths)
+    assert twelve_g >= 0 and twelve_g % 12 == 0
+    return (twelve_g // 12, len(widths), nu2, nu3, mu), sorted(widths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(transitive_pairs())
+def test_permutation_groups_build_or_are_refused(pair):
+    """Any finite-index subgroup, given by the membership predicate of its
+    coset table: the builder either refuses it with one of its two named
+    limitations, or returns a symbol that validates and agrees with the
+    permutation formulas."""
+    S, U = pair
+    want, widths = permutation_invariants(S, U)
+    oracle = MembershipOracle(CosetTable(S, U, 0).contains, index_bound=len(S))
+    try:
+        sym = build_unimodular(oracle)
+    except FareyError as e:
+        assert ("rotation infinity -> 1 -> 0" in str(e)
+                or "pairs with no arc of the start triangle" in str(e))
+        return
+    sym.validate(oracle)
+    assert counts(sym) == want
+    assert sorted(o.width for o in cusp_orbits(sym)) == widths

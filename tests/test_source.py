@@ -1,11 +1,26 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import fareysym
 from fareysym import cli
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src" / "fareysym"
+
+
+def test_import_loads_no_code_inspector():
+    # RenderSpec was a dataclass, and dataclasses brings inspect, ast, dis,
+    # tokenize and eight more modules into every process that imports the
+    # package; -S keeps site's .pth hooks out of the count
+    code = ("import sys, fareysym.cli; print(sorted({'dataclasses', 'inspect', "
+            "'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_no_bare_assert_in_src():

@@ -10,7 +10,7 @@ from fareysym.exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
                             REVERSE, arc_matrix, classify,
                             CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_HYPERBOLIC,
                             CLS_PARABOLIC)
-from fareysym.symbol import FareySymbol, gluing_entries
+from fareysym.symbol import FareySymbol, gluing_entries, symbol_from_ids
 from fareysym.kulkarni import gamma0_oracle
 
 
@@ -20,6 +20,47 @@ def test_a_huge_width_is_named_by_its_size():
     with pytest.raises(InvalidSymbolError,
                        match=r"have widths <int of 16611 bits> != 1$"):
         sym.validate()
+
+
+@pytest.mark.parametrize("vertices,pairing,ell,names", [
+    # paired arcs of unequal widths; the message was 10,074 characters
+    ([INFINITY, ZERO, Cusp(1, 2), Cusp(10**5000)], [1, 0, 3, 2], None,
+     "paired arcs (1/2, <cusp of 16610 bits>) and (<cusp of 16610 bits>, "
+     "1/0) have widths <int of 16611 bits> != 1"),
+    # vertices out of circular order; the message was 5,063 characters
+    ([INFINITY, ZERO, Cusp(10**5000, 3), Cusp(1, 2)], [0, 1, 2, 3],
+     {0: 2, 1: 2, 2: 2, 3: 2},
+     "vertices read from (infinity, 0) are not increasing at "
+     "<cusp of 16610 bits>, 1/2"),
+])
+def test_a_huge_cusp_is_named_by_its_size(vertices, pairing, ell, names):
+    with pytest.raises(InvalidSymbolError) as info:
+        FareySymbol(vertices, pairing, ell).validate()
+    assert str(info.value) == names and len(names) < 300
+
+
+def test_an_unpaired_boundary_arc_is_named_by_its_ends():
+    with pytest.raises(FareyError) as info:
+        symbol_from_ids([0, 1], [2, 1], {}, [Cusp(10**5000), ZERO], None)
+    assert str(info.value) == ("boundary arc (<cusp of 16610 bits>, 0/1) has "
+                               "no partner on the boundary")
+
+
+def test_messages_on_ordinary_cusps_keep_their_bytes():
+    sym = FareySymbol([INFINITY, ZERO, Cusp(1, 2), Cusp(3)], [1, 0, 3, 2])
+    with pytest.raises(InvalidSymbolError) as info:
+        sym.validate()
+    assert str(info.value) == ("paired arcs (1/2, 3/1) and (3/1, 1/0) have "
+                               "widths 5 != 1")
+    sym = FareySymbol([INFINITY, ZERO, Cusp(2, 3), Cusp(1, 2)], [0, 1, 2, 3],
+                      {0: 2, 1: 2, 2: 2, 3: 2})
+    with pytest.raises(InvalidSymbolError) as info:
+        sym.validate()
+    assert str(info.value) == ("vertices read from (infinity, 0) are not "
+                               "increasing at 2/3, 1/2")
+    with pytest.raises(FareyError) as info:
+        arc_matrix(Cusp(-7, 3), Cusp(-7, 3))
+    assert str(info.value) == "degenerate arc (-7/3, -7/3)"
 
 
 def pattern_symbol(pairing, ell=None):
