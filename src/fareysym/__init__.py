@@ -11,7 +11,7 @@ from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
                     arc_matrix, classify)
 from .symbol import FareySymbol
 from .kulkarni import (MembershipOracle, build_unimodular, gamma0_oracle,
-                       gamma0_symbol, p1_normalize, replay_trace)
+                       gamma0_symbol, replay_trace)
 from .siegel import (NormalizationState, base_cut, base_cut_elliptic,
                      normalize, siegel_step)
 from .invariants import (CosetTable, CuspClass, GeneratorSystem, contains,
@@ -25,7 +25,7 @@ __all__ = [
     "Cusp", "IMat", "INFINITY", "ZERO", "FareyError", "InvalidSymbolError",
     "NotNormalizedError", "arc_matrix", "classify",
     "FareySymbol", "MembershipOracle", "build_unimodular",
-    "gamma0_oracle", "gamma0_symbol", "p1_normalize", "replay_trace",
+    "gamma0_oracle", "gamma0_symbol", "replay_trace",
     "NormalizationState", "base_cut", "base_cut_elliptic", "normalize",
     "siegel_step", "CosetTable", "CuspClass", "GeneratorSystem", "contains",
     "coset_table", "counts",

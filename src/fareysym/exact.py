@@ -60,12 +60,17 @@ def _int_of(text):
 
 
 def _shown(value):
-    """repr(value) for an error message.  repr raises ValueError on an int
-    of more than 4300 digits (sys.get_int_max_str_digits), so such an int is
-    shown by its size, also inside a tuple or list, and any other value
-    whose repr raises so by its type; a str of more than 200 characters is
-    shown by its length."""
-    if isinstance(value, str) and len(value) > 200:
+    """repr(value) for an error message.  An int whose repr passes 200
+    characters is shown by its size in bits, also inside a tuple or list,
+    without writing its digits, and a str of more than 200 characters by its
+    length; any other value whose repr raises ValueError, as repr does past
+    sys.get_int_max_str_digits(), is shown by its type."""
+    if isinstance(value, int):
+        # |value| < 2**660 < 10**199 needs no comparison
+        if value.bit_length() > 660 and not -10 ** 199 < value < 10 ** 200:
+            return "%s<int of %d bits>" % ("-" if value < 0 else "",
+                                           value.bit_length())
+    elif isinstance(value, str) and len(value) > 200:
         return "<str of %d characters>" % len(value)
     if type(value) is tuple or type(value) is list:
         items = [_shown(v) for v in value]
@@ -75,9 +80,6 @@ def _shown(value):
     try:
         return repr(value)
     except ValueError:
-        if isinstance(value, int):
-            return "%s<int of %d bits>" % ("-" if value < 0 else "",
-                                           value.bit_length())
         return "<%s too long to show>" % type(value).__name__
 
 

@@ -22,15 +22,16 @@ p1_normalize's (g, w) before its search for the least unit lift, and costs
 one gcd and one inverse mod N/g.  Scaling by a unit fixes it, and two points
 with the same pair differ by the unit mod N that the CRT lifts from
 (c'/g) / (c/g) mod N/g.  Each point thus has exactly one key, so keys compare
-equal iff their points do.  A mediant split sends the in-points of the halves
+equal iff their points do, and gamma0_oracle(N).coset_key of a matrix is the
+key of its bottom row.  A mediant split sends the in-points of the halves
 (a, b - a, c, d - c) and (a - b, b, c - d, d) to the ratios x - 1 and
 x/(1 - x) of the parent's x = d/c, and their out-points to (1 - x : 1) and
 (x : x - 1), of ratio 1 + y with y = -1/x: fixed Moebius maps.  So the
 builder derives the halves' keys from their parent's in whichever chart each
 lands, with at most one modular inverse per split, of x - 1, 1 - c/d or
 d - c, and none when c and d are units but x - 1 is not, as at every even
-level.  The halves whose rows have neither entry a unit take the pair; the
-builder calls p1_normalize at no level.
+level.  The halves whose rows have neither entry a unit take the pair; no
+code here calls p1_normalize, the tests' reference for these keys.
 
 An arc pairs with itself with order 2 when in = out and with order 3 when
 (-c : c - d) = out.  Two points of P^1(Z/N) are equal iff the determinant of
@@ -50,13 +51,16 @@ from math import gcd
 from . import classical
 from .exact import (IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
                     ORDER2, ORDER3, _coprime_cusp, _int_arg, _int_args,
-                    _shown)
+                    _shown, _sl2_arg)
 from .symbol import FareySymbol, symbol_from_ids
 
 # order-3 rotation attached to the arc (infinity, 0)
 _ODD_AT_INF = IMat(-1, -1, 1, 0)
 # order-3 rotation infinity -> 1 -> 0 -> infinity of the start triangle
 _START_ROTATION = IMat(1, -1, 1, 0)
+# why the arc (infinity, 0), from which a symbol is read, is never split
+_NO_ANCHOR = ("cannot yet build a symbol without that arc, which needs "
+              "another vertical arc (infinity, x0) as its anchor")
 
 
 def p1_normalize(N, u, v):
@@ -129,8 +133,8 @@ class MembershipOracle:
 
 
 class _P1Key:
-    """The coset key of Gamma0(N): the point (c : d) of P^1(Z/N).  The
-    builder recognizes it and derives the keys of split arcs itself."""
+    """The coset key of Gamma0(N): the chart key of (c : d).  The builder
+    recognizes it and derives the keys of split arcs itself."""
 
     __slots__ = ("level",)
 
@@ -138,11 +142,12 @@ class _P1Key:
         self.level = level
 
     def __call__(self, a, b, c, d):
-        return p1_normalize(self.level, c, d)
+        _sl2_arg((a, b, c, d), "a coset key needs an integral det-1 matrix")
+        return _chart_key(self.level, c, d)
 
 
 def _chart_key(N, c, d):
-    """The builder's key of the point (c : d) of P^1(Z/N), N > 1: d/c when c
+    """The chart key of the point (c : d) of P^1(Z/N), N >= 1: d/c when c
     is a unit mod N, N + c/d when only d is, else _nonunit_key's pair."""
     if gcd(c, N) == 1:
         return d * pow(c, -1, N) % N
@@ -210,10 +215,11 @@ class _Walk:
     and (b : d) are its ends.  nxt[k] and prv[k] are its neighbours in the
     cyclic walk, partner[k] its partner (None while unpaired) and ell[k]
     the order of a self-paired arc.  Ids follow creation order; a split
-    arc keeps its id and entries but leaves the walk.
+    arc keeps its id and entries but leaves the walk.  Arc 0, the arc
+    (infinity, 0), is never split, and the walk is read from it.
     """
 
-    __slots__ = ("ent", "nxt", "prv", "partner", "ell", "first")
+    __slots__ = ("ent", "nxt", "prv", "partner", "ell")
 
     def __init__(self):
         # the triangle (infinity, 0, 1): arcs (infinity, 0), (0, 1), (1, infinity)
@@ -222,7 +228,6 @@ class _Walk:
         self.prv = [2, 0, 1]
         self.partner = [None, None, None]
         self.ell = {}
-        self.first = 0
 
     def split(self, k):
         """Replace arc k in the walk by its halves at the mediant of its
@@ -238,8 +243,6 @@ class _Walk:
         self.nxt[p] = left
         self.prv[q] = right
         self.partner += (None, None)
-        if self.first == k:
-            self.first = left
         return left, right
 
     def ends(self, k):
@@ -247,14 +250,14 @@ class _Walk:
         return (str(_coprime_cusp(a, c)), str(_coprime_cusp(b, d)))
 
     def arcs(self):
-        """The ids of the walk's arcs in order, starting at first."""
-        nxt, first = self.nxt, self.first
+        """The ids of the walk's arcs in order, starting at arc 0."""
+        nxt = self.nxt
         out = []
-        k = first
+        k = 0
         for _ in range((len(self.ent) + 3) // 2):  # each split adds one arc
             out.append(k)
             k = nxt[k]
-        if k != first:
+        if k != 0:
             raise FareyError("boundary walk is not closed")
         return out
 
@@ -381,19 +384,17 @@ def build_unimodular(oracle, on_event=None):
         if not waiting:
             break
         victim = waiting.popleft()
-        if victim == 0:  # the arc (infinity, 0), walk.first
+        if victim == 0:  # the arc (infinity, 0)
             raise FareyError("the arc (infinity, 0) pairs with no arc of the "
                              "start triangle, so the builder would split it; "
-                             "it cannot yet build a symbol without that arc, "
-                             "which needs another vertical arc (infinity, x0) "
-                             "as its anchor")
+                             "it " + _NO_ANCHOR)
         inserts += 1
         if inserts > cap:
             raise FareyError("mediant insertion cap %d exceeded; the oracle "
                              "group looks like it has infinite index" % cap)
         if on_event is not None:
             on_event(("mediant",) + walk.ends(victim))
-        # the splice of _Walk.split, inline; walk.first stays 0
+        # the splice of _Walk.split, inline
         a, b, c, d = ent[victim]
         left = len(ent)
         right = left + 1
@@ -417,7 +418,8 @@ def build_unimodular(oracle, on_event=None):
 
 
 def replay_trace(trace, level=None):
-    """Rebuild the symbol a trace came from, without consulting any oracle."""
+    """Rebuild the symbol a trace came from, without consulting any oracle;
+    a split of the arc (infinity, 0) is refused, as in the builder."""
     if not isinstance(trace, (list, tuple)):
         raise FareyError("a trace is a list of events, got %s"
                          % type(trace).__name__)
@@ -449,6 +451,9 @@ def replay_trace(trace, level=None):
             partner[k] = j
             partner[j] = k
         elif kind == "mediant":
+            if k == 0:
+                raise FareyError("the trace splits the arc (infinity, 0); "
+                                 "the builder " + _NO_ANCHOR)
             del by_ends[walk.ends(k)]
             for child in walk.split(k):
                 by_ends[walk.ends(child)] = child

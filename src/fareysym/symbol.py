@@ -84,10 +84,12 @@ def gluing_entries(r, s, t, u, order=None):
         if _flipped(r1, r2) != _flipped(t1, t2):
             a, b, c, d = -a, -b, -c, -d
     if w != 1:
-        if a % w or b % w or c % w or d % w:
+        (qa, ra), (qb, rb), (qc, rc), (qd, rd) = (divmod(a, w), divmod(b, w),
+                                                  divmod(c, w), divmod(d, w))
+        if ra or rb or rc or rd:
             raise InvalidSymbolError("gluing numerator %s is not divisible by %s"
                                      % (_shown((a, b, c, d)), _shown(w)))
-        a, b, c, d = a // w, b // w, c // w, d // w
+        a, b, c, d = qa, qb, qc, qd
     return IMat(a, b, c, d)
 
 
@@ -245,18 +247,6 @@ class FareySymbol:
             seen.add(self.pairing[i])
             out[self.arc_class(i)] += 1
         return out
-
-    def is_linked(self, i, j):
-        """True iff the pairs of i and j interleave around the cycle."""
-        n, pairing = self.n, self.pairing
-        si, sj = pairing[_int_arg(i, 0, n, _ARC)], pairing[_int_arg(j, 0, n, _ARC)]
-        if i == si or j == sj:
-            raise FareyError("linkedness is defined for non-fixed arcs")
-        if i == j:
-            raise FareyError("linkedness needs two distinct arcs")
-        lo, hi = i, si
-        inside = lambda k: 0 < (k - lo) % n < (hi - lo) % n
-        return inside(j) != inside(sj)
 
     def normalization_defect(self):
         """Index of an arc violating normalization, or None if normalized.

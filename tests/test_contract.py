@@ -21,9 +21,10 @@ from fareysym import (Cusp, CosetTable, FareyError, FareySymbol,
                       GroupRingElement, IMat, INFINITY, MembershipOracle, NormalizationState,
                       RenderSpec, ZERO, base_cut, base_cut_elliptic,
                       classify, contains, express_word, gamma0_oracle,
-                      gamma0_symbol, p1_normalize, replay_trace,
-                      resolution_maps, word_product)
+                      gamma0_symbol, replay_trace, resolution_maps,
+                      word_product)
 from fareysym import classical
+from fareysym.kulkarni import p1_normalize
 from fareysym.render import MAX_SIDE
 
 # three arcs: 0 and 2 are paired, 1 is fixed of order 2
@@ -68,6 +69,8 @@ ROWS = [
     ("MembershipOracle(index_bound)", ints(1, none=True), 3,
      lambda v: MembershipOracle(lambda m: True, index_bound=v)),
     ("gamma0_oracle(N)", ints(1), 2, gamma0_oracle),
+    ("gamma0_oracle(N).coset_key(entry)", ints(), 0,
+     lambda v: gamma0_oracle(6).coset_key(1, v, 0, 1)),
     ("gamma0_symbol(N)", ints(1), 2, gamma0_symbol),
     ("replay_trace(level)", ints(1, none=True), 2,
      lambda v: replay_trace(TRACE, level=v)),
@@ -89,8 +92,6 @@ ROWS = [
     ("FareySymbol.arc_class(i)", ARC, 0, SYM.arc_class),
     ("FareySymbol.distance(i)", ARC, 0, lambda v: SYM.distance(v, 1)),
     ("FareySymbol.distance(j)", ARC, 0, lambda v: SYM.distance(1, v)),
-    ("FareySymbol.is_linked(i)", ARC, 0, lambda v: SYM.is_linked(v, 2)),
-    ("FareySymbol.is_linked(j)", ARC, 2, lambda v: SYM.is_linked(0, v)),
     ("FareySymbol.rotated(k)", ints(), 1, SYM.rotated),
     ("Cusp(num)", gcd_ints, 1, lambda v: Cusp(v, 2)),
     ("Cusp(den)", gcd_ints, 2, lambda v: Cusp(1, v)),

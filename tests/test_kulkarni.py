@@ -201,8 +201,8 @@ class TestGamma0Oracle:
     def test_level_must_be_a_positive_int(self, level, monkeypatch):
         # refused before anything is built: no P^1 key is ever computed
         calls = []
-        monkeypatch.setattr(kulkarni, "p1_normalize",
-                            lambda *args: calls.append(args))
+        for name in ("p1_normalize", "_chart_key"):
+            monkeypatch.setattr(kulkarni, name, lambda *args: calls.append(args))
         with pytest.raises(InvalidSymbolError, match="positive integer"):
             gamma0_oracle(level)
         with pytest.raises(InvalidSymbolError, match="positive integer"):
@@ -224,6 +224,14 @@ class TestGamma0Oracle:
         m = IMat(1, 1, 6, 7)
         assert o(m) == o(-m)
         assert o.coset_key(*m.entries()) == o.coset_key(*(-m).entries())
+
+    def test_coset_key_refuses_a_matrix_outside_sl2z(self):
+        # the chart key of a pair that is no point of P^1(Z/N) means nothing
+        key = gamma0_oracle(4).coset_key
+        assert key(1, 0, 0, 1) == 4
+        for m in [(1, 0, 2, 2), (1, 0, 0, -1), (1.0, 0, 0, 1), (1, 0, 0, "1")]:
+            with pytest.raises(FareyError, match="integral det-1 matrix"):
+                key(*m)
 
     def test_rejecting_identity_is_an_error(self):
         with pytest.raises(FareyError):
@@ -550,6 +558,17 @@ class TestBuild:
                            ([()], "no boundary arc")):
             with pytest.raises(FareyError, match=match):
                 replay_trace(bad)
+
+    def test_a_trace_that_splits_infinity_zero_is_refused(self):
+        # the builder refuses to split the arc (infinity, 0); this replay
+        # returned the polygon 1/0 -1/1 0/1 1/1, which validate refuses
+        trace = [("mediant", "1/0", "0/1"),
+                 ("pair", "1/1", "1/0", "1/0", "-1/1"),
+                 ("pair", "0/1", "1/1", "-1/1", "0/1")]
+        with pytest.raises(FareyError, match=r"^the trace splits the arc "
+                           r"\(infinity, 0\); the builder cannot yet build a "
+                           "symbol without that arc"):
+            replay_trace(trace)
 
     def test_mutated_traces_replay_or_raise(self):
         # dropping or emptying an event leaves an arc unpaired or names a

@@ -90,6 +90,22 @@ def test_no_unreferenced_private_names_in_src():
     assert sorted(set(defined) - used) == []
 
 
+def test_reference_oracles_stay_out_of_src():
+    # coset_key and the builder share the chart keys, so nothing in src/
+    # names p1_normalize, which the tests keep as the keys' reference, and
+    # FareySymbol has no is_linked, the tests' reference for
+    # normalization_defect
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id == "p1_normalize"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "p1_normalize"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
+    assert not hasattr(fareysym.FareySymbol, "is_linked")
+
+
 def test_int_checks_only_in_exact():
     # exact._int_arg is the one check of an int argument; a type(x) is not
     # int elsewhere is a second copy of that rule

@@ -46,6 +46,22 @@ def test_an_unpaired_boundary_arc_is_named_by_its_ends():
                                "no partner on the boundary")
 
 
+@pytest.mark.parametrize("vertices,pairing,ell,level,names", [
+    # a width of 4001 digits, below CPython's digit limit; the message was
+    # 4,090 characters
+    ([INFINITY, ZERO, Cusp(1, 2), Cusp(10**4000)], [1, 0, 3, 2], None, None,
+     "paired arcs (1/2, <cusp of 13288 bits>) and (<cusp of 13288 bits>, "
+     "1/0) have widths <int of 13289 bits> != 1"),
+    # a level of 4001 digits; the message was 4,046 characters
+    ([INFINITY, ZERO], [0, 1], {0: 2, 1: 3}, 10**4000,
+     "the symbol's group is not Gamma0(<int of 13288 bits>), its level"),
+], ids=["width", "level"])
+def test_a_long_int_is_named_by_its_size(vertices, pairing, ell, level, names):
+    with pytest.raises(InvalidSymbolError) as info:
+        FareySymbol(vertices, pairing, ell, level).validate()
+    assert str(info.value) == names and len(names) < 300
+
+
 def test_messages_on_ordinary_cusps_keep_their_bytes():
     sym = FareySymbol([INFINITY, ZERO, Cusp(1, 2), Cusp(3)], [1, 0, 3, 2])
     with pytest.raises(InvalidSymbolError) as info:
@@ -68,11 +84,24 @@ def pattern_symbol(pairing, ell=None):
     return FareySymbol([Cusp(i, 1) for i in range(len(pairing))], pairing, ell)
 
 
+def is_linked(s, i, j):
+    """True iff the pairs of the arcs i and j of s interleave around the
+    cycle: the reference for normalization_defect."""
+    n, pairing = s.n, s.pairing
+    si, sj = pairing[i], pairing[j]
+    if i == si or j == sj:
+        raise FareyError("linkedness is defined for non-fixed arcs")
+    if i == j:
+        raise FareyError("linkedness needs two distinct arcs")
+    inside = lambda k: 0 < (k - i) % n < (si - i) % n
+    return inside(j) != inside(sj)
+
+
 def reference_defect(s):
     """normalization_defect by its definition: O(n^2) linkedness scans."""
     def linked_to_any(i):
         return s.pairing[i] != i and any(
-            s.is_linked(i, j) for j in range(s.n)
+            is_linked(s, i, j) for j in range(s.n)
             if j not in (i, s.pairing[i]) and s.pairing[j] != j)
 
     for i in range(s.n):
@@ -296,16 +325,16 @@ class TestDistanceAndClasses:
 class TestLinkedAndNormalized:
     def test_defining_patterns(self):
         quad = pattern_symbol([2, 3, 0, 1])
-        assert quad.is_linked(0, 1)
+        assert is_linked(quad, 0, 1)
         split = pattern_symbol([1, 0, 3, 2])
-        assert not split.is_linked(0, 2)
+        assert not is_linked(split, 0, 2)
 
     def test_linked_fixture_gamma0_15(self, symbol_for):
         s = symbol_for(15)
         arcs = {s.arc(i): i for i in range(s.n)}
         a2 = arcs[(ZERO, Cusp(1, 5))]
         a3 = arcs[(Cusp(1, 5), Cusp(1, 4))]
-        assert s.is_linked(a2, a3)
+        assert is_linked(s, a2, a3)
         # and the distance of a2 to its partner is 4 > 2
         assert s.distance(a2, s.pairing[a2]) == 4
         assert not s.is_normalized()
@@ -313,7 +342,7 @@ class TestLinkedAndNormalized:
     def test_fixed_arc_rejected(self):
         s = pattern_symbol([1, 0, 2], ell={2: 2})
         with pytest.raises(FareyError):
-            s.is_linked(0, 2)
+            is_linked(s, 0, 2)
 
     def test_normalized_patterns(self):
         good = pattern_symbol([2, 3, 0, 1, 5, 4, 6], ell={6: 3})
@@ -346,9 +375,9 @@ class TestLinkedAndNormalized:
         s = normalized_for(22)
         for kind, idx in s.factorize():
             if kind == "quad":
-                assert s.is_linked(idx[0], idx[1])
+                assert is_linked(s, idx[0], idx[1])
             elif kind == "pair":
-                assert not any(s.is_linked(idx[0], j) for j in range(s.n)
+                assert not any(is_linked(s, idx[0], j) for j in range(s.n)
                                if j not in idx and s.pairing[j] != j)
 
     def test_defect_matches_reference_on_random_involutions(self):
