@@ -204,10 +204,13 @@ def _cmd_scan(args):
              InvalidSymbolError)
     _int_arg(args.start, 1, None, "--from must be a positive integer",
              InvalidSymbolError)
+    # no level past sys.maxsize can be built, nor a range that long counted
+    _int_arg(args.stop, None, sys.maxsize + 1, "--to must be at most %d"
+             % sys.maxsize, InvalidSymbolError)
     if args.start > args.stop:
         raise InvalidSymbolError("--from %d must not exceed --to %d"
                                  % (args.start, args.stop))
-    levels = list(range(args.start, args.stop + 1))
+    levels = range(args.start, args.stop + 1)
     jobs = min(args.jobs, len(levels))
     if jobs > 1:
         from multiprocessing import Pool

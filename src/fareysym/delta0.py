@@ -11,20 +11,19 @@ free presentation whose higher syzygies alternate between multiplication by
 from .exact import IDENTITY, FareyError, _int_arg, _int_args
 
 
-def _element(terms):
-    """The GroupRingElement of a dict of int terms, unchecked: the group
-    ring operations build their results through it.  Matrices are
-    sign-normalized and merged, and zero coefficients dropped."""
+def _element(pairs):
+    """The GroupRingElement of (matrix, int coefficient) pairs, unchecked:
+    every element is built here, the one place where matrices are
+    sign-normalized and terms merged.  Zero coefficients are dropped."""
     merged = {}
-    for m, c in terms.items():
-        if c == 0:
-            continue
-        m = m.psl_normalize()
-        c = merged.get(m, 0) + c
+    for m, c in pairs:
         if c:
-            merged[m] = c
-        else:
-            del merged[m]
+            m = m.psl_normalize()
+            c += merged.get(m, 0)
+            if c:
+                merged[m] = c
+            else:
+                del merged[m]
     out = object.__new__(GroupRingElement)
     out.terms = merged
     return out
@@ -35,8 +34,8 @@ class GroupRingElement:
 
     Terms are keyed by sign-normalized matrices; zero coefficients are
     dropped, so an element is zero iff it has no terms.  The constructor,
-    of and a scalar product check their ints; the group ring operations
-    build their results through _element, which trusts them.
+    of and a scalar product check their ints; every element is built by
+    _element, which trusts them.
     """
 
     __slots__ = ("terms",)
@@ -44,46 +43,39 @@ class GroupRingElement:
     def __init__(self, terms=None):
         terms = terms or {}
         _int_args(terms.values(), "group ring coefficients must be ints")
-        self.terms = _element(terms).terms
+        self.terms = _element(terms.items()).terms
 
     @staticmethod
     def zero():
-        return _element({})
+        return _element(())
 
     @staticmethod
     def of(mat, coeff=1):
         _int_arg(coeff, None, None, "group ring coefficients must be ints")
-        return _element({mat: coeff})
+        return _element([(mat, coeff)])
 
     @staticmethod
     def one():
-        return _element({IDENTITY: 1})
+        return _element([(IDENTITY, 1)])
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return _element(out)
+        return _element([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _element({m: -c for m, c in self.terms.items()})
+        return _element([(m, -c) for m, c in self.terms.items()])
 
     def __mul__(self, other):
         if not isinstance(other, GroupRingElement):
             _int_arg(other, None, None, "scalar multipliers must be ints")
-            return _element({m: c * other for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1 * m2).psl_normalize()
-                out[m] = out.get(m, 0) + c1 * c2
-        return _element(out)
+            return _element([(m, c * other) for m, c in self.terms.items()])
+        return _element([(m1 * m2, c1 * c2) for m1, c1 in self.terms.items()
+                         for m2, c2 in other.terms.items()])
 
     def __rmul__(self, other):
         return self * other  # an int scalar commutes with every element
@@ -167,7 +159,7 @@ class Delta0Presentation:
             g = sym.gluing(i)
             if muv == 2:
                 sq = g * g
-                if not sq.psl_normalize().is_identity_psl():
+                if not sq.is_identity_psl():
                     raise FareyError(
                         "order-2 gluing of arc %d fails gamma^2 = +-1" % i)
             else:

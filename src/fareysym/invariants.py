@@ -376,7 +376,7 @@ def express_word(sym, g):
     normalized symbol the next interval is most often the partner's or a
     neighbour's.
     The same invariant makes the answer the one bisection gives.  The
-    matrix is kept as four integers, sign-fixed after each step as
+    matrix is kept as four integers, sign-fixed at the top of each step as
     IMat.psl_normalize does.  A member whose reduction runs past the step
     cap raises FareyError; the answer is never None for a member.
 
@@ -397,12 +397,12 @@ def express_word(sym, g):
 
     word = []
     a, b, c, d = g
-    if a < 0 or (not a and b < 0):
-        a, b, c, d = -a, -b, -c, -d
     steps = 0
     cap = ((abs(a) + abs(b) + abs(c) + abs(d)).bit_length() + 8) * (n + 8) * 4
     start = (n - 1) // 2
     while True:
+        if a < 0 or (not a and b < 0):
+            a, b, c, d = -a, -b, -c, -d
         steps += 1
         if steps > cap:
             raise FareyError("word reduction exceeded its step cap")
@@ -427,8 +427,6 @@ def express_word(sym, g):
         ia, ib, ic, id_ = inverses[side]
         a, b, c, d = (ia * a + ib * c, ia * b + ib * d,
                       ic * a + id_ * c, ic * b + id_ * d)
-        if a < 0 or (not a and b < 0):
-            a, b, c, d = -a, -b, -c, -d
 
 
 def contains(sym, g):

@@ -41,7 +41,9 @@ N | c^2 - cd + d^2 on the arc's bottom row, and no key is needed for them.
 The builder runs one breadth-first loop and pairs each new arc in one of two
 ways: for Gamma0(N) the loop claims its keys, tests the congruences and looks
 it up in the pool of unpaired arcs; any other oracle's arcs go to resolve,
-which scans the walk with membership tests.
+which scans the walk with membership tests.  Either way the walk's pair or
+fix writes the pairing and reports it as a trace event, and replay_trace
+applies the same two methods to the events it reads.
 """
 
 import sys
@@ -216,18 +218,35 @@ class _Walk:
     cyclic walk, partner[k] its partner (None while unpaired) and ell[k]
     the order of a self-paired arc.  Ids follow creation order; a split
     arc keeps its id and entries but leaves the walk.  Arc 0, the arc
-    (infinity, 0), is never split, and the walk is read from it.
+    (infinity, 0), is never split, and the walk is read from it.  Only
+    pair and fix write partner and ell; each passes its pairing, as a
+    trace event, to on_event when one is given.
     """
 
-    __slots__ = ("ent", "nxt", "prv", "partner", "ell")
+    __slots__ = ("ent", "nxt", "prv", "partner", "ell", "on_event")
 
-    def __init__(self):
+    def __init__(self, on_event=None):
         # the triangle (infinity, 0, 1): arcs (infinity, 0), (0, 1), (1, infinity)
         self.ent = [(1, 0, 0, 1), (0, -1, 1, -1), (1, -1, 1, 0)]
         self.nxt = [1, 2, 0]
         self.prv = [2, 0, 1]
         self.partner = [None, None, None]
         self.ell = {}
+        self.on_event = on_event
+
+    def pair(self, k, j):
+        """Pair arcs k and j with each other."""
+        self.partner[k] = j
+        self.partner[j] = k
+        if self.on_event is not None:
+            self.on_event(("pair",) + self.ends(k) + self.ends(j))
+
+    def fix(self, k, mu):
+        """Pair arc k with itself, with order mu, 2 or 3."""
+        self.partner[k] = k
+        self.ell[k] = mu
+        if self.on_event is not None:
+            self.on_event(("even" if mu == 2 else "odd",) + self.ends(k))
 
     def split(self, k):
         """Replace arc k in the walk by its halves at the mediant of its
@@ -297,9 +316,8 @@ def build_unimodular(oracle, on_event=None):
                          "cannot yet build such a group, which needs a start "
                          "other than the triangle (infinity, 0, 1)")
 
-    walk = _Walk()
-    ent, nxt, prv = walk.ent, walk.nxt, walk.prv
-    partner, ell = walk.partner, walk.ell
+    walk = _Walk(on_event)
+    ent, nxt, prv, partner = walk.ent, walk.nxt, walk.prv, walk.partner
     key = oracle.coset_key
     N = key.level if type(key) is _P1Key else None
     if N is not None:
@@ -325,23 +343,15 @@ def build_unimodular(oracle, on_event=None):
         """Self-pair or cross-pair arc k by membership tests, if one fires."""
         m, neg = mats(k)
         if pred(m * neg.adjugate()):
-            mu = 2
+            walk.fix(k, 2)
         elif pred(neg * ORDER3 * neg.adjugate()):
-            mu = 3
+            walk.fix(k, 3)
         else:
             for j in walk.arcs():
                 if (j != k and partner[j] is None
                         and pred(m * mats(j)[1].adjugate())):
-                    partner[k] = j
-                    partner[j] = k
-                    if on_event is not None:
-                        on_event(("pair",) + walk.ends(k) + walk.ends(j))
+                    walk.pair(k, j)
                     return
-            return
-        partner[k] = k
-        ell[k] = mu
-        if on_event is not None:
-            on_event(("even" if mu == 2 else "odd",) + walk.ends(k))
 
     fresh = (0, 1, 2)  # the arcs to pair: the triangle's, then each split's
     waiting = deque()
@@ -360,24 +370,16 @@ def build_unimodular(oracle, on_event=None):
                 # (c : d) = (d : -c), resp. (-c : c - d) = (d : -c), in P^1(Z/N)
                 s = c * c + d * d
                 if s % N == 0:
-                    mu = 2
+                    walk.fix(k, 2)
                 elif (s - c * d) % N == 0:
-                    mu = 3
                     claim(k_out)
+                    walk.fix(k, 3)
                 else:
                     j = pool.pop(k_in, None)
                     if j is None:
                         pool[k_out] = k
                     else:
-                        partner[k] = j
-                        partner[j] = k
-                        if on_event is not None:
-                            on_event(("pair",) + walk.ends(k) + walk.ends(j))
-                    continue
-                partner[k] = k
-                ell[k] = mu
-                if on_event is not None:
-                    on_event(("even" if mu == 2 else "odd",) + walk.ends(k))
+                        walk.pair(k, j)
         waiting += fresh
         while waiting and partner[waiting[0]] is not None:
             waiting.popleft()
@@ -428,7 +430,6 @@ def replay_trace(trace, level=None):
             raise FareyError("a full-group trace has no further events")
         return _full_group_symbol(level)
     walk = _Walk()
-    partner = walk.partner
     by_ends = {walk.ends(k): k for k in range(3)}
 
     def boundary(ends):
@@ -444,12 +445,9 @@ def replay_trace(trace, level=None):
         kind = event[0] if event else None
         k = boundary(event[1:3])
         if kind in ("even", "odd"):
-            partner[k] = k
-            walk.ell[k] = 2 if kind == "even" else 3
+            walk.fix(k, 2 if kind == "even" else 3)
         elif kind == "pair":
-            j = boundary(event[3:5])
-            partner[k] = j
-            partner[j] = k
+            walk.pair(k, boundary(event[3:5]))
         elif kind == "mediant":
             if k == 0:
                 raise FareyError("the trace splits the arc (infinity, 0); "
@@ -465,9 +463,12 @@ def replay_trace(trace, level=None):
 def gamma0_symbol(N, on_event=None):
     """Convenience wrapper: unimodular symbol for Gamma0(N).  Refuses a
     level whose index exceeds sys.maxsize: no memory holds its polygon,
-    of about index / 3 arcs."""
-    oracle = gamma0_oracle(N)
-    if oracle.index_bound > sys.maxsize:
-        raise FareyError("%s has index above %d, too large to build"
-                         % (oracle.name, sys.maxsize))
+    of about index / 3 arcs.  The index exceeds N, so a level past
+    sys.maxsize is refused before it is factored."""
+    _int_arg(N, 1, None, "level must be a positive integer",
+             InvalidSymbolError)
+    oracle = gamma0_oracle(N) if N <= sys.maxsize else None
+    if oracle is None or oracle.index_bound > sys.maxsize:
+        raise InvalidSymbolError("Gamma0(%s) has index above %d, too large "
+                                 "to build" % (_shown(N), sys.maxsize))
     return build_unimodular(oracle, on_event)

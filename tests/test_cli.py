@@ -349,6 +349,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "--from 5 must not exceed --to 4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--level", "1" + "0" * 30],
+        ["build", "--level", "18446744073709551557"],  # a prime past 2^63
+        ["member", "--level", "1" + "0" * 30, "--matrix", "1,0,0,1"],
+    ])
+    def test_level_too_large_to_build_is_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: Gamma0(%s) has index above %d, too large to "
+                       "build\n" % (argv[2], sys.maxsize))
+
+    def test_scan_past_maxsize_is_2(self, capsys):
+        code, out, err = run(capsys, "scan", "--from", "1",
+                             "--to", "1" + "0" * 30)
+        assert (code, out) == (2, "")
+        assert err == ("error: --to must be at most %d, got 1%s\n"
+                       % (sys.maxsize, "0" * 30))
+
     def test_scan_with_worker_processes(self):
         """One real multiprocessing.Pool run, through the module's entry
         point in a fresh interpreter."""

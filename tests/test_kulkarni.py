@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -218,6 +219,23 @@ class TestGamma0Oracle:
         with pytest.raises(FareyError, match=r"Gamma0\(<int of 16610 bits>\) "
                                              "has index above"):
             gamma0_symbol(10**5000)
+
+    def test_level_past_maxsize_is_refused_before_it_is_factored(
+            self, monkeypatch):
+        # trial division of a prime past 2^63 takes billions of steps; a
+        # level at most sys.maxsize whose index passes it is factored once
+        calls = []
+        factorize = classical.factorize
+        monkeypatch.setattr(classical, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
+        with pytest.raises(InvalidSymbolError, match=(
+                r"^Gamma0\(18446744073709551557\) has index above %d, too "
+                r"large to build$" % sys.maxsize)):
+            gamma0_symbol(2**64 - 59)
+        assert calls == []
+        with pytest.raises(InvalidSymbolError, match="too large to build"):
+            gamma0_symbol(3 * 2**61)
+        assert calls == [3 * 2**61]
 
     def test_sign_invariance(self):
         o = gamma0_oracle(6)
@@ -730,8 +748,9 @@ def test_permutation_groups_build_or_are_refused(pair):
     S, U = pair
     want, widths = permutation_invariants(S, U)
     oracle = MembershipOracle(CosetTable(S, U, 0).contains, index_bound=len(S))
+    trace = []
     try:
-        sym = build_unimodular(oracle)
+        sym = build_unimodular(oracle, on_event=trace.append)
     except FareyError as e:
         assert ("rotation infinity -> 1 -> 0" in str(e)
                 or "pairs with no arc of the start triangle" in str(e))
@@ -739,3 +758,5 @@ def test_permutation_groups_build_or_are_refused(pair):
     sym.validate(oracle)
     assert counts(sym) == want
     assert sorted(o.width for o in cusp_orbits(sym)) == widths
+    # the membership-scan path records a trace that rebuilds the symbol
+    assert replay_trace(trace) == sym

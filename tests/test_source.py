@@ -106,6 +106,44 @@ def test_reference_oracles_stay_out_of_src():
     assert not hasattr(fareysym.FareySymbol, "is_linked")
 
 
+def test_records_have_one_writer():
+    # kulkarni: _Walk.pair and _Walk.fix write every pairing and build its
+    # trace event, for both pairing paths of the builder and for the
+    # replay, which only compares event kinds; delta0: _element alone
+    # sign-normalizes and merges the terms of a group ring element
+    def nodes_of(tree, kind, name):
+        return {id(node) for top in ast.walk(tree)
+                if isinstance(top, kind) and top.name == name
+                for node in ast.walk(top)}
+
+    tree = ast.parse((SRC / "kulkarni.py").read_text())
+    walk = nodes_of(tree, ast.ClassDef, "_Walk")
+    compared = {id(node) for top in ast.walk(tree)
+                if isinstance(top, ast.Compare) for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in walk:
+            continue
+        if (isinstance(node, ast.Subscript)
+                and not isinstance(node.ctx, ast.Load)):
+            name = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if name in ("partner", "ell"):
+                found.append("kulkarni.py:%d writes %s" % (node.lineno, name))
+        elif (isinstance(node, ast.Constant)
+                and node.value in ("pair", "even", "odd")
+                and id(node) not in compared):
+            found.append("kulkarni.py:%d builds %r" % (node.lineno, node.value))
+    tree = ast.parse((SRC / "delta0.py").read_text())
+    element = nodes_of(tree, ast.FunctionDef, "_element")
+    normalizing = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "psl_normalize"]
+    assert any(id(node) in element for node in normalizing)
+    found += ["delta0.py:%d normalizes" % node.lineno
+              for node in normalizing if id(node) not in element]
+    assert not found, found
+
+
 def test_int_checks_only_in_exact():
     # exact._int_arg is the one check of an int argument; a type(x) is not
     # int elsewhere is a second copy of that rule
