@@ -18,7 +18,7 @@ from . import classical
 from .exact import (FareyError, IMat, InvalidSymbolError, NotNormalizedError,
                     _int_arg, _int_of, _int_str)
 from .invariants import counts, cusp_orbits, express_word, generators
-from .kulkarni import gamma0_oracle, gamma0_symbol
+from .kulkarni import MAX_INDEX, gamma0_oracle, gamma0_symbol
 from .render import STYLES, RenderSpec, render_chords, render_polygon
 from .siegel import normalize
 from .symbol import FareySymbol
@@ -130,14 +130,14 @@ def _cmd_info(args):
         "nu2": nu2,
         "nu3": nu3,
         "index": index,
+        # tuples and IMats go to _indented as they are: it writes them as lists
         "cusps": [{"representative": str(o.representative),
                    "width": o.width,
-                   "stabilizer_word": [list(t) for t in o.stabilizer_word]}
+                   "stabilizer_word": o.stabilizer_word}
                   for o in cusp_orbits(sym)],
-        "generators": [{"matrix": list(m), "class": tag, "arc": i}
+        "generators": [{"matrix": m, "class": tag, "arc": i}
                        for m, tag, i in gens.entries],
-        "symplectic_pairs": [[list(a), list(b)]
-                             for a, b in gens.symplectic_pairs],
+        "symplectic_pairs": gens.symplectic_pairs,
     }
     if sym.level is not None:
         doc["level"] = sym.level
@@ -204,21 +204,20 @@ def _cmd_scan(args):
              InvalidSymbolError)
     _int_arg(args.start, 1, None, "--from must be a positive integer",
              InvalidSymbolError)
-    # no level past sys.maxsize can be built, nor a range that long counted
-    _int_arg(args.stop, None, sys.maxsize + 1, "--to must be at most %d"
-             % sys.maxsize, InvalidSymbolError)
+    # no level past MAX_INDEX can be built: its index exceeds the level
+    _int_arg(args.stop, None, MAX_INDEX + 1, "--to must be at most %d"
+             % MAX_INDEX, InvalidSymbolError)
     if args.start > args.stop:
         raise InvalidSymbolError("--from %d must not exceed --to %d"
                                  % (args.start, args.stop))
     levels = range(args.start, args.stop + 1)
     jobs = min(args.jobs, len(levels))
-    if jobs > 1:
+    if jobs > 1:  # imap streams the levels; map would hold one slot each
         from multiprocessing import Pool
         with Pool(jobs) as pool:
-            results = pool.map(check_level, levels)
+            bad = [msg for msgs in pool.imap(check_level, levels) for msg in msgs]
     else:
-        results = [check_level(N) for N in levels]
-    bad = [msg for msgs in results for msg in msgs]
+        bad = [msg for N in levels for msg in check_level(N)]
     for msg in bad:
         sys.stderr.write(msg + "\n")
     print("scanned %d levels, %d failure(s)" % (len(levels), len(bad)))

@@ -203,17 +203,15 @@ def delta0_presentation(sym):
     elliptic = sorted(sym.ell)
     lam = {}
     mu = {}
-    for i in nonell:
-        lam[i] = GroupRingElement.one() - GroupRingElement.of(sym.gluing(i).inverse())
+    for i in nonell:  # a gluing has det 1: its inverse is its adjugate
+        lam[i] = _element([(IDENTITY, 1), (sym.gluing(i).adjugate(), -1)])
     for i in elliptic:
         lam[i] = GroupRingElement.one()
         g = sym.gluing(i)
-        acc = GroupRingElement.one()
-        p = IDENTITY
+        powers = [IDENTITY]
         for _ in range(sym.ell[i] - 1):
-            p = p * g
-            acc = acc + GroupRingElement.of(p)
-        mu[i] = acc
+            powers.append(powers[-1] * g)
+        mu[i] = _element([(p, 1) for p in powers])
     return Delta0Presentation(sym, nonell + elliptic, elliptic, lam, mu)
 
 

@@ -161,7 +161,19 @@ class Cusp(namedtuple("Cusp", "num den")):
 
     @staticmethod
     def parse(text):
-        """Parse the str "p/q" (or a bare integer "p") into a Cusp."""
+        """Parse the str "p/q" (or a bare integer "p") into a Cusp.  When
+        int() reads p and q as a coprime pair with q > 0, as it reads every
+        str(Cusp) but infinity's "1/0", that pair is the Cusp, made without
+        the constructor; any other text gives the Cusp, or the error, of
+        Cusp(_int_of(p), _int_of(q))."""
+        try:
+            p, _, q = text.partition("/")
+            num, den = int(p), int(q)
+        except (AttributeError, TypeError, ValueError):
+            pass
+        else:
+            if den > 0 and gcd(num, den) == 1:
+                return _new(Cusp, (num, den))
         try:
             p, q = text.split("/") if "/" in text else (text, 1)
             return Cusp(_int_of(p), _int_of(q))

@@ -56,6 +56,7 @@ def cusp_orbits(sym):
     if "orbits" in memo:
         return memo["orbits"]
     n = sym.n
+    glue = sym.gluings()
     seen = [False] * n
     orbits = []
     for start in range(n):
@@ -68,10 +69,14 @@ def cusp_orbits(sym):
             cycle.append(i)
             i = (sym.pairing[i] + 1) % n
         word = [(j, -1) for j in reversed(cycle)]
-        delta = IDENTITY
+        # the product of the inverse gluings, as four ints: a gluing has
+        # det 1, so its inverse is its adjugate (d, -b, -c, a)
+        a, b, c, d = IDENTITY
         for j in cycle:
-            delta = sym.gluing(j).inverse() * delta
-        width = _width_at(delta, sym.vertices[start])
+            ga, gb, gc, gd = glue[j]
+            a, b, c, d = (gd * a - gb * c, gd * b - gb * d,
+                          ga * c - gc * a, ga * d - gc * b)
+        width = _width_at((a, b, c, d), sym.vertices[start])
         orbits.append(CuspClass(sym.vertices[start], width, word, tuple(cycle)))
     memo["orbits"] = orbits
     return orbits
@@ -121,16 +126,14 @@ class GeneratorSystem:
 
 def generators(sym):
     """GeneratorSystem for the symbol's group."""
-    entries = []
-    for i in range(sym.n):
-        j = sym.pairing[i]
-        if i <= j:
-            entries.append((sym.gluing(i), sym.arc_class(i), i))
+    glue = sym.gluings()
+    entries = [(glue[i], sym.arc_class(i), i)
+               for i, j in enumerate(sym.pairing) if i <= j]
     pairs = []
     if sym.is_normalized():
         for kind, idx in sym.factorize():
             if kind == "quad":
-                pairs.append((sym.gluing(idx[0]), sym.gluing(idx[1])))
+                pairs.append((glue[idx[0]], glue[idx[1]]))
     return GeneratorSystem(entries, pairs)
 
 
@@ -155,9 +158,9 @@ def _word_data(sym):
     """The word problem's per-symbol data, built once: the index k of the
     arc (infinity, 0), the numerators and denominators of the vertices
     after infinity (increasing, see FareySymbol.vertex_order), the inverse
-    gluings, the place of each arc's partner counted from arc k, and the
-    width and stabilizer word of the cusp at infinity, rotated to start at
-    infinity itself."""
+    gluings, the place of each arc's partner counted from arc k (None on a
+    unimodular symbol, whose searches bisect), and the width and stabilizer
+    word of the cusp at infinity, rotated to start at infinity itself."""
     memo = sym._memo
     if "word" in memo:
         return memo["word"]
@@ -166,10 +169,11 @@ def _word_data(sym):
     cycle = orbit.vertex_indices
     pos = cycle.index(k)
     cycle = cycle[pos:] + cycle[:pos]
+    partner = (None if sym.is_unimodular()
+               else [(j - k) % sym.n for j in sym.pairing])
     # int lists: _interval reads nums[t] without a Cusp field lookup
     memo["word"] = (k, [v.num for v in finite], [v.den for v in finite],
-                    [g.adjugate() for g in sym.gluings()],
-                    [(j - k) % sym.n for j in sym.pairing],
+                    [g.adjugate() for g in sym.gluings()], partner,
                     orbit.width, [(i, -1) for i in reversed(cycle)])
     return memo["word"]
 
@@ -179,33 +183,35 @@ def _interval(nums, dens, p, q, start):
     increasing rationals nums[t]/dens[t]: the lo with those before lo below
     x and those from lo on at or above it, as bisect_left finds it.
 
-    The search gallops from the right end of interval start, probing 1, 2,
-    4, ... places further in the direction x lies until x is bracketed, and
-    bisects what is left.  Every probe keeps the invariant (those before lo
-    below x, those from hi on at or above it), so the answer is the one
-    plain bisection gives.
+    With start None the search is plain bisection.  Otherwise it gallops
+    from the right end of interval start, probing 1, 2, 4, ... places
+    further in the direction x lies until x is bracketed, and bisects what
+    is left.  Every probe keeps the invariant (those before lo below x,
+    those from hi on at or above it), so the answer is the one plain
+    bisection gives.
     """
     lo, hi = 0, len(nums)
-    base = start if start < hi else hi - 1
-    off = 1
-    if nums[base] * q < p * dens[base]:
-        lo = base + 1
-        while base + off < hi:
-            i = base + off
-            if nums[i] * q >= p * dens[i]:
-                hi = i
-                break
-            lo = i + 1
-            off *= 2
-    else:
-        hi = base
-        while base - off >= 0:
-            i = base - off
-            if nums[i] * q < p * dens[i]:
+    if start is not None:
+        base = start if start < hi else hi - 1
+        off = 1
+        if nums[base] * q < p * dens[base]:
+            lo = base + 1
+            while base + off < hi:
+                i = base + off
+                if nums[i] * q >= p * dens[i]:
+                    hi = i
+                    break
                 lo = i + 1
-                break
-            hi = i
-            off *= 2
+                off *= 2
+        else:
+            hi = base
+            while base - off >= 0:
+                i = base - off
+                if nums[i] * q < p * dens[i]:
+                    lo = i + 1
+                    break
+                hi = i
+                off *= 2
     while lo < hi:
         i = (lo + hi) // 2
         if nums[i] * q < p * dens[i]:
@@ -370,11 +376,13 @@ def express_word(sym, g):
     corresponding generator, until a matrix fixing infinity is left, a
     power of the stabilizer of infinity.  Read from infinity, the vertices
     of a valid symbol increase, so each step finds its interval by a search
-    that keeps the bisection invariant (see _interval).  The first search
+    that keeps the bisection invariant (see _interval).  On a unimodular
+    symbol that search is plain bisection.  On any other the first search
     starts in the middle, each later one at the partner of the arc just
     stripped, whose gluing carried the point across to that partner: on a
     normalized symbol the next interval is most often the partner's or a
-    neighbour's.
+    neighbour's, while on a unimodular one the gallop would cost more
+    probes than bisection.
     The same invariant makes the answer the one bisection gives.  The
     matrix is kept as four integers, sign-fixed at the top of each step as
     IMat.psl_normalize does.  A member whose reduction runs past the step
@@ -399,7 +407,7 @@ def express_word(sym, g):
     a, b, c, d = g
     steps = 0
     cap = ((abs(a) + abs(b) + abs(c) + abs(d)).bit_length() + 8) * (n + 8) * 4
-    start = (n - 1) // 2
+    start = None if partner is None else (n - 1) // 2
     while True:
         if a < 0 or (not a and b < 0):
             a, b, c, d = -a, -b, -c, -d
@@ -423,7 +431,8 @@ def express_word(sym, g):
         p, q = (a, c) if c > 0 else (-a, -c)
         side = (k + _interval(nums, dens, p, q, start)) % n
         word.append((side, 1))
-        start = partner[side]
+        if partner is not None:
+            start = partner[side]
         ia, ib, ic, id_ = inverses[side]
         a, b, c, d = (ia * a + ib * c, ia * b + ib * d,
                       ic * a + id_ * c, ic * b + id_ * d)

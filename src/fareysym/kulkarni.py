@@ -46,7 +46,6 @@ fix writes the pairing and reports it as a trace event, and replay_trace
 applies the same two methods to the events it reads.
 """
 
-import sys
 from collections import deque
 from math import gcd
 
@@ -60,6 +59,9 @@ from .symbol import FareySymbol, symbol_from_ids
 _ODD_AT_INF = IMat(-1, -1, 1, 0)
 # order-3 rotation infinity -> 1 -> 0 -> infinity of the start triangle
 _START_ROTATION = IMat(1, -1, 1, 0)
+# The largest index gamma0_symbol builds.  The builder holds about 295 bytes
+# per unit of index at its peak, so this bound is about 3 GB.
+MAX_INDEX = 10**7
 # why the arc (infinity, 0), from which a symbol is read, is never split
 _NO_ANCHOR = ("cannot yet build a symbol without that arc, which needs "
               "another vertical arc (infinity, x0) as its anchor")
@@ -462,13 +464,13 @@ def replay_trace(trace, level=None):
 
 def gamma0_symbol(N, on_event=None):
     """Convenience wrapper: unimodular symbol for Gamma0(N).  Refuses a
-    level whose index exceeds sys.maxsize: no memory holds its polygon,
-    of about index / 3 arcs.  The index exceeds N, so a level past
-    sys.maxsize is refused before it is factored."""
+    level whose index exceeds MAX_INDEX, which would take the builder
+    gigabytes.  The index of Gamma0(N) exceeds N for N > 1, so a level past
+    MAX_INDEX is refused before it is factored."""
     _int_arg(N, 1, None, "level must be a positive integer",
              InvalidSymbolError)
-    oracle = gamma0_oracle(N) if N <= sys.maxsize else None
-    if oracle is None or oracle.index_bound > sys.maxsize:
+    oracle = gamma0_oracle(N) if N <= MAX_INDEX else None
+    if oracle is None or oracle.index_bound > MAX_INDEX:
         raise InvalidSymbolError("Gamma0(%s) has index above %d, too large "
-                                 "to build" % (_shown(N), sys.maxsize))
+                                 "to build" % (_shown(N), MAX_INDEX))
     return build_unimodular(oracle, on_event)

@@ -77,10 +77,6 @@ class RenderSpec:
             "%s=%r" % item for item in zip(self.__match_args__, self._values())))
 
 
-def _fmt(x):
-    return "%.2f" % x
-
-
 def _svg(spec, body):
     head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
             'viewBox="0 0 %d %d">' % (spec.width, spec.height,
@@ -105,28 +101,25 @@ def render_chords(sym, spec=None):
     for k in range(n):
         ang = -math.pi / 2 + 2 * math.pi * k / n
         pts.append((cx + rad * math.cos(ang), cy + rad * math.sin(ang)))
-    body = ['<circle cx="%s" cy="%s" r="%s" fill="none" stroke="#999999"/>'
-            % (_fmt(cx), _fmt(cy), _fmt(rad))]
+    body = ['<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" stroke="#999999"/>'
+            % (cx, cy, rad)]
     for i in range(n):
         j = sym.pairing[i]
         if i < j:
-            body.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" '
-                        'class="chord"/>' % (_fmt(pts[i][0]), _fmt(pts[i][1]),
-                                             _fmt(pts[j][0]), _fmt(pts[j][1]),
-                                             STROKE))
+            body.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" '
+                        'class="chord"/>' % (*pts[i], *pts[j], STROKE))
     for k in range(n):
         x, y = pts[k]
         if sym.pairing[k] == k:
             if sym.ell[k] == 3:
-                body.append('<circle cx="%s" cy="%s" r="5.00" fill="%s" '
-                            'class="dot3"/>' % (_fmt(x), _fmt(y), ACCENT))
+                body.append('<circle cx="%.2f" cy="%.2f" r="5.00" fill="%s" '
+                            'class="dot3"/>' % (x, y, ACCENT))
             else:
-                body.append('<circle cx="%s" cy="%s" r="5.00" fill="%s" '
-                            'stroke="%s" class="dot2"/>'
-                            % (_fmt(x), _fmt(y), BACKGROUND, ACCENT))
+                body.append('<circle cx="%.2f" cy="%.2f" r="5.00" fill="%s" '
+                            'stroke="%s" class="dot2"/>' % (x, y, BACKGROUND, ACCENT))
         else:
-            body.append('<circle cx="%s" cy="%s" r="2.50" fill="%s"/>'
-                        % (_fmt(x), _fmt(y), STROKE))
+            body.append('<circle cx="%.2f" cy="%.2f" r="2.50" fill="%s"/>'
+                        % (x, y, STROKE))
     return _svg(spec, body)
 
 
@@ -171,10 +164,6 @@ class _Plane:
                 self.spec.height - y * self.scale)
 
 
-def _cusp_x(c):
-    return None if c.is_infinity else c.num / c.den
-
-
 def _geodesic_path(plane, x1, x2):
     """SVG path of the full geodesic between boundary points (None = inf)."""
     if x1 is None and x2 is None:
@@ -183,14 +172,12 @@ def _geodesic_path(plane, x1, x2):
         x = x2 if x1 is None else x1
         sx, sy = plane.pt(x, 0)
         tx, ty = plane.pt(x, plane.ytop)
-        return 'M %s %s L %s %s' % (_fmt(sx), _fmt(sy), _fmt(tx), _fmt(ty))
+        return 'M %.2f %.2f L %.2f %.2f' % (sx, sy, tx, ty)
     lo, hi = sorted((x1, x2))
-    r = (hi - lo) / 2.0
+    r = (hi - lo) / 2.0 * plane.scale
     sx, sy = plane.pt(lo, 0)
     tx, ty = plane.pt(hi, 0)
-    return 'M %s %s A %s %s 0 0 1 %s %s' % (
-        _fmt(sx), _fmt(sy), _fmt(r * plane.scale), _fmt(r * plane.scale),
-        _fmt(tx), _fmt(ty))
+    return 'M %.2f %.2f A %.2f %.2f 0 0 1 %.2f %.2f' % (sx, sy, r, r, tx, ty)
 
 
 def _geodesic_to_interior(plane, x, pt):
@@ -200,30 +187,31 @@ def _geodesic_to_interior(plane, x, pt):
         base = (px, plane.ytop) if x is None else (x, 0.0)
         sx, sy = plane.pt(*base)
         tx, ty = plane.pt(px, py)
-        return 'M %s %s L %s %s' % (_fmt(sx), _fmt(sy), _fmt(tx), _fmt(ty))
+        return 'M %.2f %.2f L %.2f %.2f' % (sx, sy, tx, ty)
     # center of the circle through (x, 0) and pt, orthogonal to the axis
     c = (px * px + py * py - x * x) / (2.0 * (px - x))
-    r = abs(c - x)
+    r = abs(c - x) * plane.scale
     sx, sy = plane.pt(x, 0)
     tx, ty = plane.pt(px, py)
     sweep = 1 if x < px else 0
-    return 'M %s %s A %s %s 0 0 %d %s %s' % (
-        _fmt(sx), _fmt(sy), _fmt(r * plane.scale), _fmt(r * plane.scale),
-        sweep, _fmt(tx), _fmt(ty))
+    return 'M %.2f %.2f A %.2f %.2f 0 0 %d %.2f %.2f' % (sx, sy, r, r, sweep,
+                                                          tx, ty)
 
 
 def _halfplane_segments(sym):
     """The drawing plan: a list of ("full", x1, x2) and ("half", x, pt)
-    entries in world coordinates; elliptic arcs split at their center."""
+    entries in world coordinates, x None at infinity; elliptic arcs split
+    at their center.  Each vertex is made a float once."""
+    xs = [v.num / v.den if v.den else None for v in sym.vertices]
+    xs.append(xs[0])
     segs = []
-    for i in range(sym.n):
-        r, s = sym.arc(i)
-        if sym.pairing[i] == i:
+    for i, j in enumerate(sym.pairing):
+        if j == i:
             t = elliptic_center(sym, i)
-            segs.append(("half", _cusp_x(r), t))
-            segs.append(("half", _cusp_x(s), t))
+            segs.append(("half", xs[i], t))
+            segs.append(("half", xs[i + 1], t))
         else:
-            segs.append(("full", _cusp_x(r), _cusp_x(s)))
+            segs.append(("full", xs[i], xs[i + 1]))
     return segs
 
 
@@ -238,8 +226,8 @@ def render_polygon(sym, spec=None):
     plane = _Plane(spec)
     body = []
     ax_y = plane.pt(0, 0)[1]
-    body.append('<line x1="0.00" y1="%s" x2="%s" y2="%s" stroke="#bbbbbb"/>'
-                % (_fmt(ax_y), _fmt(float(spec.width)), _fmt(ax_y)))
+    body.append('<line x1="0.00" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#bbbbbb"/>'
+                % (ax_y, spec.width, ax_y))
     for seg in _halfplane_segments(sym):
         if seg[0] == "full":
             path = _geodesic_path(plane, seg[1], seg[2])
@@ -264,17 +252,18 @@ def _disk_path(b, w, cx, cy, rad):
     When w lies on the diameter through b the denominator vanishes, the
     circle degenerates to that diameter and the path is a straight segment.
     """
-    start = "M %s %s" % (_fmt(cx + rad * b.real), _fmt(cy - rad * b.imag))
-    end = "%s %s" % (_fmt(cx + rad * w.real), _fmt(cy - rad * w.imag))
+    sx, sy = cx + rad * b.real, cy - rad * b.imag
+    tx, ty = cx + rad * w.real, cy - rad * w.imag
     den = 2 * ((w - b) * (1j * b).conjugate()).real
     if den == 0:
-        return "%s L %s" % (start, end)
+        return "M %.2f %.2f L %.2f %.2f" % (sx, sy, tx, ty)
     t = abs(w - b) ** 2 / den
     c = b + t * 1j * b
     # screen y points down, so a clockwise turn in the disk is SVG's positive sweep
     sweep = 1 if ((b - c).conjugate() * (w - c)).imag < 0 else 0
-    r = _fmt(abs(t) * rad)
-    return "%s A %s %s 0 0 %d %s" % (start, r, r, sweep, end)
+    r = abs(t) * rad
+    return "M %.2f %.2f A %.2f %.2f 0 0 %d %.2f %.2f" % (sx, sy, r, r, sweep,
+                                                          tx, ty)
 
 
 def _to_disk(x, y=0.0):
@@ -291,8 +280,8 @@ def _to_disk(x, y=0.0):
 def _render_disk(sym, spec):
     cx, cy = spec.width / 2.0, spec.height / 2.0
     rad = 0.45 * min(spec.width, spec.height)
-    body = ['<circle cx="%s" cy="%s" r="%s" fill="none" stroke="#bbbbbb"/>'
-            % (_fmt(cx), _fmt(cy), _fmt(rad))]
+    body = ['<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" stroke="#bbbbbb"/>'
+            % (cx, cy, rad)]
     for seg in _halfplane_segments(sym):
         if seg[0] == "full":
             w, color = _to_disk(seg[2]), STROKE

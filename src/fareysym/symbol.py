@@ -160,7 +160,8 @@ class FareySymbol:
         return abs(cross(*self.arc(i)))
 
     def is_unimodular(self):
-        return all(self.width(i) == 1 for i in range(self.n))
+        v = self.vertices
+        return all(abs(cross(r, s)) == 1 for r, s in zip(v, v[1:] + v[:1]))
 
     def infinity_zero_arc(self):
         """Index of the arc (infinity, 0), or None."""
@@ -216,7 +217,9 @@ class FareySymbol:
         return g
 
     def gluings(self):
-        return [self.gluing(i) for i in range(self.n)]
+        """The gluing matrices of all arcs, in arc order; cached ones are
+        read without a call."""
+        return [g or self.gluing(i) for i, g in enumerate(self._glue)]
 
     # -- combinatorics ---------------------------------------------------
 

@@ -17,7 +17,7 @@ from fareysym.cli import _indented, check_level, cli_dispatch, make_parser
 from fareysym.delta0 import delta0_presentation
 from fareysym.exact import FareyError, IMat, _int_of, _int_str
 from fareysym.invariants import generators, word_product
-from fareysym.kulkarni import gamma0_symbol
+from fareysym.kulkarni import MAX_INDEX, gamma0_symbol
 from fareysym.siegel import base_cut, base_cut_elliptic, normalize
 from fareysym.symbol import FareySymbol
 
@@ -294,8 +294,9 @@ class TestExitCodes:
         ("1", ("1", "3"), None)])
     def test_scan_starts_no_more_workers_than_levels(
             self, capsys, monkeypatch, jobs, levels, size):
-        """The pool is a stand-in that records its size and maps in this
-        process, so no worker is started."""
+        """The pool is a stand-in that records its size and streams in this
+        process, so no worker is started; it has no map, which would hold
+        one result slot per level."""
         sizes = []
 
         class FakePool:
@@ -308,8 +309,8 @@ class TestExitCodes:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, func, items):
-                return [func(x) for x in items]
+            def imap(self, func, items):
+                return map(func, items)
 
         monkeypatch.setattr("multiprocessing.Pool", FakePool)
         code, out, _ = run(capsys, "scan", "--from", levels[0],
@@ -353,6 +354,9 @@ class TestExitCodes:
         ["build", "--level", "1" + "0" * 30],
         ["build", "--level", "18446744073709551557"],  # a prime past 2^63
         ["member", "--level", "1" + "0" * 30, "--matrix", "1,0,0,1"],
+        ["build", "--level", "1000000000000"],
+        ["build", "--level", "9223372036854775783"],  # the prime below 2^63
+        ["normalize", "--level", str(MAX_INDEX + 1)],
     ])
     def test_level_too_large_to_build_is_2_at_once(self, capsys, argv):
         start = time.perf_counter()
@@ -360,14 +364,24 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == ("error: Gamma0(%s) has index above %d, too large to "
-                       "build\n" % (argv[2], sys.maxsize))
+                       "build\n" % (argv[2], MAX_INDEX))
 
     def test_scan_past_maxsize_is_2(self, capsys):
         code, out, err = run(capsys, "scan", "--from", "1",
                              "--to", "1" + "0" * 30)
         assert (code, out) == (2, "")
         assert err == ("error: --to must be at most %d, got 1%s\n"
-                       % (sys.maxsize, "0" * 30))
+                       % (MAX_INDEX, "0" * 30))
+
+    @pytest.mark.parametrize("stop", [sys.maxsize, MAX_INDEX + 1])
+    def test_scan_past_the_index_bound_is_2_at_once(self, capsys, stop):
+        # no level past MAX_INDEX can be built, so no such range is scanned
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan", "--from", "1", "--to", str(stop),
+                             "--jobs", "2")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: --to must be at most %d, got %d\n" % (MAX_INDEX, stop)
 
     def test_scan_with_worker_processes(self):
         """One real multiprocessing.Pool run, through the module's entry

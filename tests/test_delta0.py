@@ -76,6 +76,29 @@ class TestPresentation:
             delta0_presentation(symbol_for(N)).check()
             delta0_presentation(normalized_for(N)).check()
 
+    def test_relations_equal_the_group_ring_construction(
+            self, symbol_for, normalized_for):
+        """Each lambda and mu is built in one step; the reference builds
+        them from group ring operations, with the gluing's inverse."""
+        one, of = GroupRingElement.one, GroupRingElement.of
+        for N in (1, 2, 3, 7, 13, 15, 37, 91, 180, 210):
+            for sym in (symbol_for(N), normalized_for(N), symbol_for(N).rotated(3)):
+                pres = delta0_presentation(sym)
+                for i in pres.generators:
+                    g = sym.gluing(i)
+                    if i in sym.ell:
+                        assert pres.lam[i] == one()
+                        acc, p = one(), IDENTITY
+                        for _ in range(sym.ell[i] - 1):
+                            p = p * g
+                            acc = acc + of(p)
+                        assert pres.mu[i] == acc
+                        assert list(pres.mu[i].terms) == list(acc.terms)
+                    else:
+                        want = one() - of(g.inverse())
+                        assert pres.lam[i] == want
+                        assert list(pres.lam[i].terms) == list(want.terms)
+
     def test_generator_count(self, symbol_for):
         for N in (2, 13, 15, 37):
             sym = symbol_for(N)

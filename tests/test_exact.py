@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
                             ORDER3, REVERSE, _coprime_cusp, _int_of, _int_str,
-                            _shown_cusp, arc_matrix,
+                            _shown, _shown_cusp, arc_matrix,
                             classify, CLS_ELLIPTIC2, CLS_ELLIPTIC3,
                             CLS_HYPERBOLIC, CLS_IDENTITY, CLS_PARABOLIC)
 from fareysym.kulkarni import gamma0_symbol
@@ -172,6 +172,35 @@ class TestIntCodec:
         for bad in (big + "x", big + "_1", "--" + big, "", "-"):
             with pytest.raises(ValueError):
                 _int_of(bad)
+
+    @staticmethod
+    def parse_alike(text):
+        """Asserts that Cusp.parse gives what the constructor gives: the
+        same Cusp, or FareyError with the same message."""
+        try:
+            p, q = text.split("/") if "/" in text else (text, 1)
+            want = Cusp(_int_of(p), _int_of(q))
+        except (AttributeError, TypeError, ValueError, FareyError) as e:
+            if not isinstance(e, FareyError):
+                e = FareyError("not a cusp p/q: %s" % _shown(text))
+            with pytest.raises(FareyError) as info:
+                Cusp.parse(text)
+            assert str(info.value) == str(e)
+        else:
+            got = Cusp.parse(text)
+            assert type(got) is Cusp and got == want
+
+    @pytest.mark.parametrize("text", [
+        "0/5", "4/-2", "-1/0", "1/0", "0/0", " 3/ 4", "+3/4", "1_0/3", "7",
+        "1/2/3", "", 5, "1" * 5000 + "/3", "-3/4", "3/4x", b"1/2", None])
+    def test_parse_equals_the_constructor(self, text):
+        # Cusp.parse reads most text without the constructor
+        self.parse_alike(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789/-+ _", max_size=10))
+    def test_parse_equals_the_constructor_on_any_text(self, text):
+        self.parse_alike(text)
 
     def test_a_long_refusal_is_named_by_its_size(self):
         with pytest.raises(FareyError) as info:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fareysym import classical
+from fareysym import classical, invariants
 from fareysym.exact import (IMat, IDENTITY, INFINITY, Cusp, FareyError,
                             InvalidSymbolError, classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
 from fareysym.invariants import (_interval, _width_at, contains, coset_table,
@@ -575,7 +575,7 @@ class TestIntervalSearch:
         dens = [v.denominator for v in values]
         p, q = x.numerator, x.denominator
         want = bisect.bisect_left(values, x)
-        for start in range(len(values) + 1):
+        for start in [None, *range(len(values) + 1)]:  # None: bisection
             # p/q need not be in lowest terms
             assert _interval(nums, dens, p, q, start) == want, start
             assert _interval(nums, dens, 3 * p, 3 * q, start) == want, start
@@ -587,9 +587,32 @@ class TestIntervalSearch:
         for t in range(-45, 46):
             for x in (Fraction(t, 7), Fraction(t, 7) + Fraction(1, 100)):
                 want = bisect.bisect_left(values, x)
-                for start in range(len(values) + 1):
+                for start in [None, *range(len(values) + 1)]:
                     assert _interval(nums, dens, x.numerator, x.denominator,
                                      start) == want, (x, start)
+
+
+def test_unimodular_symbols_bisect(symbol_for, normalized_for, monkeypatch):
+    """The word problem bisects on a unimodular symbol, where a gallop from
+    the stripped arc's partner takes more probes, and gallops on any other;
+    the words are the reference's either way."""
+    starts = []
+    interval = invariants._interval
+    monkeypatch.setattr(invariants, "_interval", lambda nums, dens, p, q, start:
+                        starts.append(start) or interval(nums, dens, p, q, start))
+    rng = random.Random(36)
+    seen = set()
+    for N in (6, 36, 180):
+        for sym in (symbol_for(N), normalized_for(N)):
+            for _ in range(5):
+                g = member_matrix(rng, symbol_for(N), 64)
+                starts.clear()
+                assert express_word(sym, g) == reference_express_word(sym, g)
+                assert starts
+                uni = sym.is_unimodular()
+                assert all((start is None) == uni for start in starts), N
+                seen.add(uni)
+    assert seen == {True, False}
 
 
 def test_reduction_matches_the_reference(symbol_for, normalized_for):

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import sys
 from math import gcd
 
 import pytest
@@ -11,7 +10,7 @@ from fareysym import classical
 from fareysym import kulkarni
 from fareysym.exact import Cusp, IMat, INFINITY, FareyError, InvalidSymbolError
 from fareysym.invariants import CosetTable, counts, cusp_orbits
-from fareysym.kulkarni import (MembershipOracle, build_unimodular,
+from fareysym.kulkarni import (MAX_INDEX, MembershipOracle, build_unimodular,
                                gamma0_oracle, gamma0_symbol, p1_normalize,
                                replay_trace, _chart_key, _nonunit_key,
                                _split_keys)
@@ -222,20 +221,23 @@ class TestGamma0Oracle:
 
     def test_level_past_maxsize_is_refused_before_it_is_factored(
             self, monkeypatch):
-        # trial division of a prime past 2^63 takes billions of steps; a
-        # level at most sys.maxsize whose index passes it is factored once
+        # trial division of a prime past 2^63 takes billions of steps, and
+        # so does any level past MAX_INDEX: its index exceeds the level, so
+        # it is refused unfactored; a level at most MAX_INDEX whose index
+        # passes it is factored once
         calls = []
         factorize = classical.factorize
         monkeypatch.setattr(classical, "factorize",
                             lambda n: calls.append(n) or factorize(n))
-        with pytest.raises(InvalidSymbolError, match=(
-                r"^Gamma0\(18446744073709551557\) has index above %d, too "
-                r"large to build$" % sys.maxsize)):
-            gamma0_symbol(2**64 - 59)
+        for N in (2**64 - 59, 2**63 - 25, 10**12, MAX_INDEX + 1):
+            with pytest.raises(InvalidSymbolError, match=(
+                    r"^Gamma0\(%d\) has index above %d, too large to build$"
+                    % (N, MAX_INDEX))):
+                gamma0_symbol(N)
         assert calls == []
         with pytest.raises(InvalidSymbolError, match="too large to build"):
-            gamma0_symbol(3 * 2**61)
-        assert calls == [3 * 2**61]
+            gamma0_symbol(MAX_INDEX)
+        assert calls == [MAX_INDEX]
 
     def test_sign_invariance(self):
         o = gamma0_oracle(6)

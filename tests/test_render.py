@@ -22,6 +22,17 @@ SVG_DIGESTS = {
     180: "19ab9aa99cda9dbd755016aff82dd369bf5452f2ec2e07264d173fd78360f953",
 }
 
+# sha256 over the disk-style SVG of the unimodular and then the normalized
+# symbol of each level in SVG_DIGESTS
+DISK_DIGESTS = {
+    1: "57768130ca483aec56568aa3038c96d9717007e116ebc643e5d513cdbc1b6279",
+    2: "d6822298881a3b58f26d2455f1c39d8bce0f5b28efc264f9e26ef299175d2bf3",
+    13: "df47326a4fb57abec810a045bf318c308586973738d1a87da99b3f70c18be023",
+    15: "fc87e6a95ab4709f81ca9b89c656ff697062d3c6e7a6869d9cf30e54ed886de6",
+    37: "30712c1049cef176785101780c425211c5c18a0f075a0505aa7904dcff12081c",
+    180: "054e701336a3c4c2f188c63230c578b21530805ed830e5789d566139684fbacb",
+}
+
 
 def counts_in(svg):
     return (svg.count('class="chord"'), svg.count('class="dot3"'),
@@ -107,6 +118,14 @@ def test_chord_and_halfplane_bytes_are_pinned(symbol_for, normalized_for, N):
         h.update(render_chords(sym, RenderSpec(style="chords")).encode())
         h.update(render_polygon(sym, RenderSpec(style="halfplane")).encode())
     assert h.hexdigest() == SVG_DIGESTS[N]
+
+
+@pytest.mark.parametrize("N", sorted(DISK_DIGESTS))
+def test_disk_bytes_are_pinned(symbol_for, normalized_for, N):
+    h = hashlib.sha256()
+    for sym in (symbol_for(N), normalized_for(N)):
+        h.update(render_polygon(sym, RenderSpec(style="disk")).encode())
+    assert h.hexdigest() == DISK_DIGESTS[N]
 
 
 def halfplane_geodesic(e1, e2, k=16):
