@@ -105,6 +105,15 @@ class GroupRingElement:
         return [[c, list(m)] for m, c in sorted(self.terms.items())]
 
 
+def _divisor_sum(divisors):
+    """The sum of formal sums of cusps, without its zero terms."""
+    total = {}
+    for divisor in divisors:
+        for cusp, k in divisor.items():
+            total[cusp] = total.get(cusp, 0) + k
+    return {cusp: k for cusp, k in total.items() if k}
+
+
 def arc_divisor(sym, i):
     """The degree-zero divisor {s} - {r} of arc i = (r, s)."""
     r, s = sym.arc(i)
@@ -136,11 +145,7 @@ class Delta0Presentation:
         """Machine-checkable consistency of the defining relations."""
         sym = self.symbol
         # all boundary arcs sum to zero as a divisor (telescoping).
-        total = {}
-        for i in range(sym.n):
-            for cusp, k in arc_divisor(sym, i).items():
-                total[cusp] = total.get(cusp, 0) + k
-        if any(total.values()):
+        if _divisor_sum(arc_divisor(sym, i) for i in range(sym.n)):
             raise FareyError("boundary divisors do not telescope")
         # paired arcs: gamma carries the reversed partner onto the arc.
         for i in range(sym.n):
@@ -168,6 +173,17 @@ class Delta0Presentation:
                 if acc.act_on_divisor(arc_divisor(sym, i)):
                     raise FareyError(
                         "order-3 triangle at arc %d does not close" % i)
+        # the relations themselves: sum_a lambda_a {arc a} = 0 over the
+        # generators, and mu_e {arc e} = 0 for each elliptic arc e.
+        if _divisor_sum(self.lam[a].act_on_divisor(arc_divisor(sym, a))
+                        for a in self.generators):
+            raise FareyError("the global relation sum of lambda_a {arc a} "
+                             "does not vanish")
+        for e in self.elliptic:
+            if self.mu[e].act_on_divisor(arc_divisor(sym, e)):
+                raise FareyError(
+                    "the torsion relation of elliptic arc %d does not vanish"
+                    % e)
         return True
 
     def to_jsonable(self):

@@ -42,8 +42,9 @@ The builder runs one breadth-first loop and pairs each new arc in one of two
 ways: for Gamma0(N) the loop claims its keys, tests the congruences and looks
 it up in the pool of unpaired arcs; any other oracle's arcs go to resolve,
 which scans the walk with membership tests.  Either way the walk's pair or
-fix writes the pairing and reports it as a trace event, and replay_trace
-applies the same two methods to the events it reads.
+fix writes the pairing, and its split makes the mediant, and each reports
+its trace event; replay_trace applies the same three methods to the events
+it reads.
 """
 
 from collections import deque
@@ -59,8 +60,9 @@ from .symbol import FareySymbol, symbol_from_ids
 _ODD_AT_INF = IMat(-1, -1, 1, 0)
 # order-3 rotation infinity -> 1 -> 0 -> infinity of the start triangle
 _START_ROTATION = IMat(1, -1, 1, 0)
-# The largest index gamma0_symbol builds.  The builder holds about 295 bytes
-# per unit of index at its peak, so this bound is about 3 GB.
+# The largest index gamma0_symbol builds.  The builder holds 160-180 bytes
+# per unit of index at its peak (tracemalloc, N = 2310 to 100003), so this
+# bound is about 1.7 GB.
 MAX_INDEX = 10**7
 # why the arc (infinity, 0), from which a symbol is read, is never split
 _NO_ANCHOR = ("cannot yet build a symbol without that arc, which needs "
@@ -216,22 +218,23 @@ class _Walk:
     """The boundary of the polygon being built, as flat lists by arc id.
 
     Arc k has the det-1 matrix ent[k] = (a, b, c, d); its columns (a : c)
-    and (b : d) are its ends.  nxt[k] and prv[k] are its neighbours in the
-    cyclic walk, partner[k] its partner (None while unpaired) and ell[k]
-    the order of a self-paired arc.  Ids follow creation order; a split
-    arc keeps its id and entries but leaves the walk.  Arc 0, the arc
+    and (b : d) are its ends.  nxt[k] is the next arc in the cyclic walk,
+    partner[k] its partner (None while unpaired) and ell[k] the order of a
+    self-paired arc.  Only split changes ent and nxt: the left half of a
+    split arc takes over its id and the right half gets the next id, so
+    the lists hold exactly the arcs of the walk.  Arc 0, the arc
     (infinity, 0), is never split, and the walk is read from it.  Only
-    pair and fix write partner and ell; each passes its pairing, as a
-    trace event, to on_event when one is given.
+    pair and fix write partner and ell.  Each of split, pair and fix
+    passes its event, a mediant or a pairing, to on_event when one is
+    given.
     """
 
-    __slots__ = ("ent", "nxt", "prv", "partner", "ell", "on_event")
+    __slots__ = ("ent", "nxt", "partner", "ell", "on_event")
 
     def __init__(self, on_event=None):
         # the triangle (infinity, 0, 1): arcs (infinity, 0), (0, 1), (1, infinity)
         self.ent = [(1, 0, 0, 1), (0, -1, 1, -1), (1, -1, 1, 0)]
         self.nxt = [1, 2, 0]
-        self.prv = [2, 0, 1]
         self.partner = [None, None, None]
         self.ell = {}
         self.on_event = on_event
@@ -252,19 +255,20 @@ class _Walk:
 
     def split(self, k):
         """Replace arc k in the walk by its halves at the mediant of its
-        ends; return their ids (left, right).  build_unimodular makes the
-        same splice inline."""
-        a, b, c, d = self.ent[k]
-        left = len(self.ent)
-        right = left + 1
-        self.ent += ((a, b - a, c, d - c), (a - b, b, c - d, d))
-        p, q = self.prv[k], self.nxt[k]
-        self.nxt += (right, q)
-        self.prv += (p, left)
-        self.nxt[p] = left
-        self.prv[q] = right
-        self.partner += (None, None)
-        return left, right
+        ends: the left half keeps the id k, the right half gets the next
+        id.  Return (k, right)."""
+        if self.on_event is not None:
+            self.on_event(("mediant",) + self.ends(k))
+        ent, nxt = self.ent, self.nxt
+        a, b, c, d = ent[k]
+        right = len(ent)
+        ent[k] = (a, b - a, c, d - c)
+        ent.append((a - b, b, c - d, d))
+        q = nxt[k]
+        nxt[k] = right
+        nxt.append(q)
+        self.partner.append(None)
+        return k, right
 
     def ends(self, k):
         a, b, c, d = self.ent[k]
@@ -275,7 +279,7 @@ class _Walk:
         nxt = self.nxt
         out = []
         k = 0
-        for _ in range((len(self.ent) + 3) // 2):  # each split adds one arc
+        for _ in range(len(self.ent)):
             out.append(k)
             k = nxt[k]
         if k != 0:
@@ -319,7 +323,7 @@ def build_unimodular(oracle, on_event=None):
                          "other than the triangle (infinity, 0, 1)")
 
     walk = _Walk(on_event)
-    ent, nxt, prv, partner = walk.ent, walk.nxt, walk.prv, walk.partner
+    ent, partner = walk.ent, walk.partner
     key = oracle.coset_key
     N = key.level if type(key) is _P1Key else None
     if N is not None:
@@ -396,28 +400,21 @@ def build_unimodular(oracle, on_event=None):
         if inserts > cap:
             raise FareyError("mediant insertion cap %d exceeded; the oracle "
                              "group looks like it has infinite index" % cap)
-        if on_event is not None:
-            on_event(("mediant",) + walk.ends(victim))
-        # the splice of _Walk.split, inline
-        a, b, c, d = ent[victim]
-        left = len(ent)
-        right = left + 1
-        ent += (a, b - a, c, d - c), (a - b, b, c - d, d)
-        p, q = prv[victim], nxt[victim]
-        nxt += right, q
-        prv += p, left
-        nxt[p] = left
-        prv[q] = right
-        partner += None, None
-        fresh = left, right
+        a, b, c, d = ent[victim]  # split overwrites it with its left half
+        fresh = walk.split(victim)
         if N is not None:
             k_out = out_key[victim]
             del pool[k_out]
             claim(k_out)
+            # the left half takes the victim's slots, the right half the next
             (li, lo), (ri, ro) = _split_keys(N, in_key[victim], k_out, c, d)
-            in_key += li, ri
-            out_key += lo, ro
+            in_key[victim] = li
+            out_key[victim] = lo
+            in_key.append(ri)
+            out_key.append(ro)
 
+    # the symbol is read from the walk alone: free the key tables first
+    in_key = out_key = pool = claimed = None
     return walk.symbol(oracle.level)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from fareysym.exact import IMat, IDENTITY, INFINITY, ZERO, FareyError
-from fareysym.delta0 import (GroupRingElement, arc_divisor,
+from fareysym.delta0 import (GroupRingElement, _element, arc_divisor,
                              delta0_presentation, resolution_maps)
 
 
@@ -75,6 +75,56 @@ class TestPresentation:
         for N in (1, 2, 7, 11, 13, 15, 22, 37):
             delta0_presentation(symbol_for(N)).check()
             delta0_presentation(normalized_for(N)).check()
+
+    def test_relations_vanish(self, symbol_for, normalized_for):
+        # sum_a lambda_a {arc a} = 0 and mu_e {arc e} = 0, which check()
+        # evaluates, on both representations
+        for N in range(1, 121):
+            for sym in (symbol_for(N), normalized_for(N)):
+                pres = delta0_presentation(sym)
+                total = {}
+                for a in pres.generators:
+                    for c, k in pres.lam[a].act_on_divisor(
+                            arc_divisor(sym, a)).items():
+                        total[c] = total.get(c, 0) + k
+                assert not any(total.values()), N
+                for e in pres.elliptic:
+                    assert not pres.mu[e].act_on_divisor(arc_divisor(sym, e))
+                assert pres.check()
+
+    def test_wrong_relations_are_refused(self, symbol_for, normalized_for):
+        # both mutants passed a check() that tested only the geometry: the
+        # first generator's lambda built from the second's gluing, and
+        # lambda = 2 on an elliptic arc
+        swapped = doubled = 0
+        for N in range(1, 121):
+            for sym in (symbol_for(N), normalized_for(N)):
+                pres = delta0_presentation(sym)
+                nonell = [a for a in pres.generators if a not in sym.ell]
+                if len(nonell) >= 2:
+                    g = sym.gluing(nonell[1]).adjugate()
+                    pres.lam[nonell[0]] = _element([(IDENTITY, 1), (g, -1)])
+                    with pytest.raises(FareyError, match="global relation"):
+                        pres.check()
+                    swapped += 1
+                pres = delta0_presentation(sym)
+                if pres.elliptic:
+                    pres.lam[pres.elliptic[0]] = GroupRingElement.one() * 2
+                    with pytest.raises(FareyError, match="global relation"):
+                        pres.check()
+                    doubled += 1
+        assert (swapped, doubled) == (228, 84)
+
+    def test_wrong_torsion_relation_is_refused(self, symbol_for):
+        # mu = 1 + gamma on an order-3 arc leaves its triangle open
+        for N in (3, 7, 13):
+            sym = symbol_for(N)
+            pres = delta0_presentation(sym)
+            e = next(i for i in pres.elliptic if sym.ell[i] == 3)
+            pres.mu[e] = GroupRingElement.one() + GroupRingElement.of(sym.gluing(e))
+            with pytest.raises(FareyError, match="torsion relation of "
+                               "elliptic arc %d" % e):
+                pres.check()
 
     def test_relations_equal_the_group_ring_construction(
             self, symbol_for, normalized_for):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -13,7 +14,7 @@ from fareysym.invariants import CosetTable, counts, cusp_orbits
 from fareysym.kulkarni import (MAX_INDEX, MembershipOracle, build_unimodular,
                                gamma0_oracle, gamma0_symbol, p1_normalize,
                                replay_trace, _chart_key, _nonunit_key,
-                               _split_keys)
+                               _split_keys, _Walk)
 from fareysym.symbol import FareySymbol
 
 # appendix polygons: the unimodular vertex lists for small levels
@@ -663,6 +664,42 @@ class TestBuild:
         with pytest.raises(FareyError, match=r"arc \(infinity, 0\) pairs with "
                            "no arc of the start triangle"):
             build_unimodular(oracle)
+
+    def test_walk_holds_only_its_boundary(self):
+        # the left half of a split arc keeps its id and the right half gets
+        # the next, so after k splits each list has 3 + k entries, all on
+        # the walk, which closes up end to start; each split reports its
+        # mediant event
+        rng = random.Random(5)
+        events = []
+        walk = _Walk(events.append)
+        for k in range(1, 41):
+            victim = rng.randrange(1, len(walk.ent))
+            ends = walk.ends(victim)
+            assert walk.split(victim) == (victim, k + 2)
+            assert events[-1] == ("mediant",) + ends
+            assert walk.ends(victim)[0] == ends[0]
+            assert walk.ends(k + 2)[1] == ends[1]
+            assert (len(walk.ent), len(walk.nxt), len(walk.partner)) == (3 + k,) * 3
+            arcs = walk.arcs()
+            assert sorted(arcs) == list(range(3 + k))
+            chain = [walk.ends(j) for j in arcs]
+            assert all(e[1] == f[0] for e, f in zip(chain, chain[1:] + chain[:1]))
+        assert len(events) == 40
+
+    @pytest.mark.parametrize("N", [2310, 10007])
+    def test_builder_peak_memory_per_unit_of_index(self, N):
+        # the builder holds only the arcs of its walk, and frees its key
+        # tables before it makes the symbol; it held 274-300 bytes per
+        # unit of index when split arcs stayed in its lists
+        gamma0_symbol(N)
+        tracemalloc.start()
+        try:
+            gamma0_symbol(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 220 * classical.index_gamma0(N)
 
     def test_mediants_stay_in_circular_order(self):
         # every vertex list from the builder passes the circular-order check

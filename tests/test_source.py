@@ -144,6 +144,44 @@ def test_records_have_one_writer():
     assert not found, found
 
 
+def test_walk_has_one_splice():
+    # kulkarni: _Walk.split is the one place that changes the walk's
+    # lists and builds the mediant event; the builder and the replay call
+    # it, and the replay only compares event kinds
+    tree = ast.parse((SRC / "kulkarni.py").read_text())
+    walk = {id(node) for top in ast.walk(tree)
+            if isinstance(top, ast.ClassDef) and top.name == "_Walk"
+            for node in ast.walk(top)}
+    compared = {id(node) for top in ast.walk(tree)
+                if isinstance(top, ast.Compare) for node in ast.walk(top)}
+
+    def name_of(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    lists = ("ent", "nxt", "prv")
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in walk:
+            continue
+        if (isinstance(node, ast.Subscript)
+                and not isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.AugAssign)):
+            target = node.value if isinstance(node, ast.Subscript) else node.target
+            if name_of(target) in lists:
+                found.append("kulkarni.py:%d writes %s"
+                             % (node.lineno, name_of(target)))
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("append", "extend", "insert")
+                and name_of(node.func.value) in lists):
+            found.append("kulkarni.py:%d grows %s"
+                         % (node.lineno, name_of(node.func.value)))
+        elif (isinstance(node, ast.Constant) and node.value == "mediant"
+                and id(node) not in compared):
+            found.append("kulkarni.py:%d builds 'mediant'" % node.lineno)
+    assert not found, found
+
+
 def test_int_checks_only_in_exact():
     # exact._int_arg is the one check of an int argument; a type(x) is not
     # int elsewhere is a second copy of that rule
