@@ -5,7 +5,6 @@ Diamond-Shurman ch. 3), implemented independently of the polygon machinery
 so they can serve as reference oracles for everything computed from symbols.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .exact import FareyError, _int_arg
@@ -91,12 +90,12 @@ def nu_inf_gamma0(N):
 
 
 def genus_gamma0(N):
-    """Genus of X0(N) via the Riemann-Hurwitz count."""
-    g = (Fraction(index_gamma0(N), 12) + 1 - Fraction(nu2_gamma0(N), 4)
-         - Fraction(nu3_gamma0(N), 3) - Fraction(nu_inf_gamma0(N), 2))
-    if g.denominator != 1 or g < 0:
-        raise FareyError("genus formula gave %s" % g)
-    return int(g)
+    """Genus of X0(N) by Riemann-Hurwitz: 12g = mu + 12 - 3nu2 - 4nu3 - 6nu_inf."""
+    twelve_g = (index_gamma0(N) + 12 - 3 * nu2_gamma0(N) - 4 * nu3_gamma0(N)
+                - 6 * nu_inf_gamma0(N))
+    if twelve_g % 12 or twelve_g < 0:
+        raise FareyError("genus formula gave %d/12" % twelve_g)
+    return twelve_g // 12
 
 
 def cusp_widths_gamma0(N):

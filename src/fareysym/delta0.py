@@ -202,20 +202,11 @@ def delta0_presentation(sym):
     and the elliptic arcs carry lambda_a = 1 together with the torsion
     relation mu_a = 1 + gamma_a + ... + gamma_a^(order-1).
     """
-    nonell = []
-    seen = set()
+    nonell = [i for i, j in enumerate(sym.pairing) if i < j]
     inf0 = sym.infinity_zero_arc()
-    order = list(range(sym.n))
     if inf0 is not None and sym.pairing[inf0] != inf0:
-        order.remove(inf0)
-        order.insert(0, inf0)
-    for i in order:
-        j = sym.pairing[i]
-        if i == j or i in seen:
-            continue
-        seen.add(i)
-        seen.add(j)
-        nonell.append(i)
+        nonell.remove(min(inf0, sym.pairing[inf0]))
+        nonell.insert(0, inf0)
     elliptic = sorted(sym.ell)
     lam = {}
     mu = {}

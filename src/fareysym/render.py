@@ -6,18 +6,16 @@ model, from its two ends alone.  In the half-plane that is a vertical
 segment or a circle arc centred on the real axis; in the disk it is an arc
 of the circle orthogonal to the boundary circle, or a diameter.  The ends
 are exact until the final coordinate formatting: cusps are rationals, and
-elliptic interior points are exact rational pairs (for the order-2
-midpoint) or rational multiples of sqrt(3) (for the order-3 center), only
-converted to floats when a path is written out.  Output bytes are
+the interior point splitting an elliptic arc is the fixed point of that
+arc's gluing, whose coordinates are correctly rounded quotients of ints
+(the height of an order-3 point times sqrt(3)).  Output bytes are
 deterministic for a fixed symbol and spec.
 """
 
 import math
 import numbers
-from fractions import Fraction
 
-from .exact import (REVERSE, FareyError, InvalidSymbolError, _int_arg, _shown,
-                    arc_matrix)
+from .exact import FareyError, InvalidSymbolError, _int_arg, _shown
 
 STYLES = ("chords", "halfplane", "disk")
 STROKE = "#1f4e79"
@@ -123,32 +121,14 @@ def render_chords(sym, spec=None):
     return _svg(spec, body)
 
 
-def order2_center(sym, i):
-    """Exact rational (x, y) of the interior point of an order-2 arc:
-    the image of i under the arc matrix."""
-    a, b, c, d = arc_matrix(*sym.arc(i))
-    den = c * c + d * d
-    return (Fraction(a * c + b * d, den), Fraction(a * d - b * c, den))
-
-
-def order3_center(sym, i):
-    """Interior point of an order-3 arc as (x, y_coeff) with y = y_coeff *
-    sqrt(3): the image of rho = (1 + i sqrt 3)/2 under the reversed arc
-    matrix."""
-    a, b, c, d = arc_matrix(*sym.arc(i)) * REVERSE
-    den = c * c + c * d + d * d
-    x = Fraction(2 * a * c + a * d + b * c + 2 * b * d, 2 * den)
-    y = Fraction(a * d - b * c, 2 * den)
-    return (x, y)
-
-
 def elliptic_center(sym, i):
-    """(x, y) floats of the interior point splitting elliptic arc i."""
-    if sym.ell[i] == 2:
-        x, y = order2_center(sym, i)
-        return float(x), float(y)
-    x, y = order3_center(sym, i)
-    return float(x), float(y) * math.sqrt(3)
+    """(x, y) floats of the interior point splitting elliptic arc i: the
+    fixed point of its gluing (a, b, c, d) in the upper half-plane,
+    x = (a - d)/2c and y = 1/|c| for order 2 or sqrt(3) * 1/2|c| for
+    order 3.  Each quotient of ints is correctly rounded."""
+    a, _, c, d = sym.gluing(i)
+    y = 1 / abs(c) if sym.ell[i] == 2 else 1 / (2 * abs(c)) * math.sqrt(3)
+    return (a - d) / (2 * c), y
 
 
 class _Plane:

@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from fareysym.exact import FareyError, InvalidSymbolError
+from fareysym.exact import REVERSE, FareyError, InvalidSymbolError, arc_matrix
 from fareysym.render import (MAX_SIDE, RenderSpec, _disk_path, _to_disk,
-                             order2_center, order3_center, render_chords,
-                             render_polygon)
+                             elliptic_center, render_chords, render_polygon)
 
 # sha256 over the chord and half-plane SVGs (default specs) of the unimodular
 # and then the normalized symbol of Gamma0(N)
@@ -32,6 +31,35 @@ DISK_DIGESTS = {
     37: "30712c1049cef176785101780c425211c5c18a0f075a0505aa7904dcff12081c",
     180: "054e701336a3c4c2f188c63230c578b21530805ed830e5789d566139684fbacb",
 }
+
+
+def order2_center(sym, i):
+    """Exact rational (x, y) of the interior point of an order-2 arc: the
+    image of i under the arc matrix, a reference independent of the
+    gluing."""
+    a, b, c, d = arc_matrix(*sym.arc(i))
+    den = c * c + d * d
+    return (Fraction(a * c + b * d, den), Fraction(a * d - b * c, den))
+
+
+def order3_center(sym, i):
+    """Interior point of an order-3 arc as (x, y_coeff) with y = y_coeff *
+    sqrt(3): the image of rho = (1 + i sqrt 3)/2 under the reversed arc
+    matrix, a reference independent of the gluing."""
+    a, b, c, d = arc_matrix(*sym.arc(i)) * REVERSE
+    den = c * c + c * d + d * d
+    x = Fraction(2 * a * c + a * d + b * c + 2 * b * d, 2 * den)
+    y = Fraction(a * d - b * c, 2 * den)
+    return (x, y)
+
+
+def reference_center(sym, i):
+    """The floats of the exact reference point of elliptic arc i."""
+    if sym.ell[i] == 2:
+        x, y = order2_center(sym, i)
+        return float(x), float(y)
+    x, y = order3_center(sym, i)
+    return float(x), float(y) * math.sqrt(3)
 
 
 def counts_in(svg):
@@ -98,6 +126,19 @@ class TestPolygon:
         re = c * (x * x - 3 * y * y) + (d - a) * x - b
         im = c * 2 * x * y + (d - a) * y
         assert re == 0 and im == 0
+
+    def test_elliptic_center_is_the_reference_rounded(self, symbol_for,
+                                                      normalized_for):
+        # the gluing's fixed point, each coordinate one correctly rounded
+        # quotient of ints, equals the float of the arc-matrix image
+        # exactly, on every elliptic arc of both representations
+        seen = 0
+        for N in range(1, 301):
+            for sym in (symbol_for(N), normalized_for(N)):
+                for i in sym.ell:
+                    assert elliptic_center(sym, i) == reference_center(sym, i), (N, i)
+                    seen += 1
+        assert seen == 508
 
     def test_disk_style(self, symbol_for):
         svg = render_polygon(symbol_for(13), RenderSpec(style="disk"))
@@ -193,12 +234,7 @@ class TestDiskIsExact:
             if sym.pairing[i] != i:
                 yield pt(r), pt(s)
                 continue
-            if sym.ell[i] == 2:
-                x, y = order2_center(sym, i)
-                p = complex(x, y)
-            else:
-                x, y = order3_center(sym, i)
-                p = complex(x, y * math.sqrt(3))
+            p = complex(*reference_center(sym, i))
             yield pt(r), p
             yield pt(s), p
 

@@ -14,9 +14,11 @@ SRC = ROOT / "src" / "fareysym"
 def test_import_loads_no_code_inspector():
     # RenderSpec was a dataclass, and dataclasses brings inspect, ast, dis,
     # tokenize and eight more modules into every process that imports the
-    # package; -S keeps site's .pth hooks out of the count
+    # package; the elliptic points and the genus were exact rationals, and
+    # fractions brings decimal with it; -S keeps site's .pth hooks out of
+    # the count
     code = ("import sys, fareysym.cli; print(sorted({'dataclasses', 'inspect', "
-            "'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+            "'ast', 'dis', 'tokenize', 'fractions', 'decimal'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
