@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation failure on the inputs,
 3 internal invariant violation.  Symbols travel as JSON objects with keys
-"vertices", "pairing", "ell" and optional "level".  To revalidate every
-intermediate symbol of a normalization, call
+"vertices", "pairing", "ell" and optional "level".  To revalidate the
+symbols a normalization commits, one per Siegel step that cuts, call
 normalize(sym, on_op=lambda s: s.validate()).  info and presentation
 print the bytes json.dumps(doc, indent=2) gives, written by _indented.
 """
@@ -261,7 +261,8 @@ def make_parser():
 
     mb = sub.add_parser("member", help="membership + word in the generators")
     mb.add_argument("--level", type=int, required=True)
-    mb.add_argument("--matrix", required=True, help="a,b,c,d")
+    mb.add_argument("--matrix", required=True,
+                    help="a,b,c,d; write --matrix=a,b,c,d when a < 0")
     mb.add_argument("--out")
     mb.set_defaults(func=_cmd_member)
 

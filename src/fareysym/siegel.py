@@ -18,17 +18,17 @@ and order tables never change during a run.  Every cut and step is a
 segment table: it reads the word as slices, moves some of them by a matrix
 and commits the new word, a list of (ids, vertices) segments and an
 optional rotation, through NormalizationState.commit, the one place that
-changes the polygon, checks it and reports it to on_op.  Both public cuts
-are one cut (_cut): read from its first cut vertex, X1 a X2 X3 a* X4
-becomes a' X3 X2 a'* X1 X4, and an elliptic pivot is its own partner, with
-X2, X3 and a'* empty.  A hyperbolic step reads W X a b Y a* Z b* T and
-writes W b* a b a* X Z Y T, moving each vertex once by its composite of
-the four cuts' pivot gluings (_step_hyperbolic).  The vertices are the
-input's Cusps and, once moved, plain pairs (p, q) of either sign, coprime
-as a det-1 move keeps them: symbol.gluing_entries takes both and refuses
-paired arcs of unequal widths, so every gluing it returns has det 1.  A
-run makes new Cusps only for the FareySymbol it builds at the end or on
-request (on_op, NormalizationState.symbol).
+changes the polygon, checks it and reports it to on_op, once per step but
+an extend.  Both public cuts are one cut (_cut): read from its first cut
+vertex, X1 a X2 X3 a* X4 becomes a' X3 X2 a'* X1 X4, and an elliptic pivot
+is its own partner, with X2, X3 and a'* empty.  A hyperbolic step reads
+W X a b Y a* Z b* T and writes W b* a b a* X Z Y T, moving each vertex
+once by its composite of the four cuts' pivot gluings (_step_hyperbolic).
+The vertices are the input's Cusps and, once moved, plain pairs (p, q) of
+either sign, coprime as a det-1 move keeps them: symbol.gluing_entries
+takes both and refuses paired arcs of unequal widths, so every gluing it
+returns has det 1.  A run makes new Cusps only for the FareySymbol it
+builds at the end or on request (on_op, NormalizationState.symbol).
 
 Throughout, the polygon is kept rotated so that W occupies positions
 [0, w): each cut is told which of its arcs must land at position w.  W is
@@ -68,8 +68,8 @@ class NormalizationState:
     ell are indexed by id.  commit is the one way to change them: every cut
     and step hands it the new word as a table of segments.  keep is the id
     of the arc (infinity, 0), which no cut may move or replace
-    (check_keep), or None.  on_op and on_step, when set, observe every cut
-    and every step.  .symbol builds the polygon as a FareySymbol on each
+    (check_keep), or None.  on_op and on_step, when set, see each commit
+    and each step.  .symbol builds the polygon as a FareySymbol on each
     access, with origin, the input or the unimodular symbol the input walks
     on, as its companion for the word problem: cuts preserve the group.
     fixed and seams are what the step choice knows of the tail [w_len, n):
@@ -133,7 +133,7 @@ class NormalizationState:
         the polygon to on_op.  Nothing outside the window changes, so each
         arc is still on the boundary once.  place = (arc id, position), for
         a whole-polygon commit, first rotates the new word so that arc lands
-        at position.  Every commit clears seams."""
+        at position.  Every commit clears seams.  A step commits once."""
         ids, verts = [], []
         for seg_ids, seg_verts in segments:
             ids += seg_ids
@@ -333,9 +333,9 @@ def _step_hyperbolic(state, w, a_pos):
         W b* X Z Y a b a* T    cut (b*, X), moving b a* by g3^-1,
         W b* a b a* X Z Y T    cut (a, b*), moving b a* X Z Y by g4^-1,
     where each chord keeps the id of the pivot it replaces and gi is the
-    gluing of that cut's pivot.  on_op, when set, sees the four cuts, which
-    the step then makes.  Otherwise it makes one splice: with P the
-    vertices before the step and nx = b*+1 (mod n), the start of T or of W,
+    gluing of that cut's pivot.  The step makes them as one splice, and
+    on_op sees its one commit, the last stage: with P the vertices before
+    the step and nx = b*+1 (mod n), the start of T or of W,
         g1 = gluing(P[b], P[b+1], P[b*], P[nx]),
         g2 = gluing(g1^-1 P[a], P[nx], P[a*], P[a*+1]),
         g3 = gluing(g1^-1 P[a*], g1^-1 P[w], g2 P[w], P[nx]),
@@ -359,26 +359,20 @@ def _step_hyperbolic(state, w, a_pos):
         raise FareyError("pivots out of pattern")
     state.check_keep(ids[w:bs_pos + 1])
 
-    if state.on_op is not None:
-        base_cut(state, b_pos, w, as_pos, "pivot", (b_pos, w))
-        base_cut(state, bs_pos, w + bs_pos - a_pos - 1, w, "other", (w + 1, w))
-        base_cut(state, w + 1, w, w + 2, "pivot", (w + 1, w))
-        base_cut(state, bs_pos - 2, w + 1, bs_pos, "pivot", (bs_pos - 2, w + 1))
-    else:
-        p_w, p_nx = P[w], P[(bs_pos + 1) % n]
-        g1i = gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx).adjugate()
-        a1, as1, w1 = _moved(g1i, (P[a_pos], P[as_pos], p_w))
-        g2 = gluing_entries(a1, p_nx, P[as_pos], P[as_pos + 1])
-        a2, b2 = _moved(g2, (as1, p_w))
-        g3i = gluing_entries(as1, w1, b2, p_nx).adjugate()
-        b3, as3 = _moved(g3i, (w1, p_w))
-        g4i = gluing_entries(a2, b3, as3, p_nx).adjugate()
-        g4i_g2 = g4i * g2
-        segs = [(ids[lo:hi], _moved(g, P[lo:hi])) for lo, hi, g in (
-            (w, a_pos, g4i * g1i), (as_pos + 1, bs_pos, g4i_g2),   # X Z
-            (b_pos + 1, as_pos, g4i_g2 * g1i))]                    # Y
-        state.commit([([b_s, a, b, a_s], [p_w, w1] + _moved(g4i, (b3, as3)))]
-                     + segs, lo=w, hi=bs_pos + 1)
+    p_w, p_nx = P[w], P[(bs_pos + 1) % n]
+    g1i = gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx).adjugate()
+    a1, as1, w1 = _moved(g1i, (P[a_pos], P[as_pos], p_w))
+    g2 = gluing_entries(a1, p_nx, P[as_pos], P[as_pos + 1])
+    a2, b2 = _moved(g2, (as1, p_w))
+    g3i = gluing_entries(as1, w1, b2, p_nx).adjugate()
+    b3, as3 = _moved(g3i, (w1, p_w))
+    g4i = gluing_entries(a2, b3, as3, p_nx).adjugate()
+    g4i_g2 = g4i * g2
+    segs = [(ids[lo:hi], _moved(g, P[lo:hi])) for lo, hi, g in (
+        (w, a_pos, g4i * g1i), (as_pos + 1, bs_pos, g4i_g2),   # X Z
+        (b_pos + 1, as_pos, g4i_g2 * g1i))]                    # Y
+    state.commit([([b_s, a, b, a_s], [p_w, w1] + _moved(g4i, (b3, as3)))]
+                 + segs, lo=w, hi=bs_pos + 1)
     if not (state.paired(w, w + 2) and state.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
     # no segment of the new tail X Z Y T holds an adjacent pair, as the old
@@ -424,8 +418,8 @@ def siegel_step(state):
     possible, otherwise handle the first fixed arc (+1), the first adjacent
     pair (+2), or pick the interleaved pivots given by the first arc whose
     partner precedes it (+4).  One of the four cases always applies while
-    w_len < n.  The state's on_op sees every base operation (a hyperbolic
-    step's four stages) and its on_step this step's record.
+    w_len < n.  The state's on_op sees the step's commit, none for an
+    extend, and its on_step this step's record.
     """
     w = state.w_len
     if w >= state.n:
@@ -448,10 +442,9 @@ def normalize(sym, on_op=None, on_step=None):
 
     Every arc of the output is at distance <= 2 from its partner and the
     word factors into quad (handle), pair (cusp) and fixed (elliptic)
-    blocks.  The arc (infinity, 0) is preserved.  on_op, when given, is
-    called with every intermediate symbol produced by a base operation,
-    which costs one symbol construction per base operation; on_step, when
-    given, with each step's {"kind", "pivots", "w_len"} record.
+    blocks.  The arc (infinity, 0) is preserved.  on_op, when given, gets
+    each step's commit as a symbol, one built per step but an extend, and
+    on_step, when given, each step's {"kind", "pivots", "w_len"} record.
     """
     sym.validate()
     state = _start_state(sym, on_op, on_step)

@@ -67,6 +67,15 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["member"] is False and doc["word"] is None
 
+    def test_member_negative_first_entry(self, capsys):
+        # argparse reads a separate "-1,0,0,-1" as an option; the attached
+        # form --matrix=... passes it as the value
+        code, out, err = run(capsys, "member", "--level", "6",
+                             "--matrix=-1,0,0,-1")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["member"] is True and doc["word"] == []
+
     def test_member_past_the_digit_limit(self, capsys):
         # a member of Gamma0(6) with an entry of 5000 digits, which int()
         # refuses: --matrix was refused with exit 2

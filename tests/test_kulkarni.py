@@ -816,9 +816,9 @@ ST_PROBES = (REVERSE, IMat(1, 1, 0, 1), REVERSE * IMat(1, 1, 0, 1),
 def test_permutation_groups_through_every_layer(pair, seed):
     """Every layer on the groups the builder makes from a coset table,
     against the permutation formulas and the table's own membership test:
-    normalization and its block counts, counts on both representations,
-    the word problem and membership on both, the Delta0 relations on both
-    and the JSON round trip of both symbols."""
+    normalization, each symbol it commits and its block counts, counts on
+    both representations, the word problem and membership on both, the
+    Delta0 relations on both and the JSON round trip of both symbols."""
     S, U = pair
     want, _ = permutation_invariants(S, U)
     g, nu_inf, nu2, nu3, mu = want
@@ -827,7 +827,10 @@ def test_permutation_groups_through_every_layer(pair, seed):
         sym = build_unimodular(MembershipOracle(table.contains, index_bound=mu))
     except FareyError:
         return  # the two refusals test_permutation_groups_build_or_are_refused names
-    nsym = normalize(sym)
+    ops = []
+    nsym = normalize(sym, on_op=ops.append)
+    for op in ops:
+        op.validate(table.contains)
     assert nsym.block_counts() == (g, nu_inf - 1, nu2 + nu3)
     assert counts(sym) == counts(nsym) == want
     rng = random.Random(seed)

@@ -467,8 +467,11 @@ class TestSiegelStep:
         def arcs(state):
             return state.ids, [Cusp(p, q) for p, q in state.verts]
 
+        # the fused step commits once, the reference's last stage; each of
+        # the reference's four stages is a valid symbol of the same group
         steps = 0
         for N in range(1, 201):
+            oracle = gamma0_oracle(N)
             log = []
             state = _start_state(gamma0_symbol(N), on_step=log.append)
             while not state.done():
@@ -482,7 +485,9 @@ class TestSiegelStep:
                 self.four_cuts(ref, w, a_pos)
                 siegel_step(staged)
                 assert arcs(state) == arcs(ref) == arcs(staged), (N, w)
-                assert fused_ops == ref_ops and len(ref_ops) == 4, (N, w)
+                assert len(ref_ops) == 4 and fused_ops == ref_ops[-1:], (N, w)
+                for stage in ref_ops:
+                    stage.validate(oracle)
                 steps += 1
         assert steps > 1000
 
@@ -625,16 +630,18 @@ class TestNormalize:
         assert out.stdout.split() == ["1", DIGEST_420]
 
     def test_intermediate_symbols_are_pinned(self):
+        # on_op sees each commit of the run: one symbol per step but an extend
         h = hashlib.sha256()
         count = 0
         for N in range(1, 61):
-            ops = []
-            normalize(gamma0_symbol(N), on_op=ops.append)
+            ops, log = [], []
+            normalize(gamma0_symbol(N), on_op=ops.append, on_step=log.append)
+            assert len(ops) == sum(e["kind"] != "extend" for e in log), N
             for s in ops:
                 h.update((s.to_json() + "\n").encode())
             count += len(ops)
         assert (count, h.hexdigest()) == (
-            584, "7343de62996aec59385315811410a59b70de7c01c9eba18c0fe5b2b7638c1b91")
+            254, "284c5adaceba02d074b18caa30fcd894f15aef14ac0b3e4de111e91ef1960397")
 
     def test_every_rotation_is_pinned(self):
         # every rotation of the unimodular and the normalized symbol: the

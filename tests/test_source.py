@@ -184,6 +184,18 @@ def test_walk_has_one_splice():
     assert not found, found
 
 
+def test_hyperbolic_step_has_one_path():
+    # siegel: the hyperbolic step is one splice whoever watches; the four
+    # base cuts it fuses live on only as the tests' reference
+    tree = ast.parse((SRC / "siegel.py").read_text())
+    step, = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "_step_hyperbolic"]
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(step)} & {"base_cut", "on_op"}
+    assert not named, sorted(named)
+
+
 def test_int_checks_only_in_exact():
     # exact._int_arg is the one check of an int argument; a type(x) is not
     # int elsewhere is a second copy of that rule
