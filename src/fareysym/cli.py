@@ -5,7 +5,11 @@ Exit codes: 0 success, 1 usage error, 2 validation failure on the inputs,
 "vertices", "pairing", "ell" and optional "level".  To revalidate the
 symbols a normalization commits, one per Siegel step that cuts, call
 normalize(sym, on_op=lambda s: s.validate()).  info and presentation
-print the bytes json.dumps(doc, indent=2) gives, written by _indented.
+print the bytes json.dumps(doc, indent=2) gives, written by one % template
+per record kind joined with str.join (_info_json, _presentation_json):
+CPython's C encoder runs only without indent.  A document holding an int
+past CPython's 4300-digit limit, which json.dumps refuses, is written again
+by the same templates with each int formatted by exact._int_str.
 """
 
 import argparse
@@ -43,44 +47,85 @@ def _load_symbol(args):
     raise InvalidSymbolError("either --level or --in is required")
 
 
-_INT = frozenset([int])
+def _matrix(pad):
+    """The template of a matrix's four ints, as json.dumps(..., indent=2)
+    writes them in a list opened at indentation pad."""
+    return "[\n%s\n%s]" % (",\n".join([pad + "  %s"] * 4), pad)
 
 
-def _indented(obj):
-    """Exactly json.dumps(obj, indent=2) for a document of dicts with str
-    keys, lists, tuples and scalars, faster: CPython's C encoder runs only
-    without indent.  A document holding an int past CPython's digit limit,
-    which json.dumps refuses, is written again with exact._int_str."""
+# one % template per record kind, each written at its place in the document
+_INFO = ('{\n  "n_arcs": %s,\n  "unimodular": %s,\n  "normalized": %s,\n'
+         '  "genus": %s,\n  "nu_inf": %s,\n  "nu2": %s,\n  "nu3": %s,\n'
+         '  "index": %s,\n  "cusps": %s,\n  "generators": %s,\n'
+         '  "symplectic_pairs": %s%s\n}')
+_LEVEL = ',\n  "level": %s'
+_CUSP = ('    {\n      "representative": %s,\n      "width": %s,\n'
+         '      "stabilizer_word": %s\n    }')
+_LETTER = "        [\n          %s,\n          %s\n        ]"
+_GENERATOR = ('    {\n      "matrix": ' + _matrix("      ")
+              + ',\n      "class": %s,\n      "arc": %s\n    }')
+_PAIR = "    [\n      %s,\n      %s\n    ]" % ((_matrix("      "),) * 2)
+_PRESENTATION = ('{\n  "generators": %s,\n  "elliptic": %s,\n  "lambda": %s,'
+                 '\n  "mu": %s\n}')
+_TERM = "      [\n        %s,\n        " + _matrix("        ") + "\n      ]"
+
+
+def _block(items, pad, brackets="[]"):
+    """A list (or, with brackets "{}", a dict) as json.dumps(..., indent=2)
+    writes it when opened at indentation pad: items are its entries, each
+    already written at pad plus two spaces."""
+    if not items:
+        return brackets
+    return "%s\n%s\n%s%s" % (brackets[0], ",\n".join(items), pad, brackets[1])
+
+
+def _info_json(doc, ints):
+    """json.dumps(doc, indent=2) for the document _cmd_info makes; ints
+    turns a sequence of the document's ints into the tuple its template
+    formats."""
+    cusps = [_CUSP % (encode_basestring_ascii(c["representative"]),
+                      *ints((c["width"],)),
+                      _block([_LETTER % ints(t) for t in c["stabilizer_word"]],
+                             "      "))
+             for c in doc["cusps"]]
+    gens = [_GENERATOR % (*ints(g["matrix"]), encode_basestring_ascii(g["class"]),
+                          *ints((g["arc"],)))
+            for g in doc["generators"]]
+    pairs = [_PAIR % ints((*a, *b)) for a, b in doc["symplectic_pairs"]]
+    level = _LEVEL % ints((doc["level"],)) if "level" in doc else ""
+    return _INFO % (*ints((doc["n_arcs"],)),
+                    "true" if doc["unimodular"] else "false",
+                    "true" if doc["normalized"] else "false",
+                    *ints((doc["genus"], doc["nu_inf"], doc["nu2"], doc["nu3"],
+                           doc["index"])),
+                    _block(cusps, "  "), _block(gens, "  "), _block(pairs, "  "),
+                    level)
+
+
+def _presentation_json(doc, ints):
+    """json.dumps(doc, indent=2) for a Delta0Presentation.to_jsonable()
+    document; ints as for _info_json."""
+    def relations(terms):
+        return _block(["    %s: %s" % (encode_basestring_ascii(k), _block(
+            [_TERM % ints((c, *m)) for c, m in v], "    "))
+            for k, v in terms.items()], "  ", "{}")
+    ell = doc["elliptic"]
+    return _PRESENTATION % (
+        _block(["    %s" % x for x in ints(doc["generators"])], "  "),
+        _block(["    %s: %s" % kv for kv in
+                zip(map(encode_basestring_ascii, ell), ints(ell.values()))],
+               "  ", "{}"),
+        relations(doc["lambda"]), relations(doc["mu"]))
+
+
+def _written(write, doc):
+    """write(doc, tuple): the templates format the ints themselves.  A
+    document holding an int past CPython's digit limit, which they and
+    json.dumps refuse, is written again with each int by exact._int_str."""
     try:
-        return _dump(obj, "\n", int.__repr__)
+        return write(doc, tuple)
     except ValueError:
-        return _dump(obj, "\n", _int_str)
-
-
-def _dump(obj, pad, num):
-    """_indented's writer: an int item is written in place by num and a
-    list of ints in one pass; any other scalar than a str goes to
-    json.dumps."""
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": "
-             + (num(v) if type(v) is int else _dump(v, inner, num))
-             for k, v in obj.items()]) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if _INT.issuperset(map(type, obj)):  # no bools: they print as true
-            items = map(num, obj)
-        else:
-            items = [num(x) if type(x) is int else _dump(x, inner, num)
-                     for x in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    return json.dumps(obj)
+        return write(doc, lambda xs: tuple(map(_int_str, xs)))
 
 
 def _compact(obj):
@@ -130,7 +175,6 @@ def _cmd_info(args):
         "nu2": nu2,
         "nu3": nu3,
         "index": index,
-        # tuples and IMats go to _indented as they are: it writes them as lists
         "cusps": [{"representative": str(o.representative),
                    "width": o.width,
                    "stabilizer_word": o.stabilizer_word}
@@ -141,13 +185,13 @@ def _cmd_info(args):
     }
     if sym.level is not None:
         doc["level"] = sym.level
-    _emit(_indented(doc), args.out)
+    _emit(_written(_info_json, doc), args.out)
 
 
 def _cmd_presentation(args):
     sym = _load_symbol(args)
     pres = delta0_presentation(sym)
-    _emit(_indented(pres.to_jsonable()), args.out)
+    _emit(_written(_presentation_json, pres.to_jsonable()), args.out)
 
 
 def _cmd_member(args):

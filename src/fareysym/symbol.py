@@ -12,7 +12,7 @@ import json
 
 from . import classical
 from .exact import (Cusp, IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    NotNormalizedError, cross, _int_arg, _int_args, _shown,
+                    NotNormalizedError, cross, _int_arg, _int_args, _new, _shown,
                     _shown_cusp, CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_PARABOLIC,
                     CLS_HYPERBOLIC)
 
@@ -31,11 +31,6 @@ def block_at(paired, k, room):
     if room > 3 and paired(k, k + 2) and paired(k + 1, k + 3):
         return ("quad", 4)
     return None
-
-
-def _flipped(p, q):
-    """True iff the integer pair (p, q) is minus a canonical Cusp pair."""
-    return q < 0 or (q == 0 and p < 0)
 
 
 def gluing_entries(r, s, t, u, order=None):
@@ -81,7 +76,8 @@ def gluing_entries(r, s, t, u, order=None):
         b = r1 * t1 + s1 * u1
         c = -(r2 * t2 + s2 * u2)
         d = r2 * t1 + s2 * u1
-        if _flipped(r1, r2) != _flipped(t1, t2):
+        # flip when exactly one of (r1, r2), (t1, t2) is minus a Cusp pair
+        if (r2 < 0 or (r2 == 0 and r1 < 0)) != (t2 < 0 or (t2 == 0 and t1 < 0)):
             a, b, c, d = -a, -b, -c, -d
     if w != 1:
         (qa, ra), (qb, rb), (qc, rc), (qd, rd) = (divmod(a, w), divmod(b, w),
@@ -90,7 +86,7 @@ def gluing_entries(r, s, t, u, order=None):
             raise InvalidSymbolError("gluing numerator %s is not divisible by %s"
                                      % (_shown((a, b, c, d)), _shown(w)))
         a, b, c, d = qa, qb, qc, qd
-    return IMat(a, b, c, d)
+    return _new(IMat, (a, b, c, d))
 
 
 class FareySymbol:
@@ -213,7 +209,7 @@ class FareySymbol:
         j = self.pairing[i]
         if j != i:
             a, b, c, d = g
-            self._glue[j] = IMat(-d, b, c, -a)
+            self._glue[j] = _new(IMat, (-d, b, c, -a))
         return g
 
     def gluings(self):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
-from fareysym.cli import _indented, check_level, cli_dispatch, make_parser
+from fareysym.cli import (_info_json, _presentation_json, _written, check_level,
+                          cli_dispatch, make_parser)
 from fareysym.delta0 import delta0_presentation
 from fareysym.exact import FareyError, IMat, _int_of, _int_str
 from fareysym.invariants import generators, word_product
@@ -574,27 +575,47 @@ def test_mutated_files_exit_0_or_2(tmp_path, capsys, symbol_for,
 # quote, backslash and control characters
 json_texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e')
                      | st.characters(), max_size=6)
-json_scalars = (st.integers(-2 ** 800, 2 ** 800) | st.booleans() | st.none()
-                | st.floats(allow_nan=False, allow_infinity=False) | json_texts)
+json_ints = st.integers(-2 ** 800, 2 ** 800)
+# a matrix as the documents hold it: an IMat in info, a list in presentation
+json_matrices = (st.builds(IMat, json_ints, json_ints, json_ints, json_ints)
+                 | st.lists(json_ints, min_size=4, max_size=4))
 
 
-def json_documents(depth):
-    """Documents nested up to depth containers deep: dicts with str keys,
-    lists and tuples (empty ones included), lists of ints alone, scalars."""
-    if depth == 0:
-        return json_scalars
-    child = json_documents(depth - 1)
-    return (json_scalars
-            | st.lists(st.integers(-2 ** 800, 2 ** 800), max_size=4)
-            | st.lists(child, max_size=4)
-            | st.lists(child, max_size=4).map(tuple)
-            | st.dictionaries(json_texts, child, max_size=4))
+def records(**fields):
+    """Dicts with these keys in this order, as the commands make them, each
+    value drawn from its strategy."""
+    return st.tuples(*fields.values()).map(lambda vs: dict(zip(fields, vs)))
+
+
+info_fields = dict(
+    n_arcs=json_ints, unimodular=st.booleans(), normalized=st.booleans(),
+    genus=json_ints, nu_inf=json_ints, nu2=json_ints, nu3=json_ints,
+    index=json_ints,
+    cusps=st.lists(records(
+        representative=json_texts, width=json_ints,
+        stabilizer_word=st.lists(st.tuples(json_ints, json_ints), max_size=4)),
+        max_size=4),
+    generators=st.lists(records(**{"matrix": json_matrices,
+                                   "class": json_texts, "arc": json_ints}),
+                        max_size=4),
+    symplectic_pairs=st.lists(st.tuples(json_matrices, json_matrices),
+                              max_size=3))
+info_documents = records(**info_fields) | records(**info_fields, level=json_ints)
+json_relations = st.dictionaries(
+    json_texts, st.lists(st.tuples(json_ints, json_matrices).map(list),
+                         max_size=3), max_size=4)
+presentation_documents = records(**{
+    "generators": st.lists(json_ints, max_size=5),
+    "elliptic": st.dictionaries(json_texts, json_ints, max_size=4),
+    "lambda": json_relations, "mu": json_relations})
 
 
 @settings(max_examples=400, deadline=None)
-@given(json_documents(5))
-def test_indented_writes_json_dumps_bytes(doc):
-    assert _indented(doc) == json.dumps(doc, indent=2)
+@given(st.tuples(st.just(_info_json), info_documents)
+       | st.tuples(st.just(_presentation_json), presentation_documents))
+def test_written_gives_json_dumps_bytes(write_doc):
+    write, doc = write_doc
+    assert _written(write, doc) == json.dumps(doc, indent=2)
 
 
 def tall_symbol(bits):
@@ -645,11 +666,26 @@ def test_symbol_past_the_digit_limit_crosses_json(tmp_path, capsys):
     assert code == 2 and "arc (infinity, 0)" in err, err
 
 
-def test_indented_writes_ints_past_the_digit_limit():
+def test_written_ints_past_the_digit_limit():
     # json.dumps refuses them; the bytes are json.dumps's layout with each
     # such int written whole
+    def info(x):
+        return {"n_arcs": x, "unimodular": True, "normalized": False,
+                "genus": 1, "nu_inf": -x, "nu2": 0, "nu3": 0, "index": x,
+                "cusps": [{"representative": "1/0", "width": x,
+                           "stabilizer_word": [(x, -1), (2, 1)]}],
+                "generators": [{"matrix": IMat(x, -x, 0, 1), "class": "x",
+                                "arc": 2}],
+                "symplectic_pairs": [(IMat(1, x, 0, 1), IMat(1, 0, -x, 1))],
+                "level": x}
+
+    def presentation(x):
+        return {"generators": [x, 2], "elliptic": {"3": x},
+                "lambda": {"0": [[x, [1, x, -x, 2]]], "3": []}, "mu": {"3": []}}
+
     big = 7 * 10**5000 + 3
-    text = _indented({"a": big, "b": [1, -big], "c": [[big, "x"], (-big,)]})
-    assert text.replace(_int_str(big), "7") == json.dumps(
-        {"a": 7, "b": [1, -7], "c": [[7, "x"], [-7]]}, indent=2)
-    assert json.loads(text, parse_int=_int_of)["c"][1] == [-big]
+    for write, doc in ((_info_json, info), (_presentation_json, presentation)):
+        text = _written(write, doc(big))
+        assert text.replace(_int_str(big), "7") == json.dumps(doc(7), indent=2)
+        assert json.loads(text, parse_int=_int_of) == json.loads(
+            json.dumps(doc(7)).replace("7", _int_str(big)), parse_int=_int_of)
