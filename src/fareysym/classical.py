@@ -52,36 +52,28 @@ def index_gamma0(N):
     return mu
 
 
-def nu2_gamma0(N):
-    """Number of order-2 elliptic classes of Gamma0(N)."""
+def _nu_gamma0(N, q, m):
+    """Number of order-q elliptic classes of Gamma0(N), q = 2 with m = 4 or
+    q = 3 with m = 3: 0 when q^2 | N, else the product over the primes
+    p != q dividing N of 2 if p = 1 (mod m), else 0."""
     factors = factorize(N)
-    if N % 4 == 0:
+    if N % (q * q) == 0:
         return 0
     r = 1
     for p, _ in factors:
-        if p == 2:
-            continue
-        if p % 4 == 1:
-            r *= 2
-        else:
-            return 0
+        if p != q:
+            r *= 2 if p % m == 1 else 0
     return r
+
+
+def nu2_gamma0(N):
+    """Number of order-2 elliptic classes of Gamma0(N)."""
+    return _nu_gamma0(N, 2, 4)
 
 
 def nu3_gamma0(N):
     """Number of order-3 elliptic classes of Gamma0(N)."""
-    factors = factorize(N)
-    if N % 9 == 0:
-        return 0
-    r = 1
-    for p, _ in factors:
-        if p == 3:
-            continue
-        if p % 3 == 1:
-            r *= 2
-        else:
-            return 0
-    return r
+    return _nu_gamma0(N, 3, 3)
 
 
 def nu_inf_gamma0(N):

@@ -15,6 +15,7 @@ by the same templates with each int formatted by exact._int_str.
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -255,7 +256,7 @@ def _cmd_scan(args):
         raise InvalidSymbolError("--from %d must not exceed --to %d"
                                  % (args.start, args.stop))
     levels = range(args.start, args.stop + 1)
-    jobs = min(args.jobs, len(levels))
+    jobs = min(args.jobs, len(levels), os.cpu_count() or 1)
     if jobs > 1:  # imap streams the levels; map would hold one slot each
         from multiprocessing import Pool
         with Pool(jobs) as pool:

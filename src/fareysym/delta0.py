@@ -94,12 +94,9 @@ class GroupRingElement:
 
     def act_on_divisor(self, divisor):
         """Apply the element to a formal sum of cusps (dict cusp -> coeff)."""
-        out = {}
-        for m, c in self.terms.items():
-            for cusp, k in divisor.items():
-                img = m.apply(cusp)
-                out[img] = out.get(img, 0) + c * k
-        return {cusp: k for cusp, k in out.items() if k}
+        # m is invertible, so no two cusps of one term share an image
+        return _divisor_sum({m.apply(cusp): c * k for cusp, k in divisor.items()}
+                            for m, c in self.terms.items())
 
     def to_jsonable(self):
         return [[c, list(m)] for m, c in sorted(self.terms.items())]

@@ -132,11 +132,7 @@ class Cusp(namedtuple("Cusp", "num den")):
         except TypeError:
             _int_args((num, den), "cusp coordinates must be ints")
             raise
-        num //= g
-        den //= g
-        if den < 0 or (den == 0 and num < 0):
-            num, den = -num, -den
-        return _new(cls, (num, den))
+        return _coprime_cusp(num // g, den // g)
 
     def __init__(self, num, den=1):
         if num == 0 and den == 0:
@@ -182,7 +178,8 @@ class Cusp(namedtuple("Cusp", "num den")):
 
 
 def _coprime_cusp(num, den):
-    """The Cusp of a pair known to be coprime: only the sign is fixed."""
+    """The Cusp of a pair known to be coprime: only the sign is fixed, here
+    for every Cusp, since the constructor divides out the gcd and calls this."""
     if den < 0 or (den == 0 and num < 0):
         num, den = -num, -den
     return _new(Cusp, (num, den))

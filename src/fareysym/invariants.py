@@ -348,18 +348,14 @@ def coset_table(sym):
     if "cosets" in memo:
         return memo["cosets"]
     sym.validate()
-    level = sym.level
-    if "companion" in memo:
-        table = coset_table(memo["companion"])
-    elif sym.is_unimodular():
-        table = _unimodular_table(sym)
-    elif level is not None:  # kept as the companion, so rotations share it
-        memo["companion"] = gamma0_symbol(level)
-        table = coset_table(memo["companion"])
-    else:
-        raise FareyError("the word problem on a non-unimodular symbol needs "
-                         "its level or the symbol it was cut from")
-    memo["cosets"] = table
+    if "companion" not in memo and not sym.is_unimodular():
+        if sym.level is None:
+            raise FareyError("the word problem on a non-unimodular symbol "
+                             "needs its level or the symbol it was cut from")
+        memo["companion"] = gamma0_symbol(sym.level)  # rotations share it
+    companion = memo.get("companion")
+    memo["cosets"] = table = (_unimodular_table(sym) if companion is None
+                              else coset_table(companion))
     return table
 
 

@@ -96,6 +96,9 @@ class FareySymbol:
 
     def __init__(self, vertices, pairing, ell=None, level=None):
         vertices = tuple(vertices)
+        if not {Cusp}.issuperset(map(type, vertices)):  # one C-level test
+            bad = next(v for v in vertices if type(v) is not Cusp)
+            raise InvalidSymbolError("vertices must be Cusps, got %s" % _shown(bad))
         pairing = _int_args(tuple(pairing), "pairing entries must be ints",
                             InvalidSymbolError)
         ell = dict(ell or {})

@@ -37,7 +37,7 @@ def test_index_against_p1_enumeration():
 
 
 def test_nu2_nu3_against_counting():
-    for N in range(1, 200):
+    for N in range(1, 2001):
         assert classical.nu2_gamma0(N) == brute_nu2(N), N
         assert classical.nu3_gamma0(N) == brute_nu3(N), N
 

@@ -299,14 +299,11 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "positive" in err
 
-    @pytest.mark.parametrize("jobs,levels,size", [
-        ("64", ("1", "3"), 3), ("2", ("1", "3"), 2), ("8", ("5", "5"), None),
-        ("1", ("1", "3"), None)])
-    def test_scan_starts_no_more_workers_than_levels(
-            self, capsys, monkeypatch, jobs, levels, size):
-        """The pool is a stand-in that records its size and streams in this
-        process, so no worker is started; it has no map, which would hold
-        one result slot per level."""
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The sizes of the pools scan starts.  The pool is a stand-in that
+        records its size and streams in this process, so no worker is
+        started; it has no map, which would hold one result slot per level."""
         sizes = []
 
         class FakePool:
@@ -323,10 +320,27 @@ class TestExitCodes:
                 return map(func, items)
 
         monkeypatch.setattr("multiprocessing.Pool", FakePool)
+        return sizes
+
+    @pytest.mark.parametrize("jobs,levels,size", [
+        ("64", ("1", "3"), 3), ("2", ("1", "3"), 2), ("8", ("5", "5"), None),
+        ("1", ("1", "3"), None), ("64", ("1", "9"), 4)])
+    def test_scan_starts_no_more_workers_than_levels(
+            self, capsys, monkeypatch, pool_sizes, jobs, levels, size):
+        """Nor more than the 4 cores os.cpu_count is made to report."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         code, out, _ = run(capsys, "scan", "--from", levels[0],
                            "--to", levels[1], "--jobs", jobs)
         assert code == 0 and "0 failure(s)" in out
-        assert sizes == ([size] if size else [])
+        assert pool_sizes == ([size] if size else [])
+
+    def test_scan_without_a_cpu_count_starts_no_workers(
+            self, capsys, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        code, out, _ = run(capsys, "scan", "--from", "1", "--to", "3",
+                           "--jobs", "2")
+        assert code == 0 and "scanned 3 levels, 0 failure(s)" in out
+        assert pool_sizes == []
 
     @pytest.mark.parametrize("counts,widths,failures", [
         (None, None, 3), ((9, 9, 9, 9, 9), [], 12)], ids=["raises", "wrong"])

@@ -1,6 +1,9 @@
-import pytest
+from functools import reduce
 
-from fareysym.exact import IMat, IDENTITY, INFINITY, ZERO, FareyError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fareysym.exact import Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError
 from fareysym.delta0 import (GroupRingElement, _element, arc_divisor,
                              delta0_presentation, resolution_maps)
 
@@ -40,6 +43,40 @@ class TestGroupRing:
         x = GroupRingElement.of(IMat(0, 1, -1, 0))  # swaps 0 and infinity
         d = x.act_on_divisor({ZERO: 1, INFINITY: -1})
         assert d == {INFINITY: 1, ZERO: -1}
+
+
+def reference_act_on_divisor(x, divisor):
+    """act_on_divisor as a double loop of its own, the reference for the
+    one that sums through _divisor_sum."""
+    out = {}
+    for m, c in x.terms.items():
+        for cusp, k in divisor.items():
+            img = m.apply(cusp)
+            out[img] = out.get(img, 0) + c * k
+    return {cusp: k for cusp, k in out.items() if k}
+
+
+# det-1 matrices as words in T and S, short so that terms repeat, and with
+# a sign, so that an element may be built of both g and -g
+_det1 = st.builds(
+    lambda word, sign: reduce(lambda m, f: m * f, word, IDENTITY) * sign,
+    st.lists(st.sampled_from([IMat(1, 1, 0, 1), IMat(1, -1, 0, 1),
+                              IMat(0, -1, 1, 0)]), max_size=6),
+    st.sampled_from([IDENTITY, IMat(-1, 0, 0, -1)]))
+_elements = st.lists(st.tuples(_det1, st.integers(-3, 3)), max_size=6).map(
+    lambda terms: reduce(lambda x, t: x + GroupRingElement.of(*t), terms,
+                         GroupRingElement.zero()))
+_cusps = st.tuples(st.integers(-5, 5), st.integers(0, 5)).filter(
+    lambda t: t != (0, 0)).map(lambda t: Cusp(*t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements, st.dictionaries(_cusps, st.integers(-2, 2), max_size=6))
+def test_divisor_action_equals_the_double_loop(x, divisor):
+    """The same dict in the same insertion order, also where images of
+    two terms meet and cancel and where the divisor holds zeros."""
+    got = x.act_on_divisor(divisor)
+    assert list(got.items()) == list(reference_act_on_divisor(x, divisor).items())
 
 
 class TestPresentation:

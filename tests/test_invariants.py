@@ -16,6 +16,8 @@ from fareysym.kulkarni import MembershipOracle, build_unimodular, gamma0_symbol
 from fareysym.siegel import base_cut, normalize
 from fareysym.symbol import FareySymbol
 
+from claims import IntersectionForm, block_relation_holds, gram_is_J, rank
+
 S, T = IMat(0, 1, -1, 0), IMat(1, 1, 0, 1)
 # a member of Gamma0(6) that a reduction judging progress by a window of
 # steps used to reject on the normalized symbol
@@ -113,52 +115,6 @@ class TestCounts:
             assert counts(ns)[0] == ns.block_counts()[0]
 
 
-class IntersectionForm:
-    """omega on Z^pairs of a unimodular symbol: the curve dual to a pair
-    {i, i*} of non-elliptic arcs (i < i*) crosses arc i one way and arc i*
-    the other, and two such curves cross once, with a sign, exactly when
-    their pairs interleave."""
-
-    def __init__(self, sym):
-        self.sym = sym
-        self.pairs = [(i, j) for i, j in enumerate(sym.pairing) if i < j]
-        self.col = {i: c for c, (i, _) in enumerate(self.pairs)}
-        self.omega = [[(i < k < j < l) - (k < i < l < j)
-                       for k, l in self.pairs] for i, j in self.pairs]
-
-    def vector(self, m):
-        """The exponent sum, pair by pair, of the word of m."""
-        v = [0] * len(self.pairs)
-        for i, e in express_word(self.sym, m):
-            j = self.sym.pairing[i]
-            if i < j:
-                v[self.col[i]] += e
-            elif j < i:
-                v[self.col[j]] -= e
-        return v
-
-    def times(self, v):
-        """omega v."""
-        return [sum(x * y for x, y in zip(row, v)) for row in self.omega]
-
-
-def rank(rows):
-    """The rank over Q of an integer matrix."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for k in range(r + 1, len(rows)):
-            if rows[k][c]:
-                f = rows[k][c] / rows[r][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        r += 1
-    return r
-
-
 class TestGenerators:
     def test_gamma0_14_symplectic_pair(self, normalized_for):
         ns = normalized_for(14)
@@ -183,35 +139,15 @@ class TestGenerators:
             assert len(generators(ns).symplectic_pairs) == g
 
     def test_stabilizer_word_is_the_block_relation(self, normalized_for):
-        """The cusp orbit of the vertex where the block word starts goes
-        once around the polygon: its stabilizer word reads the blocks in
-        reverse order, a quad (a, b, a*, b*) as b a* b* a, a pair (c, c*) as
-        c and a fixed arc as itself, every letter with exponent -1."""
-        def relation(blocks):
-            out = []
-            for kind, idx in reversed(blocks):
-                out += ([idx[1], idx[2], idx[3], idx[0]] if kind == "quad"
-                        else [idx[0]])
-            return out
-
-        def check(sym, where):
-            blocks = sym.factorize()
-            orbit, = [o for o in cusp_orbits(sym)
-                      if blocks[0][1][0] in o.vertex_indices]
-            letters = [j for j, _ in orbit.stabilizer_word]
-            assert {e for _, e in orbit.stabilizer_word} == {-1}, where
-            want = relation(blocks)
-            assert len(letters) == len(want) and any(
-                letters[k:] + letters[:k] == want
-                for k in range(len(want))), where
-
+        """block_relation_holds on the normal form, and on each rotation
+        for N <= 40."""
         for N in range(1, 301):
             ns = normalized_for(N)
             assert ns.factorize()[0][1][0] == 0, N
-            check(ns, N)
+            block_relation_holds(ns, N)
             if N <= 40:
                 for k in range(ns.n):
-                    check(ns.rotated(k), (N, k))
+                    block_relation_holds(ns.rotated(k), (N, k))
 
     def test_minimal_hyperbolic_count(self, normalized_for):
         # Gamma maps onto H1(X; Z) = Z^2g and kills its parabolic and
@@ -240,18 +176,6 @@ class TestGenerators:
         formula, so 2g vectors with Gram +-J span it: the rank is computed
         only where it is cheap.  Every rotation of the normal form for
         N <= 40 gives a symplectic basis too."""
-        def gram_is_J(form, ns, g, where):
-            vectors = [form.vector(m) for pair in
-                       generators(ns).symplectic_pairs for m in pair]
-            images = [form.times(w) for w in vectors]
-            gram = [[sum(x * y for x, y in zip(v, w)) for w in images]
-                    for v in vectors]
-            sign = gram[0][1] if g else 1
-            assert sign in (1, -1), where
-            assert gram == [[sign * ((y == x + 1 and x % 2 == 0)
-                                     - (x == y + 1 and y % 2 == 0))
-                             for y in range(2 * g)] for x in range(2 * g)], where
-
         for N in range(1, 301):
             uni, ns = symbol_for(N), normalized_for(N)
             form = IntersectionForm(uni)

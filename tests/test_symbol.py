@@ -11,7 +11,7 @@ from fareysym.exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
                             CLS_ELLIPTIC2, CLS_ELLIPTIC3, CLS_HYPERBOLIC,
                             CLS_PARABOLIC)
 from fareysym.symbol import FareySymbol, gluing_entries, symbol_from_ids
-from fareysym.kulkarni import gamma0_oracle
+from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
 
 
 def test_a_huge_width_is_named_by_its_size():
@@ -277,6 +277,21 @@ class TestConstruction:
     def test_too_small(self):
         with pytest.raises(InvalidSymbolError):
             FareySymbol([INFINITY], [0], {0: 2})
+
+    @pytest.mark.parametrize("vertex", [
+        tuple, str, lambda v: v.num / (v.den or 1), lambda v: None],
+        ids=["tuple", "str", "float", "None"])
+    def test_vertices_must_be_cusps(self, vertex):
+        """A plain pair compares equal to its Cusp, so the tuple vertices
+        of a valid symbol passed the constructor and then failed validate
+        with a bare AttributeError; any vertex that is not a Cusp is
+        refused up front, every one of them or only the last."""
+        s = gamma0_symbol(6)
+        for vertices in ([vertex(v) for v in s.vertices],
+                         list(s.vertices[:-1]) + [vertex(s.vertices[-1])]):
+            with pytest.raises(InvalidSymbolError,
+                               match="^vertices must be Cusps, got "):
+                FareySymbol(vertices, s.pairing, s.ell, 6).validate()
 
 
 class TestDistanceAndClasses:
