@@ -38,12 +38,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_symbol(args):
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile, "rb") as fh:
             sym = FareySymbol.from_json(fh.read())
         sym.validate()
         return sym
-    if getattr(args, "level", None) is not None:
+    if args.level is not None:
         return gamma0_symbol(args.level)
     raise InvalidSymbolError("either --level or --in is required")
 
@@ -278,46 +278,44 @@ def make_parser():
                 description="Farey symbols for Gamma0(N): build, normalize, "
                             "inspect, render.")
     sub = p.add_subparsers(dest="command", required=True)
+    # the options several subcommands share, each declared once
+    symbol_in = argparse.ArgumentParser(add_help=False)
+    symbol_in.add_argument("--level", type=int)
+    symbol_in.add_argument("--in", dest="infile")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
-    b = sub.add_parser("build", help="unimodular symbol for Gamma0(N)")
+    b = sub.add_parser("build", parents=[out],
+                       help="unimodular symbol for Gamma0(N)")
     b.add_argument("--level", type=int, required=True)
-    b.add_argument("--out")
     b.set_defaults(func=_cmd_build)
 
-    nm = sub.add_parser("normalize", help="Siegel-normalize a symbol")
-    nm.add_argument("--level", type=int)
-    nm.add_argument("--in", dest="infile")
+    nm = sub.add_parser("normalize", parents=[symbol_in, out],
+                        help="Siegel-normalize a symbol")
     nm.add_argument("--trace", action="store_true",
                     help="log one JSON line per Siegel step to stderr")
-    nm.add_argument("--out")
     nm.set_defaults(func=_cmd_normalize)
 
-    inf = sub.add_parser("info", help="counts, cusps and generators")
-    inf.add_argument("--level", type=int)
-    inf.add_argument("--in", dest="infile")
-    inf.add_argument("--out")
+    inf = sub.add_parser("info", parents=[symbol_in, out],
+                         help="counts, cusps and generators")
     inf.set_defaults(func=_cmd_info)
 
-    pr = sub.add_parser("presentation", help="divisor-module presentation")
-    pr.add_argument("--level", type=int)
-    pr.add_argument("--in", dest="infile")
-    pr.add_argument("--out")
+    pr = sub.add_parser("presentation", parents=[symbol_in, out],
+                        help="divisor-module presentation")
     pr.set_defaults(func=_cmd_presentation)
 
-    mb = sub.add_parser("member", help="membership + word in the generators")
+    mb = sub.add_parser("member", parents=[out],
+                        help="membership + word in the generators")
     mb.add_argument("--level", type=int, required=True)
     mb.add_argument("--matrix", required=True,
                     help="a,b,c,d; write --matrix=a,b,c,d when a < 0")
-    mb.add_argument("--out")
     mb.set_defaults(func=_cmd_member)
 
-    rd = sub.add_parser("render", help="SVG drawing of a symbol")
-    rd.add_argument("--level", type=int)
-    rd.add_argument("--in", dest="infile")
+    rd = sub.add_parser("render", parents=[symbol_in, out],
+                        help="SVG drawing of a symbol")
     rd.add_argument("--style", default="chords", choices=STYLES)
     rd.add_argument("--width", type=int, default=600)
     rd.add_argument("--height", type=int, default=400)
-    rd.add_argument("--out")
     rd.set_defaults(func=_cmd_render)
 
     sc = sub.add_parser("scan", help="run the invariant suite over a range")

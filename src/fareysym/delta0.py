@@ -8,7 +8,7 @@ free presentation whose higher syzygies alternate between multiplication by
 (gamma - 1) and by the orbit sum of gamma, one coordinate per elliptic arc.
 """
 
-from .exact import IDENTITY, FareyError, _int_arg, _int_args
+from .exact import IDENTITY, Cusp, FareyError, _as_cusp, _int_arg, _int_args
 
 
 def _element(pairs):
@@ -93,7 +93,10 @@ class GroupRingElement:
         return "GroupRingElement(%s)" % " ".join(bits)
 
     def act_on_divisor(self, divisor):
-        """Apply the element to a formal sum of cusps (dict cusp -> coeff)."""
+        """Apply the element to a formal sum of cusps (dict point -> coeff),
+        a point being a Cusp or an int pair read as its Cusp (IMat.apply)."""
+        if not {Cusp}.issuperset(map(type, divisor)):  # pairs may share a Cusp
+            divisor = _divisor_sum({_as_cusp(p): k} for p, k in divisor.items())
         # m is invertible, so no two cusps of one term share an image
         return _divisor_sum({m.apply(cusp): c * k for cusp, k in divisor.items()}
                             for m, c in self.terms.items())

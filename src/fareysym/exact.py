@@ -185,6 +185,16 @@ def _coprime_cusp(num, den):
     return _new(Cusp, (num, den))
 
 
+def _as_cusp(x):
+    """x as a Cusp: a Cusp, or an int pair (p, q) read as Cusp(p, q), which
+    refuses (0, 0); anything else raises FareyError naming it."""
+    if type(x) is Cusp:
+        return x
+    if type(x) is tuple and len(x) == 2 and {int}.issuperset(map(type, x)):
+        return Cusp(*x)
+    raise FareyError("a point is a Cusp or an int pair (p, q), got %s" % _shown(x))
+
+
 INFINITY = Cusp(1, 0)
 ZERO = Cusp(0, 1)
 
@@ -266,11 +276,13 @@ class IMat(namedtuple("IMat", "a b c d")):
         return r
 
     def apply(self, x):
-        """Moebius action on a cusp: (p:q) -> (a p + b q : c p + d q)."""
+        """Moebius action on a cusp: (p:q) -> (a p + b q : c p + d q).  x is
+        a Cusp or an int pair read as its Cusp (_as_cusp)."""
         a, b, c, d = self
         if a * d == b * c:
             raise FareyError("moebius action needs det != 0")
-        return Cusp(a * x.num + b * x.den, c * x.num + d * x.den)
+        p, q = _as_cusp(x)
+        return Cusp(a * p + b * q, c * p + d * q)
 
     def size(self):
         """Sum of absolute values of the entries (word-problem measure)."""
@@ -295,25 +307,30 @@ CLS_HYPERBOLIC = "hyperbolic"
 
 def _sl2_arg(g, message):
     """g if its entries are four ints (see _int_arg) of det 1, else FareyError."""
-    a, b, c, d = _int_args(g, message)
+    try:
+        a, b, c, d = _int_args(g, message)
+    except (TypeError, ValueError):  # not iterable, or not four entries
+        raise FareyError("%s, got %s" % (message, _shown(g))) from None
     if a * d - b * c != 1:
         raise FareyError("%s, got det %s" % (message, _shown(a * d - b * c)))
     return g
 
 
 def classify(g):
-    """Trace classification of a det-1 integer matrix.
+    """Trace classification of a det-1 integer matrix, an IMat or any
+    sequence of its four entries.
 
     Returns one of the CLS_* tags; elliptic order is 2 iff the trace is 0
     and 3 iff the trace is +-1 (no other elliptic traces occur in SL2(Z)).
     """
-    t = abs(_sl2_arg(g, "classification is defined for det-1 matrices").trace())
+    a, b, c, d = _sl2_arg(g, "classification is defined for det-1 matrices")
+    t = abs(a + d)
     if t == 0:
         return CLS_ELLIPTIC2
     if t == 1:
         return CLS_ELLIPTIC3
-    if t == 2:
-        return CLS_IDENTITY if g.is_identity_psl() else CLS_PARABOLIC
+    if t == 2:  # with det 1, b = c = 0 leaves only +-identity
+        return CLS_IDENTITY if b == c == 0 else CLS_PARABOLIC
     return CLS_HYPERBOLIC
 
 

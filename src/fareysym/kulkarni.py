@@ -52,9 +52,9 @@ from math import gcd
 
 from . import classical
 from .exact import (IMat, INFINITY, ZERO, FareyError, InvalidSymbolError,
-                    ORDER2, ORDER3, _coprime_cusp, _int_arg, _int_args,
-                    _shown, _sl2_arg)
-from .symbol import FareySymbol, symbol_from_ids
+                    ORDER2, _coprime_cusp, _int_arg, _int_args, _shown,
+                    _sl2_arg)
+from .symbol import FareySymbol, gluing_entries, symbol_from_ids
 
 # order-3 rotation attached to the arc (infinity, 0)
 _ODD_AT_INF = IMat(-1, -1, 1, 0)
@@ -340,24 +340,22 @@ def build_unimodular(oracle, on_event=None):
                              "not define a genuine subgroup")
         claimed.add(label)
 
-    def mats(k):
-        """An arc's matrix m and m * REVERSE = (b, -a, d, -c)."""
-        a, b, c, d = ent[k]
-        return IMat(a, b, c, d), IMat(b, -a, d, -c)
-
     def resolve(k):
-        """Self-pair or cross-pair arc k by membership tests, if one fires."""
-        m, neg = mats(k)
-        if pred(m * neg.adjugate()):
+        """Self-pair or cross-pair arc k by membership tests, if one fires,
+        of the gluings gluing_entries makes, whose sign pred ignores."""
+        a, b, c, d = ent[k]
+        r, s = (a, c), (b, d)
+        if pred(gluing_entries(r, s, r, s, 2)):
             walk.fix(k, 2)
-        elif pred(neg * ORDER3 * neg.adjugate()):
+        elif pred(gluing_entries(r, s, r, s, 3)):
             walk.fix(k, 3)
         else:
             for j in walk.arcs():
-                if (j != k and partner[j] is None
-                        and pred(m * mats(j)[1].adjugate())):
-                    walk.pair(k, j)
-                    return
+                if j != k and partner[j] is None:
+                    e, f, g, h = ent[j]
+                    if pred(gluing_entries(r, s, (e, g), (f, h))):
+                        walk.pair(k, j)
+                        return
 
     fresh = (0, 1, 2)  # the arcs to pair: the triangle's, then each split's
     waiting = deque()

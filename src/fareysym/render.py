@@ -14,6 +14,7 @@ deterministic for a fixed symbol and spec.
 
 import math
 import numbers
+from collections import namedtuple
 
 from .exact import FareyError, InvalidSymbolError, _int_arg, _shown
 
@@ -35,44 +36,34 @@ def _finite_real(x):
         return False
 
 
-class RenderSpec:
+class RenderSpec(namedtuple("RenderSpec", "style width height xmin xmax")):
     """What to draw: a style of STYLES, the picture's size in pixels and,
-    for the half-plane, the x-range shown.  Compares field by field.  A
-    plain class, not a dataclass: the dataclasses module imports inspect,
-    ast, dis and tokenize into every process that imports this package."""
+    for the half-plane, the x-range shown.  Like Cusp and IMat, an
+    immutable tuple that compares and hashes as its fields do; the
+    constructor checks every field, and _make and so _replace call it."""
 
-    # the fields in order, which a match statement also reads positionally
-    __match_args__ = ("style", "width", "height", "xmin", "xmax")
+    __slots__ = ()
 
-    def __init__(self, style="chords", width=600, height=400, xmin=-0.25,
-                 xmax=1.25):
-        self.style, self.width, self.height = style, width, height
-        self.xmin, self.xmax = xmin, xmax
-        if self.style not in STYLES:
+    def __new__(cls, style="chords", width=600, height=400, xmin=-0.25,
+                xmax=1.25):
+        if style not in STYLES:
             raise InvalidSymbolError("unknown render style %s (expected one of %s)"
-                                     % (_shown(self.style), ", ".join(STYLES)))
-        for x in (self.width, self.height):
+                                     % (_shown(style), ", ".join(STYLES)))
+        for x in (width, height):
             _int_arg(x, 1, MAX_SIDE + 1, "render dimensions must be positive "
                      "ints up to %d" % MAX_SIDE, InvalidSymbolError)
-        if not (_finite_real(self.xmin) and _finite_real(self.xmax)
-                and _finite_real(self.xmax - self.xmin)):
+        if not (_finite_real(xmin) and _finite_real(xmax)
+                and _finite_real(xmax - xmin)):
             # no values in the message: repr of a huge int raises
             raise InvalidSymbolError("render x-range ends must be finite reals "
                                      "with a finite difference")
-        if not self.xmax > self.xmin:
+        if not xmax > xmin:
             raise InvalidSymbolError("empty x-range")
+        return tuple.__new__(cls, (style, width, height, xmin, xmax))
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % item for item in zip(self.__match_args__, self._values())))
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def _svg(spec, body):

@@ -240,14 +240,10 @@ class FareySymbol:
 
     def class_counts(self):
         """Arc classes counted modulo the involution: dict tag -> count."""
-        seen = set()
         out = {CLS_HYPERBOLIC: 0, CLS_PARABOLIC: 0, CLS_ELLIPTIC2: 0, CLS_ELLIPTIC3: 0}
-        for i in range(self.n):
-            if i in seen:
-                continue
-            seen.add(i)
-            seen.add(self.pairing[i])
-            out[self.arc_class(i)] += 1
+        for i, j in enumerate(self.pairing):
+            if i <= j:  # one arc per orbit, as generators takes them
+                out[self.arc_class(i)] += 1
         return out
 
     def normalization_defect(self):

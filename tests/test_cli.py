@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -419,6 +420,41 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "scanned 12 levels, 0 failure(s)\n"
+
+
+# every option of every subcommand: (dest, type, default, required, choices)
+_LEVEL_IN = {"--level": ("level", int, None, False, None),
+             "--in": ("infile", None, None, False, None)}
+_OUT = {"--out": ("out", None, None, False, None)}
+OPTIONS = {
+    "build": {"--level": ("level", int, None, True, None), **_OUT},
+    "normalize": {**_LEVEL_IN, **_OUT,
+                  "--trace": ("trace", None, False, False, None)},
+    "info": {**_LEVEL_IN, **_OUT},
+    "presentation": {**_LEVEL_IN, **_OUT},
+    "member": {"--level": ("level", int, None, True, None),
+               "--matrix": ("matrix", None, None, True, None), **_OUT},
+    "render": {**_LEVEL_IN, **_OUT,
+               "--style": ("style", None, "chords", False,
+                           ("chords", "halfplane", "disk")),
+               "--width": ("width", int, 600, False, None),
+               "--height": ("height", int, 400, False, None)},
+    "scan": {"--from": ("start", int, None, True, None),
+             "--to": ("stop", int, None, True, None),
+             "--jobs": ("jobs", int, 1, False, None)},
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    # the options shared through parent parsers are declared once; each
+    # subcommand must still get every option it declared on its own
+    sub = next(a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {"/".join(a.option_strings):
+                  (a.dest, a.type, a.default, a.required, a.choices)
+                  for a in parser._actions if a.dest != "help"}
+           for name, parser in sub.choices.items()}
+    assert got == OPTIONS
 
 
 class TestParserReuse:

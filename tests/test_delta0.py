@@ -44,6 +44,23 @@ class TestGroupRing:
         d = x.act_on_divisor({ZERO: 1, INFINITY: -1})
         assert d == {INFINITY: 1, ZERO: -1}
 
+    def test_divisor_of_plain_pairs(self):
+        # a plain pair key raised a bare AttributeError; pairs naming one
+        # cusp add up as their Cusps would
+        x = GroupRingElement.of(IMat(0, 1, -1, 0)) + GroupRingElement.one()
+        want = x.act_on_divisor({ZERO: 1, Cusp(1, 2): -1})
+        assert x.act_on_divisor({(0, 1): 1, (1, 2): -1}) == want
+        got = x.act_on_divisor({(0, 1): 1, (2, 4): -2, (-1, -2): 1})
+        assert got == want and {type(c) for c in got} == {Cusp}
+
+    @pytest.mark.parametrize("key, message", [
+        ((1, 2, 3), r"int pair \(p, q\), got \(1, 2, 3\)"),
+        ("1/2", r"int pair \(p, q\), got '1/2'"),
+        ((0, 0), r"\(0, 0\) does not define a point")])
+    def test_divisor_keys_that_are_no_points_are_refused(self, key, message):
+        with pytest.raises(FareyError, match=message):
+            GroupRingElement.one().act_on_divisor({ZERO: 1, key: -1})
+
 
 def reference_act_on_divisor(x, divisor):
     """act_on_divisor as a double loop of its own, the reference for the

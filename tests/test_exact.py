@@ -1,5 +1,6 @@
 import random
 import re
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +320,23 @@ class TestMoebius:
             with pytest.raises(FareyError):
                 m.apply(ZERO)
 
+    def test_a_plain_pair_is_read_as_its_cusp(self):
+        # a plain pair raised a bare AttributeError
+        g = IMat(2, -1, 15, -7)
+        for point in ((1, 2), (-2, -4), Cusp(1, 2)):
+            got = g.apply(point)
+            assert got == ZERO and type(got) is Cusp
+
+    @pytest.mark.parametrize("point, message", [
+        ((1, 2, 3), r"int pair \(p, q\), got \(1, 2, 3\)"),
+        ("1/2", r"int pair \(p, q\), got '1/2'"),
+        ((1.0, 2), r"got \(1.0, 2\)"), ((True, 1), r"got \(True, 1\)"),
+        ([1, 2], r"got \[1, 2\]"), (None, "got None"),
+        ((0, 0), r"\(0, 0\) does not define a point")])
+    def test_other_points_are_refused(self, point, message):
+        with pytest.raises(FareyError, match=message):
+            IMat(1, 1, 0, 1).apply(point)
+
 
 class TestClassify:
     def test_fixtures(self):
@@ -332,6 +350,28 @@ class TestClassify:
     def test_requires_det_one(self):
         with pytest.raises(FareyError):
             classify(IMat(2, 0, 0, 1))
+
+    @pytest.mark.parametrize("g", [(1, 1, 0), (1, 0, 0, 1, 0), 5, None])
+    def test_other_shapes_are_refused(self, g):
+        # a 3- or 5-tuple raised a bare ValueError, an int a TypeError
+        with pytest.raises(FareyError, match="det-1 matrices, got"):
+            classify(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(st.integers(-3, 3), max_size=6).map(
+        lambda ks: reduce(lambda g, k: g * IMat(k, -1, 1, 0), ks, IDENTITY)),
+        unimodular_matrices()))
+    def test_plain_tuples_classify_as_their_imat(self, g):
+        # a plain tuple or list passed the entry check, then raised a bare
+        # AttributeError; the reference is the trace rule on the IMat.  Short
+        # words in T^k S give every class, long ones large entries.
+        if g.det() == -1:
+            g = g * IMat(1, 0, 0, -1)
+        t = abs(g.trace())
+        want = ({0: CLS_ELLIPTIC2, 1: CLS_ELLIPTIC3}.get(t) or CLS_HYPERBOLIC
+                if t != 2 else
+                CLS_IDENTITY if g.is_identity_psl() else CLS_PARABOLIC)
+        assert classify(g) == classify(tuple(g)) == classify(list(g)) == want
 
     def test_rotation_identities(self):
         # order-2 and order-3 rotations attached to random unimodular arcs

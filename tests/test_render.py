@@ -333,6 +333,43 @@ class TestSpec:
         with pytest.raises(InvalidSymbolError, match="finite reals"):
             RenderSpec(**ends)
 
+    @pytest.mark.parametrize("field", ["style", "width", "height", "xmin", "xmax"])
+    def test_fields_cannot_be_assigned(self, field):
+        # a plain class took spec.width = 0 past every check, and
+        # render_polygon then divided by zero
+        spec = RenderSpec(style="halfplane")
+        with pytest.raises(AttributeError):
+            setattr(spec, field, 0)
+        assert spec == RenderSpec(style="halfplane")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"width": 0}, "ints"), ({"height": 1.5}, "ints"),
+        ({"style": "bogus"}, "style"), ({"xmin": float("nan")}, "finite reals"),
+        ({"xmax": -1}, "empty x-range")])
+    def test_replace_checks_its_fields(self, change, message):
+        with pytest.raises(InvalidSymbolError, match=message):
+            RenderSpec(style="halfplane")._replace(**change)
+
+    def test_make_checks_its_fields(self):
+        with pytest.raises(InvalidSymbolError, match="finite reals"):
+            RenderSpec._make(("disk", 600, 400, float("nan"), 1.25))
+        spec = RenderSpec._make(("disk", 300, 200, -1, 2))
+        assert spec == RenderSpec("disk", 300, 200, -1, 2)
+        assert spec._replace(width=600) == RenderSpec("disk", 600, 200, -1, 2)
+
+    def test_a_spec_is_a_value(self):
+        spec = RenderSpec(style="disk", width=300)
+        assert repr(spec) == ("RenderSpec(style='disk', width=300, height=400, "
+                              "xmin=-0.25, xmax=1.25)")
+        assert spec == RenderSpec("disk", 300, 400, -0.25, 1.25)
+        assert spec == ("disk", 300, 400, -0.25, 1.25)
+        assert spec != RenderSpec(style="disk")
+        assert hash(spec) == hash(RenderSpec("disk", 300))
+        assert len({spec, RenderSpec("disk", 300), RenderSpec()}) == 2
+        match spec:
+            case RenderSpec(style, width, xmin=xmin):
+                assert (style, width, xmin) == ("disk", 300, -0.25)
+
     def test_x_range_takes_any_finite_real(self, symbol_for):
         spec = RenderSpec(style="halfplane", xmin=Fraction(-1, 4), xmax=1)
         assert render_polygon(symbol_for(13), spec).startswith("<svg")

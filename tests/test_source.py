@@ -108,6 +108,16 @@ def test_reference_oracles_stay_out_of_src():
     assert not hasattr(fareysym.FareySymbol, "is_linked")
 
 
+def test_the_builder_has_no_second_gluing_formula():
+    # gluing_entries is the one code in src/ that makes a gluing from arc
+    # ends: the builder's generic pairing tests the gluings it makes, so
+    # kulkarni names neither ORDER3 nor adjugate
+    tree = ast.parse((SRC / "kulkarni.py").read_text())
+    names = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if hasattr(node, attr)}
+    assert not {"ORDER3", "adjugate"} & names
+
+
 def test_records_have_one_writer():
     # kulkarni: _Walk.pair and _Walk.fix write every pairing and build its
     # trace event, for both pairing paths of the builder and for the

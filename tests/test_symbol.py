@@ -328,6 +328,23 @@ class TestDistanceAndClasses:
             for i in range(s.n):
                 assert s.arc_class(i) == classify(s.gluing(i)), (N, i)
 
+    def test_class_counts_take_one_arc_per_orbit(self, symbol_for,
+                                                 normalized_for):
+        # the reference counts each orbit at its first arc by a seen set
+        def reference(s):
+            seen = set()
+            out = dict.fromkeys((CLS_HYPERBOLIC, CLS_PARABOLIC,
+                                 CLS_ELLIPTIC2, CLS_ELLIPTIC3), 0)
+            for i in range(s.n):
+                if i not in seen:
+                    seen.update((i, s.pairing[i]))
+                    out[s.arc_class(i)] += 1
+            return out
+
+        for N in range(1, 101):
+            for s in (symbol_for(N), normalized_for(N)):
+                assert s.class_counts() == reference(s), N
+
     def test_partner_gluing_is_inverse(self, symbol_for):
         for N in (11, 15, 22, 37):
             s = symbol_for(N)
