@@ -5,11 +5,13 @@ Exit codes: 0 success, 1 usage error, 2 validation failure on the inputs,
 "vertices", "pairing", "ell" and optional "level".  To revalidate the
 symbols a normalization commits, one per Siegel step that cuts, call
 normalize(sym, on_op=lambda s: s.validate()).  info and presentation
-print the bytes json.dumps(doc, indent=2) gives, written by one % template
-per record kind joined with str.join (_info_json, _presentation_json):
-CPython's C encoder runs only without indent.  A document holding an int
-past CPython's 4300-digit limit, which json.dumps refuses, is written again
-by the same templates with each int formatted by exact._int_str.
+print the bytes json.dumps(doc, indent=2) gives and member those of
+json.dumps(doc), each written by one % template per record kind joined with
+str.join (_info_json, _presentation_json, _member_json): CPython's C
+encoder runs only without indent.  All three go through _written: a
+document holding an int past CPython's 4300-digit limit, which json.dumps
+refuses, is written again by the same templates with each int formatted by
+exact._int_str.
 """
 
 import argparse
@@ -69,6 +71,7 @@ _PAIR = "    [\n      %s,\n      %s\n    ]" % ((_matrix("      "),) * 2)
 _PRESENTATION = ('{\n  "generators": %s,\n  "elliptic": %s,\n  "lambda": %s,'
                  '\n  "mu": %s\n}')
 _TERM = "      [\n        %s,\n        " + _matrix("        ") + "\n      ]"
+_MEMBER = '{"level": %s, "matrix": [%s, %s, %s, %s], "member": %s, "word": %s}'
 
 
 def _block(items, pad, brackets="[]"):
@@ -119,6 +122,16 @@ def _presentation_json(doc, ints):
         relations(doc["lambda"]), relations(doc["mu"]))
 
 
+def _member_json(doc, ints):
+    """json.dumps(doc) for the document _cmd_member makes; ints as for
+    _info_json."""
+    word = doc["word"]
+    return _MEMBER % (*ints((doc["level"], *doc["matrix"])),
+                      "true" if doc["member"] else "false",
+                      "null" if word is None else "[%s]" % ", ".join(
+                          ["[%s, %s]" % ints(letter) for letter in word]))
+
+
 def _written(write, doc):
     """write(doc, tuple): the templates format the ints themselves.  A
     document holding an int past CPython's digit limit, which they and
@@ -127,18 +140,6 @@ def _written(write, doc):
         return write(doc, tuple)
     except ValueError:
         return write(doc, lambda xs: tuple(map(_int_str, xs)))
-
-
-def _compact(obj):
-    """json.dumps(obj) for a document of dicts with str keys, lists and
-    scalars, whose ints may pass CPython's digit limit: those are written
-    by exact._int_str."""
-    if isinstance(obj, dict):
-        return "{%s}" % ", ".join([encode_basestring_ascii(k) + ": " + _compact(v)
-                                   for k, v in obj.items()])
-    if isinstance(obj, list):
-        return "[%s]" % ", ".join(map(_compact, obj))
-    return _int_str(obj) if type(obj) is int else json.dumps(obj)
 
 
 def _emit(text, out):
@@ -206,9 +207,8 @@ def _cmd_member(args):
     sym = gamma0_symbol(args.level)
     word = express_word(sym, g)
     doc = {"level": args.level, "matrix": [a, b, c, d],
-           "member": word is not None,
-           "word": [list(t) for t in word] if word is not None else None}
-    _emit(_compact(doc), args.out)
+           "member": word is not None, "word": word}
+    _emit(_written(_member_json, doc), args.out)
 
 
 def _cmd_render(args):

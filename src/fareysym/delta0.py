@@ -8,7 +8,8 @@ free presentation whose higher syzygies alternate between multiplication by
 (gamma - 1) and by the orbit sum of gamma, one coordinate per elliptic arc.
 """
 
-from .exact import IDENTITY, Cusp, FareyError, _as_cusp, _int_arg, _int_args
+from .exact import (IDENTITY, Cusp, FareyError, _as_cusp, _int_arg,
+                    _int_args, _shown)
 
 
 def _element(pairs):
@@ -93,8 +94,13 @@ class GroupRingElement:
         return "GroupRingElement(%s)" % " ".join(bits)
 
     def act_on_divisor(self, divisor):
-        """Apply the element to a formal sum of cusps (dict point -> coeff),
-        a point being a Cusp or an int pair read as its Cusp (IMat.apply)."""
+        """Apply the element to a formal sum of cusps (dict point -> int
+        coefficient), a point being a Cusp or an int pair read as its Cusp
+        (IMat.apply).  Any other divisor raises FareyError naming it."""
+        if not isinstance(divisor, dict):
+            raise FareyError("a divisor is a dict of points to int "
+                             "coefficients, got %s" % _shown(divisor))
+        _int_args(divisor.values(), "divisor coefficients must be ints")
         if not {Cusp}.issuperset(map(type, divisor)):  # pairs may share a Cusp
             divisor = _divisor_sum({_as_cusp(p): k} for p, k in divisor.items())
         # m is invertible, so no two cusps of one term share an image
@@ -215,10 +221,7 @@ def delta0_presentation(sym):
     for i in elliptic:
         lam[i] = GroupRingElement.one()
         g = sym.gluing(i)
-        powers = [IDENTITY]
-        for _ in range(sym.ell[i] - 1):
-            powers.append(powers[-1] * g)
-        mu[i] = _element([(p, 1) for p in powers])
+        mu[i] = _element([(g ** k, 1) for k in range(sym.ell[i])])
     return Delta0Presentation(sym, nonell + elliptic, elliptic, lam, mu)
 
 
@@ -228,7 +231,9 @@ def resolution_maps(sym, stage):
     Stage 1 is the relations map: one row for the global lambda relation
     plus one row per elliptic arc carrying its mu in that arc's column.
     From stage 2 on the maps are square and diagonal over the elliptic
-    arcs, alternating gamma - 1 (even stages) and mu (odd stages).
+    arcs, alternating gamma - 1 (even stages) and mu (odd stages).  Their
+    rows have no entry for the lambda row of stage 1, so stage 2 composes
+    with stage 1 once a zero entry is padded in front of each of its rows.
     """
     _int_arg(stage, 1, None, "resolution stages are ints numbered from 1")
     pres = delta0_presentation(sym)

@@ -139,10 +139,15 @@ def generators(sym):
 
 def word_product(sym, word):
     """Product of gluing generators given as (arc index, exponent) pairs;
-    raises FareyError unless each letter is a pair, each index an int in
-    [0, n) and each exponent an int."""
+    raises FareyError unless the word is iterable, each letter is a pair,
+    each index an int in [0, n) and each exponent an int."""
     out, n = IDENTITY, sym.n
-    for letter in word:
+    try:
+        letters = iter(word)
+    except TypeError:
+        raise FareyError("a word is an iterable of letters, got %s"
+                         % _shown(word)) from None
+    for letter in letters:
         try:
             i, e = letter
         except (TypeError, ValueError):
@@ -166,15 +171,15 @@ def _word_data(sym):
         return memo["word"]
     k, finite = sym.vertex_order()
     orbit = next(o for o in cusp_orbits(sym) if k in o.vertex_indices)
-    cycle = orbit.vertex_indices
-    pos = cycle.index(k)
-    cycle = cycle[pos:] + cycle[:pos]
+    # the word spells the cycle reversed: cut it after vertex k's letter
+    stab = orbit.stabilizer_word
+    cut = len(stab) - orbit.vertex_indices.index(k)
     partner = (None if sym.is_unimodular()
                else [(j - k) % sym.n for j in sym.pairing])
     # int lists: _interval reads nums[t] without a Cusp field lookup
     memo["word"] = (k, [v.num for v in finite], [v.den for v in finite],
                     [g.adjugate() for g in sym.gluings()], partner,
-                    orbit.width, [(i, -1) for i in reversed(cycle)])
+                    orbit.width, stab[cut:] + stab[:cut])
     return memo["word"]
 
 

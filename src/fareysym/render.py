@@ -75,11 +75,30 @@ def _svg(spec, body):
     return head + bg + "".join(body) + "</svg>"
 
 
+# the dot of arc k in the chords style, keyed by sym.ell.get(k)
+_DOTS = {3: '<circle cx="%.2f" cy="%.2f" r="5.00" fill="' + ACCENT
+            + '" class="dot3"/>',
+         2: '<circle cx="%.2f" cy="%.2f" r="5.00" fill="' + BACKGROUND
+            + '" stroke="' + ACCENT + '" class="dot2"/>',
+         None: '<circle cx="%.2f" cy="%.2f" r="2.50" fill="' + STROKE + '"/>'}
+
+
+def _checked_spec(spec, default):
+    """spec, or RenderSpec(style=default) for None; anything else that is
+    not a RenderSpec raises InvalidSymbolError naming it."""
+    if spec is None:
+        return RenderSpec(style=default)
+    if not isinstance(spec, RenderSpec):
+        raise InvalidSymbolError("a render spec is a RenderSpec, got %s"
+                                 % _shown(spec))
+    return spec
+
+
 def render_chords(sym, spec=None):
     """Chord diagram of the involution: one dot per arc on a circle, a
     chord per paired orbit, filled dots for order-3 arcs and hollow dots
     for order-2 arcs."""
-    spec = spec or RenderSpec(style="chords")
+    spec = _checked_spec(spec, "chords")
     if spec.style != "chords":
         raise InvalidSymbolError("render_chords draws the chords style; the "
                                  "%s style comes from render_polygon" % spec.style)
@@ -97,18 +116,7 @@ def render_chords(sym, spec=None):
         if i < j:
             body.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" '
                         'class="chord"/>' % (*pts[i], *pts[j], STROKE))
-    for k in range(n):
-        x, y = pts[k]
-        if sym.pairing[k] == k:
-            if sym.ell[k] == 3:
-                body.append('<circle cx="%.2f" cy="%.2f" r="5.00" fill="%s" '
-                            'class="dot3"/>' % (x, y, ACCENT))
-            else:
-                body.append('<circle cx="%.2f" cy="%.2f" r="5.00" fill="%s" '
-                            'stroke="%s" class="dot2"/>' % (x, y, BACKGROUND, ACCENT))
-        else:
-            body.append('<circle cx="%.2f" cy="%.2f" r="2.50" fill="%s"/>'
-                        % (x, y, STROKE))
+    body += [_DOTS[sym.ell.get(k)] % pts[k] for k in range(n)]
     return _svg(spec, body)
 
 
@@ -186,29 +194,6 @@ def _halfplane_segments(sym):
     return segs
 
 
-def render_polygon(sym, spec=None):
-    """Fundamental polygon drawing, half-plane or disk style."""
-    spec = spec or RenderSpec(style="halfplane")
-    if spec.style == "chords":
-        raise InvalidSymbolError("render_polygon draws the halfplane or disk "
-                                 "style; chords come from render_chords")
-    if spec.style == "disk":
-        return _render_disk(sym, spec)
-    plane = _Plane(spec)
-    body = []
-    ax_y = plane.pt(0, 0)[1]
-    body.append('<line x1="0.00" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#bbbbbb"/>'
-                % (ax_y, spec.width, ax_y))
-    for seg in _halfplane_segments(sym):
-        if seg[0] == "full":
-            path = _geodesic_path(plane, seg[1], seg[2])
-            body.append('<path d="%s" fill="none" stroke="%s"/>' % (path, STROKE))
-        else:
-            path = _geodesic_to_interior(plane, seg[1], seg[2])
-            body.append('<path d="%s" fill="none" stroke="%s"/>' % (path, ACCENT))
-    return _svg(spec, body)
-
-
 def _disk_path(b, w, cx, cy, rad):
     """SVG path of the disk geodesic from the boundary point b to the point
     w (on the boundary or inside), both complex, in a picture of the unit
@@ -248,16 +233,33 @@ def _to_disk(x, y=0.0):
     return (1j + z) / (1j - z)
 
 
-def _render_disk(sym, spec):
-    cx, cy = spec.width / 2.0, spec.height / 2.0
-    rad = 0.45 * min(spec.width, spec.height)
-    body = ['<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" stroke="#bbbbbb"/>'
-            % (cx, cy, rad)]
-    for seg in _halfplane_segments(sym):
-        if seg[0] == "full":
-            w, color = _to_disk(seg[2]), STROKE
-        else:
-            w, color = _to_disk(*seg[2]), ACCENT
+def render_polygon(sym, spec=None):
+    """Fundamental polygon drawing, half-plane or disk style: one path per
+    segment of _halfplane_segments, a full arc in STROKE and each half of
+    an elliptic arc in ACCENT.  The style chooses only the background line
+    or circle and the path a segment takes."""
+    spec = _checked_spec(spec, "halfplane")
+    if spec.style == "chords":
+        raise InvalidSymbolError("render_polygon draws the halfplane or disk "
+                                 "style; chords come from render_chords")
+    if spec.style == "disk":
+        cx, cy = spec.width / 2.0, spec.height / 2.0
+        rad = 0.45 * min(spec.width, spec.height)
+        body = ['<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" '
+                'stroke="#bbbbbb"/>' % (cx, cy, rad)]
+        def path(full, x, end):
+            w = _to_disk(end) if full else _to_disk(*end)
+            return _disk_path(_to_disk(x), w, cx, cy, rad)
+    else:
+        plane = _Plane(spec)
+        ax_y = plane.pt(0, 0)[1]
+        body = ['<line x1="0.00" y1="%.2f" x2="%.2f" y2="%.2f" '
+                'stroke="#bbbbbb"/>' % (ax_y, spec.width, ax_y)]
+        def path(full, x, end):
+            return (_geodesic_path if full else _geodesic_to_interior)(
+                plane, x, end)
+    for kind, x, end in _halfplane_segments(sym):
+        full = kind == "full"
         body.append('<path d="%s" fill="none" stroke="%s"/>'
-                    % (_disk_path(_to_disk(seg[1]), w, cx, cy, rad), color))
+                    % (path(full, x, end), STROKE if full else ACCENT))
     return _svg(spec, body)

@@ -1,11 +1,13 @@
 """The paper's headline claims as checks on one group, shared by the tests
 on Gamma0(N) (test_invariants) and on permutation groups (test_kulkarni):
 the quads of the normal form are a symplectic basis of H1, and the
-stabilizer word of the cusp at vertex 0 is the block relation."""
+stabilizer word of the cusp at vertex 0 is the block relation.  Also
+shared: the word problem's stabilizer of infinity, against its cycle."""
 
 from fractions import Fraction
 
-from fareysym.invariants import cusp_orbits, express_word, generators
+from fareysym.invariants import (_word_data, cusp_orbits, express_word,
+                                 generators)
 
 
 class IntersectionForm:
@@ -87,3 +89,19 @@ def block_relation_holds(sym, where):
         want += [idx[1], idx[2], idx[3], idx[0]] if kind == "quad" else [idx[0]]
     assert len(letters) == len(want) and any(
         letters[k:] + letters[:k] == want for k in range(len(want))), where
+
+
+def stabilizer_at_infinity_holds(sym, where):
+    """The word problem reduces a translation at infinity by the stabilizer
+    word of its cusp, rotated to start at infinity.  The reference spells
+    that word from the orbit's cycle of vertices: rotate the cycle to start
+    at vertex k, the origin of the arc (infinity, 0), and take (i, -1)
+    over it reversed."""
+    k, _ = sym.vertex_order()
+    orbit, = [o for o in cusp_orbits(sym) if k in o.vertex_indices]
+    cycle = orbit.vertex_indices
+    pos = cycle.index(k)
+    cycle = cycle[pos:] + cycle[:pos]
+    width, stab = _word_data(sym)[5:]
+    assert width == orbit.width, where
+    assert stab == [(i, -1) for i in reversed(cycle)], where

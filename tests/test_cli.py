@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
-from fareysym.cli import (_info_json, _presentation_json, _written, check_level,
-                          cli_dispatch, make_parser)
+from fareysym.cli import (_info_json, _member_json, _presentation_json,
+                          _written, check_level, cli_dispatch, make_parser)
 from fareysym.delta0 import delta0_presentation
 from fareysym.exact import FareyError, IMat, _int_of, _int_str
 from fareysym.invariants import generators, word_product
@@ -658,14 +658,22 @@ presentation_documents = records(**{
     "generators": st.lists(json_ints, max_size=5),
     "elliptic": st.dictionaries(json_texts, json_ints, max_size=4),
     "lambda": json_relations, "mu": json_relations})
+member_documents = records(
+    level=json_ints, matrix=st.lists(json_ints, min_size=4, max_size=4),
+    member=st.booleans(),
+    word=st.none() | st.lists(st.lists(json_ints, min_size=2, max_size=2),
+                              max_size=4))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.tuples(st.just(_info_json), info_documents)
-       | st.tuples(st.just(_presentation_json), presentation_documents))
+@given(st.tuples(st.just(_info_json), info_documents, st.just(2))
+       | st.tuples(st.just(_presentation_json), presentation_documents,
+                   st.just(2))
+       | st.tuples(st.just(_member_json), member_documents, st.none()))
 def test_written_gives_json_dumps_bytes(write_doc):
-    write, doc = write_doc
-    assert _written(write, doc) == json.dumps(doc, indent=2)
+    # info and presentation print with indent=2, member without
+    write, doc, indent = write_doc
+    assert _written(write, doc) == json.dumps(doc, indent=indent)
 
 
 def tall_symbol(bits):
@@ -733,9 +741,16 @@ def test_written_ints_past_the_digit_limit():
         return {"generators": [x, 2], "elliptic": {"3": x},
                 "lambda": {"0": [[x, [1, x, -x, 2]]], "3": []}, "mu": {"3": []}}
 
+    def member(x):
+        return {"level": 6, "matrix": [1, x, 0, 1], "member": True,
+                "word": [[0, 1], [2, -x]]}
+
     big = 7 * 10**5000 + 3
-    for write, doc in ((_info_json, info), (_presentation_json, presentation)):
+    for write, doc, indent in ((_info_json, info, 2),
+                               (_presentation_json, presentation, 2),
+                               (_member_json, member, None)):
         text = _written(write, doc(big))
-        assert text.replace(_int_str(big), "7") == json.dumps(doc(7), indent=2)
+        assert text.replace(_int_str(big), "7") == json.dumps(doc(7),
+                                                              indent=indent)
         assert json.loads(text, parse_int=_int_of) == json.loads(
             json.dumps(doc(7)).replace("7", _int_str(big)), parse_int=_int_of)

@@ -4,10 +4,12 @@ domain raises FareyError, never a bare exception and never a wrong answer.
 ROWS lists every public callable's scalar parameters, one row each: a
 name, the parameter's domain, a value inside it, and a call that puts
 the value in that parameter's place with every other argument valid.
-Symbol and matrix parameters are duck-typed and outside the contract;
-so are the entries of a matrix built by IMat itself, which is not
-checked where it is made but where it enters contains, express_word,
-classify and the power operator.
+ROWS also holds three containers: a divisor must be a dict, a word an
+iterable of letters and a render spec a RenderSpec or None.  Symbol and
+matrix parameters are duck-typed and outside the contract; so are the
+entries of a matrix built by IMat itself, which is not checked where it
+is made but where it enters contains, express_word, classify and the
+power operator.
 """
 
 import math
@@ -21,8 +23,8 @@ from fareysym import (Cusp, CosetTable, FareyError, FareySymbol,
                       GroupRingElement, IMat, INFINITY, MembershipOracle, NormalizationState,
                       RenderSpec, ZERO, base_cut, base_cut_elliptic,
                       classify, contains, express_word, gamma0_oracle,
-                      gamma0_symbol, replay_trace, resolution_maps,
-                      word_product)
+                      gamma0_symbol, render_chords, render_polygon,
+                      replay_trace, resolution_maps, word_product)
 from fareysym import classical
 from fareysym.kulkarni import p1_normalize
 from fareysym.render import MAX_SIDE
@@ -124,6 +126,16 @@ ROWS = [
     ("GroupRingElement * k", ints(), 2, lambda v: GroupRingElement.one() * v),
     ("GroupRingElement(coeff)", ints(), 2, lambda v: GroupRingElement({T: v})),
     ("k * GroupRingElement", ints(), 2, lambda v: v * GroupRingElement.one()),
+    ("GroupRingElement.act_on_divisor(coefficient)", ints(), 1,
+     lambda v: GroupRingElement.one().act_on_divisor({ZERO: v})),
+    ("GroupRingElement.act_on_divisor(divisor)", lambda v: isinstance(v, dict),
+     {ZERO: 1}, GroupRingElement.one().act_on_divisor),
+    ("word_product(word)", lambda v: isinstance(v, list), [(0, 1)],
+     lambda v: word_product(SYM, v)),
+    ("render_chords(spec)", lambda v: v is None or isinstance(v, RenderSpec),
+     RenderSpec(), lambda v: render_chords(SYM, v)),
+    ("render_polygon(spec)", lambda v: v is None or isinstance(v, RenderSpec),
+     RenderSpec(style="disk"), lambda v: render_polygon(SYM, v)),
     ("RenderSpec(width)", ints(1, MAX_SIDE + 1), 600,
      lambda v: RenderSpec(width=v)),
     ("RenderSpec(height)", ints(1, MAX_SIDE + 1), 400,

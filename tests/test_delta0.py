@@ -61,6 +61,15 @@ class TestGroupRing:
         with pytest.raises(FareyError, match=message):
             GroupRingElement.one().act_on_divisor({ZERO: 1, key: -1})
 
+    @pytest.mark.parametrize("divisor", [[(ZERO, 1), (INFINITY, -1)],
+                                         [((0, 1), 1)], ()])
+    def test_divisor_that_is_no_dict_is_refused(self, divisor):
+        # a list of pairs raised a bare AttributeError; test_contract's
+        # rows refuse other non-dicts and coefficients that are no ints
+        with pytest.raises(FareyError, match="^a divisor is a dict of points "
+                                             "to int coefficients, got "):
+            GroupRingElement.one().act_on_divisor(divisor)
+
 
 def reference_act_on_divisor(x, divisor):
     """act_on_divisor as a double loop of its own, the reference for the
@@ -239,7 +248,8 @@ class TestResolution:
             for j, entry in enumerate(row):
                 assert entry.is_zero() == (i != j)
 
-    def test_consecutive_maps_compose_to_zero(self, symbol_for):
+    def test_consecutive_maps_compose_to_zero(self, symbol_for,
+                                              normalized_for):
         for N in (2, 13, 37):
             sym = symbol_for(N)
             for stage in (2, 3, 4):
@@ -248,6 +258,18 @@ class TestResolution:
                 for i in range(len(a)):
                     assert (b[i][i] * a[i][i]).is_zero(), (N, stage)
                     assert (a[i][i] * b[i][i]).is_zero(), (N, stage)
+        # the first junction: stage 2 has no entry for the lambda row of
+        # stage 1, so each of its rows gets a zero in front
+        for N in (2, 3, 13, 37, 91, 133):
+            for sym in (symbol_for(N), normalized_for(N)):
+                one, two = resolution_maps(sym, 1), resolution_maps(sym, 2)
+                assert len(two) == len(one) - 1 == len(sym.ell), N
+                for row in two:
+                    padded = [GroupRingElement.zero()] + row
+                    for col in zip(*one):
+                        total = reduce(GroupRingElement.__add__,
+                                       [x * y for x, y in zip(padded, col)])
+                        assert total.is_zero(), (N, row, col)
 
     def test_elliptic_power_is_identity(self, symbol_for):
         for N in (2, 13):

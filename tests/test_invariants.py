@@ -16,7 +16,8 @@ from fareysym.kulkarni import MembershipOracle, build_unimodular, gamma0_symbol
 from fareysym.siegel import base_cut, normalize
 from fareysym.symbol import FareySymbol
 
-from claims import IntersectionForm, block_relation_holds, gram_is_J, rank
+from claims import (IntersectionForm, block_relation_holds, gram_is_J, rank,
+                    stabilizer_at_infinity_holds)
 
 S, T = IMat(0, 1, -1, 0), IMat(1, 1, 0, 1)
 # a member of Gamma0(6) that a reduction judging progress by a window of
@@ -267,6 +268,12 @@ class TestExpressWord:
         with pytest.raises(FareyError, match="word letter"):
             word_product(symbol_for(11), word)
 
+    def test_word_product_refuses_a_word_that_is_no_iterable(self, symbol_for):
+        # it raised a bare TypeError
+        with pytest.raises(FareyError, match="^a word is an iterable of "
+                                             "letters, got None$"):
+            word_product(symbol_for(11), None)
+
 
 def member_matrix(rng, sym, bits):
     """Random word in the gluings of sym until an entry reaches `bits`."""
@@ -406,6 +413,13 @@ class TestCosetWalk:
             else:
                 assert word_product(sym, word).psl_eq(g)
         prop()
+
+
+def test_stabilizer_at_infinity_is_the_rotated_cycle(symbol_for,
+                                                     normalized_for):
+    for N in range(1, 101):
+        for sym in (symbol_for(N), normalized_for(N)):
+            stabilizer_at_infinity_holds(sym, N)
 
 
 def bisect_interval(nums, dens, p, q):

@@ -21,7 +21,8 @@ from fareysym.kulkarni import (MAX_INDEX, MembershipOracle, build_unimodular,
 from fareysym.siegel import normalize
 from fareysym.symbol import FareySymbol
 
-from claims import IntersectionForm, block_relation_holds, gram_is_J, rank
+from claims import (IntersectionForm, block_relation_holds, gram_is_J, rank,
+                    stabilizer_at_infinity_holds)
 
 # appendix polygons: the unimodular vertex lists for small levels
 KNOWN_VERTICES = {
@@ -923,6 +924,24 @@ def test_permutation_groups_that_step_through_every_layer():
             check_every_layer(S, U, *built, rng.getrandbits(32))
             committed += len(built[3])
     assert committed >= 400
+
+
+def test_stabilizer_at_infinity_on_uniform_permutation_groups():
+    """The word problem's stabilizer of infinity is the rotated cycle of
+    its orbit on both symbols of each group that 1000 seeded uniform_pair
+    draws of index up to 200 build.  The floor keeps a silent refusal from
+    emptying the test: this seed builds 64 groups (59 and 73 at seeds 2
+    and 1)."""
+    rng = random.Random(45)
+    built = 0
+    for _ in range(1000):
+        S, U = uniform_pair(rng, max_points=200)
+        group = normalized_permutation_group(S, U)
+        if group is not None:
+            for sym in group[1:3]:
+                stabilizer_at_infinity_holds(sym, (S, U))
+            built += 1
+    assert built >= 40
 
 
 def test_uniform_permutation_groups_keep_the_headline_claims():

@@ -312,6 +312,17 @@ class TestSpec:
         with pytest.raises(InvalidSymbolError, match=style):
             render_chords(symbol_for(13), RenderSpec(style=style))
 
+    @pytest.mark.parametrize("render, spec", [
+        (render_chords, "x"), (render_chords, ("chords", 10, 10, 0, 1)),
+        (render_polygon, ("disk", 10, 10, 0, 1)), (render_polygon, ())])
+    def test_a_spec_that_is_no_render_spec_is_refused(self, symbol_for,
+                                                      render, spec):
+        # the first three raised a bare AttributeError and () drew the
+        # default spec
+        with pytest.raises(InvalidSymbolError,
+                           match="^a render spec is a RenderSpec, got "):
+            render(symbol_for(11), spec)
+
     @pytest.mark.parametrize("dims", [{"width": 1.5}, {"width": True},
                                       {"width": "5"}, {"height": 400.0},
                                       {"height": None}, {"width": 10**400},
