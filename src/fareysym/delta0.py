@@ -8,7 +8,7 @@ free presentation whose higher syzygies alternate between multiplication by
 (gamma - 1) and by the orbit sum of gamma, one coordinate per elliptic arc.
 """
 
-from .exact import (IDENTITY, Cusp, FareyError, _as_cusp, _int_arg,
+from .exact import (IDENTITY, Cusp, FareyError, IMat, _as_cusp, _int_arg,
                     _int_args, _shown)
 
 
@@ -35,14 +35,18 @@ class GroupRingElement:
 
     Terms are keyed by sign-normalized matrices; zero coefficients are
     dropped, so an element is zero iff it has no terms.  The constructor,
-    of and a scalar product check their ints; every element is built by
-    _element, which trusts them.
+    of, a scalar product and a sum or difference check their arguments
+    (IMat keys, int coefficients, GroupRingElement operands); every element
+    is built by _element, which trusts them.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        terms = terms or {}
+        terms = {} if terms is None else terms
+        if not isinstance(terms, dict) or not {IMat}.issuperset(map(type, terms)):
+            raise FareyError("group ring terms are a dict of IMat keys, got %s"
+                             % _shown(terms))
         _int_args(terms.values(), "group ring coefficients must be ints")
         self.terms = _element(terms.items()).terms
 
@@ -52,6 +56,9 @@ class GroupRingElement:
 
     @staticmethod
     def of(mat, coeff=1):
+        if type(mat) is not IMat:
+            raise FareyError("group ring elements are sums of IMats, got %s"
+                             % _shown(mat))
         _int_arg(coeff, None, None, "group ring coefficients must be ints")
         return _element([(mat, coeff)])
 
@@ -63,10 +70,10 @@ class GroupRingElement:
         return not self.terms
 
     def __add__(self, other):
-        return _element([*self.terms.items(), *other.terms.items()])
+        return _element([*self.terms.items(), *_operand(other).terms.items()])
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-_operand(other))
 
     def __neg__(self):
         return _element([(m, -c) for m, c in self.terms.items()])
@@ -111,6 +118,14 @@ class GroupRingElement:
         return [[c, list(m)] for m, c in sorted(self.terms.items())]
 
 
+def _operand(x):
+    """x if it is a GroupRingElement, else FareyError naming it."""
+    if not isinstance(x, GroupRingElement):
+        raise FareyError("group ring sums need a GroupRingElement, got %s"
+                         % _shown(x))
+    return x
+
+
 def _divisor_sum(divisors):
     """The sum of formal sums of cusps, without its zero terms."""
     total = {}
@@ -150,9 +165,6 @@ class Delta0Presentation:
     def check(self):
         """Machine-checkable consistency of the defining relations."""
         sym = self.symbol
-        # all boundary arcs sum to zero as a divisor (telescoping).
-        if _divisor_sum(arc_divisor(sym, i) for i in range(sym.n)):
-            raise FareyError("boundary divisors do not telescope")
         # paired arcs: gamma carries the reversed partner onto the arc.
         for i in range(sym.n):
             j = sym.pairing[i]

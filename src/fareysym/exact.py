@@ -340,8 +340,10 @@ def arc_matrix(r, s):
     Sign convention making the result deterministic: the first column is the
     canonical representative of r (second entry >= 0, positive first entry
     at infinity); the second column's sign is then forced by det > 0.
-    The determinant is the width of the arc.
+    The determinant is the width of the arc.  r and s are Cusps or int
+    pairs read as their Cusps (_as_cusp).
     """
+    r, s = _as_cusp(r), _as_cusp(s)
     d = cross(r, s)
     if d == 0:
         raise FareyError("degenerate arc (%s, %s)"

@@ -3,7 +3,7 @@
 coset table of the group, and the word problem in the gluing generators.
 """
 
-from .exact import IDENTITY, FareyError, _int_arg, _shown, _sl2_arg
+from .exact import IDENTITY, FareyError, _int_arg, _int_args, _shown, _sl2_arg
 from .kulkarni import gamma0_symbol
 
 
@@ -238,11 +238,17 @@ class CosetTable:
     about its start.  cycle[c] is the T-cycle through c, shared by its
     members, and pos[c] the place of c on it; a cycle is as long as the
     width of the cusp at the edge's start.
+
+    S and U must be lists or tuples of one length m >= 1 with int entries
+    in [0, m), S an involution and U of order 3 (U U U the identity), so
+    that they define the action of PSL2(Z) = <S> * <U> on m classes; any
+    other table raises FareyError naming its first bad class.
     """
 
     __slots__ = ("S", "U", "start", "cycle", "pos")
 
     def __init__(self, S, U, start):
+        _check_action(S, U)
         self.S, self.U = S, U
         self.start = _int_arg(start, 0, len(S), "start classes are ints in [0, len(S))")
         self.cycle = cycle = [None] * len(S)
@@ -282,6 +288,27 @@ class CosetTable:
         return self.coset(g) == self.start
 
 
+def _check_action(S, U):
+    """Raise FareyError unless S and U are the tables CosetTable needs."""
+    for table in (S, U):
+        if not isinstance(table, (list, tuple)):
+            raise FareyError("a coset table's S and U are lists, got %s"
+                             % _shown(table))
+        _int_args(table, "coset table entries must be ints")
+    m = len(S)
+    if not 0 < m == len(U):
+        raise FareyError("a coset table's S and U have one length m >= 1, got "
+                         "%d and %d" % (m, len(U)))
+    classes = list(range(m))
+    if not (0 <= min(S) and max(S) < m and 0 <= min(U) and max(U) < m):
+        x = next(x for x in classes if not (0 <= S[x] < m and 0 <= U[x] < m))
+        raise FareyError("coset table class %d is sent out of [0, %d)" % (x, m))
+    if [S[y] for y in S] != classes or [U[U[y]] for y in U] != classes:
+        x = next(x for x in classes if S[S[x]] != x or U[U[U[x]]] != x)
+        raise FareyError("%s is not the identity at coset table class %d"
+                         % ("S S" if S[S[x]] != x else "U U U", x))
+
+
 def _unimodular_table(sym):
     """The coset table of a unimodular symbol, in O(n).
 
@@ -296,11 +323,9 @@ def _unimodular_table(sym):
     """
     k, finite = sym.vertex_order()
     n = sym.n
-    if n == 2:  # the full group: no triangle, one class
-        if sorted(sym.ell.values()) != [2, 3]:
-            raise FareyError("a two-arc symbol other than PSL2(Z)'s has no "
-                             "coset table")
-        return CosetTable([0], [0], 0)
+    if n == 2:  # no triangle: PSL2(Z), orders 2 and 3, or Gamma^2, 3 and 3
+        return (CosetTable([0], [0], 0) if 2 in sym.ell.values()
+                else CosetTable([1, 0], [0, 1], 0))
     pts = ((1, 0),) + finite
     edge = {}  # (tail, head), by position from infinity -> class
     U = []

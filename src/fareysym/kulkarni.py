@@ -121,6 +121,9 @@ class MembershipOracle:
     """
 
     def __init__(self, predicate, index_bound=None, name=None, level=None):
+        if not callable(predicate):
+            raise FareyError("a membership predicate is callable, got %s"
+                             % _shown(predicate))
         if not predicate(IMat(1, 0, 0, 1)):
             raise FareyError("membership oracle rejects the identity")
         if index_bound is not None:
@@ -307,7 +310,11 @@ def build_unimodular(oracle, on_event=None):
     builder would split it, and a symbol is read from that arc.
     on_event, when given, is called with each replayable event in turn;
     their list is the trace that replay_trace rebuilds the symbol from.
+    Any oracle but a MembershipOracle raises FareyError naming it.
     """
+    if not isinstance(oracle, MembershipOracle):
+        raise FareyError("build_unimodular needs a MembershipOracle, got %s"
+                         % _shown(oracle))
     pred = oracle.predicate
     if pred(ORDER2) and pred(_ODD_AT_INF):
         # Both rotation classes at (infinity, 0) lie in the group, so the

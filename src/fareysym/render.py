@@ -124,9 +124,13 @@ def elliptic_center(sym, i):
     """(x, y) floats of the interior point splitting elliptic arc i: the
     fixed point of its gluing (a, b, c, d) in the upper half-plane,
     x = (a - d)/2c and y = 1/|c| for order 2 or sqrt(3) * 1/2|c| for
-    order 3.  Each quotient of ints is correctly rounded."""
+    order 3.  Each quotient of ints is correctly rounded.  An arc that is
+    not elliptic raises FareyError."""
     a, _, c, d = sym.gluing(i)
-    y = 1 / abs(c) if sym.ell[i] == 2 else 1 / (2 * abs(c)) * math.sqrt(3)
+    mu = sym.ell.get(i)
+    if mu is None:
+        raise FareyError("arc %s is not elliptic" % _shown(i))
+    y = 1 / abs(c) if mu == 2 else 1 / (2 * abs(c)) * math.sqrt(3)
     return (a - d) / (2 * c), y
 
 

@@ -49,7 +49,8 @@ keeps X, Z, Y and T each in order, so the next search for a pair tests only
 the seams X|Z, Z|Y and Y|T; any other commit brings back the full scan.
 """
 
-from .exact import FareyError, InvalidSymbolError, _coprime_cusp, _int_arg
+from .exact import (FareyError, InvalidSymbolError, _coprime_cusp, _int_arg,
+                    _shown)
 from .symbol import block_at, gluing_entries, symbol_from_ids
 
 
@@ -419,8 +420,12 @@ def siegel_step(state):
     pair (+2), or pick the interleaved pivots given by the first arc whose
     partner precedes it (+4).  One of the four cases always applies while
     w_len < n.  The state's on_op sees the step's commit, none for an
-    extend, and its on_step this step's record.
+    extend, and its on_step this step's record.  Any state but a
+    NormalizationState raises FareyError naming it.
     """
+    if not isinstance(state, NormalizationState):
+        raise FareyError("siegel_step needs a NormalizationState, got %s"
+                         % _shown(state))
     w = state.w_len
     if w >= state.n:
         raise FareyError("symbol is already fully normalized")

@@ -316,6 +316,9 @@ class FareySymbol:
     def contains_all(self, oracle):
         """True iff every gluing matrix passes the membership predicate."""
         pred = getattr(oracle, "predicate", oracle)
+        if not callable(pred):
+            raise FareyError("a membership oracle is callable, got %s"
+                             % _shown(oracle))
         return all(pred(self.gluing(i)) for i in range(self.n))
 
     # -- validation -------------------------------------------------------
@@ -327,12 +330,13 @@ class FareySymbol:
         in circular order (see vertex_order), involution consistency (done
         at construction), equal widths on paired arcs and integrality of
         every gluing matrix, so det 1 (both in gluing_entries, once per
-        pair of arcs), and a nontrivial gluing on every pair of distinct
-        arcs.  With a level, the group must be Gamma0(level): every gluing
+        pair of arcs), a nontrivial gluing on every pair of distinct arcs,
+        and a positive area 3(n - 2) + nu3, so an order-3 arc on a two-arc
+        symbol.  With a level, the group must be Gamma0(level): every gluing
         has c = 0 (mod level), and the index 3(n - 2) + nu3, the polygon's
         area, is Gamma0(level)'s.  A pass is memoized, a failure is not.
         With an oracle, additionally checks membership of every gluing, on
-        every call.
+        every call; an oracle that is not callable raises FareyError.
         """
         if "valid" not in self._memo:
             self._check_structure()
@@ -354,8 +358,11 @@ class FareySymbol:
             if j != i and not g.b and not g.c:  # det 1, so g = +-identity
                 raise InvalidSymbolError(
                     "paired arcs %d, %d have the identity as gluing" % (i, j))
-        level = self.level
         nu3 = sum(mu == 3 for mu in self.ell.values())
+        if 3 * (self.n - 2) + nu3 < 1:
+            raise InvalidSymbolError("the polygon has area 0: a two-arc symbol "
+                                     "needs an order-3 arc")
+        level = self.level
         # c first, so that a wrong huge level fails before it is factored
         if level is not None and (
                 any(g.c % level for g in glue)

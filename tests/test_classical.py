@@ -60,6 +60,19 @@ def test_known_values():
     assert classical.nu_inf_gamma0(22) == 4
 
 
+def test_formulas_check_each_other(monkeypatch):
+    """The genus and the cusp widths are checked against the index; with a
+    fault put into the formula they rest on, the check fires."""
+    nu2 = classical.nu2_gamma0
+    monkeypatch.setattr(classical, "nu2_gamma0", lambda N: nu2(N) + 1)
+    with pytest.raises(FareyError, match="genus formula gave -3/12"):
+        classical.genus_gamma0(1)
+    phi = classical.euler_phi
+    monkeypatch.setattr(classical, "euler_phi", lambda n: phi(n) + 1)
+    with pytest.raises(FareyError, match="cusp widths do not sum to the index"):
+        classical.cusp_widths_gamma0(6)
+
+
 def test_genus_is_integral_up_to_1000():
     for N in range(1, 1001):
         g = classical.genus_gamma0(N)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
+from fareysym import cli
 from fareysym.cli import (_info_json, _member_json, _presentation_json,
                           _written, check_level, cli_dispatch, make_parser)
 from fareysym.delta0 import delta0_presentation
@@ -39,6 +40,19 @@ def run(capsys, *argv):
 
 
 class TestCommands:
+    @pytest.mark.parametrize("argv, code", [(["info", "--level", "11"], 0),
+                                            (["info", "--level", "0"], 2)])
+    def test_main_exits_with_the_dispatch_status(self, capsys, monkeypatch,
+                                                 argv, code):
+        # main in this process: the tests of the console script spawn it
+        want = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["fareysym"] + argv)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        out = capsys.readouterr()
+        assert (exit_.value.code, out.out, out.err) == want
+        assert want[0] == code
+
     def test_build_level_15(self, capsys):
         code, out, _ = run(capsys, "build", "--level", "15")
         assert code == 0

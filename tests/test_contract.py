@@ -4,12 +4,15 @@ domain raises FareyError, never a bare exception and never a wrong answer.
 ROWS lists every public callable's scalar parameters, one row each: a
 name, the parameter's domain, a value inside it, and a call that puts
 the value in that parameter's place with every other argument valid.
-ROWS also holds three containers: a divisor must be a dict, a word an
-iterable of letters and a render spec a RenderSpec or None.  Symbol and
-matrix parameters are duck-typed and outside the contract; so are the
-entries of a matrix built by IMat itself, which is not checked where it
-is made but where it enters contains, express_word, classify and the
-power operator.
+ROWS also holds containers and objects: a divisor must be a dict, a word
+an iterable of letters, a render spec a RenderSpec or None, a coset
+table's S and U lists, a point of arc_matrix a Cusp or an int pair, a
+group ring term an IMat, a group ring operand a GroupRingElement, a
+membership predicate or oracle callable and build_unimodular's oracle a
+MembershipOracle.  Symbol parameters and the other matrix parameters are
+duck-typed and outside the contract; so are the entries of a matrix
+built by IMat itself, which is not checked where it is made but where it
+enters contains, express_word, classify and the power operator.
 """
 
 import math
@@ -21,13 +24,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fareysym import (Cusp, CosetTable, FareyError, FareySymbol,
                       GroupRingElement, IMat, INFINITY, MembershipOracle, NormalizationState,
-                      RenderSpec, ZERO, base_cut, base_cut_elliptic,
-                      classify, contains, express_word, gamma0_oracle,
-                      gamma0_symbol, render_chords, render_polygon,
-                      replay_trace, resolution_maps, word_product)
+                      RenderSpec, ZERO, arc_matrix, base_cut, base_cut_elliptic,
+                      build_unimodular, classify, contains, express_word,
+                      gamma0_oracle, gamma0_symbol, render_chords,
+                      render_polygon, replay_trace, resolution_maps,
+                      word_product)
 from fareysym import classical
 from fareysym.kulkarni import p1_normalize
-from fareysym.render import MAX_SIDE
+from fareysym.render import MAX_SIDE, elliptic_center
 
 # three arcs: 0 and 2 are paired, 1 is fixed of order 2
 SYM = gamma0_symbol(2)
@@ -54,6 +58,11 @@ def cusp_text(v):
     return isinstance(v, str) and re.fullmatch(r"-?\d+(/-?\d+)?", v) is not None
 
 
+def point(v):
+    return type(v) is Cusp or (type(v) is tuple and len(v) == 2
+                               and all(type(x) is int for x in v))
+
+
 def gcd_ints(v):
     # Cusp leaves its check to math.gcd, free on ints, which reads a bool
     # as 0 or 1
@@ -70,6 +79,9 @@ ROWS = [
     ("p1_normalize(v)", ints(), 1, lambda v: p1_normalize(6, 1, v)),
     ("MembershipOracle(index_bound)", ints(1, none=True), 3,
      lambda v: MembershipOracle(lambda m: True, index_bound=v)),
+    ("MembershipOracle(predicate)", callable, lambda m: True, MembershipOracle),
+    ("build_unimodular(oracle)", lambda v: isinstance(v, MembershipOracle),
+     gamma0_oracle(2), build_unimodular),
     ("gamma0_oracle(N)", ints(1), 2, gamma0_oracle),
     ("gamma0_oracle(N).coset_key(entry)", ints(), 0,
      lambda v: gamma0_oracle(6).coset_key(1, v, 0, 1)),
@@ -95,6 +107,12 @@ ROWS = [
     ("FareySymbol.distance(i)", ARC, 0, lambda v: SYM.distance(v, 1)),
     ("FareySymbol.distance(j)", ARC, 0, lambda v: SYM.distance(1, v)),
     ("FareySymbol.rotated(k)", ints(), 1, SYM.rotated),
+    ("FareySymbol.validate(oracle)", lambda v: v is None or callable(v),
+     gamma0_oracle(2), lambda v: SYM.validate(oracle=v)),
+    ("arc_matrix(r)", point, (1, 2), lambda v: arc_matrix(v, ZERO)),
+    ("arc_matrix(s)", point, (1, 2), lambda v: arc_matrix(INFINITY, v)),
+    ("elliptic_center(i)", lambda v: type(v) is int and v in SYM.ell, 1,
+     lambda v: elliptic_center(SYM, v)),
     ("Cusp(num)", gcd_ints, 1, lambda v: Cusp(v, 2)),
     ("Cusp(den)", gcd_ints, 2, lambda v: Cusp(1, v)),
     ("Cusp.parse(text)", cusp_text, "1/2", Cusp.parse),
@@ -107,6 +125,10 @@ ROWS = [
     ("word_product(exponent)", ints(), 2,
      lambda v: word_product(SYM, [(0, v)])),
     ("CosetTable(start)", ints(0, 1), 0, lambda v: CosetTable([0], [0], v)),
+    ("CosetTable(S)", lambda v: v in ([0], (0,)), [0],
+     lambda v: CosetTable(v, [0], 0)),
+    ("CosetTable(U)", lambda v: v in ([0], (0,)), [0],
+     lambda v: CosetTable([0], v, 0)),
     ("base_cut(pivot)", ARC, 2, lambda v: base_cut(SYM, v, 2, 0, "pivot")),
     ("base_cut(c1)", ARC, 2, lambda v: base_cut(SYM, 2, v, 0, "pivot")),
     ("base_cut(c2)", ARC, 0, lambda v: base_cut(SYM, 2, 2, v, "pivot")),
@@ -125,6 +147,14 @@ ROWS = [
      lambda v: GroupRingElement.of(T, v)),
     ("GroupRingElement * k", ints(), 2, lambda v: GroupRingElement.one() * v),
     ("GroupRingElement(coeff)", ints(), 2, lambda v: GroupRingElement({T: v})),
+    ("GroupRingElement.of(mat)", lambda v: type(v) is IMat, T,
+     GroupRingElement.of),
+    ("GroupRingElement(term)", lambda v: type(v) is IMat, T,
+     lambda v: GroupRingElement({v: 1})),
+    ("GroupRingElement + x", lambda v: isinstance(v, GroupRingElement),
+     GroupRingElement.one(), lambda v: GroupRingElement.one() + v),
+    ("GroupRingElement - x", lambda v: isinstance(v, GroupRingElement),
+     GroupRingElement.one(), lambda v: GroupRingElement.one() - v),
     ("k * GroupRingElement", ints(), 2, lambda v: v * GroupRingElement.one()),
     ("GroupRingElement.act_on_divisor(coefficient)", ints(), 1,
      lambda v: GroupRingElement.one().act_on_divisor({ZERO: v})),

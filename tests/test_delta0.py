@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from fareysym.exact import Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError
 from fareysym.delta0 import (GroupRingElement, _element, arc_divisor,
                              delta0_presentation, resolution_maps)
+from fareysym.symbol import FareySymbol
+
+T = IMat(1, 1, 0, 1)
 
 
 class TestGroupRing:
@@ -38,6 +41,28 @@ class TestGroupRing:
         # 2.5 was accepted and printed as +2
         with pytest.raises(FareyError, match="coefficients must be ints"):
             GroupRingElement({IDENTITY: 1, IMat(1, 1, 0, 1): coeff})
+
+    def test_distinct_elements_differ(self):
+        one, of = GroupRingElement.one(), GroupRingElement.of
+        assert one != GroupRingElement.zero() and one != of(T)
+        assert of(T) != of(T, 2) and of(T) != of(T) + of(T.inverse())
+        assert one != 1 and one == of(IDENTITY)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: GroupRingElement.of(5), "sums of IMats, got 5"),
+        (lambda: GroupRingElement.of((1, 1, 0, 1)), r"sums of IMats, got \(1, 1"),
+        (lambda: GroupRingElement({5: 1}), r"dict of IMat keys, got \{5: 1\}"),
+        (lambda: GroupRingElement(5), "dict of IMat keys, got 5"),
+        (lambda: GroupRingElement(0), "dict of IMat keys, got 0"),
+        (lambda: GroupRingElement([]), r"dict of IMat keys, got \[\]"),
+        (lambda: GroupRingElement.one() + 1, "need a GroupRingElement, got 1"),
+        (lambda: GroupRingElement.one() - 1, "need a GroupRingElement, got 1"),
+        (lambda: GroupRingElement.one() - "a", "need a GroupRingElement, got 'a'"),
+    ])
+    def test_operands_that_are_no_group_ring_data_are_refused(self, call, message):
+        # each raised a bare AttributeError or TypeError
+        with pytest.raises(FareyError, match=message):
+            call()
 
     def test_divisor_action(self):
         x = GroupRingElement.of(IMat(0, 1, -1, 0))  # swaps 0 and infinity
@@ -133,6 +158,40 @@ class TestPresentation:
                 for c, k in arc_divisor(sym, i).items():
                     total[c] = total.get(c, 0) + k
             assert not any(total.values())
+
+    def test_a_degenerate_arc_has_no_divisor(self):
+        sym = FareySymbol([INFINITY, ZERO, ZERO], [0, 1, 2], {0: 2, 1: 2, 2: 2})
+        with pytest.raises(FareyError, match="^degenerate arc$"):
+            arc_divisor(sym, 1)
+
+    def test_check_refuses_wrong_gluings(self, symbol_for):
+        """check() recomputes each gluing's action; with a wrong gluing put
+        into a fresh symbol's cache, _glue, the block on it fires.  A
+        gluing that moves only one end of the reversed partner right is
+        refused too, whichever end it is."""
+        def with_gluing(i, g):
+            sym = symbol_for(13)
+            fresh = FareySymbol(sym.vertices, sym.pairing, sym.ell, sym.level)
+            fresh._glue[i] = g
+            return delta0_presentation(fresh)
+
+        sym = symbol_for(13)
+        i = next(i for i, j in enumerate(sym.pairing) if i < j)
+        g = sym.gluing(i)
+        u, v = sym.arc(sym.pairing[i])
+        for fixed in (u, v):  # the parabolic of width 1 fixing p/q
+            p, q = fixed
+            moved = g * IMat(1 - p * q, p * p, -q * q, 1 + p * q)
+            assert (moved.apply(v) == g.apply(v)) == (fixed == v)
+            for wrong in (T * g, moved):
+                with pytest.raises(FareyError, match="gluing does not carry the "
+                                   "reversed partner onto arc %d$" % i):
+                    with_gluing(i, wrong).check()
+        for order, message in ((2, "fails gamma\\^2 = \\+-1"),
+                               (3, "triangle at arc %d does not close")):
+            e = next(e for e, mu in sorted(sym.ell.items()) if mu == order)
+            with pytest.raises(FareyError, match=message.replace("%d", str(e))):
+                with_gluing(e, T).check()
 
     def test_checks_pass_across_fixtures(self, symbol_for, normalized_for):
         for N in (1, 2, 7, 11, 13, 15, 22, 37):

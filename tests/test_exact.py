@@ -5,6 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fareysym import exact
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
                             ORDER3, REVERSE, _coprime_cusp, _int_of, _int_str,
                             _shown, _shown_cusp, arc_matrix,
@@ -59,6 +60,12 @@ class TestCusp:
     def test_zero_zero_rejected(self):
         with pytest.raises(FareyError):
             Cusp(0, 0)
+
+    def test_gcd_refusals_are_never_dropped(self, monkeypatch):
+        # fault: the int check lets 2.5 pass; gcd's TypeError is raised again
+        monkeypatch.setattr(exact, "_int_args", lambda values, *args: values)
+        with pytest.raises(TypeError):
+            Cusp(2.5, 1)
 
     def test_text_form(self):
         assert str(INFINITY) == "1/0"
@@ -253,6 +260,11 @@ class TestArcMatrix:
         with pytest.raises(FareyError):
             arc_matrix(Cusp(1, 2), Cusp(2, 4))
 
+    def test_int_pairs_are_read_as_cusps(self):
+        # a pair raised a bare AttributeError; test_contract refuses the rest
+        assert arc_matrix((1, 0), (0, 1)) == IDENTITY
+        assert arc_matrix((0, -1), (-2, -5)) == arc_matrix(ZERO, Cusp(2, 5))
+
     def test_reverse_matrix(self):
         assert IDENTITY * REVERSE == IMat(0, -1, 1, 0)
         assert arc_matrix(ZERO, Cusp(1, 5)) * REVERSE == IMat(-1, 0, -5, -1)
@@ -269,6 +281,12 @@ class TestArcMatrix:
 
 
 class TestMoebius:
+    def test_inverse_needs_det_one(self):
+        assert IMat(2, 1, 1, 1).inverse() == IMat(1, -1, -1, 2)
+        assert IMat(1, 1, 2, 1).inverse() == IMat(-1, 1, 2, -1)
+        with pytest.raises(FareyError, match="inverse requires det \\+-1, got 2$"):
+            IMat(2, 0, 0, 1).inverse()
+
     def test_fixtures(self):
         assert IMat(1, 1, 0, 1).apply(INFINITY) == INFINITY
         assert IMat(0, -1, 1, 0).apply(ZERO) == INFINITY

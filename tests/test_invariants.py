@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym import classical, invariants
-from fareysym.exact import (IMat, IDENTITY, INFINITY, Cusp, FareyError,
+from fareysym.exact import (IMat, IDENTITY, INFINITY, ZERO, Cusp, FareyError,
                             InvalidSymbolError, classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
-from fareysym.invariants import (_interval, _width_at, contains, coset_table,
+from fareysym.invariants import (CosetTable, CuspClass, _interval, _width_at,
+                                 contains, coset_table,
                                  counts, cusp_orbits, express_word, generators,
                                  word_product)
 from fareysym.kulkarni import MembershipOracle, build_unimodular, gamma0_symbol
@@ -777,6 +778,111 @@ class TestCompanion:
         assert not sym.is_unimodular()
         with pytest.raises(FareyError, match="needs its level"):
             express_word(sym, IDENTITY)
+
+
+def gamma_squared():
+    """A fresh symbol of Gamma^2, the subgroup of index 2 in PSL2(Z) that
+    its elements of order 3 generate: two arcs, both of order 3."""
+    return FareySymbol([INFINITY, ZERO], [0, 1], {0: 3, 1: 3})
+
+
+class TestGammaSquared:
+    """The one two-arc symbol besides PSL2(Z)'s that validate admits; its
+    coset table has two classes, swapped by S and each fixed by U."""
+
+    def test_counts_and_table(self):
+        sym = gamma_squared()
+        assert counts(sym) == (0, 1, 0, 2, 2)
+        table = coset_table(sym)
+        assert (table.S, table.U, table.start) == ([1, 0], [0, 1], 0)
+
+    def test_membership_is_an_even_number_of_s(self):
+        # contains and express_word refused the symbol: "a two-arc symbol
+        # other than PSL2(Z)'s has no coset table"
+        sym = gamma_squared()
+        U = IMat(1, -1, 1, 0)
+        rng = random.Random(2)
+        for _ in range(1000):
+            word = [rng.choice((S, U, U * U)) for _ in range(rng.randrange(16))]
+            g = IDENTITY
+            for x in word:
+                g = g * x
+            member = sum(x is S for x in word) % 2 == 0
+            assert contains(sym, g) == member
+            out = express_word(sym, g)
+            assert (out is not None) == member
+            assert out is None or word_product(sym, out).psl_eq(g)
+
+
+class TestCosetTable:
+    @pytest.mark.parametrize("S_, U_, message", [
+        # U is no permutation: T and S were both called non-members
+        ([1, 0], [0, 0], "U U U is not the identity at coset table class 1$"),
+        # U has order 2: a 3-arc symbol of index 4 was built from it
+        ([0, 1], [1, 0], "U U U is not the identity at coset table class 0$"),
+        ([1, 1], [0, 1], "S S is not the identity at coset table class 0$"),
+        ([1, 2, 0], [0, 1, 2], "S S is not the identity at coset table class 0$"),
+        ([0, 2], [0, 1], r"class 1 is sent out of \[0, 2\)$"),
+        ([0, 1], [-1, 1], r"class 0 is sent out of \[0, 2\)$"),
+        ([0, 1], [0], "one length m >= 1, got 2 and 1$"),
+        ([], [], "one length m >= 1, got 0 and 0$"),
+        (5, [0], "S and U are lists, got 5$"),
+        ([0], "0", "S and U are lists, got '0'$"),
+        ([0, 1.0], [0, 1], "entries must be ints, got 1.0$"),
+    ])
+    def test_tables_that_define_no_action_are_refused(self, S_, U_, message):
+        # the last five raised IndexError or TypeError, or were accepted
+        with pytest.raises(FareyError, match=message):
+            CosetTable(S_, U_, 0)
+
+
+class TestCrossChecks:
+    """counts, the coset table and the word reduction each check what they
+    read from another component; with a fault put into that component, the
+    check fires."""
+
+    @staticmethod
+    def with_orbits(N, orbits):
+        sym = gamma0_symbol(N)
+        sym._memo["orbits"] = orbits(cusp_orbits(sym))
+        return sym
+
+    def test_counts_checks_the_width_sum(self):
+        # fault: cusp_orbits gives the first cusp a width one too large
+        sym = self.with_orbits(11, lambda orbits: [
+            CuspClass(o.representative, o.width + (k == 0), o.stabilizer_word,
+                      o.vertex_indices) for k, o in enumerate(orbits)])
+        with pytest.raises(FareyError, match="width sum disagrees"):
+            counts(sym)
+
+    def test_counts_checks_the_genus(self):
+        # fault: cusp_orbits splits the cusp of width 11 into widths 1 and 10
+        def split(orbits):
+            o = orbits[-1]
+            assert o.width == 11
+            return orbits[:-1] + [CuspClass(o.representative, w, o.stabilizer_word,
+                                            o.vertex_indices) for w in (1, 10)]
+        with pytest.raises(FareyError, match="arc count and orbits give no genus"):
+            counts(self.with_orbits(11, split))
+
+    def test_the_triangle_scan_checks_unimodularity(self, normalized_for,
+                                                     monkeypatch):
+        # fault: is_unimodular reads True on a symbol with wider arcs, so
+        # the coset table is read off its own polygon
+        sym = FareySymbol.from_dict(normalized_for(36).to_dict())
+        assert not sym.is_unimodular()
+        monkeypatch.setattr(FareySymbol, "is_unimodular", lambda self: True)
+        with pytest.raises(FareyError, match="not a union of Farey triangles"):
+            contains(sym, IDENTITY)
+
+    def test_the_reduction_checks_the_coset_walk(self):
+        # fault: PSL2(Z)'s one-class table for Gamma^2, where T, no member,
+        # then reaches the reduction and is left a translation by 1
+        sym = gamma_squared()
+        sym._memo["cosets"] = CosetTable([0], [0], 0)
+        with pytest.raises(FareyError, match="left a translation that the "
+                           "coset walk accepted but the cusp refuses"):
+            express_word(sym, T)
 
 
 class TestCuspEquivalence:

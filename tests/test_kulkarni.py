@@ -575,7 +575,9 @@ class TestBuild:
                 (5, "list of events"),
                 (None, "list of events"),
                 # a huge int is named by its size
-                ([(10**5000,)], "not a tuple of strings")):
+                ([(10**5000,)], "not a tuple of strings"),
+                # an event of no known kind, on a boundary arc
+                ([("bogus", "1/0", "0/1")], "unknown trace event")):
             with pytest.raises(FareyError, match=match):
                 replay_trace(bad)
 
@@ -650,13 +652,39 @@ class TestBuild:
                                 index_bound=6)
         with pytest.raises(FareyError):
             build_unimodular(dead)
+        # so has <T>, whose (infinity, 0) pairs with the start triangle's
+        # (1, infinity): the builder reaches its insertion cap, 10 * 5
+        translations = MembershipOracle(lambda m: m.c == 0, index_bound=5)
+        with pytest.raises(FareyError, match="mediant insertion cap 50 exceeded"):
+            build_unimodular(translations)
+
+    @pytest.mark.parametrize("oracle", [lambda m: True, None, 5])
+    def test_an_oracle_that_is_no_membership_oracle_is_refused(self, oracle):
+        # each raised a bare AttributeError
+        with pytest.raises(FareyError, match="needs a MembershipOracle, got "):
+            build_unimodular(oracle)
+
+    @pytest.mark.parametrize("predicate", [5, None, "c == 0"])
+    def test_a_predicate_that_is_not_callable_is_refused(self, predicate):
+        # each raised a bare TypeError
+        with pytest.raises(FareyError, match="predicate is callable, got "):
+            MembershipOracle(predicate)
+
+    def test_the_walk_checks_it_closes(self):
+        # fault: the walk's next-arc table skips back from arc 2 to arc 1
+        walk = _Walk()
+        assert walk.arcs() == [0, 1, 2]
+        walk.nxt[2] = 1
+        with pytest.raises(FareyError, match="boundary walk is not closed"):
+            walk.arcs()
 
     @pytest.mark.parametrize("S,U", [([1, 0], [0, 1]),
-                                     ([1, 0, 2], [0, 2, 1])])
+                                     ([1, 0, 3, 2], [0, 2, 3, 1])])
     def test_start_rotation_group_is_refused(self, S, U):
-        # each group holds infinity -> 1 -> 0 -> infinity; the builder
-        # returned a 3-arc symbol of index 6 for the first and a 7-arc one
-        # without the arc (infinity, 0) for the second
+        # each group holds infinity -> 1 -> 0 -> infinity, which fixes the
+        # start class: Gamma^2 of index 2, for which the builder returned a
+        # 3-arc symbol of index 6, and a group of index 4 with cusp widths
+        # 3 and 1 (U fixes class 0 and turns the other three)
         oracle = MembershipOracle(CosetTable(S, U, 0).contains)
         assert oracle(IMat(1, -1, 1, 0))
         with pytest.raises(FareyError, match="rotation infinity -> 1 -> 0"):

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from fareysym.exact import REVERSE, FareyError, InvalidSymbolError, arc_matrix
+from fareysym.exact import (INFINITY, REVERSE, ZERO, Cusp, FareyError,
+                            InvalidSymbolError, arc_matrix)
+from fareysym.symbol import FareySymbol
 from fareysym.render import (MAX_SIDE, RenderSpec, _disk_path, _to_disk,
                              elliptic_center, render_chords, render_polygon)
 
@@ -139,6 +141,19 @@ class TestPolygon:
                     assert elliptic_center(sym, i) == reference_center(sym, i), (N, i)
                     seen += 1
         assert seen == 508
+
+    def test_an_arc_that_is_not_elliptic_has_no_center(self, symbol_for):
+        # raised a bare KeyError
+        sym = symbol_for(11)
+        assert 0 not in sym.ell
+        with pytest.raises(FareyError, match="^arc 0 is not elliptic$"):
+            elliptic_center(sym, 0)
+
+    def test_a_degenerate_arc_is_refused(self):
+        # unvalidated: the arc (infinity, infinity) has no geodesic
+        sym = FareySymbol([INFINITY, INFINITY, ZERO, Cusp(1, 1)], [1, 0, 3, 2])
+        with pytest.raises(FareyError, match="^degenerate geodesic$"):
+            render_polygon(sym, RenderSpec(style="halfplane"))
 
     def test_disk_style(self, symbol_for):
         svg = render_polygon(symbol_for(13), RenderSpec(style="disk"))

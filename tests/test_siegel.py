@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import fareysym
-from fareysym import classical
+from fareysym import classical, siegel
 from fareysym.exact import Cusp, FareyError, INFINITY, InvalidSymbolError, ZERO
 from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
 from fareysym.invariants import counts, express_word, generators
@@ -179,7 +179,8 @@ class TestBaseCut:
 
     def test_cut_legality_checked(self, symbol_for):
         s = symbol_for(15)  # pivot 1 pairs with 5
-        with pytest.raises(FareyError):
+        with pytest.raises(FareyError, match="cuts do not separate the pivot "
+                           "from its partner"):
             base_cut(s, 1, 3, 7, "pivot")  # cuts on the wrong sides
 
     @pytest.mark.parametrize("args,message", [
@@ -389,6 +390,13 @@ class TestSiegelStep:
         assert state.ids == ids[:2] + ids[5:1:-1] + ids[6:]
         assert state.verts == verts[:2] + verts[5:1:-1] + verts[6:]
 
+    def test_window_commit_has_a_vertex_per_arc(self, symbol_for):
+        state = NormalizationState(symbol_for(15))
+        ids, verts = list(state.ids), list(state.verts)
+        with pytest.raises(FareyError, match="cut produced 3 arcs, expected 4"):
+            state.commit([(ids[2:6], verts[2:5])], lo=2, hi=6)
+        assert (state.ids, state.verts) == (ids, verts)
+
     def test_first_step_extends_infinity_pair(self, symbol_for):
         state = _start_state(symbol_for(15))
         state = siegel_step(state)
@@ -521,8 +529,77 @@ class TestSiegelStep:
 
     def test_done_state_rejects_further_steps(self, normalized_for):
         state = NormalizationState(normalized_for(11), normalized_for(11).n)
-        with pytest.raises(FareyError):
+        with pytest.raises(FareyError, match="already fully normalized"):
             siegel_step(state)
+
+
+def state_before(sym, kind):
+    """A run on sym, stepped until its next step is of the given kind."""
+    state = _start_state(sym)
+    while reference_step(state)[0] != kind:
+        siegel_step(state)
+    return state
+
+
+class TestCrossChecks:
+    """Each step checks the block it made, and normalize checks its run;
+    with a fault put into the component a check guards, the check fires."""
+
+    def test_elliptic_step_checks_its_fixed_arc(self, monkeypatch):
+        # fault: the elliptic cut moves nothing
+        state = state_before(gamma0_symbol(10), "elliptic")
+        monkeypatch.setattr(siegel, "base_cut_elliptic", lambda *args: None)
+        with pytest.raises(FareyError, match="elliptic step did not fix arc"):
+            siegel_step(state)
+
+    def test_parabolic_step_checks_its_pair(self, monkeypatch):
+        # fault: the pair cut moves nothing, whether it moves the gap
+        # (variant A) or, with (infinity, 0) in the gap, the tail (variant B)
+        gap = state_before(gamma0_symbol(6), "parabolic")
+        tail = state_before(base_cut(gamma0_symbol(6), 2, 0, 3, "other")[0],
+                            "parabolic")
+        assert tail.keep in tail.ids[tail.w_len:reference_step(tail)[1][0]]
+        monkeypatch.setattr(siegel, "base_cut", lambda *args: None)
+        with pytest.raises(FareyError, match="did not pair arcs %d, %d"
+                           % (gap.w_len, gap.w_len + 1)):
+            siegel_step(gap)
+        with pytest.raises(FareyError, match="did not pair arcs 0, 1"):
+            siegel_step(tail)
+
+    def test_hyperbolic_step_checks_its_quad(self, monkeypatch):
+        # fault: the splice of the four cuts is never committed
+        state = state_before(gamma0_symbol(23), "hyperbolic")
+        monkeypatch.setattr(NormalizationState, "commit", lambda *args, **kw: None)
+        with pytest.raises(FareyError, match="did not leave a quad"):
+            siegel_step(state)
+
+    def test_a_prefix_cutting_a_block_leaves_no_step(self, normalized_for):
+        # a public state whose W is no union of blocks: the last arc's
+        # partner lies in W
+        sym = normalized_for(11)
+        assert sym.pairing[-1] != sym.n - 1
+        with pytest.raises(FareyError, match="no Siegel step applies"):
+            siegel_step(NormalizationState(sym, sym.n - 1))
+
+    def test_normalize_checks_each_step_makes_progress(self, monkeypatch):
+        # fault: a step that leaves the state as it found it
+        monkeypatch.setattr(siegel, "siegel_step", lambda state: state)
+        with pytest.raises(FareyError, match="failed to make progress"):
+            normalize(gamma0_symbol(23))
+
+    def test_normalize_checks_its_output(self, monkeypatch):
+        # fault: a step that declares the whole word normalized
+        def done(state):
+            state.w_len = state.n
+            return state
+        monkeypatch.setattr(siegel, "siegel_step", done)
+        with pytest.raises(FareyError, match="finished on a non-normalized"):
+            normalize(gamma0_symbol(23))
+
+    def test_a_state_that_is_no_normalization_state_is_refused(self, symbol_for):
+        for state in (symbol_for(11), None, 3):
+            with pytest.raises(FareyError, match="needs a NormalizationState"):
+                siegel_step(state)
 
 
 class TestNormalize:

@@ -12,6 +12,7 @@ from fareysym.exact import (Cusp, IMat, INFINITY, ZERO, FareyError,
                             CLS_PARABOLIC)
 from fareysym.symbol import FareySymbol, gluing_entries, symbol_from_ids
 from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
+from fareysym.siegel import normalize
 
 
 def test_a_huge_width_is_named_by_its_size():
@@ -264,6 +265,12 @@ class TestGluingFormula:
 
 
 class TestConstruction:
+    def test_attributes_are_read_only(self, symbol_for):
+        sym = symbol_for(11)
+        with pytest.raises(AttributeError, match="FareySymbol is immutable"):
+            sym.level = 5
+        assert sym.level == 11
+
     def test_involution_enforced(self):
         with pytest.raises(InvalidSymbolError):
             pattern_symbol([1, 2, 0])
@@ -277,6 +284,10 @@ class TestConstruction:
     def test_too_small(self):
         with pytest.raises(InvalidSymbolError):
             FareySymbol([INFINITY], [0], {0: 2})
+
+    def test_pairing_has_one_entry_per_arc(self):
+        with pytest.raises(InvalidSymbolError, match="pairing length 3 != 2 arcs"):
+            FareySymbol([INFINITY, ZERO], [0, 1, 2], {0: 2, 1: 3})
 
     @pytest.mark.parametrize("vertex", [
         tuple, str, lambda v: v.num / (v.den or 1), lambda v: None],
@@ -393,6 +404,13 @@ class TestLinkedAndNormalized:
             bad.factorize()
         assert err.value.arc_index == 4
 
+    def test_factorize_checks_the_defect(self):
+        # fault: the memoized defect calls a non-normalized symbol normalized
+        bad = pattern_symbol([2, 3, 0, 1, 6, 5, 4], ell={5: 2})
+        bad._memo["defect"] = None
+        with pytest.raises(InvalidSymbolError, match="admits no block decomposition"):
+            bad.factorize()
+
     def test_factorize_agrees_with_predicate(self, symbol_for, normalized_for):
         for N in (11, 13, 14, 15, 20, 22, 37):
             u = symbol_for(N)
@@ -449,11 +467,28 @@ class TestGroupCheck:
         assert not s.contains_all(gamma0_oracle(30))
         assert s.contains_all(lambda m: True)
 
+    @pytest.mark.parametrize("oracle", [5, "x", (1, 2)])
+    def test_an_oracle_that_is_not_callable_is_refused(self, symbol_for, oracle):
+        # raised a bare TypeError
+        with pytest.raises(FareyError, match="oracle is callable, got "):
+            symbol_for(11).validate(oracle=oracle)
+
 
 class TestValidation:
     def test_fixtures_validate(self, symbol_for):
         for N in (1, 2, 13, 15, 37):
             symbol_for(N).validate(gamma0_oracle(N))
+
+    def test_a_two_arc_symbol_needs_an_order_3_arc(self):
+        # {2, 2} has area 3(n - 2) + nu3 = 0: it validated, normalize returned
+        # it and counts raised "cusp width came out nonpositive"
+        for ell in ({0: 2, 1: 3}, {0: 3, 1: 2}, {0: 3, 1: 3}):
+            FareySymbol([INFINITY, ZERO], [0, 1], ell).validate()
+        flat = FareySymbol([INFINITY, ZERO], [0, 1], {0: 2, 1: 2})
+        for call in (flat.validate, lambda: normalize(flat)):
+            with pytest.raises(InvalidSymbolError, match="area 0: a two-arc "
+                               "symbol needs an order-3 arc"):
+                call()
 
     def test_missing_infinity_zero(self):
         s = FareySymbol([ZERO, Cusp(1, 2), Cusp(1, 1)], [2, 1, 0], {1: 2})
