@@ -218,8 +218,10 @@ def delta0_presentation(sym):
 
     The non-elliptic orbit representatives a carry lambda_a = 1 - gamma_a^-1
     and the elliptic arcs carry lambda_a = 1 together with the torsion
-    relation mu_a = 1 + gamma_a + ... + gamma_a^(order-1).
+    relation mu_a = 1 + gamma_a + ... + gamma_a^(order-1).  The symbol is
+    validated first (FareySymbol.validate, memoized).
     """
+    sym.validate()
     nonell = [i for i, j in enumerate(sym.pairing) if i < j]
     inf0 = sym.infinity_zero_arc()
     if inf0 is not None and sym.pairing[inf0] != inf0:

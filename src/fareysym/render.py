@@ -97,7 +97,8 @@ def _checked_spec(spec, default):
 def render_chords(sym, spec=None):
     """Chord diagram of the involution: one dot per arc on a circle, a
     chord per paired orbit, filled dots for order-3 arcs and hollow dots
-    for order-2 arcs."""
+    for order-2 arcs.  The symbol is validated first."""
+    sym.validate()
     spec = _checked_spec(spec, "chords")
     if spec.style != "chords":
         raise InvalidSymbolError("render_chords draws the chords style; the "
@@ -148,9 +149,8 @@ class _Plane:
 
 
 def _geodesic_path(plane, x1, x2):
-    """SVG path of the full geodesic between boundary points (None = inf)."""
-    if x1 is None and x2 is None:
-        raise FareyError("degenerate geodesic")
+    """SVG path of the full geodesic between boundary points (None = inf),
+    at most one of them infinite."""
     if x1 is None or x2 is None:
         x = x2 if x1 is None else x1
         sx, sy = plane.pt(x, 0)
@@ -241,7 +241,9 @@ def render_polygon(sym, spec=None):
     """Fundamental polygon drawing, half-plane or disk style: one path per
     segment of _halfplane_segments, a full arc in STROKE and each half of
     an elliptic arc in ACCENT.  The style chooses only the background line
-    or circle and the path a segment takes."""
+    or circle and the path a segment takes.  The symbol is validated
+    first: its vertex order leaves no arc (infinity, infinity)."""
+    sym.validate()
     spec = _checked_spec(spec, "halfplane")
     if spec.style == "chords":
         raise InvalidSymbolError("render_polygon draws the halfplane or disk "

@@ -22,8 +22,9 @@ changes the polygon, checks it and reports it to on_op, once per step but
 an extend.  Both public cuts are one cut (_cut): read from its first cut
 vertex, X1 a X2 X3 a* X4 becomes a' X3 X2 a'* X1 X4, and an elliptic pivot
 is its own partner, with X2, X3 and a'* empty.  A hyperbolic step reads
-W X a b Y a* Z b* T and writes W b* a b a* X Z Y T, moving each vertex
-once by its composite of the four cuts' pivot gluings (_step_hyperbolic).
+W X a b Y a* Z b* T and writes W b* a b a* X Z Y T, moving X, Z and Y
+by B^-1 A B A^-1, B^-1 A B and B^-1 A for A, B its pivots' gluings
+(_step_hyperbolic).
 The vertices are the input's Cusps and, once moved, plain pairs (p, q) of
 either sign, coprime as a det-1 move keeps them: symbol.gluing_entries
 takes both and refuses paired arcs of unequal widths, so every gluing it
@@ -333,19 +334,20 @@ def _step_hyperbolic(state, w, a_pos):
         W a* b* X Z Y a b T    cut (b*, b), moving a* Z Y a by g2,
         W b* X Z Y a b a* T    cut (b*, X), moving b a* by g3^-1,
         W b* a b a* X Z Y T    cut (a, b*), moving b a* X Z Y by g4^-1,
-    where each chord keeps the id of the pivot it replaces and gi is the
-    gluing of that cut's pivot.  The step makes them as one splice, and
-    on_op sees its one commit, the last stage: with P the vertices before
-    the step and nx = b*+1 (mod n), the start of T or of W,
-        g1 = gluing(P[b], P[b+1], P[b*], P[nx]),
-        g2 = gluing(g1^-1 P[a], P[nx], P[a*], P[a*+1]),
-        g3 = gluing(g1^-1 P[a*], g1^-1 P[w], g2 P[w], P[nx]),
-        g4 = gluing(g2 g1^-1 P[a*], g3^-1 g1^-1 P[w], g3^-1 P[w], P[nx]).
-    So each vertex moves once, by its composite: the quad starts at P[w],
-    g1^-1 P[w], g4^-1 g3^-1 g1^-1 P[w] and g4^-1 g3^-1 P[w]; X moves by
-    g4^-1 g1^-1, Z by g4^-1 g2 and Y by g4^-1 g2 g1^-1; W and T stay.
-    Where a segment is empty, the image named here is the same point as
-    the one the cut reads.  The splice rewrites only the window [w, b*].
+    where each chord keeps the id, and the gluing, of the pivot it replaces
+    and gi is the gluing of that cut's pivot.  With P the vertices before
+    the step and nx = b*+1 (mod n), let A and B be the pivots' gluings
+        A = gluing(P[a], P[b], P[a*], P[a*+1]),
+        B = gluing(P[b], P[b+1], P[b*], P[nx]).
+    A cut that moves an arc by M while the arc's partner stays turns its
+    gluing h into M h, so cut by cut, up to sign, g1 = B, g2 = B^-1 A,
+    g3 = B^-1 A^-1 B and g4 = B^-1 A B^-1 A^-1 B.  The step makes the four
+    cuts as one splice, and on_op sees its one commit, the last stage: X
+    moves by g4^-1 g1^-1 = B^-1 A B A^-1, the handle relation, Z by
+    g4^-1 g2 = B^-1 A B and Y by g4^-1 g2 g1^-1 = B^-1 A; W and T stay, and
+    the quad starts at P[w], B^-1 P[w], B^-1 A B P[w] and B^-1 A B^2 P[w].
+    The sign is invisible: gluing_entries and _coprime_cusp read a pair and
+    its negative alike.  The splice rewrites only the window [w, b*].
     """
     n, ids, P = state.n, state.ids, state.verts
     b_pos = a_pos + 1
@@ -360,20 +362,16 @@ def _step_hyperbolic(state, w, a_pos):
         raise FareyError("pivots out of pattern")
     state.check_keep(ids[w:bs_pos + 1])
 
-    p_w, p_nx = P[w], P[(bs_pos + 1) % n]
-    g1i = gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], p_nx).adjugate()
-    a1, as1, w1 = _moved(g1i, (P[a_pos], P[as_pos], p_w))
-    g2 = gluing_entries(a1, p_nx, P[as_pos], P[as_pos + 1])
-    a2, b2 = _moved(g2, (as1, p_w))
-    g3i = gluing_entries(as1, w1, b2, p_nx).adjugate()
-    b3, as3 = _moved(g3i, (w1, p_w))
-    g4i = gluing_entries(a2, b3, as3, p_nx).adjugate()
-    g4i_g2 = g4i * g2
+    A = gluing_entries(P[a_pos], P[b_pos], P[as_pos], P[as_pos + 1])
+    B = gluing_entries(P[b_pos], P[b_pos + 1], P[bs_pos], P[(bs_pos + 1) % n])
+    b_inv = B.adjugate()
+    y, w1 = b_inv * A, _moved(b_inv, P[w:w + 1])   # B^-1 A, [B^-1 P[w]]
+    z = y * B                                      # B^-1 A B
+    quad = P[w:w + 1] + w1 + _moved(z * B, w1 + P[w:w + 1])
     segs = [(ids[lo:hi], _moved(g, P[lo:hi])) for lo, hi, g in (
-        (w, a_pos, g4i * g1i), (as_pos + 1, bs_pos, g4i_g2),   # X Z
-        (b_pos + 1, as_pos, g4i_g2 * g1i))]                    # Y
-    state.commit([([b_s, a, b, a_s], [p_w, w1] + _moved(g4i, (b3, as3)))]
-                 + segs, lo=w, hi=bs_pos + 1)
+        (w, a_pos, z * A.adjugate()), (as_pos + 1, bs_pos, z),   # X Z
+        (b_pos + 1, as_pos, y))]                                  # Y
+    state.commit([([b_s, a, b, a_s], quad)] + segs, lo=w, hi=bs_pos + 1)
     if not (state.paired(w, w + 2) and state.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
     # no segment of the new tail X Z Y T holds an adjacent pair, as the old

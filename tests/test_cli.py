@@ -182,6 +182,16 @@ class TestExitCodes:
                    "--matrix", "nope")[0] == 2
         assert run(capsys, "info", "--in", str(tmp_path / "missing.json"))[0] == 2
 
+    def test_an_internal_fault_is_3(self, capsys, monkeypatch):
+        # a FareyError that is no refusal of the input, here put into the
+        # command's callee, is the program's own fault
+        def broken(sym, **kwargs):
+            raise FareyError("injected fault")
+
+        monkeypatch.setattr(cli, "normalize", broken)
+        assert run(capsys, "normalize", "--level", "11") == (
+            3, "", "internal error: injected fault\n")
+
     def test_normalize_names_its_start_limitation(self, tmp_path, capsys):
         # a valid symbol whose arc (infinity, 0) lies in no block at the
         # start; normalize picks the rotation itself, so rotating is no cure

@@ -3,9 +3,10 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fareysym.exact import Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError
-from fareysym.delta0 import (GroupRingElement, _element, arc_divisor,
-                             delta0_presentation, resolution_maps)
+from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
+                            InvalidSymbolError)
+from fareysym.delta0 import (Delta0Presentation, GroupRingElement, _element,
+                             arc_divisor, delta0_presentation, resolution_maps)
 from fareysym.symbol import FareySymbol
 
 T = IMat(1, 1, 0, 1)
@@ -166,14 +167,18 @@ class TestPresentation:
 
     def test_check_refuses_wrong_gluings(self, symbol_for):
         """check() recomputes each gluing's action; with a wrong gluing put
-        into a fresh symbol's cache, _glue, the block on it fires.  A
-        gluing that moves only one end of the reversed partner right is
-        refused too, whichever end it is."""
+        into a fresh symbol's cache, _glue, the block on it fires.  The
+        presentation is built by hand around the fresh symbol, since
+        delta0_presentation would validate it first, which rewrites the
+        cache.  A gluing that moves only one end of the reversed partner
+        right is refused too, whichever end it is."""
         def with_gluing(i, g):
             sym = symbol_for(13)
             fresh = FareySymbol(sym.vertices, sym.pairing, sym.ell, sym.level)
             fresh._glue[i] = g
-            return delta0_presentation(fresh)
+            pres = delta0_presentation(sym)
+            return Delta0Presentation(fresh, pres.generators, pres.elliptic,
+                                      pres.lam, pres.mu)
 
         sym = symbol_for(13)
         i = next(i for i, j in enumerate(sym.pairing) if i < j)
@@ -192,6 +197,12 @@ class TestPresentation:
             e = next(e for e, mu in sorted(sym.ell.items()) if mu == order)
             with pytest.raises(FareyError, match=message.replace("%d", str(e))):
                 with_gluing(e, T).check()
+
+    def test_an_invalid_symbol_is_refused_first(self):
+        # the area-0 symbol validate refuses gets no presentation
+        flat = FareySymbol([INFINITY, ZERO], [0, 1], {0: 2, 1: 2})
+        with pytest.raises(InvalidSymbolError, match="area 0"):
+            delta0_presentation(flat)
 
     def test_checks_pass_across_fixtures(self, symbol_for, normalized_for):
         for N in (1, 2, 7, 11, 13, 15, 22, 37):

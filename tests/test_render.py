@@ -150,10 +150,22 @@ class TestPolygon:
             elliptic_center(sym, 0)
 
     def test_a_degenerate_arc_is_refused(self):
-        # unvalidated: the arc (infinity, infinity) has no geodesic
+        # the arc (infinity, infinity) has no geodesic; validation refuses
+        # its vertex order before anything is drawn
         sym = FareySymbol([INFINITY, INFINITY, ZERO, Cusp(1, 1)], [1, 0, 3, 2])
-        with pytest.raises(FareyError, match="^degenerate geodesic$"):
-            render_polygon(sym, RenderSpec(style="halfplane"))
+        for style in ("halfplane", "disk"):
+            with pytest.raises(InvalidSymbolError, match="^vertices read from "
+                               r"\(infinity, 0\) are not increasing at 1/1, 1/0$"):
+                render_polygon(sym, RenderSpec(style=style))
+
+    def test_an_invalid_symbol_is_refused_first(self):
+        # the area-0 symbol validate refuses is drawn in no style
+        flat = FareySymbol([INFINITY, ZERO], [0, 1], {0: 2, 1: 2})
+        with pytest.raises(InvalidSymbolError, match="area 0"):
+            render_chords(flat)
+        for style in ("halfplane", "disk"):
+            with pytest.raises(InvalidSymbolError, match="area 0"):
+                render_polygon(flat, RenderSpec(style=style))
 
     def test_disk_style(self, symbol_for):
         svg = render_polygon(symbol_for(13), RenderSpec(style="disk"))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,10 @@ from fareysym.invariants import counts, express_word, generators
 from fareysym.siegel import (NormalizationState, base_cut, base_cut_elliptic,
                              normalize, siegel_step, _start_state,
                              _step_hyperbolic)
-from fareysym.symbol import FareySymbol, block_at
+from fareysym.symbol import (FareySymbol, block_at, gluing_entries,
+                             symbol_from_ids)
+
+from test_kulkarni import coset_pair, normalized_permutation_group, uniform_pair
 
 DIGEST_420 = "c0f78472b2e92a5dc8b4443285b2124810fbcb79439f801f0cd9289dac75d290"
 
@@ -499,6 +503,71 @@ class TestSiegelStep:
                 steps += 1
         assert steps > 1000
 
+    def test_hyperbolic_step_equals_four_base_cuts_on_permutation_groups(self):
+        """The fused step's matrices are words in its two pivot gluings, a
+        group identity and no fact of Gamma0(N): the same comparison on the
+        groups of 3000 seeded coset tables, each stage validated against
+        the group's membership test.  The floors keep a silent refusal from
+        emptying the test: this seed builds 501 groups, 70 of them taking
+        357 hyperbolic steps (52 to 72 groups taking 222 to 374 steps at
+        seeds 1 to 5)."""
+        rng = random.Random(48)
+        groups = stepped = steps = 0
+        for k in range(3000):
+            S, U = (uniform_pair(rng, max_points=200) if k % 2
+                    else coset_pair(rng, max_points=60, pair_all=True))
+            built = normalized_permutation_group(S, U)
+            if built is None:
+                continue
+            table, sym, nsym, _ = built
+            groups += 1
+            log = []
+            state = _start_state(sym, on_step=log.append)
+            while not state.done():
+                before = state_copy(state, None)
+                siegel_step(state)
+                if log[-1]["kind"] != "hyperbolic":
+                    continue
+                ref_ops = []
+                ref = state_copy(before, ref_ops.append)
+                self.four_cuts(ref, before.w_len, log[-1]["pivots"][0])
+                assert arcs_of(state) == arcs_of(ref), (S, U, before.w_len)
+                for stage in ref_ops:
+                    stage.validate(table.contains)
+                steps += 1
+            assert state.symbol.vertices == nsym.vertices, (S, U)
+            stepped += any(entry["kind"] == "hyperbolic" for entry in log)
+        assert groups >= 400 and stepped >= 40 and steps >= 200, (
+            groups, stepped, steps)
+
+    def test_hyperbolic_step_glues_its_two_pivots(self, monkeypatch):
+        # each step reads the gluings A of a and B of b, and no other
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gluing_entries(*args)
+
+        monkeypatch.setattr(siegel, "gluing_entries", counting)
+        steps = 0
+        for N in (23, 60, 210):
+            state = _start_state(gamma0_symbol(N))
+            while not state.done():
+                kind, pivots = reference_step(state)
+                ids, P, n = list(state.ids), list(state.verts), state.n
+                del calls[:]
+                siegel_step(state)
+                if kind != "hyperbolic":
+                    continue
+                a_pos, b_pos = pivots
+                as_pos = ids.index(state.partner[ids[a_pos]])
+                bs_pos = ids.index(state.partner[ids[b_pos]])
+                assert calls == [
+                    (P[a_pos], P[b_pos], P[as_pos], P[as_pos + 1]),
+                    (P[b_pos], P[b_pos + 1], P[bs_pos], P[(bs_pos + 1) % n])]
+                steps += 1
+        assert steps == 49
+
     @pytest.mark.parametrize("N", [11, 37, 60, 97])
     def test_hyperbolic_step_refuses_pivots_out_of_pattern(self, N):
         # W X a b Y a* Z b* T needs w <= a and a* after b, b* after a*;
@@ -531,6 +600,21 @@ class TestSiegelStep:
         state = NormalizationState(normalized_for(11), normalized_for(11).n)
         with pytest.raises(FareyError, match="already fully normalized"):
             siegel_step(state)
+
+
+def state_copy(state, on_op):
+    """A copy of a run's state that cuts on its own, seen by on_op."""
+    out = NormalizationState.__new__(NormalizationState)
+    for name in NormalizationState.__slots__:
+        setattr(out, name, getattr(state, name))
+    out.ids, out.verts = list(state.ids), list(state.verts)
+    out.on_op, out.on_step = on_op, None
+    return out
+
+
+def arcs_of(state):
+    """A state's arc ids and its vertices as Cusps, which fix their sign."""
+    return state.ids, [Cusp(p, q) for p, q in state.verts]
 
 
 def state_before(sym, kind):
@@ -594,6 +678,29 @@ class TestCrossChecks:
             return state
         monkeypatch.setattr(siegel, "siegel_step", done)
         with pytest.raises(FareyError, match="finished on a non-normalized"):
+            normalize(gamma0_symbol(23))
+
+    def test_normalize_validates_its_input_before_any_step(self):
+        # Gamma0(11)'s symbol with the level 13 contradicts its own group
+        sym = gamma0_symbol(11)
+        wrong = FareySymbol(sym.vertices, sym.pairing, sym.ell, 13)
+        log = []
+        with pytest.raises(InvalidSymbolError, match=r"not Gamma0\(13\)"):
+            normalize(wrong, on_step=log.append)
+        assert log == []
+        normalize(sym, on_step=log.append)
+        assert log
+
+    def test_normalize_validates_its_output(self, monkeypatch):
+        # fault: the symbol built at the end has its last vertex moved, so
+        # the arcs at that vertex change width
+        def perturbed(ids, partner, ell, vertices, level):
+            p, q = vertices[-1]
+            vertices[-1] = Cusp(p + 1, q + 1)
+            return symbol_from_ids(ids, partner, ell, vertices, level)
+
+        monkeypatch.setattr(siegel, "symbol_from_ids", perturbed)
+        with pytest.raises(InvalidSymbolError, match="have widths"):
             normalize(gamma0_symbol(23))
 
     def test_a_state_that_is_no_normalization_state_is_refused(self, symbol_for):
