@@ -223,8 +223,8 @@ def delta0_presentation(sym):
     """
     sym.validate()
     nonell = [i for i, j in enumerate(sym.pairing) if i < j]
-    inf0 = sym.infinity_zero_arc()
-    if inf0 is not None and sym.pairing[inf0] != inf0:
+    inf0 = sym.infinity_zero_arc()  # validate refused a symbol without it
+    if sym.pairing[inf0] != inf0:
         nonell.remove(min(inf0, sym.pairing[inf0]))
         nonell.insert(0, inf0)
     elliptic = sorted(sym.ell)
@@ -251,22 +251,14 @@ def resolution_maps(sym, stage):
     """
     _int_arg(stage, 1, None, "resolution stages are ints numbered from 1")
     pres = delta0_presentation(sym)
-    ell = pres.elliptic
-    if stage == 1:
-        cols = {a: k for k, a in enumerate(pres.generators)}
-        row0 = [pres.lam[a] for a in pres.generators]
-        rows = [row0]
-        for e in ell:
-            row = [GroupRingElement.zero()] * len(pres.generators)
-            row[cols[e]] = pres.mu[e]
-            rows.append(row)
-        return rows
-    rows = []
-    for k, e in enumerate(ell):
-        row = [GroupRingElement.zero()] * len(ell)
-        if stage % 2 == 0:
-            row[k] = GroupRingElement.of(sym.gluing(e)) - GroupRingElement.one()
-        else:
-            row[k] = pres.mu[e]
-        rows.append(row)
-    return rows
+    ell, zero = pres.elliptic, GroupRingElement.zero()
+    if stage % 2:
+        diagonal = [pres.mu[e] for e in ell]
+    else:
+        diagonal = [GroupRingElement.of(sym.gluing(e)) - GroupRingElement.one()
+                    for e in ell]
+    # stage 1's elliptic columns come after the non-elliptic generators'
+    pad = len(pres.generators) - len(ell) if stage == 1 else 0
+    rows = [[zero] * (pad + k) + [x] + [zero] * (len(ell) - 1 - k)
+            for k, x in enumerate(diagonal)]
+    return [[pres.lam[a] for a in pres.generators]] + rows if stage == 1 else rows

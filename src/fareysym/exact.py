@@ -24,9 +24,9 @@ class InvalidSymbolError(FareyError):
 class NotNormalizedError(FareyError):
     """Raised by factorization of a symbol that is not normalized."""
 
-    def __init__(self, arc_index, message=None):
+    def __init__(self, arc_index):
         self.arc_index = arc_index
-        super().__init__(message or "symbol is not normalized (arc %d)" % arc_index)
+        super().__init__("symbol is not normalized (arc %d)" % arc_index)
 
 
 def _int_str(x):

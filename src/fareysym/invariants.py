@@ -402,15 +402,11 @@ def express_word(sym, g):
     corresponding generator, until a matrix fixing infinity is left, a
     power of the stabilizer of infinity.  Read from infinity, the vertices
     of a valid symbol increase, so each step finds its interval by a search
-    that keeps the bisection invariant (see _interval).  On a unimodular
-    symbol that search is plain bisection.  On any other the first search
-    starts in the middle, each later one at the partner of the arc just
-    stripped, whose gluing carried the point across to that partner: on a
-    normalized symbol the next interval is most often the partner's or a
-    neighbour's, while on a unimodular one the gallop would cost more
-    probes than bisection.
-    The same invariant makes the answer the one bisection gives.  The
-    matrix is kept as four integers, sign-fixed at the top of each step as
+    that keeps the bisection invariant (see _interval) and answers as
+    bisection does.  On a unimodular symbol it is bisection; on any other it
+    gallops, first from the middle, then from the partner of the arc just
+    stripped, where a normalized symbol's next interval most often lies.
+    The matrix is kept as four integers, sign-fixed at the top of each step as
     IMat.psl_normalize does.  A member whose reduction runs past the step
     cap raises FareyError; the answer is never None for a member.
 
@@ -421,7 +417,9 @@ def express_word(sym, g):
     answer spells it as (arc, 1) letters up to the shortest prefix after
     which the rest fixes infinity, then the power of the stabilizer of
     infinity: one letter when that is one gluing, else its word repeated,
-    inverted for a negative power.
+    inverted for a negative power.  Where that meets the prefix, a run of
+    one fixed arc whose exponents sum to 0 mod its order cancels, as on the
+    two-arc symbols: Gamma0(1)'s [[1, -1], [1, 0]] is [(1, 1), (1, 1)].
     """
     _sl2_arg(g, "express_word needs an integral det-1 matrix")
     k, nums, dens, inverses, partner, width, stab = _word_data(sym)
@@ -453,7 +451,14 @@ def express_word(sym, g):
                 raise FareyError("word reduction exceeded its step cap")
             if e < 0:
                 stab = [(i, -x) for i, x in reversed(stab)]
-            return word + stab * abs(e)
+            for i, x in stab * abs(e):
+                word.append((i, x))
+                t = len(word) - 1
+                while t and word[t - 1][0] == i:
+                    t -= 1
+                if i in sym.ell and sum(x for _, x in word[t:]) % sym.ell[i] == 0:
+                    del word[t:]  # a run of one fixed arc closed up
+            return word
         p, q = (a, c) if c > 0 else (-a, -c)
         side = (k + _interval(nums, dens, p, q, start)) % n
         word.append((side, 1))

@@ -113,11 +113,11 @@ class MembershipOracle:
     """A computable membership test for a finite-index subgroup of PSL2(Z).
 
     predicate(m) must be invariant under m -> -m and accept the identity.
-    index_bound, when declared, a positive int, caps the number of mediant
-    insertions the builder will attempt.  coset_key is None except on
-    gamma0_oracle's oracles, where key(a, b, c, d) of a det-1 matrix names
-    its right coset, key(*m1) == key(*m2) iff m1 * m2^-1 is in Gamma0(N), and
-    the builder pairs arcs by hash lookups instead of membership scans.
+    The builder makes at most 10 * index_bound mediant insertions, else
+    1000, so a larger group without coset_key must declare index_bound, a
+    positive int.  coset_key is None but on gamma0_oracle's oracles, whose
+    key(*m1) == key(*m2) iff m1 * m2^-1 is in Gamma0(N): the builder pairs
+    arcs by hash lookups of these right cosets, not by membership scans.
     """
 
     def __init__(self, predicate, index_bound=None, name=None, level=None):
@@ -366,7 +366,7 @@ def build_unimodular(oracle, on_event=None):
 
     fresh = (0, 1, 2)  # the arcs to pair: the triangle's, then each split's
     waiting = deque()
-    cap = 10 * oracle.index_bound if oracle.index_bound else 10**6
+    cap = 10 * oracle.index_bound if oracle.index_bound else 1000
     inserts = 0
 
     while True:

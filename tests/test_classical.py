@@ -67,6 +67,16 @@ def test_formulas_check_each_other(monkeypatch):
     monkeypatch.setattr(classical, "nu2_gamma0", lambda N: nu2(N) + 1)
     with pytest.raises(FareyError, match="genus formula gave -3/12"):
         classical.genus_gamma0(1)
+    # a negative multiple of 12, and a positive genus that is no integer
+    monkeypatch.setattr(classical, "nu2_gamma0", lambda N: nu2(N) + 4)
+    with pytest.raises(FareyError, match="genus formula gave -12/12"):
+        classical.genus_gamma0(1)
+    monkeypatch.setattr(classical, "nu2_gamma0", nu2)
+    nu_inf = classical.nu_inf_gamma0
+    monkeypatch.setattr(classical, "nu_inf_gamma0", lambda N: nu_inf(N) + 1)
+    with pytest.raises(FareyError, match="genus formula gave 6/12"):
+        classical.genus_gamma0(11)
+    monkeypatch.setattr(classical, "nu_inf_gamma0", nu_inf)
     phi = classical.euler_phi
     monkeypatch.setattr(classical, "euler_phi", lambda n: phi(n) + 1)
     with pytest.raises(FareyError, match="cusp widths do not sum to the index"):

@@ -432,6 +432,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: --to must be at most %d, got %d\n" % (MAX_INDEX, stop)
 
+    def test_scan_reaches_the_index_bound_itself(self, capsys, monkeypatch):
+        # with the bound lowered to 6, --to 6 scans and --to 7 is refused
+        monkeypatch.setattr(cli, "MAX_INDEX", 6)
+        assert run(capsys, "scan", "--from", "5", "--to", "6") == (
+            0, "scanned 2 levels, 0 failure(s)\n", "")
+        assert run(capsys, "scan", "--from", "5", "--to", "7") == (
+            2, "", "error: --to must be at most 6, got 7\n")
+
     def test_scan_with_worker_processes(self):
         """One real multiprocessing.Pool run, through the module's entry
         point in a fresh interpreter."""
@@ -570,6 +578,18 @@ def test_fuzzed_input_exits_0_1_or_2(tmp_path, capsys, symbol_for,
 class TestCheckLevel:
     def test_clean_level(self):
         assert check_level(30) == []
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_each_block_count_is_checked(self, monkeypatch, k):
+        # fault: the normalized symbol's count of quads, pairs or fixed
+        # arcs, one at a time, is one too many
+        counts = FareySymbol.block_counts
+        monkeypatch.setattr(FareySymbol, "block_counts", lambda self: tuple(
+            x + (t == k) for t, x in enumerate(counts(self))))
+        want = [3, 7, 0]  # genus 3, 8 cusps, no elliptic points
+        want[k] += 1
+        assert check_level(30) == ["N=30: block counts (%d,%d,%d) off"
+                                   % tuple(want)]
 
 
 # the fuzz corpus: the unimodular and the normalized symbol of each level

@@ -1,13 +1,18 @@
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym.exact import (Cusp, IMat, IDENTITY, INFINITY, ZERO, FareyError,
-                            InvalidSymbolError)
+                            InvalidSymbolError, arc_matrix)
 from fareysym.delta0 import (Delta0Presentation, GroupRingElement, _element,
                              arc_divisor, delta0_presentation, resolution_maps)
+from fareysym.invariants import CosetTable, coset_table
+from fareysym.kulkarni import MembershipOracle, build_unimodular
 from fareysym.symbol import FareySymbol
+
+from test_kulkarni import coset_pair, uniform_pair
 
 T = IMat(1, 1, 0, 1)
 
@@ -203,6 +208,10 @@ class TestPresentation:
         flat = FareySymbol([INFINITY, ZERO], [0, 1], {0: 2, 1: 2})
         with pytest.raises(InvalidSymbolError, match="area 0"):
             delta0_presentation(flat)
+        # so a presentation always finds the arc (infinity, 0)
+        turned = FareySymbol([ZERO, INFINITY, Cusp(-1)], [0, 2, 1], {0: 2})
+        with pytest.raises(InvalidSymbolError, match=r"^no arc \(infinity, 0\)$"):
+            delta0_presentation(turned)
 
     def test_checks_pass_across_fixtures(self, symbol_for, normalized_for):
         for N in (1, 2, 7, 11, 13, 15, 22, 37):
@@ -354,3 +363,98 @@ class TestResolution:
         # unchecked, 2.5 gives [], True the stage-1 map and "2" a TypeError
         with pytest.raises(FareyError, match="stages"):
             resolution_maps(symbol_for(13), stage)
+
+
+def triangle_edges(sym):
+    """The edges of the Farey triangles that make up a unimodular polygon,
+    each both ways, as (tail, head) positions counted from infinity, with
+    the vertex index k of infinity and the points (p, q) by position: the
+    ear scan of invariants._unimodular_table, keeping each class's edge."""
+    k, finite = sym.vertex_order()
+    pts = ((1, 0),) + tuple((v.num, v.den) for v in finite)
+    edges, stack = [], [0, 1]
+    for r in range(2, sym.n):
+        p, q = pts[r]
+        while len(stack) > 1:
+            x, y = pts[stack[-2]]
+            if abs(x * q - p * y) != 1:
+                break
+            b = stack.pop()
+            a = stack[-1]
+            edges += [(a, b), (b, r), (r, a)]
+        stack.append(r)
+    return k, pts, edges + [(b, a) for a, b in edges]
+
+
+def convergent_arcs(a, b):
+    """{a/b} - {infinity} as the unimodular arcs between the continued
+    fraction convergents of a/b, starting at infinity (Manin's trick)."""
+    pts, (h0, k0), (h1, k1) = [(1, 0)], (0, 1), (1, 0)
+    while b:
+        t = a // b
+        a, b = b, a - t * b
+        (h0, k0), (h1, k1) = (h1, k1), (t * h1 + h0, t * k1 + k0)
+        pts.append((h1, k1))
+    return [arc_matrix(x, y) for x, y in zip(pts, pts[1:])]
+
+
+def manin_check(sym, in_group, rng, count):
+    """{s} - {infinity}, for count random rationals s, as a Z[Gamma]
+    combination of the presentation's generators, checked by act_on_divisor.
+
+    Each convergent arc M(infinity -> 0) lies in the coset of a triangle
+    edge E(infinity -> 0) of the polygon, so gamma = M E^-1 is in the group
+    (in_group checks it apart from the symbol), and {M(0)} - {M(infinity)}
+    is gamma applied to the boundary arcs from E's tail to its head.  A
+    boundary arc that is no generator is minus its gluing applied to its
+    partner, which is one.
+    """
+    pres = delta0_presentation(sym)
+    table = coset_table(sym)
+    k, pts, edges = triangle_edges(sym)
+    edge_of = {table.coset(arc_matrix(pts[t], pts[h])): (t, h) for t, h in edges}
+    assert len(edge_of) == len(table)
+    for _ in range(count):
+        a, b = rng.getrandbits(rng.randint(30, 60)), rng.getrandbits(40) | 1
+        a = -a if rng.random() < 0.5 else a
+        coeff = {g: GroupRingElement.zero() for g in pres.generators}
+        for m in convergent_arcs(a, b):
+            t, h = edge_of[table.coset(m)]
+            gamma = m * arc_matrix(pts[t], pts[h]).inverse()
+            assert in_group(gamma)
+            sign = 1 if t < h else -1
+            for x in range(min(t, h), max(t, h)):
+                arc = (k + x) % sym.n
+                if arc in coeff:
+                    coeff[arc] += GroupRingElement.of(gamma, sign)
+                else:
+                    g = gamma * sym.gluing(arc)
+                    coeff[sym.pairing[arc]] += GroupRingElement.of(g, -sign)
+        total = {}
+        for g, x in coeff.items():
+            for cusp, c in x.act_on_divisor(arc_divisor(sym, g)).items():
+                total[cusp] = total.get(cusp, 0) + c
+        assert {p: c for p, c in total.items() if c} == {
+            Cusp(a, b): 1, INFINITY: -1}
+
+
+@pytest.mark.parametrize("N", [2, 13, 36])
+def test_the_generators_generate_by_manins_trick(symbol_for, N):
+    manin_check(symbol_for(N), lambda g: g.c % N == 0, random.Random(N), 40)
+
+
+def test_the_generators_generate_on_permutation_groups():
+    rng = random.Random(7)
+    built = 0
+    for _ in range(400):
+        S, U = (coset_pair if rng.random() < 0.5 else uniform_pair)(rng, 40)
+        table = CosetTable(S, U, 0)
+        try:
+            sym = build_unimodular(MembershipOracle(table.contains,
+                                                    index_bound=len(S)))
+        except FareyError:
+            continue
+        if sym.n > 2:
+            built += 1
+            manin_check(sym, table.contains, rng, 5)
+    assert built > 60

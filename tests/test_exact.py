@@ -215,6 +215,23 @@ class TestIntCodec:
             Cusp.parse("1" * 5000 + "x")
         assert str(info.value) == "not a cusp p/q: <str of 5001 characters>"
 
+    def test_a_long_int_is_named_by_its_size(self):
+        # an int is written up to 200 characters, also inside a tuple; a
+        # longer one is named by its size in bits, and so is a longer str
+        def refusal(g):
+            with pytest.raises(FareyError) as info:
+                classify(g)
+            return str(info.value).split(", got ")[1]
+        assert refusal((2, 3, 1, 1)) == "det -1"
+        assert refusal((2**661, 0, 0, 1)) == "det %d" % 2**661  # 199 digits
+        assert refusal((10**199, 0, 0, 1)) == "det %d" % 10**199  # 200
+        assert refusal((-10**199, 0, 0, 1)) == "det -<int of 662 bits>"  # 201
+        assert refusal((10**200, 0, 0, 1)) == "det <int of 665 bits>"
+        assert refusal((10**300, 1, 0)) == "(<int of 997 bits>, 1, 0)"
+        with pytest.raises(FareyError) as info:
+            Cusp.parse("x" * 200)
+        assert str(info.value) == "not a cusp p/q: '%s'" % ("x" * 200)
+
     def test_a_long_cusp_is_named_by_its_size(self):
         # "p/q" is kept up to 200 characters, either way round and for a
         # pair of either sign; a longer cusp is named by its height in bits

@@ -247,6 +247,13 @@ class TestGamma0Oracle:
             gamma0_symbol(MAX_INDEX)
         assert calls == [MAX_INDEX]
 
+    def test_an_index_of_max_index_itself_builds(self, monkeypatch):
+        monkeypatch.setattr(kulkarni, "MAX_INDEX", 24)
+        assert counts(gamma0_symbol(12))[4] == 24
+        with pytest.raises(InvalidSymbolError, match=r"^Gamma0\(18\) has index "
+                           "above 24, too large to build$"):
+            gamma0_symbol(18)
+
     def test_sign_invariance(self):
         o = gamma0_oracle(6)
         m = IMat(1, 1, 6, 7)
@@ -657,6 +664,31 @@ class TestBuild:
         translations = MembershipOracle(lambda m: m.c == 0, index_bound=5)
         with pytest.raises(FareyError, match="mediant insertion cap 50 exceeded"):
             build_unimodular(translations)
+
+    def test_the_insertion_cap_is_reached_inclusively(self):
+        # this group of index 33 takes exactly 10 mediant insertions, the
+        # cap of index_bound=1
+        S, U = uniform_pair(random.Random(328), 36)
+        trace = []
+        oracle = MembershipOracle(CosetTable(S, U, 0).contains, index_bound=1)
+        build_unimodular(oracle, on_event=trace.append).validate(oracle)
+        assert sum(event[0] == "mediant" for event in trace) == 10
+
+    def test_the_keyless_pairing_tests_only_unpaired_arcs(self):
+        # the work of the membership scans: Gamma^0(6) = {b = 0 mod 6}
+        # asks its predicate 32 times, 52 when an arc is also tried against
+        # itself and against arcs already paired
+        calls = []
+        build_unimodular(MembershipOracle(lambda m: calls.append(m) or m.b % 6 == 0))
+        assert len(calls) == 32
+
+    def test_a_keyless_oracle_without_index_bound_is_capped_at_1000(self):
+        # <T> again, with no index_bound: the default cap was 10**6
+        # insertions, and the generic pairing's scans made it weeks to reach
+        with pytest.raises(FareyError, match="mediant insertion cap 1000 "
+                           "exceeded; the oracle group looks like it has "
+                           "infinite index"):
+            build_unimodular(MembershipOracle(lambda m: m.c == 0))
 
     @pytest.mark.parametrize("oracle", [lambda m: True, None, 5])
     def test_an_oracle_that_is_no_membership_oracle_is_refused(self, oracle):

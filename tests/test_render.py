@@ -383,7 +383,7 @@ class TestSpec:
     @pytest.mark.parametrize("change, message", [
         ({"width": 0}, "ints"), ({"height": 1.5}, "ints"),
         ({"style": "bogus"}, "style"), ({"xmin": float("nan")}, "finite reals"),
-        ({"xmax": -1}, "empty x-range")])
+        ({"xmax": -1}, "empty x-range"), ({"xmin": 1.0, "xmax": 1.0}, "empty x-range")])
     def test_replace_checks_its_fields(self, change, message):
         with pytest.raises(InvalidSymbolError, match=message):
             RenderSpec(style="halfplane")._replace(**change)

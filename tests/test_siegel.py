@@ -187,6 +187,15 @@ class TestBaseCut:
                            "from its partner"):
             base_cut(s, 1, 3, 7, "pivot")  # cuts on the wrong sides
 
+    @pytest.mark.parametrize("c1,c2", [(7, 7), (3, 3)])
+    def test_one_cut_end_on_the_wrong_side_is_refused(self, symbol_for, c1, c2):
+        # c1 belongs in 6..1 and c2 in 2..5 (base_cut(s, 1, 7, 3) is legal):
+        # only c2, then only c1, is misplaced
+        s = symbol_for(15)  # pivot 1 pairs with 5
+        with pytest.raises(FareyError, match="cuts do not separate the pivot "
+                           "from its partner"):
+            base_cut(s, 1, c1, c2, "pivot")
+
     @pytest.mark.parametrize("args,message", [
         ((2, 3, 0, "pivot"), "out of range"),
         ((2, 2, -1, "pivot"), "out of range"),
@@ -656,6 +665,21 @@ class TestCrossChecks:
         monkeypatch.setattr(NormalizationState, "commit", lambda *args, **kw: None)
         with pytest.raises(FareyError, match="did not leave a quad"):
             siegel_step(state)
+
+    def test_hyperbolic_step_keeps_infinity_zero(self):
+        # fault: the run's kept arc (infinity, 0) is put into the window
+        # [w, b*] the step rewrites, at its first arc, at the last arc of Z
+        # and at b*; normalize keeps it in W, so no public input does this
+        state = state_before(gamma0_symbol(23), "hyperbolic")
+        a_pos = reference_step(state)[1][0]
+        ids, partner = state.ids, state.partner
+        bs_pos = ids.index(partner[ids[a_pos + 1]])
+        for p in (state.w_len, bs_pos - 1, bs_pos):
+            moved = state_copy(state, None)
+            moved.keep = ids[p]
+            with pytest.raises(InvalidSymbolError, match="would move or "
+                               r"replace the arc \(infinity, 0\)"):
+                siegel_step(moved)
 
     def test_a_prefix_cutting_a_block_leaves_no_step(self, normalized_for):
         # a public state whose W is no union of blocks: the last arc's

@@ -45,6 +45,9 @@ def test_an_unpaired_boundary_arc_is_named_by_its_ends():
         symbol_from_ids([0, 1], [2, 1], {}, [Cusp(10**5000), ZERO], None)
     assert str(info.value) == ("boundary arc (<cusp of 16610 bits>, 0/1) has "
                                "no partner on the boundary")
+    with pytest.raises(FareyError) as info:  # the end is the next vertex
+        symbol_from_ids([0, 1, 2], [5, 1, 2], {}, [INFINITY, ZERO, Cusp(1)], None)
+    assert str(info.value) == "boundary arc (1/0, 0/1) has no partner on the boundary"
 
 
 @pytest.mark.parametrize("vertices,pairing,ell,level,names", [
@@ -271,6 +274,19 @@ class TestConstruction:
             sym.level = 5
         assert sym.level == 11
 
+    def test_symbols_that_differ_in_one_field_are_unequal(self, symbol_for):
+        sym = symbol_for(11)
+        same = FareySymbol(sym.vertices, sym.pairing, sym.ell, 11)
+        assert sym == same and sym != symbol_for(13) and sym != sym.vertices
+        assert sym != FareySymbol(sym.vertices, sym.pairing, sym.ell, None)
+        two = FareySymbol([INFINITY, ZERO], [0, 1], {0: 2, 1: 3})
+        assert two != FareySymbol([INFINITY, ZERO], [0, 1], {0: 3, 1: 3})
+
+    def test_repr_names_the_level_when_there_is_one(self, symbol_for):
+        assert repr(symbol_for(11)) == "FareySymbol(n=6, level=11)"
+        assert repr(FareySymbol([INFINITY, ZERO], [0, 1], {0: 2, 1: 3})) \
+            == "FareySymbol(n=2)"
+
     def test_involution_enforced(self):
         with pytest.raises(InvalidSymbolError):
             pattern_symbol([1, 2, 0])
@@ -403,6 +419,7 @@ class TestLinkedAndNormalized:
         with pytest.raises(NotNormalizedError) as err:
             bad.factorize()
         assert err.value.arc_index == 4
+        assert str(err.value) == "symbol is not normalized (arc 4)"
 
     def test_factorize_checks_the_defect(self):
         # fault: the memoized defect calls a non-normalized symbol normalized
