@@ -27,7 +27,7 @@ from .exact import (FareyError, IMat, InvalidSymbolError, NotNormalizedError,
 from .invariants import counts, cusp_orbits, express_word, generators
 from .kulkarni import MAX_INDEX, gamma0_oracle, gamma0_symbol
 from .render import STYLES, RenderSpec, render_chords, render_polygon
-from .siegel import normalize
+from .siegel import check_arcs, normalize
 from .symbol import FareySymbol
 from .delta0 import delta0_presentation
 
@@ -156,6 +156,10 @@ def _cmd_build(args):
 
 
 def _cmd_normalize(args):
+    if not args.infile and args.level is not None and 0 < args.level <= MAX_INDEX:
+        # refused before it is built: Gamma0(N) has 3(n - 2) + nu3 = index
+        N = args.level
+        check_arcs((classical.index_gamma0(N) - classical.nu3_gamma0(N)) // 3 + 2)
     sym = _load_symbol(args)
     on_step = None
     if args.trace:

@@ -5,6 +5,7 @@ coset table of the group, and the word problem in the gluing generators.
 
 from .exact import IDENTITY, FareyError, _int_arg, _int_args, _shown, _sl2_arg
 from .kulkarni import gamma0_symbol
+from .siegel import start_words
 
 
 class CuspClass:
@@ -420,17 +421,43 @@ def express_word(sym, g):
     inverted for a negative power.  Where that meets the prefix, a run of
     one fixed arc whose exponents sum to 0 mod its order cancels, as on the
     two-arc symbols: Gamma0(1)'s [[1, -1], [1, 0]] is [(1, 1), (1, 1)].
+
+    So a symbol that normalize made from a unimodular symbol, its
+    companion, when its stabilizer of infinity is one gluing, takes a
+    shorter way to the same word: g is reduced on the companion, where
+    words are short, each letter is replaced by that gluing's word in this
+    symbol's gluings (start_words, from the run's step records, memoized),
+    and the result is freely reduced and spelled.  Where the reduction on
+    the companion refuses, g is reduced here as on any other symbol.
     """
     _sl2_arg(g, "express_word needs an integral det-1 matrix")
-    k, nums, dens, inverses, partner, width, stab = _word_data(sym)
+    stab = _word_data(sym)[6]
     if not coset_table(sym).contains(g):
         return None
-    n = sym.n
+    if _substitutes(sym):
+        try:
+            word = _reduce(sym._memo["companion"], g)
+        except FareyError:
+            pass
+        else:
+            return _substituted(sym, word, stab[0][0], _cap(g, sym.n))
+    return _reduce(sym, g)
 
+
+def _cap(g, n):
+    """The most steps a reduction of g on n arcs may take."""
+    a, b, c, d = g
+    return ((abs(a) + abs(b) + abs(c) + abs(d)).bit_length() + 8) * (n + 8) * 4
+
+
+def _reduce(sym, g):
+    """The word of a member g by the reduction express_word describes."""
+    k, nums, dens, inverses, partner, width, stab = _word_data(sym)
+    n = sym.n
     word = []
     a, b, c, d = g
     steps = 0
-    cap = ((abs(a) + abs(b) + abs(c) + abs(d)).bit_length() + 8) * (n + 8) * 4
+    cap = _cap(g, n)
     start = None if partner is None else (n - 1) // 2
     while True:
         if a < 0 or (not a and b < 0):
@@ -467,6 +494,98 @@ def express_word(sym, g):
         ia, ib, ic, id_ = inverses[side]
         a, b, c, d = (ia * a + ib * c, ia * b + ib * d,
                       ic * a + id_ * c, ic * b + id_ * d)
+
+
+def _substitutes(sym):
+    """Whether express_word substitutes into the companion's words on sym:
+    sym carries the step records of a normalize run on its companion, a
+    unimodular symbol, with no step of side "other" (see start_words), and
+    its stabilizer of infinity is one gluing.  Decided once per symbol."""
+    memo = sym._memo
+    if "substitutes" not in memo:
+        steps = memo.get("steps")
+        memo["substitutes"] = (
+            steps is not None and len(_word_data(sym)[6]) == 1
+            and all(side != "other" for _, _, _, side in steps)
+            and memo["companion"].is_unimodular())
+    return memo["substitutes"]
+
+
+def _start_word(sym, u, m):
+    """The companion's gluing of arc u to the power m = +-1, as a reduced
+    word on sym's gluings spelled in (arc, 1) letters, as express_word
+    spells a prefix.  Built at the first call from the run's step records
+    (start_words), and memoized."""
+    memo = sym._memo
+    if "start_words" not in memo:  # the letters (i, 1) shared by the words
+        memo["start_words"] = ({}, start_words(memo["steps"],
+                                               memo["companion"].pairing),
+                               [(i, 1) for i in range(sym.n)])
+    words, word, one = memo["start_words"]
+    if (u, m) not in words:
+        pairing, ell = sym.pairing, sym.ell
+        out = []  # letters (generator min(i, partner(i)), exponent)
+        for p, x in word(u):
+            q = pairing[p]
+            i, x = (p, x * m) if p <= q else (q, -x * m)
+            if out and out[-1][0] == i:
+                x += out.pop()[1]
+            if i in ell:
+                x %= ell[i]
+            if x:
+                out.append((i, x))
+        spelled = []
+        for i, x in out[::m]:  # the inverse's letters in reverse order
+            spelled += [one[i if x > 0 else pairing[i]]] * abs(x)
+        words[u, m] = spelled
+    return words[u, m]
+
+
+def _substituted(sym, word, s, cap):
+    """The companion's word of a member with each letter replaced by its
+    _start_word, freely reduced and spelled as express_word does; s is the
+    arc whose gluing generates the stabilizer of infinity.  Words of
+    reduced words cancel only where they meet, and only the last letter of
+    a companion word may have an exponent other than +-1: a power of the
+    companion's stabilizer of infinity, whose word is then one letter on
+    the generator of s, so its exponent is carried, never expanded."""
+    pairing, ell = sym.pairing, sym.ell
+    out, carry = [], 0
+    for u, m in word:
+        if m != 1 and m != -1:
+            (i, _), = _start_word(sym, u, 1)
+            carry = m if i == s else -m
+            continue
+        w = _start_word(sym, u, m)
+        j = 0
+        while out:  # merge the runs on one generator where they meet
+            i = out[-1][0]
+            g = min(i, pairing[i])
+            k = j
+            while k < len(w) and min(w[k][0], pairing[w[k][0]]) == g:
+                k += 1
+            if k == j:
+                break
+            t = len(out) - 1
+            while t and min(out[t - 1][0], pairing[out[t - 1][0]]) == g:
+                t -= 1
+            e = sum(1 if a == g else -1 for a, _ in out[t:] + w[j:k])
+            if g in ell:
+                e %= ell[g]
+            del out[t:]
+            out += [(g if e > 0 else pairing[g], 1)] * abs(e)
+            j = k
+            if e:
+                break
+        out += w[j:]
+    t = len(out)
+    while t and out[t - 1][0] in (s, pairing[s]):
+        t -= 1
+    carry += sum(1 if a == s else -1 for a, _ in out[t:])
+    del out[t:]
+    if len(out) >= cap:
+        raise FareyError("word reduction exceeded its step cap")
+    return out + [(s, carry)] if carry else out
 
 
 def contains(sym, g):

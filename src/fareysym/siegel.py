@@ -48,11 +48,33 @@ tail [w, n), so once one scan finds none, no later step scans for one.  A
 hyperbolic step is chosen only when the tail holds no adjacent pair, and it
 keeps X, Z, Y and T each in order, so the next search for a pair tests only
 the seams X|Z, Z|Y and Y|T; any other commit brings back the full scan.
+
+A run records itself in small ints, NormalizationState.steps: its start
+rotation, then for each step that cuts its kind, pivots, the bounds of the
+window it rewrites and its side.  _layout reads a record as the step's
+segment table, for the hyperbolic step itself and for start_words, which
+replays the records on the input's arc ids and writes each input gluing
+as a word in the output's.  normalize leaves the records in its output's
+memo when its input is its own companion, for the word problem.
 """
 
 from .exact import (FareyError, InvalidSymbolError, _coprime_cusp, _int_arg,
                     _shown)
 from .symbol import block_at, gluing_entries, symbol_from_ids
+
+
+# The most arcs normalize takes.  Its time grows as about n^3.5 from
+# Gamma0(3000), 2402 arcs, 2.3 s on a 2-core x86-64 host, to Gamma0(10007),
+# 3338 arcs, 7.5 s; so 4000 arcs take about 14 s, and Gamma0(100003),
+# 33,336 arcs, would take about 7 hours.
+MAX_ARCS = 4000
+
+
+def check_arcs(n):
+    """Refuse a normalization of n arcs, n > MAX_ARCS, before any work."""
+    if n > MAX_ARCS:
+        raise InvalidSymbolError("normalize takes at most %d arcs, as its time "
+                                 "grows as about n^3.5; got %d" % (MAX_ARCS, n))
 
 
 def _moved(g, pts):
@@ -77,11 +99,13 @@ class NormalizationState:
     fixed and seams are what the step choice knows of the tail [w_len, n):
     fixed is False once it holds no fixed arc, and seams, when not None,
     lists the only positions k where the arcs at k, k + 1 may be an
-    adjacent pair (_choose_step).
+    adjacent pair (_choose_step).  steps records a run's start rotation
+    and each step but an extend as small ints (see start_words).
     """
 
     __slots__ = ("verts", "ids", "partner", "ell", "level", "keep",
-                 "w_len", "on_op", "on_step", "origin", "fixed", "seams")
+                 "w_len", "on_op", "on_step", "origin", "fixed", "seams",
+                 "steps")
 
     def __init__(self, symbol, w_len=0):
         self.verts = list(symbol.vertices)
@@ -96,6 +120,7 @@ class NormalizationState:
         self.origin = symbol._memo.get("companion", symbol)
         self.fixed = True
         self.seams = None
+        self.steps = []
 
     @property
     def n(self):
@@ -283,6 +308,7 @@ def _start_state(sym, on_op=None, on_step=None):
     state = NormalizationState(sym)
     state.commit([(state.ids, state.verts)], (rot, 0))
     state.on_op, state.on_step = on_op, on_step
+    state.steps.append(("start", [rot], (0, n), None))
     return state
 
 
@@ -302,6 +328,7 @@ def _step_elliptic(state, w, pivot):
     base_cut_elliptic(state, pivot, w, "before", (pivot, w))
     if not state.paired(w, w):
         raise FareyError("elliptic step did not fix arc %d" % w)
+    state.steps.append(("elliptic", [pivot], (w, pivot + 1), "before"))
     return w + 1
 
 
@@ -317,11 +344,13 @@ def _step_parabolic(state, w, pivot):
         base_cut(state, pivot, w, pivot + 1, "pivot", (pivot, w))
         if not state.paired(w, w + 1):
             raise FareyError("parabolic step did not pair arcs %d, %d" % (w, w + 1))
+        state.steps.append(("parabolic", [pivot], (w, pivot + 2), "pivot"))
     else:
         base_cut(state, pivot, 0, pivot + 1, "other")
         # word is already (a' a'* W X gY); the prefix simply starts at a'.
         if not state.paired(0, 1):
             raise FareyError("parabolic step did not pair arcs 0, 1")
+        state.steps.append(("parabolic", [pivot], (0, state.n), "other"))
     return w + 2
 
 
@@ -368,12 +397,14 @@ def _step_hyperbolic(state, w, a_pos):
     y, w1 = b_inv * A, _moved(b_inv, P[w:w + 1])   # B^-1 A, [B^-1 P[w]]
     z = y * B                                      # B^-1 A B
     quad = P[w:w + 1] + w1 + _moved(z * B, w1 + P[w:w + 1])
-    segs = [(ids[lo:hi], _moved(g, P[lo:hi])) for lo, hi, g in (
-        (w, a_pos, z * A.adjugate()), (as_pos + 1, bs_pos, z),   # X Z
-        (b_pos + 1, as_pos, y))]                                  # Y
-    state.commit([([b_s, a, b, a_s], quad)] + segs, lo=w, hi=bs_pos + 1)
+    record = ("hyperbolic", [a_pos, b_pos], (w, as_pos, bs_pos + 1), None)
+    head, spans = _layout(*record[:3])
+    g = (None, z * A.adjugate(), z, y)
+    segs = [(ids[lo:hi], _moved(g[m], P[lo:hi])) for lo, hi, m in spans]
+    state.commit([([ids[p] for p in head], quad)] + segs, lo=w, hi=bs_pos + 1)
     if not (state.paired(w, w + 2) and state.paired(w + 1, w + 3)):
         raise FareyError("hyperbolic step did not leave a quad")
+    state.steps.append(record)
     # no segment of the new tail X Z Y T holds an adjacent pair, as the old
     # tail held none: only the seams X|Z, Z|Y and Y|T, at the last
     # positions of X, Z and Y, can
@@ -381,6 +412,94 @@ def _step_hyperbolic(state, w, a_pos):
     z_last = x_last + bs_pos - as_pos - 1
     state.seams = [x_last, z_last, bs_pos]
     return w + 4
+
+
+def _layout(kind, pivots, bounds):
+    """The window [lo, hi) = bounds[0], bounds[-1] that a step record
+    rewrites, as the positions written first, the pivots, and the slices
+    (start, stop, move) written after them, each moved by a matrix: 0 the
+    cut pivot's gluing g inverted, 1, 2 and 3 the hyperbolic step's
+    B^-1 A B A^-1, B^-1 A B and B^-1 A (X, Z and Y)."""
+    if kind == "hyperbolic":
+        (a_pos, b_pos), (w, as_pos, hi) = pivots, bounds
+        return ((hi - 1, a_pos, b_pos, as_pos),
+                ((w, a_pos, 1), (as_pos + 1, hi - 1, 2), (b_pos + 1, as_pos, 3)))
+    (pivot,), (w, hi) = pivots, bounds
+    return range(pivot, hi), ((w, pivot, 0),)
+
+
+# Each move inverted, and a hyperbolic pivot's gluing before its step, as
+# words in the gluings of the step's pivots after it, letters (0, e) and
+# (1, e) for A'^e and B'^e.  A cut leaves its pivot's gluing g alone, so
+# g^-1 inverted is (0, 1).  A hyperbolic step leaves A' = B^-1 A B^-1 A^-1 B
+# and B' = B^-1 A B^2, so z = A' B', y = A'^2 B', x = A'^-1 B'^-1 A' B',
+# A = B'^-1 A'^-1 B' A'^2 B' and B = B'^-1 A'^-1 B'.
+_UNMOVE = (((0, 1),), ((1, -1), (0, -1), (1, 1), (0, 1)),
+           ((1, -1), (0, -1)), ((1, -1), (0, -1), (0, -1)))
+_BEFORE = (((1, -1), (0, -1), (1, 1), (0, 1), (0, 1), (1, 1)),
+           ((1, -1), (0, -1), (1, 1)))
+
+
+def _inverse(word):
+    return [(i, -e) for i, e in reversed(word)]
+
+
+def start_words(steps, partner):
+    """Replay a run's step records on its input's arc ids: a function that
+    writes the input's gluing of arc e as (arc, exponent) letters in the
+    output's gluings.
+
+    A step that moves an arc by M and its partner by M' turns the arc's
+    gluing h into M h M'^-1.  No step moves an arc of W, and a pivot joins
+    W with the gluing its step leaves, so h_e = L_e P_e L_e*^-1: L_e is the
+    product of e's moves inverted, first move first, and P_e e's gluing
+    when it joined W, its own last one but for a hyperbolic pivot, whose
+    A, B, A^-1 or B^-1 _BEFORE writes.  The parabolic step's variant B,
+    side "other", is not replayed: it commits the whole word and moves the
+    tail by g, and no run on a unimodular symbol was seen to take it (runs
+    on cut symbols do), so callers check that a record holds none."""
+    from array import array  # here, so that import fareysym loads no array
+    n = len(partner)
+    ids = list(range(n))
+    moves = [array("l") for _ in ids]  # each id's moves, as 4 step + move
+    pivots, before = [], {}
+    for t, (kind, piv, bounds, _) in enumerate(steps):
+        if kind == "start":
+            ids = ids[piv[0]:] + ids[:piv[0]]
+            pivots.append(None)
+            continue
+        head, spans = _layout(kind, piv, bounds)
+        new = [ids[p] for p in head]
+        for lo, hi, m in spans:
+            for e in ids[lo:hi]:
+                moves[e].append(4 * t + m)
+            new += ids[lo:hi]
+        pivots.append(new[1:3] if kind == "hyperbolic" else new[:1])
+        if kind == "hyperbolic":
+            b_s, a, b, a_s = new[:4]
+            before.update({a: (t, 0, False), b: (t, 1, False),
+                           a_s: (t, 0, True), b_s: (t, 1, True)})
+        ids[bounds[0]:bounds[-1]] = new
+    at = [0] * n  # the output arc of each id
+    for p, e in enumerate(ids):
+        at[e] = p
+
+    def unmoves(e):
+        out = []
+        for m in moves[e]:
+            piv = pivots[m >> 2]
+            out += [(at[piv[i]], x) for i, x in _UNMOVE[m & 3]]
+        return out
+
+    def word(e):
+        if e in before:
+            t, k, inverted = before[e]
+            p = [(at[pivots[t][i]], x) for i, x in _BEFORE[k]]
+            p = _inverse(p) if inverted else p
+        else:
+            p = [(at[e], 1)]
+        return unmoves(e) + p + _inverse(unmoves(partner[e]))
+    return word
 
 
 def _choose_step(state, w):
@@ -448,7 +567,9 @@ def normalize(sym, on_op=None, on_step=None):
     blocks.  The arc (infinity, 0) is preserved.  on_op, when given, gets
     each step's commit as a symbol, one built per step but an extend, and
     on_step, when given, each step's {"kind", "pivots", "w_len"} record.
+    A symbol of more than MAX_ARCS arcs is refused first (check_arcs).
     """
+    check_arcs(sym.n)
     sym.validate()
     state = _start_state(sym, on_op, on_step)
     while not state.done():
@@ -460,4 +581,6 @@ def normalize(sym, on_op=None, on_step=None):
     out.validate()
     if not out.is_normalized():
         raise FareyError("normalization finished on a non-normalized symbol")
+    if state.origin is sym:  # the records replay on the companion's arcs
+        out._memo["steps"] = state.steps
     return out

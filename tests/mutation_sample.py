@@ -100,18 +100,24 @@ EQUIVALENT = {
      "if (sym.n - nu2 - nu3) % 2 or twice_genus % 2 or twice_genus < 0:",
      "`-` -> `+` (#2)"):
         "n - nu2 - nu3 and n - nu2 + nu3 have one parity",
-    ("invariants.py", "express_word", "if a < 0 or (not a and b < 0):",
+    ("invariants.py", "_reduce", "if a < 0 or (not a and b < 0):",
      "`<` -> `<=`"):
         "a == 0 makes c = +-1 != 0: the step reads p/q, the same for both "
         "signs, and the next step fixes the sign again; a = +-1 at c == 0",
-    ("invariants.py", "express_word", "if a < 0 or (not a and b < 0):",
+    ("invariants.py", "_reduce", "if a < 0 or (not a and b < 0):",
      "`<` -> `<=` (#2)"):
         "a == b == 0 contradicts det 1",
-    ("invariants.py", "express_word", "if e < 0:", "`<` -> `<=`"):
+    ("invariants.py", "_reduce", "if e < 0:", "`<` -> `<=`"):
         "b == 0 returned above, so e = b // width != 0",
-    ("invariants.py", "express_word", "p, q = (a, c) if c > 0 else (-a, -c)",
+    ("invariants.py", "_reduce", "p, q = (a, c) if c > 0 else (-a, -c)",
      "`>` -> `>=`"):
         "c == 0 returned above",
+    ("invariants.py", "_start_word",
+     "spelled += [one[i if x > 0 else pairing[i]]] * abs(x)", "`>` -> `>=`"):
+        "a letter of exponent 0 was dropped just above, so x != 0",
+    ("invariants.py", "_substituted",
+     "out += [(g if e > 0 else pairing[g], 1)] * abs(e)", "`>` -> `>=`"):
+        "at e == 0 the letter is repeated abs(e) == 0 times",
     ("kulkarni.py", "_split_keys",
      "if k_out < N:  # d is a unit too, y = -c/d = -1/x", "`<` -> `<=`"):
         "k_out == N only when d = 0 mod N, so x = 0, x - 1 is a unit and "

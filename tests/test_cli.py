@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareysym import classical
-from fareysym import cli
+from fareysym import cli, siegel
 from fareysym.cli import (_info_json, _member_json, _presentation_json,
                           _written, check_level, cli_dispatch, make_parser)
 from fareysym.delta0 import delta0_presentation
@@ -191,6 +191,32 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "normalize", broken)
         assert run(capsys, "normalize", "--level", "11") == (
             3, "", "internal error: injected fault\n")
+
+    def test_normalize_refuses_too_many_arcs_before_building(self, capsys):
+        # Gamma0(100003) has 33,336 arcs, read off its index and nu3; at
+        # 10^7 = MAX_INDEX the bound refuses, past it the builder's
+        start = time.perf_counter()
+        assert run(capsys, "normalize", "--level", "100003") == (
+            2, "", "error: normalize takes at most 4000 arcs, as its time "
+            "grows as about n^3.5; got 33336\n")
+        assert "at most 4000 arcs" in run(
+            capsys, "normalize", "--level", str(MAX_INDEX))[2]
+        assert "too large to build" in run(
+            capsys, "normalize", "--level", str(MAX_INDEX + 1))[2]
+        assert run(capsys, "normalize", "--level", "0") == (
+            2, "", "error: level must be a positive integer, got 0\n")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("N", [3, 7, 10])  # nu3 = 1, 2 and 0
+    def test_the_arc_bound_of_a_level_is_inclusive(self, capsys, monkeypatch,
+                                                   N):
+        n = gamma0_symbol(N).n
+        monkeypatch.setattr(siegel, "MAX_ARCS", n)
+        assert run(capsys, "normalize", "--level", str(N))[0] == 0
+        monkeypatch.setattr(siegel, "MAX_ARCS", n - 1)
+        assert run(capsys, "normalize", "--level", str(N))[2] == (
+            "error: normalize takes at most %d arcs, as its time grows as "
+            "about n^3.5; got %d\n" % (n - 1, n))
 
     def test_normalize_names_its_start_limitation(self, tmp_path, capsys):
         # a valid symbol whose arc (infinity, 0) lies in no block at the

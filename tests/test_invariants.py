@@ -1,4 +1,5 @@
 import bisect
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -19,6 +20,8 @@ from fareysym.symbol import FareySymbol
 
 from claims import (IntersectionForm, block_relation_holds, gram_is_J, rank,
                     stabilizer_at_infinity_holds)
+from test_kulkarni import (coset_pair, normalized_permutation_group,
+                           small_index_groups, uniform_pair)
 
 S, T = IMat(0, 1, -1, 0), IMat(1, 1, 0, 1)
 # a member of Gamma0(6) that a reduction judging progress by a window of
@@ -597,7 +600,8 @@ def test_the_step_cap_is_pinned(symbol_for, monkeypatch):
 def test_unimodular_symbols_bisect(symbol_for, normalized_for, monkeypatch):
     """The word problem bisects on a unimodular symbol, where a gallop from
     the stripped arc's partner takes more probes, and gallops on any other;
-    the words are the reference's either way."""
+    the words are the reference's either way.  A rotation carries no step
+    record, so its reduction runs on the symbol itself."""
     starts = []
     interval = invariants._interval
     monkeypatch.setattr(invariants, "_interval", lambda nums, dens, p, q, start:
@@ -605,7 +609,7 @@ def test_unimodular_symbols_bisect(symbol_for, normalized_for, monkeypatch):
     rng = random.Random(36)
     seen = set()
     for N in (6, 36, 180):
-        for sym in (symbol_for(N), normalized_for(N)):
+        for sym in (symbol_for(N), normalized_for(N).rotated(0)):
             for _ in range(5):
                 g = member_matrix(rng, symbol_for(N), 64)
                 starts.clear()
@@ -704,6 +708,155 @@ def test_two_arc_words_are_reduced(symbol_for):
     for sym in (symbol_for(1), gamma_squared()):
         assert express_word(sym, g) == [(1, 1), (1, 1)]
         assert word_product(sym, [(1, 1), (1, 1)]).psl_eq(g)
+
+
+# The symbols whose words substitute: Gamma0(N) but for N = 1, and the
+# normalized permutation groups whose stabilizer of infinity is one gluing.
+SUBSTITUTED_LEVELS = list(range(2, 81)) + [180, 210, 420]
+
+
+@functools.lru_cache(maxsize=None)
+def substituting_groups():
+    """(uni, normalized) for each permutation group of index at most 12,
+    and of 300 seeded coset_pair and uniform_pair draws, whose normalized
+    symbol substitutes."""
+    groups = [built[1:3] for _, _, built in small_index_groups()
+              if not isinstance(built, str)]
+    rng = random.Random(50)
+    for t in range(300):
+        built = normalized_permutation_group(
+            *(coset_pair(rng) if t % 2 else uniform_pair(rng, 60)))
+        if built is not None:
+            groups.append(built[1:3])
+    return [(uni, sym) for uni, sym in groups if invariants._substitutes(sym)]
+
+
+def substitution_input(rng, uni, sym, kind):
+    """A matrix of the kind named, for a word on sym, normalized from uni:
+    a member of up to 64 bits, an S/T word (a member or not), a power of
+    the stabilizer of infinity, small or huge, a conjugate of a small one,
+    a word with runs of fixed arcs, a member with a partial quotient near
+    2^40 (a step-cap refusal) or a member times a non-member."""
+    width = invariants._word_data(sym)[5]
+    if kind == "member":
+        return member_matrix(rng, uni, rng.randint(8, 64))
+    if kind == "st":
+        return st_matrix(rng, rng.randint(8, 64))
+    if kind == "stab":
+        return T ** (width * rng.choice((1, -1, 2, -3, 10 ** 12, -10 ** 12)))
+    if kind == "conj":
+        u = member_matrix(rng, uni, 24)
+        return u * T ** (width * rng.randint(-3, 3)) * u.inverse()
+    if kind == "elliptic":
+        fixed = sorted(sym.ell)
+        return word_product(sym, [
+            (rng.choice(fixed) if fixed and rng.random() < 0.6
+             else rng.randrange(sym.n), rng.choice((1, 2, -1)))
+            for _ in range(rng.randint(1, 8))])
+    if kind == "huge":
+        u = member_matrix(rng, uni, 8)
+        h = rng.choice([g for g in uni.gluings() if g.c and abs(g.a + g.d) == 2]
+                       or [T ** width])
+        return u * h ** (2 ** 40 + 3) * u.inverse()
+    outside = [y for y in (S, T, S * T, T * S) if not contains(uni, y)]
+    return member_matrix(rng, uni, 24) * rng.choice(outside)
+
+
+KINDS = ("member", "st", "stab", "conj", "elliptic", "huge", "outside")
+
+
+def test_substituted_words_match_the_reference(normalized_for, symbol_for):
+    """On the symbols normalize makes, express_word reduces on the
+    unimodular symbol the run started from and substitutes each letter's
+    recorded word: every answer, a word, None or the step-cap refusal, is
+    reference_express_word's on the normalized symbol.  A huge partial
+    quotient is tried where the reference's refusal takes less than a
+    second."""
+    groups = substituting_groups()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from(SUBSTITUTED_LEVELS),
+                     st.integers(-len(groups), -1)),
+           st.sampled_from(KINDS), st.integers(0, 2 ** 32))
+    def prop(where, kind, seed):
+        uni, sym = ((symbol_for(where), normalized_for(where)) if where > 0
+                    else groups[where])
+        assert invariants._substitutes(sym)
+        if kind == "huge" and sym.n > 40:
+            return
+        g = substitution_input(random.Random(seed), uni, sym, kind)
+        assert word_record(sym, g) == word_record(sym, g, reference_express_word)
+    prop()
+
+
+def test_small_index_words_match_the_reference():
+    """Each kind of input on each normalized group of index at most 12
+    whose words substitute."""
+    rng = random.Random(25)
+    groups = [built[1:3] for _, _, built in small_index_groups()
+              if not isinstance(built, str) and invariants._substitutes(built[2])]
+    assert len(groups) == 57
+    for uni, sym in groups:
+        for kind in KINDS:
+            g = substitution_input(rng, uni, sym, kind)
+            assert word_record(sym, g) == word_record(sym, g, reference_express_word)
+
+
+def test_which_symbols_substitute(symbol_for, normalized_for, monkeypatch):
+    """Only a symbol normalize made from its unimodular companion, with one
+    gluing for the stabilizer of infinity, reduces on the companion: a
+    rotation, a JSON round trip and its normalization, a base cut and its
+    normalization, Gamma0(1) and a run whose record holds a variant B step
+    reduce on themselves, and so does a run-made symbol when the
+    companion refuses."""
+    reduced = []
+    reduce = invariants._reduce
+    monkeypatch.setattr(invariants, "_reduce", lambda sym, g:
+                        reduced.append(sym) or reduce(sym, g))
+    uni, norm = symbol_for(6), normalized_for(6)
+    cut = base_cut(uni, 2, 0, 3, "other")[0]
+    variant_b = normalize(uni)
+    variant_b._memo["steps"] = variant_b._memo["steps"] + [
+        ("parabolic", [0], (0, uni.n), "other")]
+    g = member_matrix(random.Random(6), uni, 40)
+    for sym, on in ((norm, uni), (uni, uni), (norm.rotated(0), None),
+                    (FareySymbol.from_json(norm.to_json()), None),
+                    (normalize(FareySymbol.from_json(norm.to_json())), None),
+                    (cut, None), (normalize(cut), None), (variant_b, None),
+                    (normalized_for(1), None)):
+        reduced.clear()
+        h = g if sym.level != 1 else S * T
+        assert word_product(sym, express_word(sym, h)).psl_eq(h)
+        assert reduced == [sym if on is None else on]
+    # the companion's reduction refuses, so the symbol reduces itself
+    h = huge_parabolic(random.Random(6), symbol_for(6), 6)
+    reduced.clear()
+    with pytest.raises(FareyError, match="step cap"):
+        express_word(normalized_for(6), h)
+    assert reduced == [symbol_for(6), normalized_for(6)]
+
+
+def test_the_step_cap_holds_on_the_substituted_word(symbol_for,
+                                                     normalized_for):
+    """h^k, h a parabolic gluing of Gamma0(10)'s unimodular symbol, has a
+    word of k letters there and of k + 2 on the normalized symbol.  At
+    k = 1598 the cap is 1600: the unimodular word fits and the substituted
+    one reaches the cap, which the reduction on the normalized symbol
+    refuses, so express_word refuses it too; at k = 1597 the word of 1599
+    letters is the reference's."""
+    uni, sym = symbol_for(10), normalized_for(10)
+    h = IMat(-9, 5, -20, 11)
+    assert h.psl_eq(uni.gluing(3))
+    for k, letters in ((1597, 1599), (1598, None)):
+        g = h ** k
+        assert len(invariants._reduce(uni, g)) == k
+        assert invariants._cap(g, sym.n) == 1600
+        want = word_record(sym, g, reference_express_word)
+        assert word_record(sym, g) == want
+        if letters is None:
+            assert "step cap" in want
+        else:
+            assert len(express_word(sym, g)) == letters
 
 
 def gamma_upper(N):

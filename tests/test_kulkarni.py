@@ -1,8 +1,11 @@
+import collections
+import functools
 import hashlib
 import json
 import random
 import tracemalloc
-from math import gcd
+from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -984,6 +987,107 @@ def test_permutation_groups_that_step_through_every_layer():
             check_every_layer(S, U, *built, rng.getrandbits(32))
             committed += len(built[3])
     assert committed >= 400
+
+
+def subgroups_of_index(n):
+    """Every transitive pair (S, U) with S^2 = U^3 = 1 on n points, one per
+    subgroup of index n: the action on its right cosets, point 0 the
+    subgroup itself, labeled breadth-first from 0 by the images S[x], U[x]
+    and U^-1[x] in turn.  A depth-first search fills the tables in that
+    order, a point's U-cycle at once; each image is a later point still
+    free for it or the next new label, so each labeling is made once."""
+    S, U, out = [None] * n, [None] * n, []
+
+    def fill(x, used):
+        if x == used:  # the orbit of 0 is closed
+            if used == n:
+                out.append((list(S), list(U)))
+        elif S[x] is None:
+            for y in [y for y in range(x, used) if S[y] is None] + [used] * (used < n):
+                S[x], S[y] = y, x
+                fill(x, max(used, y + 1))
+                S[x] = S[y] = None
+        elif U[x] is None:
+            U[x] = x
+            fill(x + 1, used)
+            free = [y for y in range(x + 1, used) if U[y] is None]
+            for y in free + [used] * (used < n):
+                for z in [z for z in free if z != y] + [max(used, y + 1)]:
+                    if z < n:
+                        U[x], U[y], U[z] = y, z, x
+                        fill(x + 1, max(used, y + 1, z + 1))
+                        U[y] = U[z] = None
+            U[x] = None
+        else:
+            fill(x + 1, used)
+    fill(0, 1)
+    return out
+
+
+def hall_counts(top):
+    """The number s_n of subgroups of index n = 1..top of PSL2(Z) = Z/2 * Z/3
+    by Hall's formula (1949), in exact fractions: with h_n the number of
+    pairs (S, U) in S_n with S^2 = U^3 = 1, and h_0 = 1,
+    h_n / (n - 1)! = sum over k = 1..n of s_k h_(n-k) / (n - k)!."""
+    inv, rot = [1, 1], [1, 1]  # the permutations with S^2 = 1, and U^3 = 1
+    for m in range(2, top + 1):
+        inv.append(inv[m - 1] + (m - 1) * inv[m - 2])
+        rot.append(rot[m - 1] + (m - 1) * (m - 2) * rot[m - 3] * (m > 2))
+    h = [Fraction(a * b, factorial(m)) for m, (a, b) in enumerate(zip(inv, rot))]
+    s = [None]
+    for n in range(1, top + 1):
+        s.append(n * h[n] - sum(s[k] * h[n - k] for k in range(1, n)))
+    return s[1:]
+
+
+SMALL_INDEX = 12
+
+
+@functools.lru_cache(maxsize=None)
+def small_index_groups():
+    """Each subgroup of index at most SMALL_INDEX as (S, U, built): built
+    is what normalized_permutation_group returns, or the builder's
+    refusal as a string."""
+    out = []
+    for n in range(1, SMALL_INDEX + 1):
+        for S, U in subgroups_of_index(n):
+            table = CosetTable(S, U, 0)
+            try:
+                sym = build_unimodular(MembershipOracle(table.contains,
+                                                        index_bound=n))
+            except FareyError as e:
+                out.append((S, U, str(e)))
+                continue
+            ops = []
+            out.append((S, U, (table, sym, normalize(sym, on_op=ops.append), ops)))
+    return out
+
+
+def test_every_subgroup_of_small_index():
+    """Every subgroup of index at most 12, one transitive pair each, as
+    many as Hall's formula counts (243 up to index 9, 1558 up to 12);
+    check_every_layer on each that builds, and the builder's refusals of
+    the others pinned by message (ROADMAP item 11 moves this ledger)."""
+    groups = small_index_groups()
+    counted = collections.Counter(len(S) for S, _, _ in groups)
+    assert [counted[n] for n in range(1, SMALL_INDEX + 1)] == hall_counts(
+        SMALL_INDEX) == [1, 1, 4, 8, 5, 22, 42, 40, 120, 265, 286, 764]
+    ledger = collections.Counter()
+    for S, U, built in groups:
+        if isinstance(built, str):
+            ledger[built] += 1
+        else:
+            check_every_layer(S, U, *built, len(S))
+            ledger["built"] += 1
+    assert ledger == {
+        "built": 569,
+        "the group holds the order-3 rotation infinity -> 1 -> 0 -> infinity "
+        "of the start triangle; the builder cannot yet build such a group, "
+        "which needs a start other than the triangle (infinity, 0, 1)": 154,
+        "the arc (infinity, 0) pairs with no arc of the start triangle, so the "
+        "builder would split it; it cannot yet build a symbol without that "
+        "arc, which needs another vertical arc (infinity, x0) as its anchor":
+        835}
 
 
 def test_stabilizer_at_infinity_on_uniform_permutation_groups():

@@ -12,9 +12,9 @@ import fareysym
 from fareysym import classical, siegel
 from fareysym.exact import Cusp, FareyError, INFINITY, InvalidSymbolError, ZERO
 from fareysym.kulkarni import gamma0_oracle, gamma0_symbol
-from fareysym.invariants import counts, express_word, generators
+from fareysym.invariants import counts, express_word, generators, word_product
 from fareysym.siegel import (NormalizationState, base_cut, base_cut_elliptic,
-                             normalize, siegel_step, _start_state,
+                             normalize, siegel_step, start_words, _start_state,
                              _step_hyperbolic)
 from fareysym.symbol import (FareySymbol, block_at, gluing_entries,
                              symbol_from_ids)
@@ -741,6 +741,54 @@ class TestNormalize:
     def test_block_counts(self, normalized_for, N, quads, pairs):
         q, p, f = normalized_for(N).block_counts()
         assert (q, p) == (quads, pairs)
+
+    def test_start_words_multiply_back(self, symbol_for, normalized_for):
+        """Replayed from a run's step records (start_words), each gluing of
+        the unimodular input is the product of its word in the normalized
+        gluings: Gamma0(N) for N = 2..79, 180, 210 and 420, and the groups of
+        300 seeded permutation draws.  The records are the start rotation
+        and the kinds and pivots of the steps on_step sees but the extends,
+        and none moved W."""
+        def check(uni, sym, log):
+            steps = sym._memo["steps"]
+            assert steps[0][0] == "start"
+            assert [(kind, pivots) for kind, pivots, _, _ in steps[1:]] == [
+                (r["kind"], r["pivots"]) for r in log if r["kind"] != "extend"]
+            assert all(side != "other" for _, _, _, side in steps)
+            word = start_words(steps, uni.pairing)
+            for e in range(uni.n):
+                assert word_product(sym, word(e)).psl_eq(uni.gluing(e)), e
+        for N in [*range(2, 80), 180, 210, 420]:
+            log = []
+            check(symbol_for(N), normalize(symbol_for(N), on_step=log.append),
+                  log)
+        rng = random.Random(48)
+        for t in range(300):
+            built = normalized_permutation_group(
+                *(coset_pair(rng) if t % 2 else uniform_pair(rng, 60)))
+            if built is not None:
+                log = []
+                check(built[1], normalize(built[1], on_step=log.append), log)
+
+    def test_too_many_arcs_are_refused_first(self, monkeypatch, symbol_for):
+        sym = symbol_for(13)
+        monkeypatch.setattr(siegel, "MAX_ARCS", sym.n)
+        assert normalize(sym).n == sym.n
+        monkeypatch.setattr(siegel, "MAX_ARCS", sym.n - 1)
+        # before validation, which refuses the symbol of the wrong level
+        wrong = FareySymbol(sym.vertices, sym.pairing, sym.ell, 12)
+        for s in (sym, wrong):
+            with pytest.raises(InvalidSymbolError, match=(
+                    r"^normalize takes at most %d arcs, as its time grows as "
+                    r"about n\^3\.5; got %d$" % (sym.n - 1, sym.n))):
+                normalize(s)
+
+    def test_only_a_run_on_its_companion_keeps_its_records(self, symbol_for):
+        uni = symbol_for(6)
+        cut = base_cut(uni, 2, 0, 3, "other")[0]
+        assert "steps" in normalize(uni)._memo
+        assert "steps" in normalize(uni.rotated(2))._memo
+        assert "steps" not in normalize(cut)._memo
 
     def test_output_is_normalized_and_valid(self, normalized_for):
         for N in (1, 2, 10, 13, 15, 22, 37, 49):

@@ -627,6 +627,14 @@ class TestRotationAndJson:
         s = FareySymbol([INFINITY, ZERO], [1, 0])
         assert FareySymbol.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize("ell", [[2], "12", 3])
+    def test_ell_that_is_no_object_is_refused(self, ell):
+        doc = {"vertices": ["1/0", "0/1", "1/1"], "pairing": [2, 1, 0],
+               "ell": ell}
+        with pytest.raises(InvalidSymbolError, match='^malformed symbol '
+                           'data: "ell" must be an object$'):
+            FareySymbol.from_dict(doc)
+
     def test_json_shape(self, symbol_for):
         d = symbol_for(13).to_dict()
         assert d["vertices"][0] == "1/0"
