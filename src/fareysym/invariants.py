@@ -5,7 +5,7 @@ coset table of the group, and the word problem in the gluing generators.
 
 from .exact import IDENTITY, FareyError, _int_arg, _int_args, _shown, _sl2_arg
 from .kulkarni import gamma0_symbol
-from .siegel import start_words
+from .siegel import _inverse, start_words
 
 
 class CuspClass:
@@ -418,16 +418,16 @@ def express_word(sym, g):
     answer spells it as (arc, 1) letters up to the shortest prefix after
     which the rest fixes infinity, then the power of the stabilizer of
     infinity: one letter when that is one gluing, else its word repeated,
-    inverted for a negative power.  Where that meets the prefix, a run of
-    one fixed arc whose exponents sum to 0 mod its order cancels, as on the
-    two-arc symbols: Gamma0(1)'s [[1, -1], [1, 0]] is [(1, 1), (1, 1)].
+    inverted for a negative power, and pushed onto the prefix (_pushed):
+    where they meet, a run of one fixed arc may close up, as on the two-arc
+    symbols: Gamma0(1)'s [[1, -1], [1, 0]] is [(1, 1), (1, 1)].
 
     So a symbol that normalize made from a unimodular symbol, its
     companion, when its stabilizer of infinity is one gluing, takes a
     shorter way to the same word: g is reduced on the companion, where
     words are short, each letter is replaced by that gluing's word in this
     symbol's gluings (start_words, from the run's step records, memoized),
-    and the result is freely reduced and spelled.  Where the reduction on
+    and the words are pushed one onto the next.  Where the reduction on
     the companion refuses, g is reduced here as on any other symbol.
     """
     _sl2_arg(g, "express_word needs an integral det-1 matrix")
@@ -477,14 +477,8 @@ def _reduce(sym, g):
             if abs(e) * len(stab) > cap:
                 raise FareyError("word reduction exceeded its step cap")
             if e < 0:
-                stab = [(i, -x) for i, x in reversed(stab)]
-            for i, x in stab * abs(e):
-                word.append((i, x))
-                t = len(word) - 1
-                while t and word[t - 1][0] == i:
-                    t -= 1
-                if i in sym.ell and sum(x for _, x in word[t:]) % sym.ell[i] == 0:
-                    del word[t:]  # a run of one fixed arc closed up
+                stab = _inverse(stab)
+            _pushed(word, stab * abs(e), sym.pairing, sym.ell)
             return word
         p, q = (a, c) if c > 0 else (-a, -c)
         side = (k + _interval(nums, dens, p, q, start)) % n
@@ -511,11 +505,35 @@ def _substitutes(sym):
     return memo["substitutes"]
 
 
+def _pushed(word, letters, pairing, ell):
+    """Push letters (arc, +-1) onto the reduced word one at a time: a letter
+    (i, x) deletes its inverse just before it, (i, -x), or (partner(i), x)
+    if i is not fixed, or on a fixed arc the order - 1 letters (i, x) whose
+    run it closes up, and else stays.  The word stays reduced.  Returns
+    whether the last letter stayed."""
+    kept = False
+    for letter in letters:
+        i, x = letter
+        t = len(word) - 1
+        if i in ell and word[t:] != [(i, -x)]:
+            t = len(word) + 1 - ell[i]
+            kept = word[t:] != [letter] * (ell[i] - 1)
+        else:
+            kept = t < 0 or word[t] not in ((i, -x), (pairing[i], x))
+        if kept:
+            word.append(letter)
+        else:
+            del word[t:]
+    return kept
+
+
 def _start_word(sym, u, m):
     """The companion's gluing of arc u to the power m = +-1, as a reduced
     word on sym's gluings spelled in (arc, 1) letters, as express_word
-    spells a prefix.  Built at the first call from the run's step records
-    (start_words), and memoized."""
+    spells a prefix: the run's word (start_words, from its step records)
+    with each inverse letter spelled as its inverse (the partner's letter,
+    or a fixed arc's own order - 1 times), pushed.  Built at the first call
+    and memoized."""
     memo = sym._memo
     if "start_words" not in memo:  # the letters (i, 1) shared by the words
         memo["start_words"] = ({}, start_words(memo["steps"],
@@ -524,31 +542,25 @@ def _start_word(sym, u, m):
     words, word, one = memo["start_words"]
     if (u, m) not in words:
         pairing, ell = sym.pairing, sym.ell
-        out = []  # letters (generator min(i, partner(i)), exponent)
-        for p, x in word(u):
-            q = pairing[p]
-            i, x = (p, x * m) if p <= q else (q, -x * m)
-            if out and out[-1][0] == i:
-                x += out.pop()[1]
-            if i in ell:
-                x %= ell[i]
-            if x:
-                out.append((i, x))
         spelled = []
-        for i, x in out[::m]:  # the inverse's letters in reverse order
-            spelled += [one[i if x > 0 else pairing[i]]] * abs(x)
-        words[u, m] = spelled
+        for p, x in word(u) if m == 1 else _inverse(word(u)):
+            spelled += ([one[p]] if x == 1
+                        else [one[pairing[p]]] * (ell.get(p, 2) - 1))
+        words[u, m] = out = []
+        _pushed(out, spelled, pairing, ell)
     return words[u, m]
 
 
 def _substituted(sym, word, s, cap):
     """The companion's word of a member with each letter replaced by its
     _start_word, freely reduced and spelled as express_word does; s is the
-    arc whose gluing generates the stabilizer of infinity.  Words of
-    reduced words cancel only where they meet, and only the last letter of
-    a companion word may have an exponent other than +-1: a power of the
-    companion's stabilizer of infinity, whose word is then one letter on
-    the generator of s, so its exponent is carried, never expanded."""
+    arc whose gluing generates the stabilizer of infinity.  Each start
+    word is pushed until one of its letters stays on an arc that is not
+    fixed; the rest is copied, exactly, for a start word is reduced and its
+    later letters meet only its own.  Only the last letter of a companion
+    word may have an exponent other than +-1: a power of the companion's
+    stabilizer of infinity, whose word is then one letter on the generator
+    of s, so its exponent is carried, never expanded."""
     pairing, ell = sym.pairing, sym.ell
     out, carry = [], 0
     for u, m in word:
@@ -557,27 +569,10 @@ def _substituted(sym, word, s, cap):
             carry = m if i == s else -m
             continue
         w = _start_word(sym, u, m)
-        j = 0
-        while out:  # merge the runs on one generator where they meet
-            i = out[-1][0]
-            g = min(i, pairing[i])
-            k = j
-            while k < len(w) and min(w[k][0], pairing[w[k][0]]) == g:
-                k += 1
-            if k == j:
+        for j, letter in enumerate(w):
+            if _pushed(out, (letter,), pairing, ell) and letter[0] not in ell:
+                out += w[j + 1:]
                 break
-            t = len(out) - 1
-            while t and min(out[t - 1][0], pairing[out[t - 1][0]]) == g:
-                t -= 1
-            e = sum(1 if a == g else -1 for a, _ in out[t:] + w[j:k])
-            if g in ell:
-                e %= ell[g]
-            del out[t:]
-            out += [(g if e > 0 else pairing[g], 1)] * abs(e)
-            j = k
-            if e:
-                break
-        out += w[j:]
     t = len(out)
     while t and out[t - 1][0] in (s, pairing[s]):
         t -= 1

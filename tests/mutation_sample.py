@@ -112,12 +112,6 @@ EQUIVALENT = {
     ("invariants.py", "_reduce", "p, q = (a, c) if c > 0 else (-a, -c)",
      "`>` -> `>=`"):
         "c == 0 returned above",
-    ("invariants.py", "_start_word",
-     "spelled += [one[i if x > 0 else pairing[i]]] * abs(x)", "`>` -> `>=`"):
-        "a letter of exponent 0 was dropped just above, so x != 0",
-    ("invariants.py", "_substituted",
-     "out += [(g if e > 0 else pairing[g], 1)] * abs(e)", "`>` -> `>=`"):
-        "at e == 0 the letter is repeated abs(e) == 0 times",
     ("kulkarni.py", "_split_keys",
      "if k_out < N:  # d is a unit too, y = -c/d = -1/x", "`<` -> `<=`"):
         "k_out == N only when d = 0 mod N, so x = 0, x - 1 is a unit and "

@@ -1,6 +1,7 @@
 import bisect
 import functools
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from fareysym import classical, invariants
 from fareysym.exact import (IMat, IDENTITY, INFINITY, ZERO, Cusp, FareyError,
                             InvalidSymbolError, classify, CLS_HYPERBOLIC, CLS_PARABOLIC)
-from fareysym.invariants import (CosetTable, CuspClass, _interval, _width_at,
+from fareysym.invariants import (CosetTable, CuspClass, _interval, _pushed,
+                                 _width_at,
                                  contains, coset_table,
                                  counts, cusp_orbits, express_word, generators,
                                  word_product)
@@ -710,6 +712,72 @@ def test_two_arc_words_are_reduced(symbol_for):
         assert word_product(sym, [(1, 1), (1, 1)]).psl_eq(g)
 
 
+def rewritten(sym, word):
+    """word rewritten to a fixpoint, each pass deleting the factor that ends
+    first among those that spell the identity: two letters (i, -x) (i, x),
+    or (partner(i), x) (i, x) on an arc that is not fixed, or a run on one
+    fixed arc whose exponents sum to 0 mod its order."""
+    word = list(word)
+    while True:
+        for end, (i, x) in enumerate(word):
+            start = end
+            if i in sym.ell:
+                total = 0
+                while start >= 0 and word[start][0] == i:
+                    total += word[start][1]
+                    if total % sym.ell[i] == 0:
+                        break
+                    start -= 1
+                else:
+                    continue
+            elif not end or word[end - 1] not in ((i, -x), (sym.pairing[i], x)):
+                continue
+            else:
+                start -= 1
+            del word[start:end + 1]
+            break
+        else:
+            return word
+
+
+def test_pushed_is_the_free_reduction(symbol_for, normalized_for):
+    """_pushed, on symbols with arcs of order 2 and 3, gives the rewriting's
+    fixpoint and keeps the product.  A reduced word pushed onto another in
+    one call, letter by letter, or up to its first letter that stays on an
+    arc that is not fixed and then copied, as _substituted pushes a start
+    word, gives the same word."""
+    syms = ([symbol_for(N) for N in (1, 2, 3, 13)]
+            + [normalized_for(13), gamma_squared()]
+            + [built[2] for _, _, built in small_index_groups()
+               if not isinstance(built, str)
+               and set(built[2].ell.values()) == {2, 3}][:4])
+    letters = st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from((1, -1))),
+                       max_size=24)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(syms) - 1), letters, letters)
+    def prop(k, head, tail):
+        sym = syms[k]
+        pairing, ell = sym.pairing, sym.ell
+        head = [(i % sym.n, x) for i, x in head]
+        tail = [(i % sym.n, x) for i, x in tail]
+        word = []
+        _pushed(word, head + tail, pairing, ell)
+        assert word == rewritten(sym, head + tail)
+        assert word_product(sym, word).psl_eq(word_product(sym, head + tail))
+        base, reduced = rewritten(sym, head), rewritten(sym, tail)
+        one, each, copied = list(base), list(base), list(base)
+        _pushed(one, reduced, pairing, ell)
+        for letter in reduced:
+            _pushed(each, [letter], pairing, ell)
+        for j, letter in enumerate(reduced):
+            if _pushed(copied, [letter], pairing, ell) and letter[0] not in ell:
+                copied += reduced[j + 1:]
+                break
+        assert one == each == copied == rewritten(sym, base + reduced)
+    prop()
+
+
 # The symbols whose words substitute: Gamma0(N) but for N = 1, and the
 # normalized permutation groups whose stabilizer of infinity is one gluing.
 SUBSTITUTED_LEVELS = list(range(2, 81)) + [180, 210, 420]
@@ -736,10 +804,20 @@ def substitution_input(rng, uni, sym, kind):
     a member of up to 64 bits, an S/T word (a member or not), a power of
     the stabilizer of infinity, small or huge, a conjugate of a small one,
     a word with runs of fixed arcs, a member with a partial quotient near
-    2^40 (a step-cap refusal) or a member times a non-member."""
+    2^40 (a step-cap refusal), a member times a non-member, or a uniform
+    member of Gamma0(N): c = N r and a coprime d of up to 64 bits, a and b
+    by the extended gcd (on a group without a level N = 1, so a uniform
+    matrix of SL2(Z), a member or not)."""
     width = invariants._word_data(sym)[5]
     if kind == "member":
         return member_matrix(rng, uni, rng.randint(8, 64))
+    if kind == "uniform":
+        top = 2 ** rng.randint(8, 64)
+        while True:
+            c, d = (uni.level or 1) * rng.randint(-top, top), rng.randint(1, top)
+            if c and math.gcd(c, d) == 1:
+                b = -pow(c, -1, d)
+                return IMat((1 + b * c) // d, b, c, d)
     if kind == "st":
         return st_matrix(rng, rng.randint(8, 64))
     if kind == "stab":
@@ -762,7 +840,8 @@ def substitution_input(rng, uni, sym, kind):
     return member_matrix(rng, uni, 24) * rng.choice(outside)
 
 
-KINDS = ("member", "st", "stab", "conj", "elliptic", "huge", "outside")
+KINDS = ("member", "uniform", "st", "stab", "conj", "elliptic", "huge",
+         "outside")
 
 
 def test_substituted_words_match_the_reference(normalized_for, symbol_for):
@@ -857,6 +936,26 @@ def test_the_step_cap_holds_on_the_substituted_word(symbol_for,
             assert "step cap" in want
         else:
             assert len(express_word(sym, g)) == letters
+
+
+def test_start_words_meet_on_a_run_of_an_order_3_arc(normalized_for):
+    """On Gamma0(7) and Gamma0(13), for each companion gluing g, the
+    substituted words of g g^-1 and g^-1 g are empty, and so is that of
+    g^k for a fixed arc of order k.  For an order-3 arc, g's start word
+    is L (i, 1) L^-1 and g^-1's is L (i, 1) (i, 1) L^-1: where they meet,
+    a letter (i, 1) stays on a fixed arc and the next closes up the run, so
+    the push goes on past it before it copies the rest."""
+    met = 0
+    for N in (7, 13):
+        sym = normalized_for(N)
+        companion, s = sym._memo["companion"], invariants._word_data(sym)[6][0][0]
+        for u in range(sym.n):
+            order = companion.ell.get(u)
+            met += order == 3
+            for word in ([(u, 1), (u, -1)], [(u, -1), (u, 1)],
+                         [(u, 1)] * (order or 0)):
+                assert invariants._substituted(sym, word, s, 10 ** 6) == []
+    assert met == 4
 
 
 def gamma_upper(N):
