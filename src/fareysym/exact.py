@@ -66,8 +66,7 @@ def _shown(value):
     length; any other value whose repr raises ValueError, as repr does past
     sys.get_int_max_str_digits(), is shown by its type."""
     if isinstance(value, int):
-        # |value| < 2**660 < 10**199 needs no comparison
-        if value.bit_length() > 660 and not -10 ** 199 < value < 10 ** 200:
+        if not -10 ** 199 < value < 10 ** 200:
             return "%s<int of %d bits>" % ("-" if value < 0 else "",
                                            value.bit_length())
     elif isinstance(value, str) and len(value) > 200:

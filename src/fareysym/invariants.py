@@ -98,8 +98,9 @@ def counts(sym):
     index = sum(o.width for o in orbits)
     if index != 3 * (sym.n - 2) + nu3:
         raise FareyError("width sum disagrees with arc count")
-    twice_genus = 1 - nu_inf + (sym.n - nu2 - nu3) // 2
-    if (sym.n - nu2 - nu3) % 2 or twice_genus % 2 or twice_genus < 0:
+    free = sym.n - nu2 - nu3  # the arcs paired with another arc
+    twice_genus = 1 - nu_inf + free // 2
+    if free % 2 or twice_genus % 2 or twice_genus < 0:
         raise FareyError("arc count and orbits give no genus")
     return (twice_genus // 2, nu_inf, nu2, nu3, index)
 
@@ -407,9 +408,10 @@ def express_word(sym, g):
     bisection does.  On a unimodular symbol it is bisection; on any other it
     gallops, first from the middle, then from the partner of the arc just
     stripped, where a normalized symbol's next interval most often lies.
-    The matrix is kept as four integers, sign-fixed at the top of each step as
-    IMat.psl_normalize does.  A member whose reduction runs past the step
-    cap raises FareyError; the answer is never None for a member.
+    The matrix is kept as four integers of either sign: a step reads only
+    the point a/c, and at c = 0 the translation left is b * a, for a = +-1.
+    A member whose reduction runs past the step cap raises FareyError; the
+    answer is never None for a member.
 
     The gluings freely generate the group, a free product of copies of Z,
     Z/2 and Z/3, so g has one reduced word: put each letter on the
@@ -431,7 +433,6 @@ def express_word(sym, g):
     the companion refuses, g is reduced here as on any other symbol.
     """
     _sl2_arg(g, "express_word needs an integral det-1 matrix")
-    stab = _word_data(sym)[6]
     if not coset_table(sym).contains(g):
         return None
     if _substitutes(sym):
@@ -440,7 +441,8 @@ def express_word(sym, g):
         except FareyError:
             pass
         else:
-            return _substituted(sym, word, stab[0][0], _cap(g, sym.n))
+            return _substituted(sym, word, _word_data(sym)[6][0][0],
+                                _cap(g, sym.n))
     return _reduce(sym, g)
 
 
@@ -460,12 +462,11 @@ def _reduce(sym, g):
     cap = _cap(g, n)
     start = None if partner is None else (n - 1) // 2
     while True:
-        if a < 0 or (not a and b < 0):
-            a, b, c, d = -a, -b, -c, -d
         steps += 1
         if steps > cap:
             raise FareyError("word reduction exceeded its step cap")
-        if not c:  # a = d = 1 after the sign fix
+        if not c:  # a = d = +-1: the translation by b * a is left
+            b *= a
             if not b:
                 return word
             if b % width:

@@ -387,7 +387,7 @@ def _step_hyperbolic(state, w, a_pos):
         bs_pos = ids.index(b_s, as_pos + 1)
     except ValueError:
         bs_pos = n
-    if not w <= a_pos < bs_pos < n:
+    if not w <= a_pos or bs_pos == n:
         raise FareyError("pivots out of pattern")
     state.check_keep(ids[w:bs_pos + 1])
 

@@ -63,14 +63,14 @@ def gluing_entries(r, s, t, u, order=None):
                                                _shown_cusp(t), _shown_cusp(u),
                                                _shown(abs(d_rs)), _shown(w)))
     if order == 3:
-        if d_rs < 0:
+        if d_rs == -w:  # d_rs < 0, as |d_rs| == w > 0
             s1, s2 = -s1, -s2
         a = r1 * (r2 - s2) + s1 * s2
         b = -(r1 * (r1 - s1) + s1 * s1)
         c = r2 * (r2 - s2) + s2 * s2
         d = -a - w
     else:
-        if (d_rs < 0) != (d_tu < 0):
+        if d_rs != d_tu:  # their signs differ, as |d_rs| == |d_tu| > 0
             s1, s2 = -s1, -s2
         a = -(r1 * t2 + s1 * u2)
         b = r1 * t1 + s1 * u1

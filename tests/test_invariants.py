@@ -958,6 +958,54 @@ def test_start_words_meet_on_a_run_of_an_order_3_arc(normalized_for):
     assert met == 4
 
 
+def test_a_non_member_builds_no_reduction_data(symbol_for):
+    """express_word decides membership by the coset walk before it reads
+    the reduction's data, so a non-member on a fresh symbol builds neither
+    the cusp orbits nor the inverse gluings; a member then builds both."""
+    for N in (6, 180):
+        norm = normalize(symbol_for(N))
+        for sym in (norm, FareySymbol.from_json(norm.to_json()),
+                    gamma0_symbol(N)):
+            assert express_word(sym, S) is None
+            assert "word" not in sym._memo and "orbits" not in sym._memo
+            assert express_word(sym, sym.gluing(1)) is not None
+            assert "word" in sym._memo and "orbits" in sym._memo
+
+
+def test_words_do_not_depend_on_the_sign_of_the_matrix(symbol_for,
+                                                       normalized_for):
+    """express_word(sym, g) and express_word(sym, -g) give one answer, a
+    word, None or the same refusal, on unimodular, normalized, JSON-copied
+    and rotated Gamma0(N), and on groups of small index.  The reduction
+    reads the sign of its matrix only where a = d = +-1 is left; on
+    Gamma0(1) and the small groups, many members have a reduced word with
+    a suffix of a = 0, a step at which g and -g differ by the sign of b
+    alone."""
+    rng = random.Random(52)
+    groups = [(symbol_for(N), normalized_for(N)) for N in (1, 2, 6, 13, 36)]
+    groups += [built[1:3] for _, _, built in small_index_groups()[:60]
+               if not isinstance(built, str)]
+    passed = 0
+    for uni, norm in groups:
+        syms = [uni, norm, norm.rotated(rng.randrange(norm.n))]
+        if uni.level is not None:
+            syms.append(FareySymbol.from_json(norm.to_json()))
+        for sym in syms:
+            width = invariants._word_data(sym)[5]
+            mats = [member_matrix(rng, uni, rng.randint(4, 48))
+                    for _ in range(6)]
+            mats += [st_matrix(rng, rng.randint(4, 48)) for _ in range(2)]
+            mats += [T ** (width * e) for e in (1, -2, 10 ** 12)]
+            for g in mats:
+                record = word_record(sym, g)
+                assert word_record(sym, -g) == record
+                if record.startswith("["):  # a word
+                    word = express_word(sym, g)
+                    passed += any(word_product(sym, word[j:]).a == 0
+                                  for j in range(len(word)))
+    assert passed >= 100
+
+
 def gamma_upper(N):
     """The unimodular symbol of Gamma^0(N) = {b = 0 mod N}, from the keyless
     builder: a group other than Gamma0(N), with no level."""
