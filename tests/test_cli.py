@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import json
 import os
-import pathlib
 import random
 import re
 import subprocess
@@ -13,6 +12,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fareysym
 from fareysym import classical
 from fareysym import cli, siegel
 from fareysym.cli import (_info_json, _member_json, _presentation_json,
@@ -30,7 +30,6 @@ from fareysym.symbol import FareySymbol
 # included
 INFO_LEVELS = list(range(1, 101)) + [180, 420]
 INFO_DIGEST = "ff5341ad88cc7586ea42d99bc3b8899ef8732f92819e5e14646c6a3e982b897e"
-SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -75,6 +74,7 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["member"] is True and doc["word"]
+        assert out == json.dumps(doc) + "\n"
 
     def test_nonmember(self, capsys):
         code, out, _ = run(capsys, "member", "--level", "15",
@@ -82,6 +82,7 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["member"] is False and doc["word"] is None
+        assert out == json.dumps(doc) + "\n"
 
     def test_member_negative_first_entry(self, capsys):
         # argparse reads a separate "-1,0,0,-1" as an option; the attached
@@ -123,10 +124,18 @@ class TestCommands:
         assert norm.block_counts() == (1, 5, 0)
 
     def test_normalize_trace(self, capsys):
-        code, out, err = run(capsys, "normalize", "--level", "15", "--trace")
-        assert code == 0
-        lines = [json.loads(x) for x in err.splitlines() if x.strip()]
-        assert lines and all({"kind", "pivots", "w_len"} == set(e) for e in lines)
+        # one step record per stderr line, w_len strictly increasing up to
+        # the arc count of the symbol printed
+        kinds = {"extend", "elliptic", "parabolic", "hyperbolic"}
+        for level in ("15", "210"):
+            code, out, err = run(capsys, "normalize", "--level", level, "--trace")
+            assert code == 0
+            lines = [json.loads(x) for x in err.splitlines() if x.strip()]
+            assert lines and all({"kind", "pivots", "w_len"} == set(e)
+                                 and e["kind"] in kinds for e in lines)
+            ws = [e["w_len"] for e in lines]
+            assert all(a < b for a, b in zip(ws, ws[1:]))
+            assert ws[-1] == len(json.loads(out)["pairing"])
 
     def test_presentation(self, capsys):
         code, out, _ = run(capsys, "presentation", "--level", "13")
@@ -153,7 +162,8 @@ class TestCommands:
             code, _, _ = run(capsys, "render", "--level", "13",
                              "--style", style, "--out", str(out_file))
             assert code == 0
-            ET.parse(out_file)
+            root = ET.parse(out_file).getroot()
+            assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
     def test_scan_range(self, capsys):
         code, out, err = run(capsys, "scan", "--from", "1", "--to", "12")
@@ -171,6 +181,7 @@ class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert run(capsys, "build")[0] == 1
         assert run(capsys, "bogus")[0] == 1
+        assert run(capsys, "render", "--level", "6", "--style", "bogus")[0] == 1
 
     def test_validation_failure_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -468,10 +479,11 @@ class TestExitCodes:
 
     def test_scan_with_worker_processes(self):
         """One real multiprocessing.Pool run, through the module's entry
-        point in a fresh interpreter."""
+        point in a fresh interpreter on the package these tests import."""
         env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fareysym.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         done = subprocess.run(
             [sys.executable, "-m", "fareysym.cli", "scan", "--from", "1",
              "--to", "12", "--jobs", "2"],

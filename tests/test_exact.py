@@ -140,10 +140,14 @@ class TestCuspValue:
             assert all(type(v) is Cusp for v in normalize(gamma0_symbol(N)).vertices)
 
 
-# ints of up to 20,000 decimal digits, past CPython's default limit of
-# 4300 on int <-> str; r * 10**k + r puts a run of zeros in the middle
+# ints as long as 10**20000, past CPython's default limit of 4300 digits on
+# int <-> str, drawn as a bit length, a sign and a seed: a draw of the int
+# itself can outgrow hypothesis's buffer; r * 10**k + r puts a run of zeros
+# in the middle
 huge_ints = st.one_of(
-    st.integers(-10**20000, 10**20000),
+    st.builds(lambda bits, sign, seed: sign * random.Random(seed).getrandbits(bits),
+              st.integers(0, (10**20000).bit_length()), st.sampled_from([1, -1]),
+              st.integers(0, 2**32 - 1)),
     st.builds(lambda r, k, sign: sign * (r * 10**k + r),
               st.integers(0, 2**64), st.integers(0, 20000),
               st.sampled_from([1, -1])))

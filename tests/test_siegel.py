@@ -835,14 +835,23 @@ class TestNormalize:
                 assert isinstance(out, FareySymbol) and out == plain
 
     def test_trace_log(self, symbol_for):
-        log = []
-        out = normalize(symbol_for(15), on_step=log.append)
-        kinds = [e["kind"] for e in log]
-        assert kinds[0] == "extend"
-        assert "hyperbolic" in kinds
-        assert all(set(e) == {"kind", "pivots", "w_len"} for e in log)
-        ws = [e["w_len"] for e in log]
-        assert ws == sorted(ws) and ws[-1] == out.n
+        # on_op sees one symbol per step but an extend, each in the group,
+        # the last one the symbol returned
+        for N in (15, 210):
+            log, ops = [], []
+            out = normalize(symbol_for(N), on_op=ops.append, on_step=log.append)
+            kinds = [e["kind"] for e in log]
+            assert kinds[0] == "extend"
+            assert "hyperbolic" in kinds
+            assert set(kinds) <= {"extend", "elliptic", "parabolic", "hyperbolic"}
+            assert all(set(e) == {"kind", "pivots", "w_len"} for e in log)
+            ws = [e["w_len"] for e in log]
+            assert all(a < b for a, b in zip(ws, ws[1:])) and ws[-1] == out.n
+            assert len(ops) == len(kinds) - kinds.count("extend")
+            oracle = gamma0_oracle(N)
+            for s in ops:
+                s.validate(oracle)
+            assert ops[-1] == out
 
     def test_normalize_is_idempotent_on_output(self, normalized_for):
         ns = normalized_for(22)

@@ -16,10 +16,11 @@ def test_import_loads_no_code_inspector():
     # tokenize and eight more modules into every process that imports the
     # package; the elliptic points and the genus were exact rationals, and
     # fractions brings decimal with it; -S keeps site's .pth hooks out of
-    # the count
+    # the count; the child imports the package that the tests imported
     code = ("import sys, fareysym.cli; print(sorted({'dataclasses', 'inspect', "
             "'ast', 'dis', 'tokenize', 'fractions', 'decimal'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(fareysym.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_root)
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
